@@ -15,8 +15,8 @@ use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use shapex_bench::evolution_family;
-use shapex_core::engine::{ContainmentEngine, EngineOptions};
+use shapex_bench::{all_cores_options, evolution_family};
+use shapex_core::engine::ContainmentEngine;
 use shapex_core::general::general_containment;
 use shapex_core::unfold::SearchOptions;
 use shapex_core::Containment;
@@ -66,7 +66,7 @@ fn bench(c: &mut Criterion) {
 
         // The session with rows fanned across the matrix worker pool (cells
         // validate inline there, so the two thread pools do not multiply).
-        let parallel = EngineOptions::parallel().with_search(opts.clone());
+        let parallel = all_cores_options(opts.clone());
         group.bench_with_input(
             BenchmarkId::new("engine_parallel", n),
             &family,

@@ -23,12 +23,15 @@
 use std::time::{Duration, Instant};
 
 use shapex_bench::throughput::{drive, DriveOptions, ThroughputReport};
-use shapex_bench::{contained_det_pair, contained_shex0_pair, evolution_family, rng};
+use shapex_bench::{
+    all_cores_options, contained_det_pair, contained_shex0_pair, evolution_family, rng,
+};
 use shapex_core::det::det_containment;
-use shapex_core::engine::{ContainmentEngine, EngineOptions};
+use shapex_core::engine::ContainmentEngine;
 use shapex_core::general::{general_containment, GeneralOptions};
 use shapex_core::shex0::{shex0_containment, Shex0Options};
 use shapex_core::unfold::SearchOptions;
+use shapex_core::CancelToken;
 use shapex_gadgets::disjuncts::{disjunct_choice_pair, disjunct_mismatch_pair};
 use shapex_gadgets::generate::random_dnf;
 use shapex_gadgets::reductions::{dnf_tautology_gadget, exponential_family};
@@ -410,7 +413,9 @@ fn main() {
         let mut last = None;
         for _ in 0..DEADLINE_CHECKS_PER_RUN {
             let engine = ContainmentEngine::with_search(deadline_search.clone());
-            last = Some(engine.check_deadline(&dl_h, &dl_k, Duration::from_secs(3600)));
+            let (h, k) = (engine.register(&dl_h), engine.register(&dl_k));
+            let hour = CancelToken::with_timeout(Duration::from_secs(3600));
+            last = Some(engine.check_ids(h, k, Some(&hour)));
         }
         last.expect("at least one check ran")
     });
@@ -495,7 +500,7 @@ fn main() {
         "N", "one-shot N²", "engine", "rows ∥", "engine ×", "rows ×"
     );
     let batch_opts = SearchOptions::quick();
-    let parallel_opts = EngineOptions::parallel().with_search(batch_opts.clone());
+    let parallel_opts = all_cores_options(batch_opts.clone());
     for &n in &[8usize, 12] {
         let family = evolution_family(n);
         let (oneshot_contained, oneshot_time) =

@@ -92,9 +92,10 @@ fn service(coalesce: bool) -> ContainmentService {
         ..SearchOptions::default()
     };
     ContainmentService::with_options(
-        EngineOptions::quick()
-            .with_search(search)
-            .with_coalesce(coalesce),
+        EngineOptions::builder()
+            .search(search)
+            .coalesce(coalesce)
+            .build(),
     )
 }
 

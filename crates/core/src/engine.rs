@@ -27,6 +27,19 @@
 //!   every depth, so even a single one-shot query through a throwaway engine
 //!   validates each distinct candidate once.
 //!
+//! # One query path
+//!
+//! Every verdict goes through one dispatch chain that picks the strongest
+//! procedure for the pair's class: embedding (§3), the characterizing graph
+//! for `DetShEx₀⁻` (Lemma 4.2), then the type-simulation check and the
+//! bounded counter-example search (§5–6). Four methods reach it:
+//! [`ContainmentEngine::check`] and [`ContainmentEngine::check_matrix`]
+//! register schemas and ask; [`ContainmentEngine::check_ids`] and
+//! [`ContainmentEngine::check_matrix_ids`] take handles plus an optional
+//! [`CancelToken`]. Without a token, concurrent duplicates coalesce onto one
+//! computation; with one, the query polls it at bounded checkpoints and
+//! answers [`crate::UnknownReason::DeadlineExceeded`] once it fires.
+//!
 //! # Shared state and concurrency
 //!
 //! All of the above is logically read-mostly shared state — the procedures
@@ -43,11 +56,13 @@
 //!
 //! Two parallel modes build on that:
 //!
-//! * **Parallel candidate search.** With [`EngineOptions::threads`] > 1 the
-//!   memoised validate-against-`K` step fans each uncached pool slice across
-//!   a `std::thread` worker pool (the same dependency-free scoped-thread
-//!   pattern as the simulation engine's initial pass).
-//! * **Parallel matrix rows.** With [`EngineOptions::matrix_threads`] > 1,
+//! * **Parallel candidate search.** With several
+//!   [`EngineOptionsBuilder::threads`], the memoised validate-against-`K`
+//!   step fans each uncached pool slice across a `std::thread` worker pool
+//!   (the same dependency-free scoped-thread pattern as the simulation
+//!   engine's initial pass).
+//! * **Parallel matrix rows.** With several
+//!   [`EngineOptionsBuilder::matrix_threads`],
 //!   [`ContainmentEngine::check_matrix`] fans its rows across a scoped
 //!   worker pool over the shared caches (row workers validate inline so the
 //!   two pools do not multiply). Verdicts are bit-identical to the serial
@@ -57,9 +72,10 @@
 //!
 //! Left alone, every cache above grows for the engine's lifetime — fine for
 //! a batch job, fatal for a long-lived multi-tenant service. With
-//! [`EngineOptions::cache_budget`] set, the engine keeps an accounted-byte
-//! ledger (the [`crate::budget::CacheBudget`]/[`crate::budget::Weigh`]
-//! seam): enumerated pools, validation memos, the pair memos, and the
+//! [`EngineOptionsBuilder::cache_budget`] set, the engine keeps an
+//! accounted-byte ledger (the
+//! [`crate::budget::CacheBudget`]/[`crate::budget::Weigh`] seam):
+//! enumerated pools, validation memos, the pair memos, and the
 //! per-schema unfolding arenas are size-accounted and stamped with an LRU
 //! clock on every hit, and whenever the evictable total exceeds the budget
 //! an epoch-LRU sweep drops the least-recently-used entries until the total
@@ -110,14 +126,13 @@ use shapex_shex::typing::{validates_with, SolverTelemetry, ValidateScratch};
 use shapex_shex::{Atom, Schema, SchemaClass, TypeId};
 
 use crate::budget::{CacheBudget, CacheKind, Weigh};
-use crate::cancel::CancelToken;
 use crate::det::{characterizing_graph, NotDetShex0Minus};
 use crate::embedding::embeds;
 use crate::faults;
 use crate::general::{exhaustive_bags, type_simulation_with_bags};
 use crate::sync::{lock_or_recover, read_or_recover, write_or_recover};
 use crate::unfold::{SearchOptions, SessionContext, Unfolder};
-use crate::Containment;
+use crate::{CancelToken, Containment};
 
 pub use crate::matrix::ContainmentMatrix;
 
@@ -128,57 +143,19 @@ shapex_graph::assert_send_sync!(ContainmentEngine, EngineOptions, EngineStats, S
 
 /// Tuning knobs for a [`ContainmentEngine`].
 ///
-/// The struct is `#[non_exhaustive]`: construct it with
-/// [`EngineOptions::builder`] (or start from [`EngineOptions::default`] and
-/// mutate fields) so adding a knob is never a breaking change for
-/// downstream crates.
+/// Options are set only through [`EngineOptions::builder`] (the fields are
+/// private), so adding a knob is never a breaking change for downstream
+/// crates. [`EngineOptions::default`] is what the builder starts from.
 #[derive(Debug, Clone)]
-#[non_exhaustive]
 pub struct EngineOptions {
-    /// Budget of the counter-example search (depth, pool sizes, sample
-    /// count, seed). Fixed for the lifetime of the engine so that cached
-    /// unfolding pools remain valid for every query.
-    pub search: SearchOptions,
-    /// Worker threads for the candidate-validation fan-out. `1` keeps the
-    /// whole search on the calling thread; answers do not depend on this.
-    pub threads: usize,
-    /// Minimum number of uncached candidates in a pool slice before worker
-    /// threads are actually spawned; below it the spawn overhead dominates.
-    pub parallel_threshold: usize,
-    /// Worker threads for [`ContainmentEngine::check_matrix`] rows. `1`
-    /// computes the matrix on the calling thread; above it, rows are fanned
-    /// across a scoped pool sharing all caches (and the per-cell validation
-    /// fan-out is disabled so the two pools do not multiply). Answers do not
-    /// depend on this.
-    pub matrix_threads: usize,
-    /// Accounted-byte budget for the engine's evictable caches (enumerated
-    /// pools, validation memos, pair memos, unfolding arenas). `None`
-    /// (default) keeps every cache for the engine's lifetime; `Some(bytes)`
-    /// triggers an epoch-LRU sweep whenever the evictable total exceeds the
-    /// budget. Verdicts and witnesses do not depend on this — see the
-    /// [module docs](self). Weights are documented approximations of heap
-    /// footprint, not allocator ground truth.
-    pub cache_budget: Option<u64>,
-    /// Per-entry admission ceiling for the evictable caches: a single cache
-    /// entry (one enumerated pool, one validation record, …) weighing more
-    /// accounted bytes than this is used but never cached, so one oversized
-    /// entry cannot evict the whole working set. `None` (default) admits
-    /// everything. Verdicts do not depend on this.
-    pub max_entry_bytes: Option<u64>,
-    /// Coalesce duplicate concurrent queries: while one thread computes the
-    /// verdict for a pair `(h, k)`, other threads asking the same ordered
-    /// pair block on that computation and share its verdict instead of
-    /// re-running the search (and cold enumerated pools are built once, not
-    /// once per racer). Verdicts are deterministic, so coalescing is
-    /// observationally invisible; `true` by default. [`EngineStats`] counts
-    /// the wins in `coalesced_queries` / `coalesced_pools`.
-    pub coalesce: bool,
-    /// Presburger solver configuration for every acceptance check the
-    /// engine's queries reach (the general sufficient condition and the
-    /// arena's local-acceptance memo). The default honours the
-    /// `SOLVER_THREADS` environment variable and stays serial without it.
-    /// Verdicts do not depend on this.
-    pub solver: SolverOptions,
+    search: SearchOptions,
+    threads: usize,
+    parallel_threshold: usize,
+    matrix_threads: usize,
+    cache_budget: Option<u64>,
+    max_entry_bytes: Option<u64>,
+    coalesce: bool,
+    solver: SolverOptions,
 }
 
 impl Default for EngineOptions {
@@ -196,19 +173,18 @@ impl Default for EngineOptions {
     }
 }
 
-/// Builder for [`EngineOptions`] — the forward-compatible way to construct
-/// options now that the struct is `#[non_exhaustive]`.
+/// Builder for [`EngineOptions`], the one way to configure an engine.
 ///
 /// ```
-/// use shapex_core::engine::EngineOptions;
+/// use shapex_core::engine::{ContainmentEngine, EngineOptions};
 ///
 /// let options = EngineOptions::builder()
 ///     .threads(4)
 ///     .matrix_threads(4)
 ///     .cache_budget(64 << 20) // 64 MiB across all evictable caches
 ///     .build();
-/// assert_eq!(options.threads, 4);
-/// assert_eq!(options.cache_budget, Some(64 << 20));
+/// let engine = ContainmentEngine::with_options(options);
+/// assert_eq!(engine.stats().cache_budget, Some(64 << 20));
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct EngineOptionsBuilder {
@@ -216,57 +192,80 @@ pub struct EngineOptionsBuilder {
 }
 
 impl EngineOptionsBuilder {
-    /// Replace the counter-example search budget.
+    /// Replace the counter-example search budget (depth, pool sizes, sample
+    /// count, seed). Fixed for the lifetime of the engine so that cached
+    /// unfolding pools remain valid for every query.
     pub fn search(mut self, search: SearchOptions) -> Self {
         self.options.search = search;
         self
     }
 
-    /// Worker threads for the candidate-validation fan-out (min 1).
+    /// Worker threads for the candidate-validation fan-out (min 1). `1`
+    /// (default) keeps the whole search on the calling thread; answers do
+    /// not depend on this.
     pub fn threads(mut self, threads: usize) -> Self {
         self.options.threads = threads.max(1);
         self
     }
 
-    /// Minimum uncached candidates before validation workers spawn (min 1).
+    /// Minimum number of uncached candidates in a pool slice before
+    /// validation workers actually spawn (min 1, default 16); below it the
+    /// spawn overhead dominates.
     pub fn parallel_threshold(mut self, threshold: usize) -> Self {
         self.options.parallel_threshold = threshold.max(1);
         self
     }
 
-    /// Worker threads for matrix rows (min 1).
+    /// Worker threads for [`ContainmentEngine::check_matrix`] rows (min 1).
+    /// `1` (default) computes the matrix on the calling thread; above it,
+    /// rows are fanned across a scoped pool sharing all caches (and the
+    /// per-cell validation fan-out is disabled so the two pools do not
+    /// multiply). Answers do not depend on this.
     pub fn matrix_threads(mut self, matrix_threads: usize) -> Self {
         self.options.matrix_threads = matrix_threads.max(1);
         self
     }
 
-    /// Bound the evictable caches to an accounted-byte budget.
+    /// Bound the evictable caches (enumerated pools, validation memos, pair
+    /// memos, unfolding arenas) to an accounted-byte budget: an epoch-LRU
+    /// sweep runs whenever the evictable total exceeds it. Without this call
+    /// every cache is kept for the engine's lifetime. Verdicts and witnesses
+    /// do not depend on it — see the [module docs](self). Weights are
+    /// documented approximations of heap footprint, not allocator ground
+    /// truth.
     pub fn cache_budget(mut self, bytes: u64) -> Self {
         self.options.cache_budget = Some(bytes);
         self
     }
 
-    /// Remove the cache budget (the default): caches grow unboundedly.
-    pub fn unbounded_cache(mut self) -> Self {
-        self.options.cache_budget = None;
-        self
-    }
-
-    /// Refuse to cache any single entry heavier than `bytes` accounted
-    /// bytes (the admission policy of the cache budget).
+    /// Refuse to cache any single entry (one enumerated pool, one validation
+    /// record, …) heavier than `bytes` accounted bytes: it is used but never
+    /// cached, so one oversized entry cannot evict the whole working set.
+    /// Without this call everything is admitted. Verdicts do not depend on
+    /// it.
     pub fn max_entry_bytes(mut self, bytes: u64) -> Self {
         self.options.max_entry_bytes = Some(bytes);
         self
     }
 
     /// Enable or disable single-flight coalescing of duplicate concurrent
-    /// queries (enabled by default).
+    /// queries (enabled by default): while one thread computes the verdict
+    /// for a pair `(h, k)`, other threads asking the same ordered pair block
+    /// on that computation and share its verdict instead of re-running the
+    /// search (and cold enumerated pools are built once, not once per
+    /// racer). Verdicts are deterministic, so coalescing is observationally
+    /// invisible; [`EngineStats`] counts the wins in `coalesced_queries` /
+    /// `coalesced_pools`.
     pub fn coalesce(mut self, coalesce: bool) -> Self {
         self.options.coalesce = coalesce;
         self
     }
 
-    /// Replace the Presburger solver configuration.
+    /// Replace the Presburger solver configuration for every acceptance
+    /// check the engine's queries reach (the general sufficient condition
+    /// and the arena's local-acceptance memo). The default honours the
+    /// `SOLVER_THREADS` environment variable and stays serial without it.
+    /// Verdicts do not depend on this.
     pub fn solver(mut self, solver: SolverOptions) -> Self {
         self.options.solver = solver;
         self
@@ -282,81 +281,6 @@ impl EngineOptions {
     /// A builder over the default options.
     pub fn builder() -> EngineOptionsBuilder {
         EngineOptionsBuilder::default()
-    }
-
-    /// Single-threaded engine with the default search budget.
-    pub fn sequential() -> EngineOptions {
-        EngineOptions::default()
-    }
-
-    /// Use all available cores — for the candidate-validation fan-out of
-    /// single queries and for the matrix rows of
-    /// [`ContainmentEngine::check_matrix`] (which runs its cells with inline
-    /// validation, so the two pools never multiply).
-    pub fn parallel() -> EngineOptions {
-        let cores = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        EngineOptions {
-            threads: cores,
-            matrix_threads: cores,
-            ..EngineOptions::default()
-        }
-    }
-
-    /// Use a fixed number of worker threads for candidate validation.
-    pub fn with_threads(threads: usize) -> EngineOptions {
-        EngineOptions {
-            threads: threads.max(1),
-            ..EngineOptions::default()
-        }
-    }
-
-    /// The smaller [`SearchOptions::quick`] budget, single-threaded.
-    pub fn quick() -> EngineOptions {
-        EngineOptions {
-            search: SearchOptions::quick(),
-            ..EngineOptions::default()
-        }
-    }
-
-    /// Replace the search budget, keeping the threading configuration.
-    pub fn with_search(self, search: SearchOptions) -> EngineOptions {
-        EngineOptions { search, ..self }
-    }
-
-    /// Replace the matrix-row worker count, keeping everything else.
-    pub fn with_matrix_threads(self, matrix_threads: usize) -> EngineOptions {
-        EngineOptions {
-            matrix_threads: matrix_threads.max(1),
-            ..self
-        }
-    }
-
-    /// Replace the evictable-cache byte budget, keeping everything else.
-    pub fn with_cache_budget(self, bytes: u64) -> EngineOptions {
-        EngineOptions {
-            cache_budget: Some(bytes),
-            ..self
-        }
-    }
-
-    /// Replace the Presburger solver configuration, keeping everything else.
-    pub fn with_solver(self, solver: SolverOptions) -> EngineOptions {
-        EngineOptions { solver, ..self }
-    }
-
-    /// Replace the coalescing knob, keeping everything else.
-    pub fn with_coalesce(self, coalesce: bool) -> EngineOptions {
-        EngineOptions { coalesce, ..self }
-    }
-
-    /// Replace the per-entry admission ceiling, keeping everything else.
-    pub fn with_max_entry_bytes(self, bytes: u64) -> EngineOptions {
-        EngineOptions {
-            max_entry_bytes: Some(bytes),
-            ..self
-        }
     }
 }
 
@@ -1105,7 +1029,7 @@ pub struct ContainmentEngine {
     /// `(h, k) → whether the general sufficient condition holds`.
     sufficient_memo: ShardedPairMap,
     /// In-flight `(h, k)` verdict computations (single-flight coalescing,
-    /// [`EngineOptions::coalesce`]): sharded like the pair memos so
+    /// [`EngineOptionsBuilder::coalesce`]): sharded like the pair memos so
     /// concurrent queries for different pairs never contend. Full verdicts
     /// are deliberately *not* memoised — the bounded search re-runs per call
     /// over warm memos — so coalescing duplicate concurrent checks is what
@@ -1114,7 +1038,7 @@ pub struct ContainmentEngine {
     query_flights: SingleFlight<(u32, u32), Containment>,
     counters: EngineCounters,
     /// The accounted-byte ledger and eviction bookkeeping behind
-    /// [`EngineOptions::cache_budget`] — `Arc`ed because the session context
+    /// [`EngineOptionsBuilder::cache_budget`] — `Arc`ed because the session context
     /// (and through it every unfolder's shared bag cache) charges the same
     /// ledger.
     budget: Arc<CacheBudget>,
@@ -1170,12 +1094,7 @@ impl ContainmentEngine {
     /// An engine with the given search budget (single-threaded) — the
     /// configuration the one-shot wrappers use.
     pub fn with_search(search: SearchOptions) -> ContainmentEngine {
-        ContainmentEngine::with_options(EngineOptions::default().with_search(search))
-    }
-
-    /// The engine's options.
-    pub fn options(&self) -> &EngineOptions {
-        &self.options
+        ContainmentEngine::with_options(EngineOptions::builder().search(search).build())
     }
 
     /// A snapshot of the cache-effectiveness counters and the accounted
@@ -1307,71 +1226,79 @@ impl ContainmentEngine {
     }
 
     /// Decide `L(H) ⊆ L(K)` with the strongest applicable procedure — the
-    /// session equivalent of [`crate::general::general_containment`].
+    /// session equivalent of [`crate::general::general_containment`], and
+    /// the schema-level shortcut for [`ContainmentEngine::check_ids`]
+    /// without a token.
     pub fn check(&self, h: &Schema, k: &Schema) -> Containment {
         let h = self.register(h);
         let k = self.register(k);
-        self.check_ids(h, k)
+        self.check_ids(h, k, None)
     }
 
-    /// [`ContainmentEngine::check`] for already-registered schemas.
-    pub fn check_ids(&self, h: SchemaId, k: SchemaId) -> Containment {
-        let entries = self.entries(&[h, k]);
-        self.coalesced_entries(h, k, &entries[0], &entries[1], true)
-    }
-
-    /// [`ContainmentEngine::check`] under a wall-clock deadline.
+    /// Decide `L(H) ⊆ L(K)` for already-registered schemas, optionally
+    /// under a [`CancelToken`].
     ///
-    /// The query threads a cancellation token through every long-running
-    /// loop it reaches — pool enumeration, per-candidate validation, the
-    /// typing fixpoints, the Presburger disjunct workers — and polls it at
-    /// bounded checkpoint intervals. Once `timeout` elapses the search
+    /// Without a token, duplicate concurrent queries for the same ordered
+    /// pair coalesce onto one computation (single-flight,
+    /// [`EngineOptionsBuilder::coalesce`]). With a token, the query threads
+    /// it through every long-running loop it reaches — pool enumeration,
+    /// per-candidate validation, the typing fixpoints, the Presburger
+    /// disjunct workers — and polls it at bounded checkpoint intervals. Once
+    /// the token fires (from another thread, or at its deadline) the search
     /// abandons its current branch and returns
-    /// [`crate::UnknownReason::DeadlineExceeded`] instead of wedging a
-    /// worker for the rest of its budget. A counter-example certified
-    /// before the expiry was observed still stands. Caches only ever record
-    /// completed verdicts, so concurrent undeadlined queries are
-    /// bit-identical to an engine that never saw a deadline.
-    pub fn check_deadline(&self, h: &Schema, k: &Schema, timeout: Duration) -> Containment {
-        let h = self.register(h);
-        let k = self.register(k);
-        self.check_ids_deadline(h, k, timeout)
-    }
-
-    /// [`ContainmentEngine::check_deadline`] for already-registered schemas.
-    pub fn check_ids_deadline(&self, h: SchemaId, k: SchemaId, timeout: Duration) -> Containment {
-        self.check_ids_cancellable(h, k, &CancelToken::with_timeout(timeout))
-    }
-
-    /// [`ContainmentEngine::check_ids`] under an externally owned
-    /// [`CancelToken`] — fire the token from another thread (or give it a
-    /// deadline) and the query returns
-    /// [`crate::UnknownReason::DeadlineExceeded`] within one checkpoint
-    /// interval.
+    /// [`crate::UnknownReason::DeadlineExceeded`] instead of wedging a worker
+    /// for the rest of its budget; a counter-example certified before the
+    /// expiry was observed still stands.
     ///
-    /// Cancellable queries bypass the single-flight query coalescing: a
-    /// follower must never inherit another caller's deadline verdict, and a
-    /// leader's expiry must never become a follower's answer.
-    pub fn check_ids_cancellable(
+    /// Queries with a token bypass coalescing: a follower must never inherit
+    /// another caller's deadline verdict, and a leader's expiry must never
+    /// become a follower's answer. Caches only ever record completed
+    /// verdicts, so concurrent queries without a token are bit-identical to
+    /// an engine that never saw one.
+    pub fn check_ids(&self, h: SchemaId, k: SchemaId, cancel: Option<&CancelToken>) -> Containment {
+        let entries = self.entries(&[h, k]);
+        self.verdict(h, k, &entries[0], &entries[1], true, cancel)
+    }
+
+    /// The one verdict route behind [`ContainmentEngine::check_ids`] and
+    /// every matrix cell — and the single-flight seam of every `(h, k)`
+    /// query. With a token, the dispatch chain runs directly (and the
+    /// deadline counter ticks on expiry). Without one, while a thread runs
+    /// the chain for an ordered pair, duplicate concurrent queries for the
+    /// same pair block on that computation and share its verdict
+    /// ([`EngineStats::coalesced_queries`] counts them); a straight
+    /// pass-through when [`EngineOptionsBuilder::coalesce`] is off. Sound
+    /// because verdicts are deterministic functions of the registered pair —
+    /// and because [`ContainmentEngine::shex0_entries`] and
+    /// [`ContainmentEngine::general_entries`] delegate to each other on class
+    /// mismatch, every route through the chain computes the same verdict for
+    /// a given pair, so one flight key serves them all. `fan_out` only shapes
+    /// parallelism, never the answer.
+    fn verdict(
         &self,
         h: SchemaId,
         k: SchemaId,
-        cancel: &CancelToken,
+        h_entry: &Arc<SchemaEntry>,
+        k_entry: &Arc<SchemaEntry>,
+        fan_out: bool,
+        cancel: Option<&CancelToken>,
     ) -> Containment {
-        let entries = self.entries(&[h, k]);
-        let verdict = self.general_entries(h, k, &entries[0], &entries[1], true, Some(cancel));
-        self.count_deadline(verdict)
-    }
-
-    /// Tick the deadline counter when a verdict reports an expired deadline.
-    fn count_deadline(&self, verdict: Containment) -> Containment {
-        if matches!(
-            verdict.unknown_reason(),
-            Some(crate::UnknownReason::DeadlineExceeded { .. })
-        ) {
-            EngineCounters::tick(&self.counters.deadline_exceeded);
+        let run = || self.general_entries(h, k, h_entry, k_entry, fan_out, cancel);
+        if cancel.is_some() {
+            let verdict = run();
+            if matches!(
+                verdict.unknown_reason(),
+                Some(crate::UnknownReason::DeadlineExceeded { .. })
+            ) {
+                EngineCounters::tick(&self.counters.deadline_exceeded);
+            }
+            return verdict;
         }
-        verdict
+        if !self.options.coalesce {
+            return run();
+        }
+        self.query_flights
+            .run((h.0, k.0), run, &self.counters.coalesced_queries)
     }
 
     /// Batch pairwise containment: `matrix[i][j]` answers
@@ -1382,63 +1309,33 @@ impl ContainmentEngine {
     /// each schema's shape graph, classification, unfolding pools, and
     /// validation verdicts are built once and reused across all `N - 1`
     /// partners, instead of once per pair as `N²` one-shot calls would. With
-    /// [`EngineOptions::matrix_threads`] > 1 the rows are fanned across a
-    /// scoped worker pool over those shared caches. Either way the answers
-    /// are identical to the `N²` individual [`ContainmentEngine::check`]
-    /// calls (and to the one-shot functions).
+    /// [`EngineOptionsBuilder::matrix_threads`] > 1 the rows are fanned
+    /// across a scoped worker pool over those shared caches. Either way the
+    /// answers are identical to the `N²` individual
+    /// [`ContainmentEngine::check`] calls (and to the one-shot functions).
     pub fn check_matrix(&self, schemas: &[Schema]) -> ContainmentMatrix {
         let ids: Vec<SchemaId> = schemas.iter().map(|s| self.register(s)).collect();
-        self.check_matrix_ids(&ids)
+        self.check_matrix_ids(&ids, None)
     }
 
     /// [`ContainmentEngine::check_matrix`] for already-registered schemas
-    /// (the service's batch entry point).
-    pub fn check_matrix_ids(&self, ids: &[SchemaId]) -> ContainmentMatrix {
-        self.matrix_ids_with(ids, None)
-    }
-
-    /// [`ContainmentEngine::check_matrix`] under one wall-clock deadline for
-    /// the whole matrix. Every row worker shares the token: once it fires,
-    /// in-flight cells abandon their searches at the next checkpoint and
-    /// every remaining cell answers
+    /// (the service's batch entry point), optionally under one
+    /// [`CancelToken`] for the whole matrix. Every cell takes the
+    /// [`ContainmentEngine::check_ids`] route; with a token, every row worker
+    /// shares it, so once it fires the in-flight cells abandon their
+    /// searches at the next checkpoint and every remaining cell answers
     /// [`crate::UnknownReason::DeadlineExceeded`] immediately — the matrix
     /// always comes back fully populated, never hangs on a straggler row.
-    pub fn check_matrix_deadline(
-        &self,
-        schemas: &[Schema],
-        timeout: Duration,
-    ) -> ContainmentMatrix {
-        let ids: Vec<SchemaId> = schemas.iter().map(|s| self.register(s)).collect();
-        self.check_matrix_ids_deadline(&ids, timeout)
-    }
-
-    /// [`ContainmentEngine::check_matrix_deadline`] for already-registered
-    /// schemas.
-    pub fn check_matrix_ids_deadline(
+    pub fn check_matrix_ids(
         &self,
         ids: &[SchemaId],
-        timeout: Duration,
+        cancel: Option<&CancelToken>,
     ) -> ContainmentMatrix {
-        self.matrix_ids_with(ids, Some(&CancelToken::with_timeout(timeout)))
-    }
-
-    /// The matrix engine behind both entry points: `cancel` is threaded into
-    /// every cell (row workers included); cancellable cells skip query
-    /// coalescing like [`ContainmentEngine::check_ids_cancellable`].
-    fn matrix_ids_with(&self, ids: &[SchemaId], cancel: Option<&CancelToken>) -> ContainmentMatrix {
         // One registry lock acquisition for the whole matrix; the N² cells
         // work off these prefetched entries.
         let entries = self.entries(ids);
-        let cell = |i: usize, j: usize, fan_out: bool| match cancel {
-            None => self.coalesced_entries(ids[i], ids[j], &entries[i], &entries[j], fan_out),
-            Some(token) if token.fired() => {
-                self.count_deadline(Containment::deadline_exceeded(token.elapsed()))
-            }
-            Some(_) => {
-                let verdict =
-                    self.general_entries(ids[i], ids[j], &entries[i], &entries[j], fan_out, cancel);
-                self.count_deadline(verdict)
-            }
+        let cell = |i: usize, j: usize, fan_out: bool| {
+            self.verdict(ids[i], ids[j], &entries[i], &entries[j], fan_out, cancel)
         };
         let workers = self.options.matrix_threads.max(1).min(ids.len().max(1));
         if workers <= 1 {
@@ -1476,25 +1373,6 @@ impl ContainmentEngine {
                 .collect()
         });
         ContainmentMatrix::new(ids.to_vec(), cells)
-    }
-
-    /// The session equivalent of [`crate::shex0::shex0_containment`].
-    pub fn shex0(&self, h: &Schema, k: &Schema) -> Containment {
-        // Routed through the same coalesced dispatcher as `check`: the two
-        // pipelines delegate to each other on class mismatch, so for every
-        // pair they compute the identical verdict and may share one flight.
-        let h = self.register(h);
-        let k = self.register(k);
-        let entries = self.entries(&[h, k]);
-        self.coalesced_entries(h, k, &entries[0], &entries[1], true)
-    }
-
-    /// The session equivalent of [`crate::general::general_containment`].
-    pub fn general(&self, h: &Schema, k: &Schema) -> Containment {
-        let h = self.register(h);
-        let k = self.register(k);
-        let entries = self.entries(&[h, k]);
-        self.coalesced_entries(h, k, &entries[0], &entries[1], true)
     }
 
     /// The session equivalent of [`crate::det::det_containment`]: polynomial
@@ -1540,35 +1418,6 @@ impl ContainmentEngine {
         let entries = self.entries(&[h, k]);
         self.search_ids(&entries[0], &entries[1], true, None)
             .witness
-    }
-
-    /// The single-flight seam of every `(h, k)` verdict query: while one
-    /// thread runs the dispatch chain for an ordered pair, duplicate
-    /// concurrent queries for the same pair block on that computation and
-    /// share its verdict ([`EngineStats::coalesced_queries`] counts them).
-    /// Sound because verdicts are deterministic functions of the registered
-    /// pair — and because [`ContainmentEngine::shex0_entries`] and
-    /// [`ContainmentEngine::general_entries`] delegate to each other on
-    /// class mismatch, every public query route computes the same verdict
-    /// for a given pair, so one flight key serves them all. `fan_out` only
-    /// shapes parallelism, never the answer. Disabled (straight
-    /// pass-through) when [`EngineOptions::coalesce`] is off.
-    fn coalesced_entries(
-        &self,
-        h: SchemaId,
-        k: SchemaId,
-        h_entry: &Arc<SchemaEntry>,
-        k_entry: &Arc<SchemaEntry>,
-        fan_out: bool,
-    ) -> Containment {
-        if !self.options.coalesce {
-            return self.general_entries(h, k, h_entry, k_entry, fan_out, None);
-        }
-        self.query_flights.run(
-            (h.0, k.0),
-            || self.general_entries(h, k, h_entry, k_entry, fan_out, None),
-            &self.counters.coalesced_queries,
-        )
     }
 
     /// The `ShEx₀` procedure over registered schemas (Section 5 pipeline:
@@ -1941,12 +1790,12 @@ impl ContainmentEngine {
         let graphs = {
             let mut scratch = ValidateScratch::new();
             let mut unfolder = lock_or_recover(&h.unfolder);
-            let graphs = unfolder.try_members_with(
+            let graphs = unfolder.members_with(
                 &h.schema,
                 root,
                 &scoped,
                 &mut |g| validate_memoised(h, &self.counters, &self.budget, g, &mut scratch),
-                cancel.map(|t| t.check()),
+                cancel,
             );
             self.sync_unfolder_bytes(h, &unfolder);
             graphs
@@ -2063,14 +1912,8 @@ impl ContainmentEngine {
                     return None;
                 }
                 let root = roots[rng.gen_range(0..roots.len())];
-                match unfolder.sample_with(
-                    &h.schema,
-                    root,
-                    &mut rng,
-                    opts,
-                    &mut is_member,
-                    cancel.map(|t| t.check()),
-                ) {
+                match unfolder.sample_with(&h.schema, root, &mut rng, opts, &mut is_member, cancel)
+                {
                     Some(graph) => graphs.push(graph),
                     // A `None` draw is ambiguous — no valid sample (the
                     // historical meaning) or cancelled mid-draw; the token
@@ -2563,7 +2406,7 @@ mod tests {
     use shapex_shex::parse_schema;
 
     fn quick_engine() -> ContainmentEngine {
-        ContainmentEngine::with_options(EngineOptions::quick())
+        ContainmentEngine::with_search(SearchOptions::quick())
     }
 
     #[test]
@@ -2651,10 +2494,10 @@ mod tests {
         let h = parse_schema("Root -> p::A, p::B\nA -> a::L?\nB -> b::L?\nL -> EMPTY\n").unwrap();
         let k = parse_schema("Root -> p::A, p::A\nA -> a::L?\nB -> b::L?\nL -> EMPTY\n").unwrap();
         let engine = quick_engine();
-        let first = engine.shex0(&h, &k);
+        let first = engine.check(&h, &k);
         let after_first = engine.stats();
         assert!(after_first.validate_misses > 0);
-        let second = engine.shex0(&h, &k);
+        let second = engine.check(&h, &k);
         let after_second = engine.stats();
         assert_eq!(
             after_second.validate_misses, after_first.validate_misses,
@@ -2715,10 +2558,7 @@ mod tests {
             SearchOptions::quick().max_depth,
             "search budget must carry through the builder"
         );
-        let unbounded = EngineOptions::builder()
-            .threads(0)
-            .unbounded_cache()
-            .build();
+        let unbounded = EngineOptions::builder().threads(0).build();
         assert_eq!(unbounded.threads, 1, "thread counts clamp to at least 1");
         assert_eq!(unbounded.cache_budget, None);
     }
@@ -2888,7 +2728,10 @@ mod tests {
         let schemas: Vec<Schema> = texts.iter().map(|t| parse_schema(t).unwrap()).collect();
         let serial = quick_engine().check_matrix(&schemas);
         for workers in [2usize, 8] {
-            let options = EngineOptions::quick().with_matrix_threads(workers);
+            let options = EngineOptions::builder()
+                .search(SearchOptions::quick())
+                .matrix_threads(workers)
+                .build();
             let parallel = ContainmentEngine::with_options(options).check_matrix(&schemas);
             for (i, (row_s, row_p)) in serial.iter().zip(&parallel).enumerate() {
                 for (j, (s, p)) in row_s.iter().zip(row_p).enumerate() {
@@ -2906,11 +2749,13 @@ mod tests {
     fn parallel_engine_answers_identically() {
         let h = parse_schema("Root -> p::A, p::B\nA -> a::L?\nB -> b::L\nL -> EMPTY\n").unwrap();
         let k = parse_schema("Root -> p::A, p::A\nA -> a::L?\nB -> b::L\nL -> EMPTY\n").unwrap();
-        let sequential = quick_engine().shex0(&h, &k);
-        let mut options = EngineOptions::quick();
-        options.threads = 4;
-        options.parallel_threshold = 1;
-        let parallel = ContainmentEngine::with_options(options).shex0(&h, &k);
+        let sequential = quick_engine().check(&h, &k);
+        let options = EngineOptions::builder()
+            .search(SearchOptions::quick())
+            .threads(4)
+            .parallel_threshold(1)
+            .build();
+        let parallel = ContainmentEngine::with_options(options).check(&h, &k);
         assert_eq!(format!("{sequential}"), format!("{parallel}"));
         assert!(parallel.is_not_contained());
     }
@@ -2933,7 +2778,7 @@ mod tests {
              User2 -> name::Literal, email::Literal\n",
         )
         .unwrap();
-        let answer = quick_engine().shex0(&original, &split);
+        let answer = quick_engine().check(&original, &split);
         assert!(answer.is_unknown());
         match answer.unknown_reason().unwrap() {
             UnknownReason::BudgetExhausted { candidates, depth } => {
@@ -2977,8 +2822,8 @@ mod tests {
                 let engine = Arc::clone(&engine);
                 scope.spawn(move || {
                     let started = Instant::now();
-                    let verdict =
-                        engine.check_ids_deadline(ih, ik, std::time::Duration::from_millis(10));
+                    let token = CancelToken::with_timeout(std::time::Duration::from_millis(10));
+                    let verdict = engine.check_ids(ih, ik, Some(&token));
                     (verdict, started.elapsed())
                 })
             };
@@ -3023,7 +2868,7 @@ mod tests {
         let ik = engine.register(&k);
         let token = CancelToken::new();
         token.cancel(); // fire before the search even starts
-        let verdict = engine.check_ids_cancellable(ih, ik, &token);
+        let verdict = engine.check_ids(ih, ik, Some(&token));
         assert!(
             matches!(
                 verdict.unknown_reason(),
@@ -3031,7 +2876,7 @@ mod tests {
             ),
             "{verdict}"
         );
-        let again = engine.check_ids(ih, ik);
+        let again = engine.check_ids(ih, ik, None);
         let oracle = quick_engine().check(&h, &k);
         assert_eq!(format!("{again}"), format!("{oracle}"));
     }
@@ -3045,9 +2890,11 @@ mod tests {
         ];
         let schemas: Vec<Schema> = texts.iter().map(|t| parse_schema(t).unwrap()).collect();
         let engine = quick_engine();
+        let ids: Vec<SchemaId> = schemas.iter().map(|s| engine.register(s)).collect();
         // A generous deadline: every cell completes and matches the
         // undeadlined matrix.
-        let relaxed = engine.check_matrix_deadline(&schemas, std::time::Duration::from_secs(3600));
+        let hour = CancelToken::with_timeout(std::time::Duration::from_secs(3600));
+        let relaxed = engine.check_matrix_ids(&ids, Some(&hour));
         let plain = quick_engine().check_matrix(&schemas);
         for (row_a, row_b) in relaxed.iter().zip(plain.iter()) {
             for (a, b) in row_a.iter().zip(row_b.iter()) {
@@ -3056,7 +2903,8 @@ mod tests {
         }
         // An already-expired deadline: the matrix still comes back fully
         // populated, every cell a typed DeadlineExceeded.
-        let expired = engine.check_matrix_deadline(&schemas, std::time::Duration::ZERO);
+        let now = CancelToken::with_timeout(std::time::Duration::ZERO);
+        let expired = engine.check_matrix_ids(&ids, Some(&now));
         for row in expired.iter() {
             for cell in row.iter() {
                 assert!(
@@ -3144,7 +2992,12 @@ mod tests {
         let h = parse_schema("Root -> p::A, p::B\nA -> a::L?\nB -> b::L\nL -> EMPTY\n").unwrap();
         let k = parse_schema("Root -> p::A, p::A\nA -> a::L?\nB -> b::L\nL -> EMPTY\n").unwrap();
         let coalesced = quick_engine();
-        let plain = ContainmentEngine::with_options(EngineOptions::quick().with_coalesce(false));
+        let plain = ContainmentEngine::with_options(
+            EngineOptions::builder()
+                .search(SearchOptions::quick())
+                .coalesce(false)
+                .build(),
+        );
         for (a, b) in [(&h, &k), (&k, &h), (&h, &h)] {
             assert_eq!(
                 format!("{}", coalesced.check(a, b)),
@@ -3162,8 +3015,12 @@ mod tests {
         let unbounded = quick_engine();
         // A 32-byte ceiling refuses every pool, validation record, and even
         // the 64-byte pair entries: nothing is cached, verdicts unchanged.
-        let strict =
-            ContainmentEngine::with_options(EngineOptions::quick().with_max_entry_bytes(32));
+        let strict = ContainmentEngine::with_options(
+            EngineOptions::builder()
+                .search(SearchOptions::quick())
+                .max_entry_bytes(32)
+                .build(),
+        );
         for _round in 0..2 {
             for (a, b) in [(&h, &k), (&k, &h)] {
                 assert_eq!(

@@ -43,7 +43,7 @@ pub type GeneralOptions = SearchOptions;
 /// [`crate::engine::ContainmentEngine::check_matrix`]) so shape graphs,
 /// unfolding pools, and validation verdicts are shared across queries.
 pub fn general_containment(h: &Schema, k: &Schema, options: &GeneralOptions) -> Containment {
-    crate::engine::ContainmentEngine::with_search(options.clone()).general(h, k)
+    crate::engine::ContainmentEngine::with_search(options.clone()).check(h, k)
 }
 
 /// The exhaustive per-type bag enumeration backing the sufficient check:
@@ -123,7 +123,8 @@ fn pair_consistent(
                 multiplicity: count,
             })
             .collect();
-        if !neighbourhood_satisfies_with(&edges, k.def(s), solver, telemetry) {
+        // Without a token the check always answers.
+        if neighbourhood_satisfies_with(&edges, k.def(s), solver, telemetry, None) != Some(true) {
             return false;
         }
     }

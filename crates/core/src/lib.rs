@@ -49,7 +49,6 @@ use shapex_graph::Graph;
 
 pub mod baseline;
 pub mod budget;
-pub mod cancel;
 pub mod det;
 pub mod embedding;
 pub mod engine;
@@ -60,6 +59,8 @@ pub mod shex0;
 pub mod simulation;
 pub mod sync;
 pub mod unfold;
+
+pub use shapex_presburger::CancelToken;
 
 /// Why a procedure answered [`Containment::Unknown`].
 ///

@@ -37,7 +37,7 @@ pub type Shex0Options = SearchOptions;
 /// engine's [`crate::unfold::SessionContext`] carries — survive across
 /// calls; a throwaway engine pays the interning cost per query.
 pub fn shex0_containment(h: &Schema, k: &Schema, options: &Shex0Options) -> Containment {
-    crate::engine::ContainmentEngine::with_search(options.clone()).shex0(h, k)
+    crate::engine::ContainmentEngine::with_search(options.clone()).check(h, k)
 }
 
 #[cfg(test)]

@@ -42,11 +42,9 @@ use rand::prelude::*;
 use rand::rngs::StdRng;
 
 use shapex_graph::{Graph, GraphBuilder, Label};
-use shapex_presburger::{CancelCheck, SolverOptions};
+use shapex_presburger::{CancelToken, SolverOptions};
 use shapex_rbe::{Bag, Interval, Rbe};
-use shapex_shex::typing::{
-    try_neighbourhood_satisfies_with, validates, EdgeSummary, SolverTelemetry,
-};
+use shapex_shex::typing::{neighbourhood_satisfies_with, validates, EdgeSummary, SolverTelemetry};
 use shapex_shex::{Atom, AtomId, AtomTable, Schema, TypeId};
 
 use crate::budget::{CacheBudget, CacheKind};
@@ -411,29 +409,17 @@ impl TreeArena {
     /// (children must already live in this arena). Structurally identical
     /// trees share one index. The session context supplies the atom table
     /// for the acceptance memo and the solver configuration for the check
-    /// itself.
+    /// itself. The acceptance check's Presburger fallback polls `cancel`,
+    /// and a fired token returns `None` *before* anything is interned — the
+    /// arena, its memos, and the dedup tables are exactly as if the call
+    /// never happened.
     pub fn node(
         &mut self,
         schema: &Schema,
         t: TypeId,
         children: &[(Label, Tree)],
         ctx: &SessionContext,
-    ) -> Tree {
-        self.try_node(schema, t, children, ctx, None)
-            .expect("an uncancelled interning cannot be cancelled")
-    }
-
-    /// [`TreeArena::node`] under external cancellation: the acceptance
-    /// check's Presburger fallback polls `cancel`, and a fired token returns
-    /// `None` *before* anything is interned — the arena, its memos, and the
-    /// dedup tables are exactly as if the call never happened.
-    pub fn try_node(
-        &mut self,
-        schema: &Schema,
-        t: TypeId,
-        children: &[(Label, Tree)],
-        ctx: &SessionContext,
-        cancel: Option<CancelCheck<'_>>,
+        cancel: Option<&CancelToken>,
     ) -> Option<Tree> {
         let mut hasher = DefaultHasher::new();
         t.hash(&mut hasher);
@@ -486,7 +472,7 @@ impl TreeArena {
         t: TypeId,
         children: &[(Label, Tree)],
         ctx: &SessionContext,
-        cancel: Option<CancelCheck<'_>>,
+        cancel: Option<&CancelToken>,
     ) -> Option<bool> {
         let profile: Vec<AtomId> = children
             .iter()
@@ -511,7 +497,7 @@ impl TreeArena {
                 multiplicity: 1,
             })
             .collect();
-        let ok = try_neighbourhood_satisfies_with(
+        let ok = neighbourhood_satisfies_with(
             &edges,
             schema.def(t),
             ctx.solver,
@@ -676,30 +662,18 @@ impl Unfolder {
     /// `(type, depth)`. Order and caps are exactly those of the historical
     /// enumeration: bags in [`candidate_bags`] order, Cartesian child
     /// combinations (at most 4 subtree choices per slot), `max_trees` total.
+    /// `cancel` is polled once per candidate bag and inside every acceptance
+    /// check: a cancelled call returns `None` and memoises nothing for the
+    /// interrupted `(type, depth)` pairs — already-completed child
+    /// enumerations stay cached, so a later call resumes without redundant
+    /// work and produces the identical tree list.
     pub fn trees(
         &mut self,
         schema: &Schema,
         t: TypeId,
         depth: usize,
         options: &SearchOptions,
-    ) -> Arc<Vec<Tree>> {
-        self.try_trees(schema, t, depth, options, None)
-            .expect("an uncancelled enumeration cannot be cancelled")
-    }
-
-    /// [`Unfolder::trees`] under external cancellation, polled once per
-    /// candidate bag and inside every acceptance check. A cancelled call
-    /// returns `None` and memoises nothing for the interrupted `(type,
-    /// depth)` pairs — already-completed child enumerations stay cached, so
-    /// a later uncancelled call resumes without redundant work and produces
-    /// the identical tree list.
-    pub fn try_trees(
-        &mut self,
-        schema: &Schema,
-        t: TypeId,
-        depth: usize,
-        options: &SearchOptions,
-        cancel: Option<CancelCheck<'_>>,
+        cancel: Option<&CancelToken>,
     ) -> Option<Arc<Vec<Tree>>> {
         if let Some(trees) = self.enumerated.get(&(t, depth)) {
             return Some(trees.clone());
@@ -720,7 +694,7 @@ impl Unfolder {
             let mut combos: Vec<Vec<(Label, Tree)>> = vec![Vec::new()];
             let mut dead = false;
             for (atom, count) in bag.iter() {
-                let child_trees = self.try_trees(
+                let child_trees = self.trees(
                     schema,
                     atom.target,
                     depth.saturating_sub(1),
@@ -753,10 +727,7 @@ impl Unfolder {
                 continue;
             }
             for children in combos {
-                out.push(
-                    self.arena
-                        .try_node(schema, t, &children, &self.ctx, cancel)?,
-                );
+                out.push(self.arena.node(schema, t, &children, &self.ctx, cancel)?);
                 if out.len() >= options.max_trees {
                     break 'bags;
                 }
@@ -788,7 +759,8 @@ impl Unfolder {
         root: TypeId,
         options: &SearchOptions,
     ) -> Vec<Arc<Graph>> {
-        self.members_with(schema, root, options, &mut |g| validates(g, schema))
+        self.members_with(schema, root, options, &mut |g| validates(g, schema), None)
+            .expect("an uncancelled enumeration cannot be cancelled")
     }
 
     /// [`Unfolder::members`] with the fallback member-validation step
@@ -796,31 +768,20 @@ impl Unfolder {
     /// through its verdict memo while sharing this exact filter/cap logic —
     /// the answer-equivalence with the baseline depends on there being only
     /// one copy of it. Certified members skip the callback entirely.
+    /// `cancel` is polled once per enumerated tree: a cancelled call returns
+    /// `None` and the engine must not cache its (partial) pool. Every memo
+    /// the call did complete — child enumerations, interned trees, built
+    /// graphs — is identical to what an uncancelled prefix would have left
+    /// behind.
     pub(crate) fn members_with(
         &mut self,
         schema: &Schema,
         root: TypeId,
         options: &SearchOptions,
         is_member: &mut dyn FnMut(&Graph) -> bool,
-    ) -> Vec<Arc<Graph>> {
-        self.try_members_with(schema, root, options, is_member, None)
-            .expect("an uncancelled enumeration cannot be cancelled")
-    }
-
-    /// [`Unfolder::members_with`] under external cancellation, polled once
-    /// per enumerated tree. A cancelled call returns `None`; the engine must
-    /// not cache its (partial) pool. Every memo the call did complete —
-    /// child enumerations, interned trees, built graphs — is identical to
-    /// what an uncancelled prefix would have left behind.
-    pub(crate) fn try_members_with(
-        &mut self,
-        schema: &Schema,
-        root: TypeId,
-        options: &SearchOptions,
-        is_member: &mut dyn FnMut(&Graph) -> bool,
-        cancel: Option<CancelCheck<'_>>,
+        cancel: Option<&CancelToken>,
     ) -> Option<Vec<Arc<Graph>>> {
-        let trees = self.try_trees(schema, root, options.max_depth, options, cancel)?;
+        let trees = self.trees(schema, root, options.max_depth, options, cancel)?;
         let mut graphs = Vec::new();
         for &tree in trees.iter() {
             if cancel.is_some_and(|c| c.fired()) {
@@ -874,7 +835,7 @@ impl Unfolder {
         rng: &mut StdRng,
         options: &SearchOptions,
         is_member: &mut dyn FnMut(&Graph) -> bool,
-        cancel: Option<CancelCheck<'_>>,
+        cancel: Option<&CancelToken>,
     ) -> Option<Arc<Graph>> {
         let tree = self.sample_tree(
             schema,
@@ -904,7 +865,7 @@ impl Unfolder {
         rng: &mut StdRng,
         options: &SearchOptions,
         nodes: &mut usize,
-        cancel: Option<CancelCheck<'_>>,
+        cancel: Option<&CancelToken>,
     ) -> Option<Tree> {
         *nodes += 1;
         if *nodes > options.max_graph_nodes {
@@ -935,7 +896,7 @@ impl Unfolder {
                 children.push((atom.label.clone(), child));
             }
         }
-        self.arena.try_node(schema, t, &children, &self.ctx, cancel)
+        self.arena.node(schema, t, &children, &self.ctx, cancel)
     }
 }
 
@@ -1240,10 +1201,14 @@ mod tests {
         let root = schema.find_type("Root").unwrap();
         let item = schema.find_type("Item").unwrap();
         let mut unfolder = Unfolder::new();
-        let deep = unfolder.trees(&schema, root, 3, &SearchOptions::quick());
+        let deep = unfolder
+            .trees(&schema, root, 3, &SearchOptions::quick(), None)
+            .unwrap();
         let arena_after_deep = unfolder.arena().len();
         // The shallow enumeration re-encounters only already-interned trees.
-        let shallow = unfolder.trees(&schema, item, 2, &SearchOptions::quick());
+        let shallow = unfolder
+            .trees(&schema, item, 2, &SearchOptions::quick(), None)
+            .unwrap();
         assert!(!shallow.is_empty());
         assert_eq!(
             unfolder.arena().len(),
@@ -1272,7 +1237,9 @@ mod tests {
             .label
             .clone();
         let mut unfolder = Unfolder::new();
-        let trees = unfolder.trees(&schema, root, 2, &SearchOptions::quick());
+        let trees = unfolder
+            .trees(&schema, root, 2, &SearchOptions::quick(), None)
+            .unwrap();
         let mut edges_seen = 0;
         for &tree in trees.iter() {
             for (label, _) in unfolder.arena().children(tree) {

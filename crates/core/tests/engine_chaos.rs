@@ -32,7 +32,7 @@ use rand::SeedableRng;
 
 use shapex_core::engine::{ContainmentEngine, EngineOptions};
 use shapex_core::faults::{self, FaultPlan};
-use shapex_core::{Containment, UnknownReason};
+use shapex_core::{CancelToken, Containment, UnknownReason};
 use shapex_graph::generate::GraphGen;
 use shapex_shex::Schema;
 
@@ -186,11 +186,11 @@ fn deadlines_under_armed_faults_stay_typed() {
     let engine = ContainmentEngine::with_options(chaos_options());
     let h = engine.register(&family[0]);
     let k = engine.register(&family[1]);
-    let reference = engine.check_ids(h, k);
+    let reference = engine.check_ids(h, k, None);
     // Delays at the solver-branch checkpoint sit exactly where deadline
     // polling happens; the verdicts must stay typed either way.
     let _armed = Armed::install(FaultPlan::seeded(7, 0, 4));
-    let expired = engine.check_ids_deadline(h, k, Duration::ZERO);
+    let expired = engine.check_ids(h, k, Some(&CancelToken::with_timeout(Duration::ZERO)));
     assert!(
         matches!(
             expired.unknown_reason(),
@@ -198,7 +198,8 @@ fn deadlines_under_armed_faults_stay_typed() {
         ),
         "zero deadline must expire, got {expired:?}"
     );
-    let generous = engine.check_ids_deadline(h, k, Duration::from_secs(3600));
+    let hour = CancelToken::with_timeout(Duration::from_secs(3600));
+    let generous = engine.check_ids(h, k, Some(&hour));
     assert!(
         same_answer(&generous, &reference),
         "a generous deadline answers identically, got {generous:?}"

@@ -71,10 +71,9 @@ fn eight_identical_checks_run_one_search() {
     let k = bug_tracker_split();
 
     // The uncontended reference: one engine, one check.
-    let reference_engine =
-        ContainmentEngine::with_options(EngineOptions::default().with_search(heavy()));
+    let reference_engine = ContainmentEngine::with_search(heavy());
     let (rh, rk) = (reference_engine.register(&h), reference_engine.register(&k));
-    let reference = reference_engine.check_ids(rh, rk);
+    let reference = reference_engine.check_ids(rh, rk, None);
     let reference_stats = reference_engine.stats();
     assert_eq!(reference_stats.coalesced_queries, 0, "no concurrency yet");
     assert!(
@@ -83,9 +82,7 @@ fn eight_identical_checks_run_one_search() {
     );
 
     const THREADS: usize = 8;
-    let engine = Arc::new(ContainmentEngine::with_options(
-        EngineOptions::default().with_search(heavy()),
-    ));
+    let engine = Arc::new(ContainmentEngine::with_search(heavy()));
     let ids = (engine.register(&h), engine.register(&k));
     let barrier = Barrier::new(THREADS);
     let verdicts: Vec<Containment> = std::thread::scope(|scope| {
@@ -95,7 +92,7 @@ fn eight_identical_checks_run_one_search() {
                 let barrier = &barrier;
                 scope.spawn(move || {
                     barrier.wait();
-                    engine.check_ids(ids.0, ids.1)
+                    engine.check_ids(ids.0, ids.1, None)
                 })
             })
             .collect();
@@ -135,9 +132,10 @@ fn uncoalesced_hammer_agrees_without_sharing() {
     let k = bug_tracker_split();
     // The quick budget suffices here — no timing-sensitive counter claims.
     let engine = Arc::new(ContainmentEngine::with_options(
-        EngineOptions::default()
-            .with_search(SearchOptions::quick())
-            .with_coalesce(false),
+        EngineOptions::builder()
+            .search(SearchOptions::quick())
+            .coalesce(false)
+            .build(),
     ));
     let reference = ContainmentEngine::with_search(SearchOptions::quick()).check(&h, &k);
     let ids = (engine.register(&h), engine.register(&k));
@@ -149,7 +147,7 @@ fn uncoalesced_hammer_agrees_without_sharing() {
             let reference = &reference;
             scope.spawn(move || {
                 barrier.wait();
-                let verdict = engine.check_ids(ids.0, ids.1);
+                let verdict = engine.check_ids(ids.0, ids.1, None);
                 assert!(
                     same_answer(&verdict, reference),
                     "uncoalesced verdict diverged: {verdict} vs {reference}"
@@ -184,9 +182,7 @@ proptest! {
         let opts = tiny();
         let fresh = ContainmentEngine::with_search(opts.clone()).check(&h, &k);
 
-        let engine = Arc::new(ContainmentEngine::with_options(
-            EngineOptions::default().with_search(opts.clone()),
-        ));
+        let engine = Arc::new(ContainmentEngine::with_search(opts.clone()));
         let ids = (engine.register(&h), engine.register(&k));
         let barrier = Barrier::new(4);
         let verdicts: Vec<Containment> = std::thread::scope(|scope| {
@@ -196,7 +192,7 @@ proptest! {
                     let barrier = &barrier;
                     scope.spawn(move || {
                         barrier.wait();
-                        engine.check_ids(ids.0, ids.1)
+                        engine.check_ids(ids.0, ids.1, None)
                     })
                 })
                 .collect();

@@ -59,9 +59,10 @@ proptest! {
         let serial = ContainmentEngine::with_search(opts.clone()).check_matrix(&family);
 
         for workers in [1usize, 2, 8] {
-            let options = EngineOptions::default()
-                .with_search(opts.clone())
-                .with_matrix_threads(workers);
+            let options = EngineOptions::builder()
+                .search(opts.clone())
+                .matrix_threads(workers)
+                .build();
             let parallel = ContainmentEngine::with_options(options).check_matrix(&family);
             for (i, (row_s, row_p)) in serial.iter().zip(&parallel).enumerate() {
                 for (j, (s, p)) in row_s.iter().zip(row_p).enumerate() {
@@ -140,7 +141,7 @@ fn hammer_shared_engine_from_many_threads() {
                     for step in 0..n * n {
                         let cell = (step + worker * 7 + round * 13) % (n * n);
                         let (i, j) = (cell / n, cell % n);
-                        let answer = engine.check_ids(ids[i], ids[j]);
+                        let answer = engine.check_ids(ids[i], ids[j], None);
                         assert!(
                             same_answer(&answer, &reference[i][j]),
                             "worker {worker} round {round}: cell [{i}][{j}] answered {answer}, \
@@ -170,7 +171,7 @@ fn hammer_shared_engine_from_many_threads() {
         }
     }
     let misses_before = engine.stats().validate_misses;
-    let parallel_rows = engine.check_matrix_ids(&ids);
+    let parallel_rows = engine.check_matrix_ids(&ids, None);
     if cache_budget_from_env().is_none() {
         // With a tiny budget the sweeps evict memos by design, so the
         // zero-recomputation claim only holds for the unbounded default.

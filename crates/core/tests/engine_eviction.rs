@@ -65,8 +65,8 @@ proptest! {
         for round in 0..2usize {
             for (i, h) in family.iter().enumerate() {
                 for (j, k) in family.iter().enumerate() {
-                    let free = unbounded.shex0(h, k);
-                    let tight = squeezed.shex0(h, k);
+                    let free = unbounded.check(h, k);
+                    let tight = squeezed.check(h, k);
                     prop_assert!(
                         same_answer(&free, &tight),
                         "round {} pair [{}][{}]: unbounded {} vs budgeted {}",
@@ -160,8 +160,8 @@ fn zero_budget_still_answers_correctly() {
     let stateless = budgeted(0);
     for h in &family {
         for k in &family {
-            let free = unbounded.shex0(h, k);
-            let bare = stateless.shex0(h, k);
+            let free = unbounded.check(h, k);
+            let bare = stateless.check(h, k);
             assert!(
                 same_answer(&free, &bare),
                 "zero-budget divergence: {free} vs {bare}"

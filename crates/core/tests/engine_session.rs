@@ -19,8 +19,8 @@ use shapex_core::baseline::search_counter_example_baseline;
 use shapex_core::engine::{ContainmentEngine, EngineOptions};
 use shapex_core::general::general_containment;
 use shapex_core::shex0::shex0_containment;
-use shapex_core::Containment;
 use shapex_core::UnknownReason;
+use shapex_core::{CancelToken, Containment};
 use shapex_graph::generate::GraphGen;
 use shapex_shex::{parse_schema, Schema};
 
@@ -48,9 +48,9 @@ fn engines_agree(h: &Schema, k: &Schema) {
     // A shared session answering the query twice: the warm pass must reuse
     // pools/memos and still answer identically.
     let session = ContainmentEngine::with_search(opts.clone());
-    let cold = session.shex0(h, k);
+    let cold = session.check(h, k);
     let misses_after_cold = session.stats().validate_misses;
-    let warm = session.shex0(h, k);
+    let warm = session.check(h, k);
     assert!(same_answer(&cold, &warm), "warm session changed its answer");
     assert_eq!(
         session.stats().validate_misses,
@@ -62,13 +62,24 @@ fn engines_agree(h: &Schema, k: &Schema) {
         "session disagrees with one-shot"
     );
 
+    // The token route: a token that never fires makes a fresh engine skip
+    // coalescing and the sampled-pool `OnceLock`s, and it must still answer
+    // like the coalesced route.
+    let tokened = ContainmentEngine::with_search(opts.clone());
+    let (hid, kid) = (tokened.register(h), tokened.register(k));
+    let via_token = tokened.check_ids(hid, kid, Some(&CancelToken::new()));
+    assert!(
+        same_answer(&cold, &via_token),
+        "the token route disagrees with the coalesced route"
+    );
+
     // The parallel fan-out must not change anything.
     let parallel_opts = EngineOptions::builder()
         .search(opts)
         .threads(3)
         .parallel_threshold(1)
         .build();
-    let parallel = ContainmentEngine::with_options(parallel_opts).shex0(h, k);
+    let parallel = ContainmentEngine::with_options(parallel_opts).check(h, k);
     assert!(
         same_answer(&cold, &parallel),
         "parallel candidate search changed the answer"
@@ -191,10 +202,10 @@ fn session_reuses_pools_across_partners() {
     let k1 = parse_schema("Root -> p::A, p::A\nA -> a::L?\nB -> b::L?\nL -> EMPTY\n").unwrap();
     let k2 = parse_schema("Root -> p::B, p::B\nA -> a::L?\nB -> b::L?\nL -> EMPTY\n").unwrap();
     let session = ContainmentEngine::with_search(tiny());
-    let _ = session.shex0(&h, &k1);
+    let _ = session.check(&h, &k1);
     let built_after_first = session.stats().pools_built;
     assert!(built_after_first > 0);
-    let _ = session.shex0(&h, &k2);
+    let _ = session.check(&h, &k2);
     assert_eq!(
         session.stats().pools_built,
         built_after_first,

@@ -135,10 +135,10 @@ mod tests {
     fn the_family_reaches_the_presburger_solver() {
         use shapex_core::engine::ContainmentEngine;
         let (h, k) = disjunct_choice_pair(3);
-        let engine = ContainmentEngine::with_options(shapex_core::engine::EngineOptions::quick());
+        let engine = ContainmentEngine::with_search(shapex_core::unfold::SearchOptions::quick());
         let hid = engine.register(&h);
         let kid = engine.register(&k);
-        let _ = engine.check_ids(hid, kid);
+        let _ = engine.check_ids(hid, kid, None);
         let stats = engine.stats();
         assert!(
             stats.solver_calls > 0,

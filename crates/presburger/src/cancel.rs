@@ -2,25 +2,23 @@
 //!
 //! The paper's decision procedures are intrinsically expensive (EXP-complete
 //! for ShEx₀, coNEXP-hard in general), so every long-running loop in the
-//! stack — candidate enumeration in [`crate::unfold`], the engine's
-//! counter-example search, matrix row fan-out, the typing fixpoints of
-//! `shapex-shex`, and the Presburger disjunct workers of
-//! `shapex-presburger` — polls a [`CancelToken`] at bounded checkpoint
-//! intervals. An expired deadline therefore surfaces as
-//! [`crate::UnknownReason::DeadlineExceeded`] within one checkpoint interval
+//! stack polls a [`CancelToken`] at bounded checkpoint intervals: the
+//! [`crate::Solver`] of this crate (one flag load per search node, one clock
+//! read every 256 nodes), the typing fixpoints of `shapex-shex` (once per
+//! node per sweep), and the candidate enumeration and counter-example search
+//! of `shapex-core` (once per candidate). The token lives here, in the lowest
+//! crate that polls it, so every layer shares one type; `shapex-core`
+//! re-exports it. An expired deadline surfaces within one checkpoint interval
 //! instead of wedging a worker for the rest of its search budget.
 //!
 //! The token is cooperative and purely advisory: firing it never corrupts
-//! engine state. Memoised caches only ever record *completed* verdicts, so a
-//! cancelled query leaves behind exactly the cache entries an uncancelled
-//! prefix of the same search would have — observationally invisible, the
-//! same argument that makes eviction safe.
+//! caller state. The containment engine's caches only ever record
+//! *completed* verdicts, so a cancelled query leaves behind exactly the cache
+//! entries an uncancelled prefix of the same search would have.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-use shapex_presburger::CancelCheck;
 
 /// A shareable cancellation/deadline token.
 ///
@@ -51,32 +49,27 @@ struct Inner {
 impl CancelToken {
     /// A token with no deadline: it fires only via [`CancelToken::cancel`].
     pub fn new() -> CancelToken {
-        CancelToken::build(None)
+        CancelToken::build(Instant::now(), None)
     }
 
     /// A token that fires once the wall clock reaches `deadline`.
     pub fn with_deadline(deadline: Instant) -> CancelToken {
-        CancelToken::build(Some(deadline))
+        CancelToken::build(Instant::now(), Some(deadline))
     }
 
-    /// A token that fires `timeout` from now.
+    /// A token that fires `timeout` from now. A deadline the clock cannot
+    /// represent (say `Duration::MAX`) means no deadline.
     pub fn with_timeout(timeout: Duration) -> CancelToken {
         let now = Instant::now();
-        CancelToken {
-            inner: Arc::new(Inner {
-                flag: AtomicBool::new(false),
-                deadline: now.checked_add(timeout),
-                started: now,
-            }),
-        }
+        CancelToken::build(now, now.checked_add(timeout))
     }
 
-    fn build(deadline: Option<Instant>) -> CancelToken {
+    fn build(started: Instant, deadline: Option<Instant>) -> CancelToken {
         CancelToken {
             inner: Arc::new(Inner {
                 flag: AtomicBool::new(false),
                 deadline,
-                started: Instant::now(),
+                started,
             }),
         }
     }
@@ -110,8 +103,7 @@ impl CancelToken {
     }
 
     /// Wall-clock time since the token was created (the query's age; this is
-    /// the `elapsed` reported by
-    /// [`crate::UnknownReason::DeadlineExceeded`]).
+    /// the `elapsed` a deadline-exceeded answer reports).
     pub fn elapsed(&self) -> Duration {
         self.inner.started.elapsed()
     }
@@ -119,16 +111,6 @@ impl CancelToken {
     /// The deadline, if one was set.
     pub fn deadline(&self) -> Option<Instant> {
         self.inner.deadline
-    }
-
-    /// A borrowed [`CancelCheck`] over this token's flag and deadline, the
-    /// form the `shapex-presburger` solver and `shapex-shex` typing seams
-    /// poll. Expiry observed inside the solver latches this token's flag.
-    pub fn check(&self) -> CancelCheck<'_> {
-        match self.inner.deadline {
-            Some(d) => CancelCheck::with_deadline(&self.inner.flag, d),
-            None => CancelCheck::new(&self.inner.flag),
-        }
     }
 }
 
@@ -166,13 +148,5 @@ mod tests {
         let token = CancelToken::with_timeout(Duration::from_secs(3600));
         assert!(!token.fired());
         assert!(token.deadline().is_some());
-    }
-
-    #[test]
-    fn solver_check_shares_the_flag() {
-        let token = CancelToken::with_timeout(Duration::ZERO);
-        let check = token.check();
-        assert!(check.fired(), "deadline visible through the solver view");
-        assert!(token.is_cancelled(), "solver-side expiry latches the token");
     }
 }

@@ -17,14 +17,18 @@
 //!   that holds exactly when the bag described by `x̄` belongs to `L(E)ⁿ`, and
 //!   the derived NP membership test [`translate::rbe_member`] for arbitrary
 //!   regular bag expressions.
+//! * [`cancel`] — the [`CancelToken`] every long-running loop of the
+//!   workspace polls, from this crate's solver up to the containment engine.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod cancel;
 pub mod formula;
 pub mod solver;
 pub mod translate;
 
+pub use cancel::CancelToken;
 pub use formula::{Constraint, Formula, LinearExpr, Var, VarPool};
-pub use solver::{Bounds, CancelCheck, SolveResult, Solver, SolverOptions, SolverStats};
+pub use solver::{Bounds, SolveResult, Solver, SolverOptions, SolverStats};
 pub use translate::{psi, rbe_member};

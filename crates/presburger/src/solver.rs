@@ -12,71 +12,18 @@
 //! generality provided the caller passes a large-enough bound.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::time::Instant;
 
+use crate::cancel::CancelToken;
 use crate::formula::{Constraint, Formula, LinearExpr, VarPool};
 
 /// How many search nodes pass between wall-clock reads when a
-/// [`CancelCheck`] carries a deadline: the flag is checked every node (one
+/// [`CancelToken`] carries a deadline: the flag is checked every node (one
 /// relaxed load), the clock only every this-many nodes, so the polling cost
 /// stays far below the per-node search work while the checkpoint interval
-/// stays bounded (a few hundred nodes — microseconds).
+/// stays bounded (a few hundred nodes — microseconds). An expired deadline
+/// is latched into the token's flag, so every parallel worker sharing the
+/// token aborts promptly.
 const CANCEL_POLL_INTERVAL: u32 = 256;
-
-/// External cancellation for long solves: a shared flag plus an optional
-/// wall-clock deadline.
-///
-/// The solver checks the flag on every search node and, when a deadline is
-/// present, reads the clock every [`CANCEL_POLL_INTERVAL`] nodes; an expired
-/// deadline is latched into the flag so every parallel worker sharing the
-/// check aborts promptly. A cancelled solve surfaces as
-/// [`SolveResult::Unknown`] — indistinguishable here from budget
-/// exhaustion; callers that need to tell the two apart inspect the flag
-/// after the call returns.
-#[derive(Debug, Clone, Copy)]
-pub struct CancelCheck<'a> {
-    flag: &'a AtomicBool,
-    deadline: Option<Instant>,
-}
-
-impl<'a> CancelCheck<'a> {
-    /// A check over a shared flag only (manual cancellation).
-    pub fn new(flag: &'a AtomicBool) -> CancelCheck<'a> {
-        CancelCheck {
-            flag,
-            deadline: None,
-        }
-    }
-
-    /// A check over a shared flag plus a wall-clock deadline; on expiry the
-    /// flag is latched so other observers abort too.
-    pub fn with_deadline(flag: &'a AtomicBool, deadline: Instant) -> CancelCheck<'a> {
-        CancelCheck {
-            flag,
-            deadline: Some(deadline),
-        }
-    }
-
-    /// Whether the flag is already set (no clock read).
-    pub fn flagged(&self) -> bool {
-        self.flag.load(Ordering::Relaxed)
-    }
-
-    /// Whether cancellation has fired: the flag, or an expired deadline
-    /// (which is latched into the flag as a side effect).
-    pub fn fired(&self) -> bool {
-        if self.flag.load(Ordering::Relaxed) {
-            return true;
-        }
-        match self.deadline {
-            Some(deadline) if Instant::now() >= deadline => {
-                self.flag.store(true, Ordering::Relaxed);
-                true
-            }
-            _ => false,
-        }
-    }
-}
 
 /// Variable bounds used by the solver when the [`VarPool`] does not declare a
 /// per-variable bound.
@@ -301,12 +248,12 @@ struct SearchState<'a> {
     /// latch aborts the worker's search; its presence also marks "already
     /// forked", so workers never fan out a nested disjunction themselves.
     stop: Option<&'a AtomicBool>,
-    /// External cancellation (caller-supplied flag and optional deadline) —
-    /// deliberately a separate field from `stop`: the fork gate keys on
-    /// `stop.is_none()` to mean "not yet inside a worker", so reusing the
-    /// latch for external cancellation would disable parallel fan-out for
-    /// every cancellable solve.
-    cancel: Option<CancelCheck<'a>>,
+    /// External cancellation (caller-supplied token) — deliberately a
+    /// separate field from `stop`: the fork gate keys on `stop.is_none()` to
+    /// mean "not yet inside a worker", so reusing the latch for external
+    /// cancellation would disable parallel fan-out for every cancellable
+    /// solve.
+    cancel: Option<&'a CancelToken>,
     /// Node counter amortising the deadline clock reads of `cancel`.
     polls: u32,
 }
@@ -322,7 +269,7 @@ impl SearchState<'_> {
         let Some(cancel) = self.cancel else {
             return false;
         };
-        if cancel.flagged() {
+        if cancel.is_cancelled() {
             return true;
         }
         self.polls = self.polls.wrapping_add(1);
@@ -391,12 +338,14 @@ impl Solver {
     /// [`Solver::solve_with_stats`] under external cancellation: the search
     /// aborts (returning [`SolveResult::Unknown`]) within a bounded number
     /// of nodes once `cancel` fires. Verdicts reached before cancellation
-    /// are identical to the uncancelled solve.
+    /// are identical to the uncancelled solve. A cancelled solve is
+    /// indistinguishable here from budget exhaustion; callers that need to
+    /// tell the two apart inspect the token after the call returns.
     pub fn solve_with_stats_cancellable(
         &self,
         formula: &Formula,
         pool: &VarPool,
-        cancel: Option<CancelCheck<'_>>,
+        cancel: Option<&CancelToken>,
     ) -> (SolveResult, SolverStats) {
         let nvars = formula
             .variables()
@@ -828,6 +777,7 @@ fn tighten(
 mod tests {
     use super::*;
     use crate::formula::{Formula, LinearExpr, VarPool};
+    use std::time::Instant;
 
     fn solver() -> Solver {
         Solver::new(Bounds::uniform(32))
@@ -1086,10 +1036,10 @@ mod tests {
             acc.add(&LinearExpr::var(*v))
         });
         let f = Formula::eq(sum, LinearExpr::constant(200));
-        let flag = AtomicBool::new(true);
+        let token = CancelToken::new();
+        token.cancel();
         let wide = Solver::new(Bounds::uniform(1_000));
-        let (result, stats) =
-            wide.solve_with_stats_cancellable(&f, &pool, Some(CancelCheck::new(&flag)));
+        let (result, stats) = wide.solve_with_stats_cancellable(&f, &pool, Some(&token));
         assert_eq!(result, SolveResult::Unknown);
         assert_eq!(stats.search_nodes, 0, "no node may be expanded: {stats:?}");
     }
@@ -1098,12 +1048,11 @@ mod tests {
     fn unfired_cancel_flag_changes_nothing() {
         let mut pool = VarPool::new();
         let f = wide_unsat_disjunction(&mut pool);
-        let flag = AtomicBool::new(false);
+        let token = CancelToken::new();
         let plain = solver().solve_with_stats(&f, &pool);
-        let cancellable =
-            solver().solve_with_stats_cancellable(&f, &pool, Some(CancelCheck::new(&flag)));
+        let cancellable = solver().solve_with_stats_cancellable(&f, &pool, Some(&token));
         assert_eq!(plain, cancellable, "a dormant flag must be invisible");
-        assert!(!flag.load(Ordering::Relaxed));
+        assert!(!token.is_cancelled());
     }
 
     #[test]
@@ -1119,11 +1068,10 @@ mod tests {
             Formula::eq(sum.clone(), LinearExpr::constant(200)),
             Formula::eq(sum, LinearExpr::constant(201)),
         ]);
-        let flag = AtomicBool::new(false);
-        let check = CancelCheck::with_deadline(&flag, Instant::now());
+        let token = CancelToken::with_deadline(Instant::now());
         let wide = Solver::new(Bounds::uniform(100_000));
         let started = Instant::now();
-        let (result, _) = wide.solve_with_stats_cancellable(&f, &pool, Some(check));
+        let (result, _) = wide.solve_with_stats_cancellable(&f, &pool, Some(&token));
         // Propagation may refute the conjunction outright; either way the
         // call returns promptly and an expired deadline is latched.
         assert!(matches!(result, SolveResult::Unknown | SolveResult::Unsat));
@@ -1137,10 +1085,10 @@ mod tests {
     fn parallel_workers_observe_the_cancel_flag() {
         let mut pool = VarPool::new();
         let f = wide_unsat_disjunction(&mut pool);
-        let flag = AtomicBool::new(true);
+        let token = CancelToken::new();
+        token.cancel();
         let parallel = solver().with_options(SolverOptions::parallel(4).with_min_fork_cost(0));
-        let (result, _) =
-            parallel.solve_with_stats_cancellable(&f, &pool, Some(CancelCheck::new(&flag)));
+        let (result, _) = parallel.solve_with_stats_cancellable(&f, &pool, Some(&token));
         assert_eq!(
             result,
             SolveResult::Unknown,

@@ -22,10 +22,9 @@ use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use shapex_graph::{Graph, Label, NodeId};
+use shapex_presburger::cancel::CancelToken;
 use shapex_presburger::formula::{Formula, LinearExpr, VarPool};
-use shapex_presburger::solver::{
-    Bounds, CancelCheck, SolveResult, Solver, SolverOptions, SolverStats,
-};
+use shapex_presburger::solver::{Bounds, SolveResult, Solver, SolverOptions, SolverStats};
 use shapex_presburger::translate::{max_interval_constant, ParikhVec, PsiBuilder};
 use shapex_rbe::{FlowScratch, Interval, Rbe, Rbe0};
 
@@ -234,7 +233,7 @@ impl IncrementalTyping {
         graph: &Graph,
         schema: &Schema,
         dirty: &[NodeId],
-        cancel: Option<CancelCheck<'_>>,
+        cancel: Option<&CancelToken>,
     ) -> Option<usize> {
         if self.poisoned || self.type_count != schema.types().count() {
             // Full rebuild, itself cancellable: a second cancellation keeps
@@ -453,7 +452,7 @@ pub fn try_maximal_typing_with(
     graph: &Graph,
     schema: &Schema,
     scratch: &mut ValidateScratch,
-    cancel: Option<CancelCheck<'_>>,
+    cancel: Option<&CancelToken>,
 ) -> Option<Typing> {
     for e in graph.edges() {
         assert!(
@@ -568,7 +567,7 @@ fn try_node_satisfies_scratch(
     typing: &Typing,
     schema: &Schema,
     scratch: &mut ValidateScratch,
-    cancel: Option<CancelCheck<'_>>,
+    cancel: Option<&CancelToken>,
 ) -> Option<bool> {
     let out = graph.out(node);
     // An edge whose target has no candidate type can never be matched (the
@@ -606,7 +605,7 @@ fn try_node_satisfies_scratch(
             multiplicity: graph.occur(e).singleton().unwrap_or(1),
         })
         .collect();
-    try_neighbourhood_satisfies_with(
+    neighbourhood_satisfies_with(
         &edges,
         schema.def(t),
         SolverOptions::default(),
@@ -644,34 +643,24 @@ pub fn node_satisfies(
 /// procedures of `shapex-core` (where the "candidate types" come from node
 /// kinds rather than a typing).
 pub fn neighbourhood_satisfies(edges: &[EdgeSummary], def: &Rbe<Atom>) -> bool {
-    neighbourhood_satisfies_with(edges, def, SolverOptions::default(), None)
+    neighbourhood_satisfies_with(edges, def, SolverOptions::default(), None, None)
+        .expect("an uncancelled satisfaction check cannot be cancelled")
 }
 
 /// [`neighbourhood_satisfies`] with explicit [`SolverOptions`] for the
-/// Presburger fallback and an optional [`SolverTelemetry`] that accumulates
+/// Presburger fallback, an optional [`SolverTelemetry`] that accumulates
 /// the solver counters (the RBE₀ flow fast path records nothing — it never
-/// enters the solver).
+/// enters the solver), and an optional [`CancelToken`]: the Presburger
+/// fallback polls it at its search checkpoints and the call returns `None`
+/// once it fires (the RBE₀ flow fast path is polynomial and runs to
+/// completion regardless). `Some` verdicts are identical to the uncancelled
+/// path.
 pub fn neighbourhood_satisfies_with(
     edges: &[EdgeSummary],
     def: &Rbe<Atom>,
     options: SolverOptions,
     telemetry: Option<&SolverTelemetry>,
-) -> bool {
-    try_neighbourhood_satisfies_with(edges, def, options, telemetry, None)
-        .expect("an uncancelled satisfaction check cannot be cancelled")
-}
-
-/// [`neighbourhood_satisfies_with`] under external cancellation: the
-/// Presburger fallback polls `cancel` at its search checkpoints and the call
-/// returns `None` once it fires (the RBE₀ flow fast path is polynomial and
-/// runs to completion regardless). `Some` verdicts are identical to the
-/// uncancelled path.
-pub fn try_neighbourhood_satisfies_with(
-    edges: &[EdgeSummary],
-    def: &Rbe<Atom>,
-    options: SolverOptions,
-    telemetry: Option<&SolverTelemetry>,
-    cancel: Option<CancelCheck<'_>>,
+    cancel: Option<&CancelToken>,
 ) -> Option<bool> {
     // An edge whose target has no candidate type can never be matched: the
     // signature's inner disjunction is empty, so the whole language is empty.
@@ -708,7 +697,7 @@ fn satisfies_via_presburger(
     def: &Rbe<Atom>,
     options: SolverOptions,
     telemetry: Option<&SolverTelemetry>,
-    cancel: Option<CancelCheck<'_>>,
+    cancel: Option<&CancelToken>,
 ) -> Option<bool> {
     let mut pool = VarPool::new();
     let total: u64 = edges.iter().map(|e| e.multiplicity).sum();
@@ -758,7 +747,7 @@ fn satisfies_via_presburger(
         // `Unknown` is either a fired cancellation (surface as `None`) or a
         // genuinely exhausted node budget — the latter keeps its historical
         // panic so callers never confuse the two.
-        SolveResult::Unknown if cancel.is_some_and(|c| c.flagged()) => None,
+        SolveResult::Unknown if cancel.is_some_and(|c| c.is_cancelled()) => None,
         SolveResult::Unknown => panic!("Presburger budget exhausted during validation"),
     }
 }
@@ -1027,30 +1016,24 @@ emp1 -email-> l9
 
     #[test]
     fn fired_cancel_aborts_typing_and_poisons_incremental_state() {
-        use std::sync::atomic::AtomicBool;
         let schema = parse_schema(FIG1_SCHEMA).unwrap();
         let mut graph = parse_graph(FIG1_GRAPH).unwrap();
 
         // A pre-fired flag aborts the fixpoint before any sweep completes.
-        let fired = AtomicBool::new(true);
-        let cancel = CancelCheck::new(&fired);
+        let cancel = CancelToken::new();
+        cancel.cancel();
         assert!(try_maximal_typing_with(
             &graph,
             &schema,
             &mut ValidateScratch::new(),
-            Some(cancel)
+            Some(&cancel)
         )
         .is_none());
 
         // A dormant flag changes nothing.
-        let dormant = AtomicBool::new(false);
+        let dormant = CancelToken::new();
         assert_eq!(
-            try_maximal_typing_with(
-                &graph,
-                &schema,
-                &mut ValidateScratch::new(),
-                Some(CancelCheck::new(&dormant))
-            ),
+            try_maximal_typing_with(&graph, &schema, &mut ValidateScratch::new(), Some(&dormant)),
             Some(maximal_typing(&graph, &schema))
         );
 
@@ -1063,7 +1046,7 @@ emp1 -email-> l9
         delta.remove_edge("user1", "name", "l5");
         let report = graph.apply_delta(&delta);
         assert!(inc
-            .try_apply(&graph, &schema, &report.dirty, Some(cancel))
+            .try_apply(&graph, &schema, &report.dirty, Some(&cancel))
             .is_none());
         let touched = inc.apply(&graph, &schema, &[]);
         assert_eq!(touched, graph.node_count(), "poisoned state forces rebuild");
@@ -1072,7 +1055,6 @@ emp1 -email-> l9
 
     #[test]
     fn cancelled_presburger_fallback_surfaces_as_none() {
-        use std::sync::atomic::AtomicBool;
         // The disjunctive definition forces the Presburger path.
         let schema = parse_schema("A -> p::B | q::B\nB -> EMPTY\n").unwrap();
         let a_type = schema.find_type("A").unwrap();
@@ -1082,26 +1064,27 @@ emp1 -email-> l9
             target_types: [b_type].into_iter().collect(),
             multiplicity: 1,
         }];
-        let fired = AtomicBool::new(true);
+        let fired = CancelToken::new();
+        fired.cancel();
         assert_eq!(
-            try_neighbourhood_satisfies_with(
+            neighbourhood_satisfies_with(
                 &edges,
                 schema.def(a_type),
                 SolverOptions::default(),
                 None,
-                Some(CancelCheck::new(&fired)),
+                Some(&fired),
             ),
             None,
             "a fired flag must abort the solver, not return a verdict"
         );
-        let dormant = AtomicBool::new(false);
+        let dormant = CancelToken::new();
         assert_eq!(
-            try_neighbourhood_satisfies_with(
+            neighbourhood_satisfies_with(
                 &edges,
                 schema.def(a_type),
                 SolverOptions::default(),
                 None,
-                Some(CancelCheck::new(&dormant)),
+                Some(&dormant),
             ),
             Some(true)
         );

@@ -16,8 +16,8 @@
 //! * [`service`] — a long-lived, multi-tenant containment service:
 //!   tenant-scoped schema registration, streaming N-Triples ingestion with
 //!   incremental revalidation of evolving graphs, typed errors, bounded
-//!   request queues with explicit backpressure — single serve loop or a
-//!   sharded `ServicePool` of workers — and a stats surface (engine cache +
+//!   request queues with explicit backpressure in front of a supervised
+//!   `ServicePool` of workers, deadlines, and a stats surface (engine cache +
 //!   memory counters, latency histogram), all over one shared
 //!   `ContainmentEngine` — bounded-memory when configured with a
 //!   `cache_budget`, duplicate-proof under concurrency via single-flight
@@ -41,8 +41,8 @@ pub mod service;
 pub mod prelude {
     pub use crate::metrics::{LatencyHistogram, LatencySnapshot};
     pub use crate::service::{
-        ContainmentService, GraphId, PoolClient, ServiceClient, ServiceError, ServicePool,
-        ServiceRequest, ServiceResponse, ServiceStats, TenantId,
+        ContainmentService, GraphId, PoolClient, ServiceError, ServicePool, ServiceRequest,
+        ServiceResponse, ServiceStats, TenantId,
     };
     pub use shapex_core::{
         baseline::enumerate_counter_example,

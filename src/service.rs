@@ -19,15 +19,8 @@
 //!   schemas by guessing handles.
 //! * **Typed errors.** [`ContainmentService::handle`] returns
 //!   `Result<ServiceResponse, ServiceError>`: unknown handles, foreign
-//!   tenants, and overload are data, not strings. The serve loop folds
-//!   errors back into [`ServiceResponse::Error`] (via `From`) for clients
-//!   that want a plain response stream.
-//! * **Bounded queue with explicit backpressure.** A
-//!   [`ServiceClient`] from [`ContainmentService::connect`] talks to the
-//!   serve loop over a bounded channel; when the queue is full,
-//!   [`ServiceClient::call`] fails *fast* with [`ServiceError::Overloaded`]
-//!   (counted in the stats) instead of queuing unboundedly —
-//!   [`ServiceClient::call_blocking`] opts into waiting instead.
+//!   tenants, and overload are data, not strings. Pool workers send that
+//!   same `Result` back to their callers.
 //! * **Streaming graphs with incremental revalidation.** A tenant streams
 //!   N-Triples chunks into a service-held graph
 //!   ([`ServiceRequest::LoadTriples`]; `graph: None` mints a fresh
@@ -45,46 +38,44 @@
 //! * **A metrics surface.** [`ServiceRequest::Stats`] answers a
 //!   [`ServiceStats`]: the engine's cache/memory counters (evictions and
 //!   resident bytes included, when the engine runs under a
-//!   [`EngineOptions::cache_budget`]), the tenant count, the rejected
-//!   count, and a log-spaced latency histogram
+//!   [cache budget](shapex_core::engine::EngineOptionsBuilder::cache_budget)),
+//!   the tenant count, the rejected count, and a log-spaced latency histogram
 //!   ([`crate::metrics::LatencySnapshot`]) of every request this service
 //!   answered. Its `Display` rendering is the line to log or scrape.
-//!
-//! * **Sharded workers.** [`ContainmentService::pool`] spawns a
-//!   [`ServicePool`] of N serve-loop threads, each behind its own bounded
-//!   queue; a [`PoolClient`] round-robins requests across the workers and
-//!   rotates past full queues, so one slow [`ServiceRequest::Matrix`] no
-//!   longer head-of-line-blocks every tenant. Backpressure keeps `connect`'s
-//!   semantics per worker: [`PoolClient::call`] fails with
-//!   [`ServiceError::Overloaded`] only when every queue is full.
-//! * **Deadlines, bounded retries, and worker supervision.** Every
-//!   [`ServiceEnvelope`] carries an optional absolute deadline. The serve
-//!   loop refuses already-expired envelopes with
-//!   [`ServiceError::DeadlineExceeded`] and runs the rest —
-//!   [`ServiceRequest::Check`] and [`ServiceRequest::Matrix`] in
-//!   particular — under an engine [`CancelToken`] bound to the deadline,
-//!   so a 10 ms budget comes back within a bounded checkpoint interval as
-//!   a typed answer, never as a hung worker.
-//!   [`ServiceClient::call_timeout`] / [`PoolClient::call_timeout`] set
-//!   the deadline, retry [`ServiceError::Overloaded`] with bounded
+//! * **Supervised workers behind bounded queues.**
+//!   [`ContainmentService::pool`] spawns a [`ServicePool`] of N worker
+//!   threads, each behind its own bounded queue; a [`PoolClient`]
+//!   round-robins requests across the workers and rotates past full queues,
+//!   so one slow [`ServiceRequest::Matrix`] does not head-of-line-block
+//!   every tenant. A single-queue deployment is `pool(1, capacity)`.
+//!   Backpressure is explicit: [`PoolClient::call`] fails fast with
+//!   [`ServiceError::Overloaded`] (counted) only when every queue is full,
+//!   and [`PoolClient::call_blocking`] parks instead. Every worker runs
+//!   under a supervisor: a panic while handling a request still answers
+//!   that caller (with [`ServiceError::Internal`]), the worker is respawned
+//!   onto the same queue, and the restart is counted in
+//!   [`ServiceStats::worker_restarts`].
+//! * **Deadlines and bounded retries.** [`PoolClient::call_timeout`] stamps
+//!   the request with an absolute deadline. The worker refuses an
+//!   already-expired request with [`ServiceError::DeadlineExceeded`] and
+//!   runs the rest under one engine [`CancelToken`] bound to the deadline —
+//!   [`ServiceRequest::Check`], [`ServiceRequest::Matrix`] and
+//!   [`ServiceRequest::Revalidate`] poll it — so a 10 ms budget comes back
+//!   within a bounded checkpoint interval as a typed answer, never as a
+//!   hung worker. The call retries [`ServiceError::Overloaded`] with bounded
 //!   deterministic-jitter backoff ([`ServiceStats::retries`] /
-//!   [`ServiceStats::retry_gave_up`]), and surface a reply that misses
-//!   the budget as [`ServiceError::DeadlineExceeded`] instead of parking
-//!   forever. Pool workers run under a supervisor: a panic while handling
-//!   a request still answers that caller (with [`ServiceError::Internal`]),
-//!   the worker is respawned onto the same queue, and the restart is
-//!   counted in [`ServiceStats::worker_restarts`]. Expired requests land
-//!   in a separate timeout histogram ([`ServiceStats::timeouts`]) so the
-//!   latency tail of successful traffic stays honest.
+//!   [`ServiceStats::retry_gave_up`]) and surfaces a reply that misses the
+//!   budget as [`ServiceError::DeadlineExceeded`] instead of parking
+//!   forever. Expired requests land in a separate timeout histogram
+//!   ([`ServiceStats::timeouts`]) so the latency tail of successful traffic
+//!   stays honest.
 //!
 //! The protocol stays transport-agnostic: `handle` maps one request to one
-//! response and is safe from any number of threads;
-//! [`ContainmentService::serve`] runs it as a blocking loop over a channel
-//! of [`ServiceEnvelope`]s — the shape `examples/containment_service.rs`
-//! demonstrates with one server thread, several tenants, and a deliberate
-//! overload burst. Because the service is [`Clone`] (it clones the inner
-//! [`Arc`]s), the same engine can sit behind several server threads at once —
-//! [`ContainmentService::pool`] packages exactly that.
+//! response and is safe from any number of threads; the pool runs it behind
+//! bounded queues — the shape `examples/containment_service.rs` demonstrates
+//! with several tenants sharing one engine. Because the service is
+//! [`Clone`] (it clones the inner [`Arc`]s), local code can keep calling
+//! `handle` on the same engine while the pool serves.
 
 use std::collections::{HashMap, HashSet};
 use std::error::Error;
@@ -94,12 +85,11 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
-use shapex_core::cancel::CancelToken;
 use shapex_core::engine::{
     ContainmentEngine, ContainmentMatrix, EngineOptions, EngineStats, SchemaId,
 };
 use shapex_core::sync::{lock_or_recover, read_or_recover, write_or_recover};
-use shapex_core::{faults, Containment, UnknownReason};
+use shapex_core::{faults, CancelToken, Containment, UnknownReason};
 use shapex_graph::{DeltaReport, Graph, GraphDelta, NTriplesParser, NodeId, Triple};
 use shapex_shex::{IncrementalTyping, Schema};
 
@@ -108,7 +98,6 @@ use crate::metrics::{LatencyHistogram, LatencySnapshot};
 // One service handle is shared across server and client threads.
 shapex_graph::assert_send_sync!(
     ContainmentService,
-    ServiceClient,
     ServicePool,
     PoolClient,
     ServiceRequest,
@@ -169,9 +158,8 @@ impl fmt::Display for GraphId {
 /// The enum is the service's wire format: everything a client can ask for,
 /// self-contained (schemas travel by value on registration, by [`SchemaId`]
 /// handle afterwards). The [`TenantId`] travels next to the request — in
-/// [`ContainmentService::handle`]'s signature and in the
-/// [`ServiceEnvelope`] — not inside it, so requests themselves stay
-/// tenant-agnostic.
+/// [`ContainmentService::handle`]'s signature and in a [`PoolClient`] — not
+/// inside it, so requests themselves stay tenant-agnostic.
 #[derive(Debug, Clone)]
 pub enum ServiceRequest {
     /// Register a schema under the requesting tenant, interning
@@ -217,7 +205,11 @@ pub enum ServiceRequest {
     /// registered schemas, computed incrementally: only the dirty nodes
     /// accumulated since this `(graph, schema)` pair's previous revalidation
     /// (and the region they influence) are re-examined. Answered with
-    /// [`ServiceResponse::Validation`].
+    /// [`ServiceResponse::Validation`]. Under a deadline the repair polls
+    /// the request's token once per re-examined node; an expired repair
+    /// answers [`ServiceError::DeadlineExceeded`] and the next `Revalidate`
+    /// of the pair rebuilds its typing from scratch. The first typing of a
+    /// pair is always built to completion.
     Revalidate {
         /// The graph to validate.
         graph: GraphId,
@@ -273,11 +265,6 @@ pub enum ServiceResponse {
     /// The metrics snapshot for a [`ServiceRequest::Stats`]. Boxed: the
     /// snapshot (histogram included) is far larger than the other variants.
     Stats(Box<ServiceStats>),
-    /// A folded-in [`ServiceError`], produced by the `From` impl — the
-    /// serve loop sends this when `handle` fails, so response streams stay
-    /// uniform. Direct callers of [`ContainmentService::handle`] get the
-    /// error on the `Err` side instead and never see this variant.
-    Error(ServiceError),
 }
 
 /// Why a [`ContainmentService`] refused a request. `#[non_exhaustive]`:
@@ -326,9 +313,10 @@ pub enum ServiceError {
     /// The serve loop (or the reply channel) hung up before answering.
     Disconnected,
     /// The request's deadline expired before a complete answer was
-    /// produced — either while it sat in the queue (the serve loop refuses
-    /// to start expired work) or client-side when the reply missed a
-    /// [`ServiceClient::call_timeout`] budget. An engine-level expiry that
+    /// produced — while it sat in the queue (workers refuse to start
+    /// expired work), during a [`ServiceRequest::Revalidate`] repair, or
+    /// client-side when the reply missed a [`PoolClient::call_timeout`]
+    /// budget. An engine-level expiry that
     /// still yields a typed verdict comes back as
     /// [`ServiceResponse::Answer`] carrying
     /// [`UnknownReason::DeadlineExceeded`] instead. Counted in the
@@ -382,15 +370,6 @@ impl fmt::Display for ServiceError {
 
 impl Error for ServiceError {}
 
-impl From<ServiceError> for ServiceResponse {
-    /// Fold an error into the response stream — what
-    /// [`ContainmentService::serve`] does, so channel clients see one
-    /// uniform `ServiceResponse` type.
-    fn from(error: ServiceError) -> ServiceResponse {
-        ServiceResponse::Error(error)
-    }
-}
-
 /// Whether a dispatch outcome is a deadline expiry — the typed
 /// [`ServiceError::DeadlineExceeded`], or an engine verdict that gave up
 /// with [`UnknownReason::DeadlineExceeded`]. Routes the latency sample
@@ -423,36 +402,33 @@ fn splitmix64(seed: u64) -> u64 {
 /// The pause before retry `attempt` (0-based): an exponential base
 /// (100 µs · 2^attempt) plus a deterministic jitter in `[0, 100 µs)` drawn
 /// from `(seed, attempt)`. `None` once attempts are exhausted or the pause
-/// would sleep past `deadline` — the caller should give up instead.
-fn retry_backoff(seed: u64, attempt: u64, deadline: Instant) -> Option<Duration> {
+/// would sleep past `deadline` (if any) — the caller should give up instead.
+fn retry_backoff(seed: u64, attempt: u64, deadline: Option<Instant>) -> Option<Duration> {
     if attempt + 1 >= RETRY_ATTEMPTS {
         return None;
     }
     let base_micros = 100u64 << attempt.min(8);
     let jitter_micros = splitmix64(seed ^ attempt.wrapping_mul(0x9e37_79b9_7f4a_7c15)) % 100;
     let pause = Duration::from_micros(base_micros + jitter_micros);
+    let Some(deadline) = deadline else {
+        return Some(pause);
+    };
     let remaining = deadline.checked_duration_since(Instant::now())?;
     (pause < remaining).then_some(pause)
 }
 
-/// One queued request: who asks, what they ask, and the channel the answer
-/// goes back on — the envelope [`ContainmentService::serve`] consumes.
-/// Built by [`ServiceClient::call`]; construct it directly only when
-/// driving `serve` over a hand-rolled channel.
+/// What a worker sends back for one request.
+type Reply = Result<ServiceResponse, ServiceError>;
+
+/// One queued request: who asks, what they ask, the channel the answer goes
+/// back on, and the absolute deadline for answering (`None` = no limit).
+/// Built by [`PoolClient`] calls and consumed by pool workers.
 #[derive(Debug)]
-pub struct ServiceEnvelope {
-    /// The requesting tenant.
-    pub tenant: TenantId,
-    /// The request itself.
-    pub request: ServiceRequest,
-    /// Where the response goes. Errors arrive folded in as
-    /// [`ServiceResponse::Error`].
-    pub reply: mpsc::Sender<ServiceResponse>,
-    /// The absolute deadline for answering, if any: the serve loop refuses
-    /// expired envelopes with [`ServiceError::DeadlineExceeded`] and runs
-    /// `Check`/`Matrix` requests under an engine [`CancelToken`] bound to
-    /// it. Set by [`ServiceClient::call_timeout`]; `None` means no limit.
-    pub deadline: Option<Instant>,
+struct ServiceEnvelope {
+    tenant: TenantId,
+    request: ServiceRequest,
+    reply: mpsc::Sender<Reply>,
+    deadline: Option<Instant>,
 }
 
 /// The full metrics surface of a [`ContainmentService`]: the engine's
@@ -470,8 +446,8 @@ pub struct ServiceStats {
     /// Requests rejected with [`ServiceError::Overloaded`] by clients of
     /// this service's bounded queues.
     pub rejected: u64,
-    /// Re-sends performed by [`ServiceClient::call_timeout`]-style retry
-    /// loops after an [`ServiceError::Overloaded`] rejection.
+    /// Re-sends performed by [`PoolClient::call_timeout`] retry loops after
+    /// an [`ServiceError::Overloaded`] rejection.
     pub retries: u64,
     /// Retry loops that exhausted their backoff budget and surfaced
     /// [`ServiceError::Overloaded`] to the caller anyway.
@@ -595,8 +571,9 @@ impl ContainmentService {
     }
 
     /// A service over a fresh engine with the given options. Production
-    /// deployments set [`EngineOptions::cache_budget`] here — a service
-    /// lives long enough for unbounded caches to matter.
+    /// deployments set a
+    /// [cache budget](shapex_core::engine::EngineOptionsBuilder::cache_budget)
+    /// here — a service lives long enough for unbounded caches to matter.
     pub fn with_options(options: EngineOptions) -> ContainmentService {
         ContainmentService::from_engine(Arc::new(ContainmentEngine::with_options(options)))
     }
@@ -660,9 +637,9 @@ impl ContainmentService {
 
     /// Answer one request on behalf of a tenant. Pure dispatch onto the
     /// engine plus the tenant bookkeeping: safe to call from any number of
-    /// threads at once, with or without
-    /// [`serve`](ContainmentService::serve) running elsewhere. Every call —
-    /// errors included — is recorded in the latency histogram.
+    /// threads at once, with or without a [`ServicePool`] serving the same
+    /// service. Every call — errors included — is recorded in the latency
+    /// histogram.
     pub fn handle(
         &self,
         tenant: TenantId,
@@ -674,13 +651,12 @@ impl ContainmentService {
     /// [`handle`](ContainmentService::handle) under an optional absolute
     /// deadline. An already-expired deadline is refused with
     /// [`ServiceError::DeadlineExceeded`] before the engine runs (the queue
-    /// wait consumed the budget); otherwise [`ServiceRequest::Check`] and
-    /// [`ServiceRequest::Matrix`] run under an engine [`CancelToken`] bound
-    /// to the deadline, so an expiry mid-search surfaces within a bounded
-    /// checkpoint interval as a typed [`UnknownReason::DeadlineExceeded`]
-    /// verdict. Expired requests are recorded in the
-    /// [`ServiceStats::timeouts`] histogram instead of the main one.
-    pub fn handle_with_deadline(
+    /// wait consumed the budget); otherwise the request runs under one
+    /// [`CancelToken`] bound to the deadline, so an expiry mid-search
+    /// surfaces within a bounded checkpoint interval as a typed answer.
+    /// Expired requests are recorded in the [`ServiceStats::timeouts`]
+    /// histogram instead of the main one.
+    fn handle_with_deadline(
         &self,
         tenant: TenantId,
         request: ServiceRequest,
@@ -690,7 +666,8 @@ impl ContainmentService {
         let response = if deadline.is_some_and(|deadline| deadline <= started) {
             Err(ServiceError::DeadlineExceeded)
         } else {
-            self.dispatch(tenant, request, deadline)
+            let cancel = deadline.map(CancelToken::with_deadline);
+            self.dispatch(tenant, request, cancel.as_ref())
         };
         let histogram = if expired(&response) {
             &self.state.timeouts
@@ -701,11 +678,14 @@ impl ContainmentService {
         response
     }
 
+    /// Run one request. `cancel` — the request's deadline token, if any —
+    /// bounds [`ServiceRequest::Check`], [`ServiceRequest::Matrix`] and the
+    /// incremental repair of [`ServiceRequest::Revalidate`].
     fn dispatch(
         &self,
         tenant: TenantId,
         request: ServiceRequest,
-        deadline: Option<Instant>,
+        cancel: Option<&CancelToken>,
     ) -> Result<ServiceResponse, ServiceError> {
         match request {
             ServiceRequest::Register(schema) => {
@@ -723,27 +703,13 @@ impl ContainmentService {
             ServiceRequest::Check { h, k } => {
                 self.checked(tenant, h)?;
                 self.checked(tenant, k)?;
-                let answer = match deadline {
-                    Some(deadline) => self.engine.check_ids_cancellable(
-                        h,
-                        k,
-                        &CancelToken::with_deadline(deadline),
-                    ),
-                    None => self.engine.check_ids(h, k),
-                };
-                Ok(ServiceResponse::Answer(answer))
+                Ok(ServiceResponse::Answer(self.engine.check_ids(h, k, cancel)))
             }
             ServiceRequest::Matrix(ids) => {
                 for &id in &ids {
                     self.checked(tenant, id)?;
                 }
-                let matrix = match deadline {
-                    Some(deadline) => {
-                        let remaining = deadline.saturating_duration_since(Instant::now());
-                        self.engine.check_matrix_ids_deadline(&ids, remaining)
-                    }
-                    None => self.engine.check_matrix_ids(&ids),
-                };
+                let matrix = self.engine.check_matrix_ids(&ids, cancel);
                 Ok(ServiceResponse::Matrix(matrix))
             }
             ServiceRequest::LoadTriples { graph, chunk } => {
@@ -817,7 +783,13 @@ impl ContainmentService {
                             synced: dirty.len(),
                         });
                         let affected = if slot.synced < dirty.len() {
-                            let n = slot.typing.apply(g, &definition, &dirty[slot.synced..]);
+                            // An expired repair poisons the typing and
+                            // leaves `synced` behind, so the next call
+                            // rebuilds it from scratch.
+                            let n = slot
+                                .typing
+                                .try_apply(g, &definition, &dirty[slot.synced..], cancel)
+                                .ok_or(ServiceError::DeadlineExceeded)?;
                             slot.synced = dirty.len();
                             n
                         } else {
@@ -883,48 +855,6 @@ impl ContainmentService {
         f(&mut entry)
     }
 
-    /// A client onto this service's serve loop over a *bounded* queue of
-    /// `capacity` in-flight requests, plus the receiver to hand to
-    /// [`serve`](ContainmentService::serve) (on a dedicated thread).
-    /// Clients are cheap to clone; clones share the queue and the tenant.
-    pub fn connect(
-        &self,
-        tenant: TenantId,
-        capacity: usize,
-    ) -> (ServiceClient, mpsc::Receiver<ServiceEnvelope>) {
-        let (requests, receiver) = mpsc::sync_channel(capacity.max(1));
-        (
-            ServiceClient {
-                requests,
-                tenant,
-                state: self.state.clone(),
-            },
-            receiver,
-        )
-    }
-
-    /// The synchronous request loop: answer every envelope until all
-    /// request senders are dropped, then return. Errors are folded into
-    /// [`ServiceResponse::Error`]; a client that hung up before its
-    /// response arrived is skipped silently. Run it on a dedicated thread
-    /// (or several — clones share the engine) and hand clients the sender
-    /// side of the channel.
-    pub fn serve(&self, requests: mpsc::Receiver<ServiceEnvelope>) {
-        for ServiceEnvelope {
-            tenant,
-            request,
-            reply,
-            deadline,
-        } in requests
-        {
-            let response = match self.handle_with_deadline(tenant, request, deadline) {
-                Ok(response) => response,
-                Err(error) => ServiceResponse::from(error),
-            };
-            let _ = reply.send(response);
-        }
-    }
-
     /// Range-check a client-supplied handle, then scope-check it against
     /// the requesting tenant.
     fn checked(&self, tenant: TenantId, id: SchemaId) -> Result<(), ServiceError> {
@@ -946,166 +876,23 @@ impl ContainmentService {
     }
 }
 
-/// A tenant's handle onto a serving [`ContainmentService`], from
-/// [`ContainmentService::connect`]: requests go through the bounded queue,
-/// responses come back on a per-call reply channel. [`ServiceClient::call`]
-/// rejects immediately with [`ServiceError::Overloaded`] when the queue is
-/// full — backpressure as an explicit, typed signal;
-/// [`ServiceClient::call_blocking`] waits for a slot instead.
-#[derive(Debug, Clone)]
-pub struct ServiceClient {
-    requests: mpsc::SyncSender<ServiceEnvelope>,
-    tenant: TenantId,
-    state: Arc<ServiceState>,
-}
-
-impl ServiceClient {
-    /// The tenant this client requests as.
-    pub fn tenant(&self) -> TenantId {
-        self.tenant
-    }
-
-    /// The raw envelope sender behind this client — for hand-rolled
-    /// transports that build [`ServiceEnvelope`]s themselves. Sends count
-    /// against the same bounded capacity as [`ServiceClient::call`].
-    pub fn sender(&self) -> &mpsc::SyncSender<ServiceEnvelope> {
-        &self.requests
-    }
-
-    /// Send one request and wait for its response, failing *fast* with
-    /// [`ServiceError::Overloaded`] (counted in the stats) when the queue
-    /// is full. Service-side errors come back on the `Err` side, unfolded
-    /// from the response stream.
-    pub fn call(&self, request: ServiceRequest) -> Result<ServiceResponse, ServiceError> {
-        let (reply, responses) = mpsc::channel();
-        let envelope = ServiceEnvelope {
-            tenant: self.tenant,
-            request,
-            reply,
-            deadline: None,
-        };
-        match self.requests.try_send(envelope) {
-            Ok(()) => {}
-            Err(mpsc::TrySendError::Full(_)) => {
-                self.state.rejected.fetch_add(1, Ordering::Relaxed);
-                return Err(ServiceError::Overloaded);
-            }
-            Err(mpsc::TrySendError::Disconnected(_)) => return Err(ServiceError::Disconnected),
-        }
-        Self::unfold(responses.recv().map_err(|_| ServiceError::Disconnected)?)
-    }
-
-    /// Like [`ServiceClient::call`], but block for a queue slot instead of
-    /// rejecting — for batch producers that prefer waiting over shedding.
-    ///
-    /// **Hazard:** this parks *unboundedly*, twice over — first for a queue
-    /// slot, then for the reply. If the serve loop is wedged or slow, the
-    /// caller waits forever; nothing bounds either wait. Interactive
-    /// callers should use [`ServiceClient::call_timeout`], which bounds
-    /// both and turns a missed budget into a typed error.
-    pub fn call_blocking(&self, request: ServiceRequest) -> Result<ServiceResponse, ServiceError> {
-        let (reply, responses) = mpsc::channel();
-        let envelope = ServiceEnvelope {
-            tenant: self.tenant,
-            request,
-            reply,
-            deadline: None,
-        };
-        self.requests
-            .send(envelope)
-            .map_err(|_| ServiceError::Disconnected)?;
-        Self::unfold(responses.recv().map_err(|_| ServiceError::Disconnected)?)
-    }
-
-    /// Send one request under a wall-clock budget. The envelope carries an
-    /// absolute deadline `timeout` from now; [`ServiceError::Overloaded`]
-    /// is retried with bounded, deterministically-jittered exponential
-    /// backoff (each re-send counted in [`ServiceStats::retries`],
-    /// exhaustion in [`ServiceStats::retry_gave_up`]); and a reply that
-    /// misses the budget comes back as [`ServiceError::DeadlineExceeded`]
-    /// — this call never parks unboundedly. An engine-level expiry that
-    /// still answers in time arrives as [`ServiceResponse::Answer`] with
-    /// an [`UnknownReason::DeadlineExceeded`] verdict. Note that a
-    /// client-side timeout does not revoke the queued request: the server
-    /// still dispatches it (and its deadline) eventually, answering into a
-    /// dropped channel.
-    pub fn call_timeout(
-        &self,
-        request: ServiceRequest,
-        timeout: Duration,
-    ) -> Result<ServiceResponse, ServiceError> {
-        let deadline = Instant::now()
-            .checked_add(timeout)
-            .expect("deadline overflows the monotonic clock");
-        let (reply, responses) = mpsc::channel();
-        let mut envelope = ServiceEnvelope {
-            tenant: self.tenant,
-            request,
-            reply,
-            deadline: Some(deadline),
-        };
-        let mut attempt = 0;
-        loop {
-            match self.requests.try_send(envelope) {
-                Ok(()) => break,
-                Err(mpsc::TrySendError::Full(back)) => {
-                    envelope = back;
-                    let seed = (u64::from(self.tenant.0) << 32)
-                        ^ self.state.retries.load(Ordering::Relaxed);
-                    let Some(pause) = retry_backoff(seed, attempt, deadline) else {
-                        self.state.retry_gave_up.fetch_add(1, Ordering::Relaxed);
-                        self.state.rejected.fetch_add(1, Ordering::Relaxed);
-                        return Err(ServiceError::Overloaded);
-                    };
-                    self.state.retries.fetch_add(1, Ordering::Relaxed);
-                    std::thread::sleep(pause);
-                    attempt += 1;
-                }
-                Err(mpsc::TrySendError::Disconnected(_)) => return Err(ServiceError::Disconnected),
-            }
-        }
-        Self::recv_deadline(&responses, deadline)
-    }
-
-    /// Wait for a reply until `deadline`, mapping a missed budget onto
-    /// [`ServiceError::DeadlineExceeded`].
-    fn recv_deadline(
-        responses: &mpsc::Receiver<ServiceResponse>,
-        deadline: Instant,
-    ) -> Result<ServiceResponse, ServiceError> {
-        let remaining = deadline.saturating_duration_since(Instant::now());
-        match responses.recv_timeout(remaining) {
-            Ok(response) => Self::unfold(response),
-            Err(mpsc::RecvTimeoutError::Timeout) => Err(ServiceError::DeadlineExceeded),
-            Err(mpsc::RecvTimeoutError::Disconnected) => Err(ServiceError::Disconnected),
-        }
-    }
-
-    /// Lift a folded [`ServiceResponse::Error`] back onto the `Err` side.
-    fn unfold(response: ServiceResponse) -> Result<ServiceResponse, ServiceError> {
-        match response {
-            ServiceResponse::Error(error) => Err(error),
-            other => Ok(other),
-        }
-    }
-}
-
-/// A sharded pool of serve-loop workers over one shared service, from
+/// A pool of supervised serve-loop workers over one shared service, from
 /// [`ContainmentService::pool`]: `N` dedicated threads, each draining its
-/// own bounded queue, all dispatching onto the same engine and caches.
+/// own bounded queue, all dispatching onto the same engine and caches —
+/// every deployment, a single-queue `pool(1, capacity)` included.
 ///
-/// One blocking [`ContainmentService::serve`] loop head-of-line-blocks every
-/// tenant behind whichever request is currently executing — one slow
-/// [`ServiceRequest::Matrix`] stalls the cheapest `Stats` probe. The pool
-/// shards the queues instead: a [`PoolClient`] round-robins fresh requests
+/// One serve loop head-of-line-blocks every tenant behind whichever request
+/// is currently executing — one slow [`ServiceRequest::Matrix`] stalls the
+/// cheapest `Stats` probe. Several workers shard the queues instead: a [`PoolClient`] round-robins fresh requests
 /// across the workers and rotates past full queues, so a slow request delays
 /// only the (bounded) queue behind its own worker. Backpressure stays
 /// per-worker and explicit: [`PoolClient::call`] returns
 /// [`ServiceError::Overloaded`] only when *every* worker queue is full.
 ///
 /// Duplicate concurrent queries landing on different workers coalesce inside
-/// the engine (single-flight, [`EngineOptions::coalesce`]), so sharding the
-/// loop never multiplies the work of a thundering herd.
+/// the engine
+/// ([single-flight](shapex_core::engine::EngineOptionsBuilder::coalesce)), so
+/// sharding the loop never multiplies the work of a thundering herd.
 #[derive(Debug)]
 pub struct ServicePool {
     service: ContainmentService,
@@ -1207,12 +994,12 @@ impl ContainmentService {
             }));
             match outcome {
                 Ok(response) => {
-                    let _ = reply.send(response.unwrap_or_else(ServiceResponse::from));
+                    let _ = reply.send(response);
                 }
                 Err(payload) => {
                     // Answer the caller first, then let the supervisor see
                     // the panic and respawn this incarnation.
-                    let _ = reply.send(ServiceResponse::Error(ServiceError::Internal));
+                    let _ = reply.send(Err(ServiceError::Internal));
                     resume_unwind(payload);
                 }
             }
@@ -1254,17 +1041,30 @@ impl ServicePool {
     }
 }
 
-/// A tenant's handle onto a [`ServicePool`]: like [`ServiceClient`], but
-/// requests are placed round-robin across the pool's worker queues, rotating
-/// past full ones. [`PoolClient::call`] rejects with
-/// [`ServiceError::Overloaded`] only when every queue is full;
-/// [`PoolClient::call_blocking`] parks on a queue instead.
+/// A tenant's handle onto a [`ServicePool`]: requests are placed
+/// round-robin across the pool's worker queues, rotating past full ones.
+/// [`PoolClient::call`] rejects with [`ServiceError::Overloaded`] only when
+/// every queue is full; [`PoolClient::call_blocking`] parks on a queue
+/// instead, and [`PoolClient::call_timeout`] backs off and retries within
+/// its budget.
 #[derive(Debug, Clone)]
 pub struct PoolClient {
     senders: Arc<Vec<mpsc::SyncSender<ServiceEnvelope>>>,
     cursor: Arc<AtomicUsize>,
     tenant: TenantId,
     state: Arc<ServiceState>,
+}
+
+/// What a [`PoolClient`] send does once a rotation found every queue full.
+#[derive(Debug, Clone, Copy)]
+enum WhenFull {
+    /// Reject with [`ServiceError::Overloaded`] ([`PoolClient::call`]).
+    Reject,
+    /// Park on the round-robin pick ([`PoolClient::call_blocking`]).
+    Park,
+    /// Back off and rotate again, within the envelope's deadline
+    /// ([`PoolClient::call_timeout`]).
+    Retry,
 }
 
 impl PoolClient {
@@ -1278,37 +1078,7 @@ impl PoolClient {
     /// in the stats) when every worker queue is full, and with
     /// [`ServiceError::Disconnected`] when every worker has exited.
     pub fn call(&self, request: ServiceRequest) -> Result<ServiceResponse, ServiceError> {
-        let (reply, responses) = mpsc::channel();
-        let mut envelope = ServiceEnvelope {
-            tenant: self.tenant,
-            request,
-            reply,
-            deadline: None,
-        };
-        let start = self.cursor.fetch_add(1, Ordering::Relaxed);
-        let mut disconnected = 0;
-        for offset in 0..self.senders.len() {
-            let worker = &self.senders[(start + offset) % self.senders.len()];
-            match worker.try_send(envelope) {
-                Ok(()) => {
-                    return ServiceClient::unfold(
-                        responses.recv().map_err(|_| ServiceError::Disconnected)?,
-                    )
-                }
-                // Rotate to the next queue, reclaiming the envelope the
-                // failed send handed back.
-                Err(mpsc::TrySendError::Full(e)) => envelope = e,
-                Err(mpsc::TrySendError::Disconnected(e)) => {
-                    envelope = e;
-                    disconnected += 1;
-                }
-            }
-        }
-        if disconnected == self.senders.len() {
-            return Err(ServiceError::Disconnected);
-        }
-        self.state.rejected.fetch_add(1, Ordering::Relaxed);
-        Err(ServiceError::Overloaded)
+        self.round_trip(request, None, WhenFull::Reject)
     }
 
     /// Like [`PoolClient::call`], but when every queue is full, park on the
@@ -1319,66 +1089,61 @@ impl PoolClient {
     /// a wedged worker holds the caller forever. Interactive callers
     /// should use [`PoolClient::call_timeout`], which bounds both.
     pub fn call_blocking(&self, request: ServiceRequest) -> Result<ServiceResponse, ServiceError> {
-        let (reply, responses) = mpsc::channel();
-        let mut envelope = ServiceEnvelope {
-            tenant: self.tenant,
-            request,
-            reply,
-            deadline: None,
-        };
-        let start = self.cursor.fetch_add(1, Ordering::Relaxed);
-        // First pass: take any free slot without blocking.
-        for offset in 0..self.senders.len() {
-            let worker = &self.senders[(start + offset) % self.senders.len()];
-            match worker.try_send(envelope) {
-                Ok(()) => {
-                    return ServiceClient::unfold(
-                        responses.recv().map_err(|_| ServiceError::Disconnected)?,
-                    )
-                }
-                Err(mpsc::TrySendError::Full(e)) | Err(mpsc::TrySendError::Disconnected(e)) => {
-                    envelope = e
-                }
-            }
-        }
-        // All full (or gone): park on the round-robin pick.
-        self.senders[start % self.senders.len()]
-            .send(envelope)
-            .map_err(|_| ServiceError::Disconnected)?;
-        ServiceClient::unfold(responses.recv().map_err(|_| ServiceError::Disconnected)?)
+        self.round_trip(request, None, WhenFull::Park)
     }
 
-    /// Like [`ServiceClient::call_timeout`], across the pool: rotate over
-    /// every worker queue, and only when *all* are full back off (bounded
-    /// attempts, deterministic jitter, counted in [`ServiceStats::retries`]
-    /// / [`ServiceStats::retry_gave_up`]) before rotating again. A reply
-    /// that misses the budget is [`ServiceError::DeadlineExceeded`];
-    /// engine-level expiries that answer in time arrive as
+    /// Send one request under a wall-clock budget. The request carries an
+    /// absolute deadline `timeout` from now (a deadline the clock cannot
+    /// represent, such as `Duration::MAX`, means none). When every worker
+    /// queue is full the call backs off (bounded attempts, deterministic
+    /// jitter, counted in [`ServiceStats::retries`] /
+    /// [`ServiceStats::retry_gave_up`]) before rotating again, and a reply
+    /// that misses the budget comes back as
+    /// [`ServiceError::DeadlineExceeded`] — this call never parks past its
+    /// deadline. Engine-level expiries that answer in time arrive as
     /// [`ServiceResponse::Answer`] with an
-    /// [`UnknownReason::DeadlineExceeded`] verdict.
+    /// [`UnknownReason::DeadlineExceeded`] verdict. A client-side timeout
+    /// does not revoke the queued request: a worker still dispatches it
+    /// (and refuses it if its deadline has passed), answering into a dropped
+    /// channel.
     pub fn call_timeout(
         &self,
         request: ServiceRequest,
         timeout: Duration,
     ) -> Result<ServiceResponse, ServiceError> {
-        let deadline = Instant::now()
-            .checked_add(timeout)
-            .expect("deadline overflows the monotonic clock");
+        self.round_trip(
+            request,
+            Instant::now().checked_add(timeout),
+            WhenFull::Retry,
+        )
+    }
+
+    /// The queue rotation behind every call: offer the envelope to each
+    /// worker queue in turn, starting at the next round-robin pick, until
+    /// one accepts it; once a rotation finds every queue full, act as
+    /// `when_full` says. Then wait for the reply, until `deadline` if any.
+    fn round_trip(
+        &self,
+        request: ServiceRequest,
+        deadline: Option<Instant>,
+        when_full: WhenFull,
+    ) -> Result<ServiceResponse, ServiceError> {
         let (reply, responses) = mpsc::channel();
         let mut envelope = ServiceEnvelope {
             tenant: self.tenant,
             request,
             reply,
-            deadline: Some(deadline),
+            deadline,
         };
         let mut attempt = 0;
-        'rounds: loop {
+        loop {
             let start = self.cursor.fetch_add(1, Ordering::Relaxed);
             let mut disconnected = 0;
             for offset in 0..self.senders.len() {
-                let worker = &self.senders[(start + offset) % self.senders.len()];
-                match worker.try_send(envelope) {
-                    Ok(()) => break 'rounds,
+                match self.senders[(start + offset) % self.senders.len()].try_send(envelope) {
+                    Ok(()) => return Self::receive(&responses, deadline),
+                    // Rotate to the next queue, reclaiming the envelope the
+                    // failed send handed back.
                     Err(mpsc::TrySendError::Full(back)) => envelope = back,
                     Err(mpsc::TrySendError::Disconnected(back)) => {
                         envelope = back;
@@ -1389,18 +1154,45 @@ impl PoolClient {
             if disconnected == self.senders.len() {
                 return Err(ServiceError::Disconnected);
             }
-            let seed =
-                (u64::from(self.tenant.0) << 32) ^ self.state.retries.load(Ordering::Relaxed);
-            let Some(pause) = retry_backoff(seed, attempt, deadline) else {
-                self.state.retry_gave_up.fetch_add(1, Ordering::Relaxed);
-                self.state.rejected.fetch_add(1, Ordering::Relaxed);
-                return Err(ServiceError::Overloaded);
-            };
-            self.state.retries.fetch_add(1, Ordering::Relaxed);
-            std::thread::sleep(pause);
-            attempt += 1;
+            match when_full {
+                WhenFull::Reject => {}
+                WhenFull::Park => {
+                    self.senders[start % self.senders.len()]
+                        .send(envelope)
+                        .map_err(|_| ServiceError::Disconnected)?;
+                    return Self::receive(&responses, deadline);
+                }
+                WhenFull::Retry => {
+                    let seed = (u64::from(self.tenant.0) << 32)
+                        ^ self.state.retries.load(Ordering::Relaxed);
+                    if let Some(pause) = retry_backoff(seed, attempt, deadline) {
+                        self.state.retries.fetch_add(1, Ordering::Relaxed);
+                        std::thread::sleep(pause);
+                        attempt += 1;
+                        continue;
+                    }
+                    self.state.retry_gave_up.fetch_add(1, Ordering::Relaxed);
+                }
+            }
+            self.state.rejected.fetch_add(1, Ordering::Relaxed);
+            return Err(ServiceError::Overloaded);
         }
-        ServiceClient::recv_deadline(&responses, deadline)
+    }
+
+    /// Wait for a reply — until `deadline` if there is one, mapping a missed
+    /// budget onto [`ServiceError::DeadlineExceeded`].
+    fn receive(
+        responses: &mpsc::Receiver<Reply>,
+        deadline: Option<Instant>,
+    ) -> Result<ServiceResponse, ServiceError> {
+        let Some(deadline) = deadline else {
+            return responses.recv().map_err(|_| ServiceError::Disconnected)?;
+        };
+        match responses.recv_timeout(deadline.saturating_duration_since(Instant::now())) {
+            Ok(reply) => reply,
+            Err(mpsc::RecvTimeoutError::Timeout) => Err(ServiceError::DeadlineExceeded),
+            Err(mpsc::RecvTimeoutError::Disconnected) => Err(ServiceError::Disconnected),
+        }
     }
 }
 
@@ -1523,60 +1315,8 @@ mod tests {
             Err(ServiceError::UnknownTenant(t)) => assert_eq!(t, ghost),
             other => panic!("expected UnknownTenant, got {other:?}"),
         }
-        // Errors render and fold into responses.
-        let folded = ServiceResponse::from(ServiceError::Overloaded);
-        assert!(matches!(
-            folded,
-            ServiceResponse::Error(ServiceError::Overloaded)
-        ));
+        // Errors render.
         assert!(format!("{}", ServiceError::Overloaded).contains("queue is full"));
-    }
-
-    #[test]
-    fn serve_loop_answers_concurrent_clients() {
-        let service = ContainmentService::new();
-        let (client, requests) = service.connect(TenantId::DEFAULT, 64);
-        std::thread::scope(|scope| {
-            let server = {
-                let service = service.clone();
-                scope.spawn(move || service.serve(requests))
-            };
-            let texts = ["T -> p::L?\nL -> EMPTY\n", "T -> p::L\nL -> EMPTY\n"];
-            let mut workers = Vec::new();
-            for _ in 0..3 {
-                let client = client.clone();
-                workers.push(scope.spawn(move || {
-                    let mut ids = Vec::new();
-                    for t in texts {
-                        let request = ServiceRequest::Register(Box::new(parse_schema(t).unwrap()));
-                        match client.call_blocking(request).unwrap() {
-                            ServiceResponse::Registered(id) => ids.push(id),
-                            other => panic!("expected Registered, got {other:?}"),
-                        }
-                    }
-                    match client
-                        .call(ServiceRequest::Check {
-                            h: ids[1],
-                            k: ids[0],
-                        })
-                        .unwrap()
-                    {
-                        ServiceResponse::Answer(answer) => {
-                            assert!(answer.is_contained(), "1 is within ?")
-                        }
-                        other => panic!("expected Answer, got {other:?}"),
-                    }
-                }));
-            }
-            for worker in workers {
-                worker.join().unwrap();
-            }
-            drop(client); // all clients hung up; the server returns
-            server.join().unwrap();
-        });
-        // Identical registrations from all clients interned onto one pair.
-        assert_eq!(service.engine().schema_count(), 2);
-        assert!(service.stats().latency.count() >= 9);
     }
 
     /// The evolving-graph fixture: `u1` with a `name` and an `email` edge
@@ -1743,12 +1483,28 @@ mod tests {
         assert_eq!(report.added_nodes, 1, "a and b survived the bad chunk");
     }
 
+    /// A hand-wired one-queue client whose queue nothing drains: the test
+    /// holds the receiving end, so fullness is deterministic.
+    fn one_queue_client(
+        service: &ContainmentService,
+        capacity: usize,
+    ) -> (PoolClient, mpsc::Receiver<ServiceEnvelope>) {
+        let (sender, requests) = mpsc::sync_channel(capacity);
+        let client = PoolClient {
+            senders: Arc::new(vec![sender]),
+            cursor: Arc::new(AtomicUsize::new(0)),
+            tenant: TenantId::DEFAULT,
+            state: Arc::clone(&service.state),
+        };
+        (client, requests)
+    }
+
     #[test]
     fn full_queue_rejects_with_overloaded() {
         let service = ContainmentService::new();
         // Capacity-1 queue with no server draining it: the first request
         // parks in the queue, the second must be rejected, not queued.
-        let (client, _requests) = service.connect(TenantId::DEFAULT, 1);
+        let (client, _requests) = one_queue_client(&service, 1);
         let fire = || {
             let (reply, _responses) = mpsc::channel();
             ServiceEnvelope {
@@ -1759,7 +1515,7 @@ mod tests {
             }
         };
         // Fill the queue directly (client.call would block on recv).
-        client.sender().try_send(fire()).unwrap();
+        client.senders[0].try_send(fire()).unwrap();
         match client.call(ServiceRequest::Stats) {
             Err(ServiceError::Overloaded) => {}
             other => panic!("expected Overloaded, got {other:?}"),
@@ -1845,9 +1601,7 @@ mod tests {
                 let service = service.clone();
                 scope.spawn(move || {
                     let envelope = receiver_b.recv().unwrap();
-                    let response = service
-                        .handle(envelope.tenant, envelope.request)
-                        .unwrap_or_else(ServiceResponse::from);
+                    let response = service.handle(envelope.tenant, envelope.request);
                     envelope.reply.send(response).unwrap();
                     receiver_b // keep B's queue alive past this one answer
                 })
@@ -1936,7 +1690,7 @@ mod tests {
         let service = ContainmentService::new();
         // Capacity-1 queue, nothing draining it: every retry finds it still
         // full and the loop gives up with a typed rejection.
-        let (client, _requests) = service.connect(TenantId::DEFAULT, 1);
+        let (client, _requests) = one_queue_client(&service, 1);
         let fire = || {
             let (reply, _responses) = mpsc::channel();
             ServiceEnvelope {
@@ -1946,7 +1700,7 @@ mod tests {
                 deadline: None,
             }
         };
-        client.sender().try_send(fire()).unwrap();
+        client.senders[0].try_send(fire()).unwrap();
         match client.call_timeout(ServiceRequest::Stats, Duration::from_millis(250)) {
             Err(ServiceError::Overloaded) => {}
             other => panic!("expected Overloaded, got {other:?}"),
@@ -1961,7 +1715,7 @@ mod tests {
         assert_eq!(stats.rejected, 1);
         // A free slot but still no server: the bounded reply wait expires
         // typed instead of parking forever.
-        let (client, _requests) = service.connect(TenantId::DEFAULT, 4);
+        let (client, _requests) = one_queue_client(&service, 4);
         match client.call_timeout(ServiceRequest::Stats, Duration::from_millis(5)) {
             Err(ServiceError::DeadlineExceeded) => {}
             other => panic!("expected DeadlineExceeded, got {other:?}"),
@@ -1974,13 +1728,65 @@ mod tests {
     }
 
     #[test]
+    fn call_timeout_with_an_unrepresentable_deadline_waits_without_one() {
+        let service = ContainmentService::new();
+        let pool = service.pool(1, 4);
+        let client = pool.client(TenantId::DEFAULT);
+        match client.call_timeout(ServiceRequest::Stats, Duration::MAX) {
+            Ok(ServiceResponse::Stats(stats)) => assert_eq!(stats.timeouts.count(), 0),
+            other => panic!("expected Stats, got {other:?}"),
+        }
+        drop(client);
+        pool.join();
+    }
+
+    #[test]
+    fn expired_revalidate_answers_deadline_exceeded_and_the_next_one_rebuilds() {
+        let service = ContainmentService::new();
+        let schema = user_schema_id(&service, TenantId::DEFAULT);
+        let doc = b"<u1> <name> \"n\" .\n<u1> <email> \"e\" .\n";
+        let (graph, ..) = load(&service, TenantId::DEFAULT, None, doc).unwrap();
+        assert!(revalidate(&service, TenantId::DEFAULT, graph, schema).0);
+        let mut delta = GraphDelta::new();
+        delta.remove_edge("u1", "email", "\"e\"");
+        let request = ServiceRequest::ApplyDelta {
+            graph,
+            delta: Box::new(delta),
+        };
+        service.handle(TenantId::DEFAULT, request).unwrap();
+        // An already-fired token stops the repair at its first node.
+        let expired = CancelToken::new();
+        expired.cancel();
+        let request = ServiceRequest::Revalidate { graph, schema };
+        match service.dispatch(TenantId::DEFAULT, request, Some(&expired)) {
+            Err(ServiceError::DeadlineExceeded) => {}
+            other => panic!("expected DeadlineExceeded, got {other:?}"),
+        }
+        // The next plain Revalidate rebuilds the poisoned typing in full and
+        // agrees with validating the graph from scratch.
+        let (valid, affected) = revalidate(&service, TenantId::DEFAULT, graph, schema);
+        let definition = service.engine().schema(schema);
+        let (scratch, nodes) = service
+            .with_graph(TenantId::DEFAULT, graph, |entry| {
+                Ok((
+                    shapex_shex::validates(&entry.graph, &definition),
+                    entry.graph.node_count(),
+                ))
+            })
+            .unwrap();
+        assert_eq!(valid, scratch);
+        assert!(!valid, "without the email edge u1 has no type");
+        assert_eq!(affected, nodes, "the poisoned typing is rebuilt in full");
+    }
+
+    #[test]
     fn retry_backoff_is_deterministic_and_bounded() {
         let deadline = Instant::now() + Duration::from_secs(60);
         let a: Vec<_> = (0..RETRY_ATTEMPTS)
-            .map(|i| retry_backoff(7, i, deadline))
+            .map(|i| retry_backoff(7, i, Some(deadline)))
             .collect();
         let b: Vec<_> = (0..RETRY_ATTEMPTS)
-            .map(|i| retry_backoff(7, i, deadline))
+            .map(|i| retry_backoff(7, i, Some(deadline)))
             .collect();
         assert_eq!(a, b, "equal (seed, attempt) pairs pause equally");
         assert!(a[..(RETRY_ATTEMPTS - 1) as usize]
@@ -1992,7 +1798,7 @@ mod tests {
             "attempts are bounded"
         );
         // An imminent deadline suppresses the pause entirely.
-        assert_eq!(retry_backoff(7, 0, Instant::now()), None);
+        assert_eq!(retry_backoff(7, 0, Some(Instant::now())), None);
     }
 
     /// Chaos tests arm the process-global fault registry; they exist only
