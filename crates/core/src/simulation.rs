@@ -24,12 +24,14 @@
 //!   of rescanning the full product. Pairs are deduplicated in the queue by
 //!   a dirty bitset.
 //!
-//! Witness checks reuse one [`FlowScratch`] (or one per worker), so the
-//! steady state performs no allocation. The initial pass over all candidate
-//! pairs is embarrassingly parallel across `G`-rows;
-//! [`SimulationOptions::threads`] gates a `std::thread` worker pool for it
-//! (no external dependencies), and the result is identical regardless of the
-//! thread count.
+//! Each witness check is one [`FlowScratch::solve`] call on a reused scratch
+//! (one per worker), so the steady state performs no allocation. When every
+//! out-edge of `n` has at most one candidate edge of `m` — always so when no
+//! label repeats among `m`'s out-edges — the routing is forced and no flow
+//! network is built. The initial pass over all candidate pairs is
+//! embarrassingly parallel across `G`-rows; [`SimulationOptions::threads`]
+//! gates a `std::thread` worker pool for it (no external dependencies), and
+//! the result is identical regardless of the thread count.
 
 use std::collections::{BTreeSet, VecDeque};
 
@@ -252,9 +254,6 @@ struct GraphIndex {
     out_label: Vec<u32>,
     out_target: Vec<u32>,
     out_occur: Vec<Interval>,
-    /// Whether all out-intervals of the node are basic (`1 ? + *`), choosing
-    /// between the polynomial and the backtracking witness solver.
-    all_basic: Vec<bool>,
     /// `node → [in_group_start[n], in_group_start[n+1])` slice of
     /// `in_groups`; each group is `(label, start, end)` into `in_source`.
     in_group_start: Vec<u32>,
@@ -269,7 +268,6 @@ impl GraphIndex {
         let mut out_label = Vec::with_capacity(graph.edge_count());
         let mut out_target = Vec::with_capacity(graph.edge_count());
         let mut out_occur = Vec::with_capacity(graph.edge_count());
-        let mut all_basic = Vec::with_capacity(n);
         let mut slots: Vec<(u32, u32, Interval)> = Vec::new();
         out_start.push(0);
         for node in graph.nodes() {
@@ -284,7 +282,6 @@ impl GraphIndex {
                 }
             }
             slots.sort_unstable_by_key(|&(l, t, _)| (l, t));
-            all_basic.push(slots.iter().all(|&(_, _, occur)| occur.is_basic()));
             for &(l, t, occur) in &slots {
                 out_label.push(l);
                 out_target.push(t);
@@ -326,7 +323,6 @@ impl GraphIndex {
             out_label,
             out_target,
             out_occur,
-            all_basic,
             in_group_start,
             in_groups,
             in_source,
@@ -430,11 +426,7 @@ fn has_witness(
                 Some(r) => r.contains(g_target[v] as usize, h_target[u] as usize),
             }
     };
-    if gi.all_basic[n] && hi.all_basic[m] {
-        scratch.solve_basic(compatible)
-    } else {
-        scratch.solve_general(compatible)
-    }
+    scratch.solve(compatible)
 }
 
 /// One row of the initial pass: prune by label signature, then check the

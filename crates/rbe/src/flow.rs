@@ -18,12 +18,21 @@
 //! * [`general_assignment`] solves the problem for arbitrary intervals by
 //!   backtracking search; the problem is NP-complete in that generality
 //!   (Theorem 3.5).
+//! * *Forced routing*, the first pass of [`FlowScratch::solve`], decides
+//!   every instance in which no source has two compatible sinks — always
+//!   the case for deterministic definitions, where no label occurs twice. A
+//!   source with no compatible sink makes the instance infeasible;
+//!   otherwise the routing is unique, so the instance is feasible iff that
+//!   routing's loads fit every sink. No network is built, whatever the
+//!   intervals.
 //!
 //! Hot callers (the simulation engine of `shapex-core` re-checks witnesses
-//! for thousands of node pairs) should use a [`FlowScratch`]: it owns every
-//! buffer both solvers need, so repeated calls perform no allocation once the
-//! buffers have grown to the workload's high-water mark. The two free
-//! functions above are thin wrappers that build a fresh scratch per call.
+//! for thousands of node pairs, the typing fixpoint of `shapex-shex` checks
+//! every `(node, type)` pair) should call [`FlowScratch::solve`]: it owns
+//! every buffer the solvers need, so repeated calls perform no allocation
+//! once the buffers have grown to the workload's high-water mark. The two
+//! free functions above are the reference solvers, thin wrappers that build
+//! a fresh scratch per call.
 
 use crate::interval::Interval;
 
@@ -83,10 +92,11 @@ pub struct FlowScratch {
     /// Sink intervals; filled by the caller between `clear` and `solve`.
     pub sinks: Vec<Interval>,
     assignment: Vec<usize>,
+    /// Per-sink loads of the forced-routing pass and the backtracking solver.
+    loads: Vec<SinkLoad>,
     // Backtracking-solver buffers.
     compat: Vec<Vec<usize>>,
     potential_lo: Vec<u64>,
-    loads: Vec<SinkLoad>,
     order: Vec<usize>,
     // Basic-solver buffers.
     net: LowerBoundFlow,
@@ -115,10 +125,17 @@ impl FlowScratch {
         &self.assignment[..self.sources.len().min(self.assignment.len())]
     }
 
-    /// Decide whether a valid routing of `sources` into `sinks` exists,
-    /// dispatching to the polynomial solver when every interval is basic and
-    /// to the backtracking solver otherwise.
+    /// Decide whether a valid routing of `sources` into `sinks` exists.
+    ///
+    /// A first pass scans the sources in order and builds no flow network.
+    /// A source with no compatible sink answers `false`. A source with two or
+    /// more hands the instance to the polynomial solver when every interval
+    /// is basic and to the backtracking solver otherwise. When every source
+    /// has exactly one, the routing is forced and only its loads are checked.
     pub fn solve(&mut self, compatible: impl Fn(usize, usize) -> bool) -> bool {
+        if let Some(answer) = self.solve_forced(&compatible) {
+            return answer;
+        }
         let all_basic = self
             .sources
             .iter()
@@ -129,6 +146,50 @@ impl FlowScratch {
         } else {
             self.solve_general(compatible)
         }
+    }
+
+    /// The forced-routing pass of [`FlowScratch::solve`]: `None` as soon as
+    /// a source has two or more compatible sinks (a real choice), otherwise
+    /// the answer. A source with no compatible sink makes the instance
+    /// infeasible; when each source has exactly one, the routing is unique,
+    /// so it is feasible iff every sink's load fits its interval.
+    fn solve_forced(&mut self, compatible: &impl Fn(usize, usize) -> bool) -> Option<bool> {
+        let n_sinks = self.sinks.len();
+        self.assignment.clear();
+        self.loads.clear();
+        self.loads.resize(n_sinks, SinkLoad::default());
+        for (v, &source) in self.sources.iter().enumerate() {
+            let mut sinks = (0..n_sinks).filter(|&u| compatible(v, u));
+            match (sinks.next(), sinks.next()) {
+                (Some(u), None) => {
+                    self.loads[u].add(source);
+                    self.assignment.push(u);
+                }
+                (None, _) => {
+                    self.assignment.clear();
+                    return Some(false);
+                }
+                (Some(_), Some(_)) => {
+                    self.assignment.clear();
+                    return None;
+                }
+            }
+        }
+        let fits = self
+            .loads
+            .iter()
+            .zip(self.sinks.iter())
+            .all(|(load, sink)| load.fits(*sink));
+        if fits {
+            debug_assert!(verify_assignment(
+                &self.sources,
+                &self.sinks,
+                &self.assignment
+            ));
+        } else {
+            self.assignment.clear();
+        }
+        Some(fits)
     }
 
     /// The polynomial feasible-circulation solver (Theorem 3.4).
@@ -376,12 +437,14 @@ fn general_search(
     false
 }
 
-/// Solve the assignment problem for **basic** intervals in polynomial time.
+/// Solve the assignment problem for **basic** intervals in polynomial time:
+/// the reference solver for Theorem 3.4, always through the max-flow
+/// network.
 ///
 /// `compatible(v, u)` tells whether source `v` may be routed to sink `u`.
 /// Returns the assignment (`result[v] = u`) or `None` when no valid routing
 /// exists. Allocates a fresh [`FlowScratch`] per call; hot loops should hold
-/// a scratch and call [`FlowScratch::solve_basic`] directly.
+/// a scratch and call [`FlowScratch::solve`].
 ///
 /// # Panics
 /// Panics if any interval is not basic (`1`, `?`, `+`, `*`); use
@@ -401,12 +464,12 @@ pub fn basic_assignment(
     }
 }
 
-/// Solve the assignment problem for arbitrary intervals by backtracking.
+/// Solve the assignment problem for arbitrary intervals by backtracking: the
+/// reference solver for Theorem 3.5.
 ///
 /// Sound and complete, but exponential in the worst case (the problem is
 /// NP-complete, Theorem 3.5). Allocates a fresh [`FlowScratch`] per call; hot
-/// loops should hold a scratch and call [`FlowScratch::solve_general`] (or
-/// the dispatching [`FlowScratch::solve`]) directly.
+/// loops should hold a scratch and call [`FlowScratch::solve`].
 pub fn general_assignment(
     sources: &[Interval],
     sinks: &[Interval],
@@ -756,15 +819,25 @@ mod tests {
 
     #[test]
     fn randomized_cross_check() {
-        // Exhaustively compare the two solvers on all small instances over
-        // basic intervals with a fixed compatibility pattern, sharing one
-        // scratch across every instance to exercise buffer reuse.
-        let basics = [ONE, OPT, PLUS, STAR];
+        // Exhaustively compare the solvers on all small instances with every
+        // compatibility pattern, sharing one scratch across every instance to
+        // exercise buffer reuse. The masks in which each source has at most
+        // one compatible sink drive `solve` through its forced-routing pass;
+        // the non-basic intervals reach it and the backtracking solver only.
+        let intervals = [
+            ONE,
+            OPT,
+            PLUS,
+            STAR,
+            Interval::ZERO,
+            Interval::exactly(2),
+            Interval::bounded(1, 3),
+        ];
         let mut scratch = FlowScratch::new();
-        for &s1 in &basics {
-            for &s2 in &basics {
-                for &u1 in &basics {
-                    for &u2 in &basics {
+        for &s1 in &intervals {
+            for &s2 in &intervals {
+                for &u1 in &intervals {
+                    for &u2 in &intervals {
                         for mask in 0..16u32 {
                             let compat: Vec<(usize, usize)> = (0..4)
                                 .filter(|i| mask & (1 << i) != 0)
@@ -773,20 +846,32 @@ mod tests {
                             let compatible = |v: usize, u: usize| compat.contains(&(v, u));
                             let sources = [s1, s2];
                             let sinks = [u1, u2];
-                            let b = basic_assignment(&sources, &sinks, compatible).is_some();
+                            let case = format!("sources {s1},{s2} sinks {u1},{u2} mask {mask:b}");
                             let g = general_assignment(&sources, &sinks, compatible).is_some();
-                            assert_eq!(
-                                b, g,
-                                "solvers disagree on sources {s1},{s2} sinks {u1},{u2} mask {mask:b}"
-                            );
+                            if sources.iter().chain(&sinks).all(|i| i.is_basic()) {
+                                let b = basic_assignment(&sources, &sinks, compatible).is_some();
+                                assert_eq!(b, g, "solvers disagree on {case}");
+                            }
                             scratch.clear();
                             scratch.sources.extend_from_slice(&sources);
                             scratch.sinks.extend_from_slice(&sinks);
                             assert_eq!(
                                 scratch.solve_general(compatible),
                                 g,
-                                "scratch disagrees on sources {s1},{s2} sinks {u1},{u2} mask {mask:b}"
+                                "scratch disagrees on {case}"
                             );
+                            scratch.clear();
+                            scratch.sources.extend_from_slice(&sources);
+                            scratch.sinks.extend_from_slice(&sinks);
+                            assert_eq!(scratch.solve(compatible), g, "solve disagrees on {case}");
+                            if g {
+                                assert!(
+                                    verify_assignment(&sources, &sinks, scratch.assignment()),
+                                    "solve routes {case} invalidly"
+                                );
+                            } else {
+                                assert!(scratch.assignment().is_empty(), "stale routing on {case}");
+                            }
                         }
                     }
                 }

@@ -165,9 +165,25 @@ impl IncrementalTyping {
     /// Panics if the graph uses occurrence intervals other than singletons
     /// (validation is defined on simple and compressed graphs only).
     pub fn new(graph: &Graph, schema: &Schema) -> IncrementalTyping {
+        IncrementalTyping::try_new(graph, schema, None)
+            .expect("an uncancelled typing cannot be cancelled")
+    }
+
+    /// [`IncrementalTyping::new`] under external cancellation: the fixpoint
+    /// checks `cancel` as [`try_maximal_typing_with`] does and returns `None`
+    /// once it fires, leaving nothing behind.
+    ///
+    /// # Panics
+    /// Panics if the graph uses occurrence intervals other than singletons
+    /// (validation is defined on simple and compressed graphs only).
+    pub fn try_new(
+        graph: &Graph,
+        schema: &Schema,
+        cancel: Option<&CancelToken>,
+    ) -> Option<IncrementalTyping> {
         let mut scratch = ValidateScratch::new();
-        let typing = maximal_typing_with(graph, schema, &mut scratch);
-        IncrementalTyping {
+        let typing = try_maximal_typing_with(graph, schema, &mut scratch, cancel)?;
+        Some(IncrementalTyping {
             typing,
             scratch,
             type_count: schema.types().count(),
@@ -175,7 +191,7 @@ impl IncrementalTyping {
             affected: Vec::new(),
             queued: Vec::new(),
             stack: Vec::new(),
-        }
+        })
     }
 
     /// The retained typing, always equal to `maximal_typing(graph, schema)`
@@ -520,9 +536,11 @@ const FLOW_EXPANSION_LIMIT: u64 = 4096;
 /// The one copy of the RBE₀ fast path shared by [`neighbourhood_satisfies`]
 /// and the scratch-backed fixpoint: expand each edge's multiplicity into
 /// unit sources, route them into the atoms' intervals, and decide
-/// feasibility ([`FlowScratch::solve`] dispatches to the polynomial solver
-/// when every interval is basic, exactly like the historical
-/// `basic_assignment`/`general_assignment` split — the sources are all `1`).
+/// feasibility with [`FlowScratch::solve`]. For a deterministic definition
+/// (no label in two atoms) every source has at most one compatible atom, so
+/// `solve` answers from the forced routing's loads without a flow network;
+/// otherwise it runs the polynomial solver when every atom's interval is
+/// basic (the sources are all `1`) and the backtracking solver if not.
 /// Returns `None` when the expansion exceeds [`FLOW_EXPANSION_LIMIT`]
 /// (callers fall back to Presburger). `compatible` is `(edge index, atom
 /// index)` — the only thing the two callers genuinely differ in.

@@ -77,6 +77,7 @@
 //! [`Clone`] (it clones the inner [`Arc`]s), local code can keep calling
 //! `handle` on the same engine while the pool serves.
 
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::error::Error;
 use std::fmt;
@@ -205,11 +206,11 @@ pub enum ServiceRequest {
     /// registered schemas, computed incrementally: only the dirty nodes
     /// accumulated since this `(graph, schema)` pair's previous revalidation
     /// (and the region they influence) are re-examined. Answered with
-    /// [`ServiceResponse::Validation`]. Under a deadline the repair polls
-    /// the request's token once per re-examined node; an expired repair
-    /// answers [`ServiceError::DeadlineExceeded`] and the next `Revalidate`
-    /// of the pair rebuilds its typing from scratch. The first typing of a
-    /// pair is always built to completion.
+    /// [`ServiceResponse::Validation`]. Under a deadline the first build of
+    /// the pair's typing and every later repair poll the request's token
+    /// once per examined node. An expired build or repair answers
+    /// [`ServiceError::DeadlineExceeded`], and the next `Revalidate` of the
+    /// pair builds its typing from scratch.
     Revalidate {
         /// The graph to validate.
         graph: GraphId,
@@ -679,8 +680,9 @@ impl ContainmentService {
     }
 
     /// Run one request. `cancel` — the request's deadline token, if any —
-    /// bounds [`ServiceRequest::Check`], [`ServiceRequest::Matrix`] and the
-    /// incremental repair of [`ServiceRequest::Revalidate`].
+    /// bounds [`ServiceRequest::Check`], [`ServiceRequest::Matrix`] and
+    /// [`ServiceRequest::Revalidate`] (its first build and its incremental
+    /// repairs).
     fn dispatch(
         &self,
         tenant: TenantId,
@@ -776,12 +778,17 @@ impl ContainmentService {
                         ..
                     } = entry;
                     let (valid, affected) = {
-                        let slot = typings.entry(schema).or_insert_with(|| TypingSlot {
+                        let slot = match typings.entry(schema) {
+                            Entry::Occupied(slot) => slot.into_mut(),
                             // A fresh typing reflects the graph as-is, dirty
-                            // log included.
-                            typing: IncrementalTyping::new(g, &definition),
-                            synced: dirty.len(),
-                        });
+                            // log included. An expired build inserts no
+                            // slot, so the next call builds again.
+                            Entry::Vacant(vacant) => vacant.insert(TypingSlot {
+                                typing: IncrementalTyping::try_new(g, &definition, cancel)
+                                    .ok_or(ServiceError::DeadlineExceeded)?,
+                                synced: dirty.len(),
+                            }),
+                        };
                         let affected = if slot.synced < dirty.len() {
                             // An expired repair poisons the typing and
                             // leaves `synced` behind, so the next call
@@ -1777,6 +1784,37 @@ mod tests {
         assert_eq!(valid, scratch);
         assert!(!valid, "without the email edge u1 has no type");
         assert_eq!(affected, nodes, "the poisoned typing is rebuilt in full");
+    }
+
+    #[test]
+    fn expired_first_revalidate_answers_deadline_exceeded_and_the_next_one_builds() {
+        let service = ContainmentService::new();
+        let schema = user_schema_id(&service, TenantId::DEFAULT);
+        let doc = b"<u1> <name> \"n\" .\n<u1> <email> \"e\" .\n";
+        let (graph, ..) = load(&service, TenantId::DEFAULT, None, doc).unwrap();
+        // An already-fired token stops the first build at its first node.
+        let expired = CancelToken::new();
+        expired.cancel();
+        let request = ServiceRequest::Revalidate { graph, schema };
+        match service.dispatch(TenantId::DEFAULT, request, Some(&expired)) {
+            Err(ServiceError::DeadlineExceeded) => {}
+            other => panic!("expected DeadlineExceeded, got {other:?}"),
+        }
+        let slots = service
+            .with_graph(TenantId::DEFAULT, graph, |entry| Ok(entry.typings.len()))
+            .unwrap();
+        assert_eq!(slots, 0, "an expired first build keeps no typing");
+        // The next plain Revalidate builds the typing and agrees with
+        // validating the graph from scratch.
+        let (valid, _) = revalidate(&service, TenantId::DEFAULT, graph, schema);
+        let definition = service.engine().schema(schema);
+        let scratch = service
+            .with_graph(TenantId::DEFAULT, graph, |entry| {
+                Ok(shapex_shex::validates(&entry.graph, &definition))
+            })
+            .unwrap();
+        assert_eq!(valid, scratch);
+        assert!(valid, "u1 has both a name and an email");
     }
 
     #[test]

@@ -4,7 +4,7 @@ use proptest::prelude::*;
 
 use shapex::containment::embedding::embeds;
 use shapex::presburger::translate::rbe_member;
-use shapex::rbe::flow::{basic_assignment, general_assignment, verify_assignment};
+use shapex::rbe::flow::{basic_assignment, general_assignment, verify_assignment, FlowScratch};
 use shapex::rbe::membership::{naive_member, rbe0_member, sorbe_member};
 use shapex::rbe::{Bag, Interval, Rbe};
 use shapex::shex::typing::validates;
@@ -164,27 +164,45 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Interval flow: the polynomial and the backtracking solver agree
+// Interval flow: the dispatching solver and both reference solvers agree
 // ---------------------------------------------------------------------------
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
+    #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
     fn flow_solvers_agree(
-        sources in proptest::collection::vec(arb_basic(), 0..4),
-        sinks in proptest::collection::vec(arb_basic(), 0..4),
-        edges in proptest::collection::vec((0usize..4, 0usize..4), 0..12),
+        sources in proptest::collection::vec(arb_interval(), 0..4),
+        sinks in proptest::collection::vec(arb_interval(), 0..4),
+        rows in proptest::collection::vec(0u8..16, 4..5),
+        forced in 0u8..2,
     ) {
-        let compatible = |v: usize, u: usize| edges.contains(&(v, u));
-        let basic = basic_assignment(&sources, &sinks, compatible);
+        // Bit `u` of `rows[v]` makes sink `u` compatible with source `v`.
+        // Half of the instances keep only each row's lowest bit, so
+        // `FlowScratch::solve` decides them by forced routing.
+        let rows: Vec<u8> = if forced == 1 {
+            rows.iter().map(|&row| row & row.wrapping_neg()).collect()
+        } else {
+            rows
+        };
+        let compatible = |v: usize, u: usize| rows[v] & (1 << u) != 0;
         let general = general_assignment(&sources, &sinks, compatible);
-        prop_assert_eq!(basic.is_some(), general.is_some());
-        if let Some(a) = &basic {
-            prop_assert!(verify_assignment(&sources, &sinks, a));
-        }
         if let Some(a) = &general {
             prop_assert!(verify_assignment(&sources, &sinks, a));
+        }
+        if sources.iter().chain(&sinks).all(|i| i.is_basic()) {
+            let basic = basic_assignment(&sources, &sinks, compatible);
+            prop_assert_eq!(basic.is_some(), general.is_some());
+            if let Some(a) = &basic {
+                prop_assert!(verify_assignment(&sources, &sinks, a));
+            }
+        }
+        let mut scratch = FlowScratch::new();
+        scratch.sources.extend_from_slice(&sources);
+        scratch.sinks.extend_from_slice(&sinks);
+        prop_assert_eq!(scratch.solve(compatible), general.is_some());
+        if general.is_some() {
+            prop_assert!(verify_assignment(&sources, &sinks, scratch.assignment()));
         }
     }
 }
