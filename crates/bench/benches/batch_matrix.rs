@@ -4,18 +4,15 @@
 //! that rebuild every shape graph, unfolding pool, and validation verdict
 //! per pair.
 //!
-//! The acceptance bars for this harness: the engine-backed matrix ≥ 2× over
-//! the one-shot N² loop at N ≥ 8, and (on a multi-core host) the
-//! row-parallel engine ≥ 1.5× over the serial engine at N = 12 — the
-//! `engine_parallel` arm fans matrix rows across a scoped worker pool over
-//! the shared `&self` caches, with bit-identical verdicts. Run with
+//! The acceptance bar for this harness: the engine-backed matrix ≥ 2× over
+//! the one-shot N² loop at N ≥ 8. Run with
 //! `cargo bench -p shapex-bench --bench batch_matrix`.
 
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use shapex_bench::{all_cores_options, evolution_family};
+use shapex_bench::evolution_family;
 use shapex_core::engine::ContainmentEngine;
 use shapex_core::general::general_containment;
 use shapex_core::unfold::SearchOptions;
@@ -63,21 +60,6 @@ fn bench(c: &mut Criterion) {
                 checksum(matrix.iter().flatten())
             })
         });
-
-        // The session with rows fanned across the matrix worker pool (cells
-        // validate inline there, so the two thread pools do not multiply).
-        let parallel = all_cores_options(opts.clone());
-        group.bench_with_input(
-            BenchmarkId::new("engine_parallel", n),
-            &family,
-            |b, family| {
-                b.iter(|| {
-                    let matrix =
-                        ContainmentEngine::with_options(parallel.clone()).check_matrix(family);
-                    checksum(matrix.iter().flatten())
-                })
-            },
-        );
     }
     group.finish();
 }

@@ -13,7 +13,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use shapex_bench::{contained_shex0_pair, rng};
 use shapex_core::baseline::max_simulation_baseline;
-use shapex_core::simulation::{max_simulation_with, SimulationOptions};
+use shapex_core::simulation::max_simulation;
 use shapex_graph::generate::{sample_from_shape, GraphGen};
 
 fn bench(c: &mut Criterion) {
@@ -33,15 +33,12 @@ fn bench(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("schema_pair_worklist", types),
             &(&hg, &kg),
-            |b, (hg, kg)| {
-                b.iter(|| max_simulation_with(hg, kg, &SimulationOptions::sequential()).len())
-            },
+            |b, (hg, kg)| b.iter(|| max_simulation(hg, kg).len()),
         );
     }
 
     // Instance-vs-shape pairs: a large simple graph sampled from a random
     // shape graph, the membership workload of Section 3.
-    let parallel = SimulationOptions::parallel();
     for &nodes in &[128usize, 256, 512] {
         let mut r = rng(5_000 + nodes as u64);
         // Unfoldings can die out early on unlucky shapes; retry until the
@@ -61,14 +58,7 @@ fn bench(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("instance_worklist", nodes),
             &(&instance, &shape),
-            |b, (g, h)| {
-                b.iter(|| max_simulation_with(g, h, &SimulationOptions::sequential()).len())
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("instance_worklist_parallel", nodes),
-            &(&instance, &shape),
-            |b, (g, h)| b.iter(|| max_simulation_with(g, h, &parallel).len()),
+            |b, (g, h)| b.iter(|| max_simulation(g, h).len()),
         );
     }
     group.finish();

@@ -23,9 +23,7 @@
 use std::time::{Duration, Instant};
 
 use shapex_bench::throughput::{drive, DriveOptions, ThroughputReport};
-use shapex_bench::{
-    all_cores_options, contained_det_pair, contained_shex0_pair, evolution_family, rng,
-};
+use shapex_bench::{contained_det_pair, contained_shex0_pair, evolution_family, rng};
 use shapex_core::det::det_containment;
 use shapex_core::engine::ContainmentEngine;
 use shapex_core::general::{general_containment, GeneralOptions};
@@ -36,7 +34,7 @@ use shapex_gadgets::disjuncts::{disjunct_choice_pair, disjunct_mismatch_pair};
 use shapex_gadgets::generate::random_dnf;
 use shapex_gadgets::reductions::{dnf_tautology_gadget, exponential_family};
 use shapex_graph::{Graph, GraphDelta, NTriplesParser, Triple};
-use shapex_presburger::{Bounds, Formula, LinearExpr, SolveResult, Solver, SolverOptions, VarPool};
+use shapex_presburger::{Bounds, Formula, LinearExpr, SolveResult, Solver, VarPool};
 use shapex_shex::parse_schema;
 use shapex_shex::{maximal_typing, IncrementalTyping, Schema};
 
@@ -111,16 +109,14 @@ fn schema_sizes(h: &Schema, k: &Schema) -> usize {
 /// Per-variable bound of the `presburger_disjuncts` scaling family.
 const DISJUNCT_BOUND: u64 = 6;
 
-/// Number of branches in the top-level disjunction of the family — wide
-/// enough that the parallel search fans it across every worker.
+/// Number of branches in the top-level disjunction of the family.
 const DISJUNCT_BRANCHES: usize = 16;
 
 /// The `presburger_disjuncts/vars=N` instance: a top-level disjunction of
 /// [`DISJUNCT_BRANCHES`] arms, each pinning `2·Σxᵢ` to an odd constant.
 /// Every arm is unsatisfiable by parity, which interval propagation cannot
 /// see — the solver must enumerate the assignment window of each arm in
-/// full, so the whole branch tree is explored and the work splits cleanly
-/// across disjunct workers.
+/// full, so the whole branch tree is explored.
 fn disjunct_scaling_formula(vars: usize, pool: &mut VarPool) -> Formula {
     let xs: Vec<_> = (0..vars)
         .map(|i| pool.fresh_named(format!("x{i}")))
@@ -452,55 +448,32 @@ fn main() {
         deadline_mean_ratio
     );
 
-    // --- Presburger: the parallel disjunct search ----------------------------
-    println!("\n[solver] wide unsatisfiable disjunctions, serial vs. 8 workers");
-    println!(
-        "{:>8} {:>12} {:>12} {:>12} {:>10}",
-        "vars", "branches", "serial", "parallel", "speedup"
-    );
+    // --- Presburger: the disjunct search ------------------------------------
+    println!("\n[solver] wide unsatisfiable disjunctions");
+    println!("{:>8} {:>12} {:>12}", "vars", "branches", "time");
     for &vars in &[4usize, 5, 6] {
         let mut pool = VarPool::new();
         let formula = disjunct_scaling_formula(vars, &mut pool);
-        let serial_solver =
-            Solver::new(Bounds::uniform(DISJUNCT_BOUND)).with_options(SolverOptions::serial());
-        let parallel_solver =
-            Solver::new(Bounds::uniform(DISJUNCT_BOUND)).with_options(SolverOptions::parallel(8));
-        let (serial_result, serial_time) =
+        let solver = Solver::new(Bounds::uniform(DISJUNCT_BOUND));
+        let (result, time) =
             recorder.measure(&format!("presburger_disjuncts/vars={vars}"), 3, || {
-                serial_solver.solve(&formula, &pool)
+                solver.solve(&formula, &pool)
             });
-        let (parallel_result, parallel_time) = recorder.measure(
-            &format!("presburger_disjuncts/vars={vars}/parallel"),
-            3,
-            || parallel_solver.solve(&formula, &pool),
-        );
         assert_eq!(
-            serial_result,
+            result,
             SolveResult::Unsat,
             "the parity family is unsatisfiable by construction"
         );
-        assert_eq!(
-            parallel_result, serial_result,
-            "parallel and serial searches must agree"
-        );
-        println!(
-            "{:>8} {:>12} {:>12.2?} {:>12.2?} {:>9.1}×",
-            vars,
-            DISJUNCT_BRANCHES,
-            serial_time,
-            parallel_time,
-            serial_time.as_secs_f64() / parallel_time.as_secs_f64().max(f64::EPSILON)
-        );
+        println!("{:>8} {:>12} {:>12.2?}", vars, DISJUNCT_BRANCHES, time);
     }
 
     // --- Batch schema evolution: the ContainmentEngine session --------------
     println!("\n[batch] N×N containment matrix over an evolving schema family");
     println!(
-        "{:>8} {:>16} {:>16} {:>16} {:>10} {:>10}",
-        "N", "one-shot N²", "engine", "rows ∥", "engine ×", "rows ×"
+        "{:>8} {:>16} {:>16} {:>10}",
+        "N", "one-shot N²", "engine", "engine ×"
     );
     let batch_opts = SearchOptions::quick();
-    let parallel_opts = all_cores_options(batch_opts.clone());
     for &n in &[8usize, 12] {
         let family = evolution_family(n);
         let (oneshot_contained, oneshot_time) =
@@ -524,40 +497,17 @@ fn main() {
                     .filter(|c| c.is_contained())
                     .count()
             });
-        // The row-parallel engine: matrix rows fanned across a scoped worker
-        // pool over the shared `&self` caches (cold start included). The
-        // verdicts are bit-identical to the serial engine's; on a multi-core
-        // host the wall clock drops accordingly (single-core hosts degrade
-        // to the serial path).
-        let (parallel_contained, parallel_time) =
-            recorder.measure(&format!("batch_matrix/engine_parallel/n={n}"), 3, || {
-                ContainmentEngine::with_options(parallel_opts.clone())
-                    .check_matrix(&family)
-                    .iter()
-                    .flatten()
-                    .filter(|c| c.is_contained())
-                    .count()
-            });
         assert_eq!(
             oneshot_contained, engine_contained,
             "engine and one-shot matrices must agree"
         );
-        assert_eq!(
-            engine_contained, parallel_contained,
-            "row-parallel and serial matrices must agree"
-        );
-        // Two separate bars: memoisation (one-shot / serial engine, the
-        // PR 3 ≥ 2× criterion) and row parallelism (serial / parallel
-        // engine, ≥ 1.5× at N = 12 on multi-core hosts) — conflating them
-        // would let a serial regression hide behind thread-count gains.
+        // The memoisation bar: the engine at ≥ 2× over the one-shot loop.
         println!(
-            "{:>8} {:>16.2?} {:>16.2?} {:>16.2?} {:>9.1}× {:>9.1}×",
+            "{:>8} {:>16.2?} {:>16.2?} {:>9.1}×",
             n,
             oneshot_time,
             engine_time,
-            parallel_time,
-            oneshot_time.as_secs_f64() / engine_time.as_secs_f64().max(f64::EPSILON),
-            engine_time.as_secs_f64() / parallel_time.as_secs_f64().max(f64::EPSILON)
+            oneshot_time.as_secs_f64() / engine_time.as_secs_f64().max(f64::EPSILON)
         );
     }
 

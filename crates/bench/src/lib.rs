@@ -11,8 +11,6 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use shapex_core::engine::EngineOptions;
-use shapex_core::unfold::SearchOptions;
 use shapex_gadgets::generate::{restrict_schema, SchemaGen};
 use shapex_graph::Graph;
 use shapex_rbe::Interval;
@@ -24,20 +22,6 @@ pub mod throughput;
 /// reproducible run to run).
 pub fn rng(seed: u64) -> StdRng {
     StdRng::seed_from_u64(seed)
-}
-
-/// Engine options over `search` that use every available core for both the
-/// candidate-validation fan-out and the matrix rows — the `engine_parallel`
-/// arm of the batch-matrix workload.
-pub fn all_cores_options(search: SearchOptions) -> EngineOptions {
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    EngineOptions::builder()
-        .search(search)
-        .threads(cores)
-        .matrix_threads(cores)
-        .build()
 }
 
 /// A pair `(H, K)` of `DetShEx₀⁻` schemas with `L(H) ⊆ L(K)` by construction

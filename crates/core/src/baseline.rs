@@ -97,8 +97,8 @@ fn has_witness(
 /// [`crate::engine::ContainmentEngine`]: the engine must examine the same
 /// candidates in the same order, so both return the same witness (or both
 /// return `None`) — a property the `engine_session` *and* the
-/// `engine_concurrency` suites assert, the latter against serial, warm,
-/// and row-parallel shared-state sessions. Production callers should use
+/// `engine_concurrency` suites assert, the latter against cold, warm, and
+/// many-threaded shared-state sessions. Production callers should use
 /// [`crate::unfold::search_counter_example`] or hold an engine.
 pub fn search_counter_example_baseline(
     h: &Schema,

@@ -8,8 +8,8 @@
 //! `G ≼ H`.
 //!
 //! Simulations are closed under union, so there is a unique maximal
-//! simulation, computed by [`max_simulation`] — a thin wrapper over the
-//! worklist + bitset engine in [`crate::simulation`].
+//! simulation, computed by [`max_simulation`] — the worklist + bitset engine
+//! of [`crate::simulation`], re-exported here.
 //! The witness check is the interval-flow problem of `shapex_rbe::flow`:
 //! polynomial when both neighbourhoods use basic intervals (Theorem 3.4) and
 //! NP-complete for arbitrary intervals (Theorem 3.5), where a backtracking
@@ -19,8 +19,7 @@ use std::collections::BTreeSet;
 
 use shapex_graph::{Graph, NodeId};
 
-pub use crate::simulation::Simulation;
-use crate::simulation::{max_simulation_with, SimulationOptions};
+pub use crate::simulation::{max_simulation, Simulation};
 
 /// An embedding of `G` in `H`: a maximal simulation whose domain is all of
 /// `N_G` (Definition 3.1).
@@ -39,18 +38,6 @@ impl Embedding {
     pub fn images_of(&self, n: NodeId) -> &BTreeSet<NodeId> {
         self.simulation.simulators_of(n)
     }
-}
-
-/// Compute the maximal simulation of `G` in `H`.
-///
-/// Starting from the full relation `N_G × N_H`, pairs without a witness are
-/// removed until no change occurs; since simulations are closed under union
-/// the result is the unique maximal simulation. This is a thin wrapper over
-/// the worklist + bitset engine of [`crate::simulation`] with default
-/// options; the original full-rescan fix-point survives as the test oracle
-/// [`crate::baseline::max_simulation_baseline`].
-pub fn max_simulation(g: &Graph, h: &Graph) -> Simulation {
-    max_simulation_with(g, h, &SimulationOptions::default())
 }
 
 /// Check whether `G` can be embedded in `H` (`G ≼ H`), returning the witness

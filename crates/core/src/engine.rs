@@ -1,5 +1,5 @@
-//! `ContainmentEngine` — a memoising, shared-state, parallel query session
-//! over the containment procedures.
+//! `ContainmentEngine` — a memoising, shared-state query session over the
+//! containment procedures.
 //!
 //! The decision procedures of this crate ([`crate::det`], [`crate::shex0`],
 //! [`crate::general`]) are exposed as stateless one-shot functions; called in
@@ -54,19 +54,10 @@
 //! only ever fill in with deterministic values, and a race at worst computes
 //! a verdict twice before one copy wins the cache slot.
 //!
-//! Two parallel modes build on that:
-//!
-//! * **Parallel candidate search.** With several
-//!   [`EngineOptionsBuilder::threads`], the memoised validate-against-`K`
-//!   step fans each uncached pool slice across a `std::thread` worker pool
-//!   (the same dependency-free scoped-thread pattern as the simulation
-//!   engine's initial pass).
-//! * **Parallel matrix rows.** With several
-//!   [`EngineOptionsBuilder::matrix_threads`],
-//!   [`ContainmentEngine::check_matrix`] fans its rows across a scoped
-//!   worker pool over the shared caches (row workers validate inline so the
-//!   two pools do not multiply). Verdicts are bit-identical to the serial
-//!   engine in either mode.
+//! A query runs on its caller's thread: the engine spawns no threads of its
+//! own. Concurrency comes from sharing one engine — the service pool's
+//! workers each run their requests against one `Arc<ContainmentEngine>`, and
+//! any other caller can do the same.
 //!
 //! # Bounded memory
 //!
@@ -120,7 +111,6 @@ use rand::prelude::*;
 use rand::rngs::StdRng;
 
 use shapex_graph::{Graph, Label, SharedLabelTable};
-use shapex_presburger::SolverOptions;
 use shapex_rbe::{Bag, Rbe};
 use shapex_shex::typing::{validates_with, SolverTelemetry, ValidateScratch};
 use shapex_shex::{Atom, Schema, SchemaClass, TypeId};
@@ -136,9 +126,9 @@ use crate::{CancelToken, Containment};
 
 pub use crate::matrix::ContainmentMatrix;
 
-// The engine is shared across matrix-row workers, validation fan-outs, and
-// service clients by `&self` / `Arc`; this is the compile-time statement of
-// that contract (see the module docs).
+// The engine is shared across service workers and any other caller threads
+// by `&self` / `Arc`; this is the compile-time statement of that contract
+// (see the module docs).
 shapex_graph::assert_send_sync!(ContainmentEngine, EngineOptions, EngineStats, SchemaId);
 
 /// Tuning knobs for a [`ContainmentEngine`].
@@ -149,26 +139,18 @@ shapex_graph::assert_send_sync!(ContainmentEngine, EngineOptions, EngineStats, S
 #[derive(Debug, Clone)]
 pub struct EngineOptions {
     search: SearchOptions,
-    threads: usize,
-    parallel_threshold: usize,
-    matrix_threads: usize,
     cache_budget: Option<u64>,
     max_entry_bytes: Option<u64>,
     coalesce: bool,
-    solver: SolverOptions,
 }
 
 impl Default for EngineOptions {
     fn default() -> Self {
         EngineOptions {
             search: SearchOptions::default(),
-            threads: 1,
-            parallel_threshold: 16,
-            matrix_threads: 1,
             cache_budget: None,
             max_entry_bytes: None,
             coalesce: true,
-            solver: SolverOptions::from_env(),
         }
     }
 }
@@ -179,8 +161,6 @@ impl Default for EngineOptions {
 /// use shapex_core::engine::{ContainmentEngine, EngineOptions};
 ///
 /// let options = EngineOptions::builder()
-///     .threads(4)
-///     .matrix_threads(4)
 ///     .cache_budget(64 << 20) // 64 MiB across all evictable caches
 ///     .build();
 /// let engine = ContainmentEngine::with_options(options);
@@ -197,32 +177,6 @@ impl EngineOptionsBuilder {
     /// unfolding pools remain valid for every query.
     pub fn search(mut self, search: SearchOptions) -> Self {
         self.options.search = search;
-        self
-    }
-
-    /// Worker threads for the candidate-validation fan-out (min 1). `1`
-    /// (default) keeps the whole search on the calling thread; answers do
-    /// not depend on this.
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.options.threads = threads.max(1);
-        self
-    }
-
-    /// Minimum number of uncached candidates in a pool slice before
-    /// validation workers actually spawn (min 1, default 16); below it the
-    /// spawn overhead dominates.
-    pub fn parallel_threshold(mut self, threshold: usize) -> Self {
-        self.options.parallel_threshold = threshold.max(1);
-        self
-    }
-
-    /// Worker threads for [`ContainmentEngine::check_matrix`] rows (min 1).
-    /// `1` (default) computes the matrix on the calling thread; above it,
-    /// rows are fanned across a scoped pool sharing all caches (and the
-    /// per-cell validation fan-out is disabled so the two pools do not
-    /// multiply). Answers do not depend on this.
-    pub fn matrix_threads(mut self, matrix_threads: usize) -> Self {
-        self.options.matrix_threads = matrix_threads.max(1);
         self
     }
 
@@ -258,16 +212,6 @@ impl EngineOptionsBuilder {
     /// `coalesced_pools`.
     pub fn coalesce(mut self, coalesce: bool) -> Self {
         self.options.coalesce = coalesce;
-        self
-    }
-
-    /// Replace the Presburger solver configuration for every acceptance
-    /// check the engine's queries reach (the general sufficient condition
-    /// and the arena's local-acceptance memo). The default honours the
-    /// `SOLVER_THREADS` environment variable and stays serial without it.
-    /// Verdicts do not depend on this.
-    pub fn solver(mut self, solver: SolverOptions) -> Self {
-        self.options.solver = solver;
         self
     }
 
@@ -509,10 +453,6 @@ impl EngineCounters {
         counter.fetch_add(1, Ordering::Relaxed);
     }
 
-    fn add(counter: &AtomicU64, n: u64) {
-        counter.fetch_add(n, Ordering::Relaxed);
-    }
-
     fn snapshot(&self, schemas: usize, budget: &CacheBudget) -> EngineStats {
         EngineStats {
             schemas,
@@ -672,29 +612,6 @@ impl ValidateMemo {
         });
         budget.charge(CacheKind::Validate, bytes);
     }
-
-    /// Drop every record whose key matches `graph`'s structure, crediting
-    /// the ledger; returns the bytes freed. The targeted-invalidation path
-    /// for evolving graphs — one candidate leaves, the rest stay warm.
-    fn remove(&mut self, hash: u64, graph: &Graph, budget: &CacheBudget) -> u64 {
-        let Some(bucket) = self.buckets.get_mut(&hash) else {
-            return 0;
-        };
-        let mut freed = 0u64;
-        bucket.retain(|record| {
-            if record.key.matches(graph) {
-                freed += record.bytes;
-                false
-            } else {
-                true
-            }
-        });
-        if bucket.is_empty() {
-            self.buckets.remove(&hash);
-        }
-        budget.credit(CacheKind::Validate, freed);
-        freed
-    }
 }
 
 /// The cached exhaustive bag enumeration of one schema (`None` = some
@@ -782,8 +699,8 @@ impl Registry {
     }
 }
 
-/// Shard count of [`ShardedPairMap`]; a power of two, sized so matrix-row
-/// workers rarely contend on the same shard.
+/// Shard count of [`ShardedPairMap`]; a power of two, sized so threads
+/// sharing one engine rarely contend on the same shard.
 const PAIR_SHARDS: usize = 16;
 
 /// One memoised pair verdict plus its LRU stamp. The accounted weight is
@@ -1046,9 +963,9 @@ pub struct ContainmentEngine {
     /// delta-accounting swap point for [`ContainmentEngine::sync_atom_bytes`].
     atom_bytes: AtomicU64,
     /// Cross-schema session state: the shared atom table, the candidate-bag
-    /// cache, the solver configuration, and the solver telemetry. Cloned
-    /// into every schema entry's unfolder (and restored on eviction
-    /// rebuilds), so interning survives cache sweeps.
+    /// cache, and the solver telemetry. Cloned into every schema entry's
+    /// unfolder (and restored on eviction rebuilds), so interning survives
+    /// cache sweeps.
     session: SessionContext,
 }
 
@@ -1059,8 +976,7 @@ impl Default for ContainmentEngine {
 }
 
 impl ContainmentEngine {
-    /// An engine with the default options (default search budget,
-    /// single-threaded).
+    /// An engine with the default options.
     pub fn new() -> ContainmentEngine {
         ContainmentEngine::default()
     }
@@ -1072,7 +988,6 @@ impl ContainmentEngine {
             options.max_entry_bytes,
         ));
         let session = SessionContext {
-            solver: options.solver,
             telemetry: Some(Arc::new(SolverTelemetry::new())),
             budget: Some(Arc::clone(&budget)),
             ..SessionContext::default()
@@ -1091,8 +1006,8 @@ impl ContainmentEngine {
         }
     }
 
-    /// An engine with the given search budget (single-threaded) — the
-    /// configuration the one-shot wrappers use.
+    /// An engine with the given search budget — the configuration the
+    /// one-shot wrappers use.
     pub fn with_search(search: SearchOptions) -> ContainmentEngine {
         ContainmentEngine::with_options(EngineOptions::builder().search(search).build())
     }
@@ -1110,14 +1025,6 @@ impl ContainmentEngine {
             stats.solver_pruned_branches = solver.pruned_branches;
         }
         stats
-    }
-
-    /// Cumulative Presburger solver counters for this session.
-    pub fn solver_telemetry(&self) -> &SolverTelemetry {
-        self.session
-            .telemetry
-            .as_deref()
-            .expect("engine always owns solver telemetry")
     }
 
     /// The cross-schema atom table shared by every registered schema.
@@ -1243,9 +1150,9 @@ impl ContainmentEngine {
     /// [`EngineOptionsBuilder::coalesce`]). With a token, the query threads
     /// it through every long-running loop it reaches — pool enumeration,
     /// per-candidate validation, the typing fixpoints, the Presburger
-    /// disjunct workers — and polls it at bounded checkpoint intervals. Once
-    /// the token fires (from another thread, or at its deadline) the search
-    /// abandons its current branch and returns
+    /// solver — and polls it at bounded checkpoint intervals. Once the token
+    /// fires (from another thread, or at its deadline) the search abandons
+    /// its current branch and returns
     /// [`crate::UnknownReason::DeadlineExceeded`] instead of wedging a worker
     /// for the rest of its budget; a counter-example certified before the
     /// expiry was observed still stands.
@@ -1257,7 +1164,7 @@ impl ContainmentEngine {
     /// an engine that never saw one.
     pub fn check_ids(&self, h: SchemaId, k: SchemaId, cancel: Option<&CancelToken>) -> Containment {
         let entries = self.entries(&[h, k]);
-        self.verdict(h, k, &entries[0], &entries[1], true, cancel)
+        self.verdict(h, k, &entries[0], &entries[1], cancel)
     }
 
     /// The one verdict route behind [`ContainmentEngine::check_ids`] and
@@ -1272,18 +1179,16 @@ impl ContainmentEngine {
     /// and because [`ContainmentEngine::shex0_entries`] and
     /// [`ContainmentEngine::general_entries`] delegate to each other on class
     /// mismatch, every route through the chain computes the same verdict for
-    /// a given pair, so one flight key serves them all. `fan_out` only shapes
-    /// parallelism, never the answer.
+    /// a given pair, so one flight key serves them all.
     fn verdict(
         &self,
         h: SchemaId,
         k: SchemaId,
         h_entry: &Arc<SchemaEntry>,
         k_entry: &Arc<SchemaEntry>,
-        fan_out: bool,
         cancel: Option<&CancelToken>,
     ) -> Containment {
-        let run = || self.general_entries(h, k, h_entry, k_entry, fan_out, cancel);
+        let run = || self.general_entries(h, k, h_entry, k_entry, cancel);
         if cancel.is_some() {
             let verdict = run();
             if matches!(
@@ -1308,9 +1213,7 @@ impl ContainmentEngine {
     /// This is the schema-evolution workload the session layer exists for:
     /// each schema's shape graph, classification, unfolding pools, and
     /// validation verdicts are built once and reused across all `N - 1`
-    /// partners, instead of once per pair as `N²` one-shot calls would. With
-    /// [`EngineOptionsBuilder::matrix_threads`] > 1 the rows are fanned
-    /// across a scoped worker pool over those shared caches. Either way the
+    /// partners, instead of once per pair as `N²` one-shot calls would. The
     /// answers are identical to the `N²` individual
     /// [`ContainmentEngine::check`] calls (and to the one-shot functions).
     pub fn check_matrix(&self, schemas: &[Schema]) -> ContainmentMatrix {
@@ -1321,11 +1224,11 @@ impl ContainmentEngine {
     /// [`ContainmentEngine::check_matrix`] for already-registered schemas
     /// (the service's batch entry point), optionally under one
     /// [`CancelToken`] for the whole matrix. Every cell takes the
-    /// [`ContainmentEngine::check_ids`] route; with a token, every row worker
-    /// shares it, so once it fires the in-flight cells abandon their
-    /// searches at the next checkpoint and every remaining cell answers
-    /// [`crate::UnknownReason::DeadlineExceeded`] immediately — the matrix
-    /// always comes back fully populated, never hangs on a straggler row.
+    /// [`ContainmentEngine::check_ids`] route, row by row on the calling
+    /// thread; with a token, every cell shares it, so once it fires the
+    /// in-flight cell abandons its search at the next checkpoint and every
+    /// remaining cell answers [`crate::UnknownReason::DeadlineExceeded`]
+    /// immediately — the matrix always comes back fully populated.
     pub fn check_matrix_ids(
         &self,
         ids: &[SchemaId],
@@ -1334,44 +1237,10 @@ impl ContainmentEngine {
         // One registry lock acquisition for the whole matrix; the N² cells
         // work off these prefetched entries.
         let entries = self.entries(ids);
-        let cell = |i: usize, j: usize, fan_out: bool| {
-            self.verdict(ids[i], ids[j], &entries[i], &entries[j], fan_out, cancel)
-        };
-        let workers = self.options.matrix_threads.max(1).min(ids.len().max(1));
-        if workers <= 1 {
-            let cells = (0..ids.len())
-                .flat_map(|i| (0..ids.len()).map(move |j| (i, j)))
-                .map(|(i, j)| cell(i, j, true))
-                .collect();
-            return ContainmentMatrix::new(ids.to_vec(), cells);
-        }
-        // Row-parallel: contiguous row chunks per worker, cells validated
-        // inline (fan_out = false) so the two thread pools do not multiply.
-        // All caches are shared through &self; verdicts are deterministic,
-        // so the matrix is identical to the serial one.
-        let row_indices: Vec<usize> = (0..ids.len()).collect();
-        let rows_per_worker = ids.len().div_ceil(workers);
-        let cells = std::thread::scope(|scope| {
-            let handles: Vec<_> = row_indices
-                .chunks(rows_per_worker)
-                .map(|rows| {
-                    let cell = &cell;
-                    scope.spawn(move || {
-                        rows.iter()
-                            .flat_map(|&i| {
-                                (0..ids.len())
-                                    .map(|j| cell(i, j, false))
-                                    .collect::<Vec<Containment>>()
-                            })
-                            .collect::<Vec<Containment>>()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|handle| handle.join().expect("matrix row worker panicked"))
-                .collect()
-        });
+        let cells = (0..ids.len())
+            .flat_map(|i| (0..ids.len()).map(move |j| (i, j)))
+            .map(|(i, j)| self.verdict(ids[i], ids[j], &entries[i], &entries[j], cancel))
+            .collect();
         ContainmentMatrix::new(ids.to_vec(), cells)
     }
 
@@ -1410,33 +1279,28 @@ impl ContainmentEngine {
 
     /// Search for a certified counter-example to `L(H) ⊆ L(K)` — the
     /// session equivalent of [`crate::unfold::search_counter_example`], with
-    /// pooled unfoldings, memoised validation, and the optional parallel
-    /// fan-out.
+    /// pooled unfoldings and memoised validation.
     pub fn counter_example(&self, h: &Schema, k: &Schema) -> Option<Graph> {
         let h = self.register(h);
         let k = self.register(k);
         let entries = self.entries(&[h, k]);
-        self.search_ids(&entries[0], &entries[1], true, None)
-            .witness
+        self.search_ids(&entries[0], &entries[1], None).witness
     }
 
     /// The `ShEx₀` procedure over registered schemas (Section 5 pipeline:
     /// embedding, characterizing-graph shortcut, bounded search). The
     /// caller supplies the already-fetched entries — the dispatch chain
-    /// touches the registry lock once per query, not once per hop —
-    /// and `fan_out` gates the per-cell validation worker pool (disabled
-    /// inside matrix row workers).
+    /// touches the registry lock once per query, not once per hop.
     fn shex0_entries(
         &self,
         h: SchemaId,
         k: SchemaId,
         h_entry: &Arc<SchemaEntry>,
         k_entry: &Arc<SchemaEntry>,
-        fan_out: bool,
         cancel: Option<&CancelToken>,
     ) -> Containment {
         if h_entry.class == SchemaClass::ShEx || k_entry.class == SchemaClass::ShEx {
-            return self.general_entries(h, k, h_entry, k_entry, fan_out, cancel);
+            return self.general_entries(h, k, h_entry, k_entry, cancel);
         }
         if self.embeds_cached(h, k, h_entry, k_entry) {
             return Containment::Contained;
@@ -1447,8 +1311,7 @@ impl ContainmentEngine {
             let witness = self.characterizing(h_entry).expect("checked DetShEx0-");
             return Containment::not_contained(witness);
         }
-        self.search_ids(h_entry, k_entry, fan_out, cancel)
-            .into_containment()
+        self.search_ids(h_entry, k_entry, cancel).into_containment()
     }
 
     /// The general procedure over registered schemas (Section 6 pipeline:
@@ -1461,7 +1324,6 @@ impl ContainmentEngine {
         k: SchemaId,
         h_entry: &Arc<SchemaEntry>,
         k_entry: &Arc<SchemaEntry>,
-        fan_out: bool,
         cancel: Option<&CancelToken>,
     ) -> Containment {
         if cancel.is_some_and(|t| t.fired()) {
@@ -1472,13 +1334,12 @@ impl ContainmentEngine {
         }
         let both_rbe0 = h_entry.class != SchemaClass::ShEx && k_entry.class != SchemaClass::ShEx;
         if both_rbe0 {
-            return self.shex0_entries(h, k, h_entry, k_entry, fan_out, cancel);
+            return self.shex0_entries(h, k, h_entry, k_entry, cancel);
         }
         if self.sufficient_cached(h, k, h_entry, k_entry) {
             return Containment::Contained;
         }
-        self.search_ids(h_entry, k_entry, fan_out, cancel)
-            .into_containment()
+        self.search_ids(h_entry, k_entry, cancel).into_containment()
     }
 
     /// Whether the shape graph of `h` embeds in the shape graph of `k`
@@ -1543,7 +1404,6 @@ impl ContainmentEngine {
                 &h_entry.schema,
                 &bags,
                 &k_entry.schema,
-                self.session.solver,
                 self.session.telemetry.as_deref(),
             ),
         };
@@ -1579,11 +1439,10 @@ impl ContainmentEngine {
         &self,
         h: &Arc<SchemaEntry>,
         k: &Arc<SchemaEntry>,
-        fan_out: bool,
         cancel: Option<&CancelToken>,
     ) -> SearchOutcome {
-        let outcome = self.search_ids_inner(h, k, fan_out, cancel);
-        // Whatever validation memos the (sequential or sampled) phases just
+        let outcome = self.search_ids_inner(h, k, cancel);
+        // Whatever validation memos the systematic or sampled phase just
         // grew, bring the evictable total back under budget before the
         // query returns.
         self.maybe_evict();
@@ -1594,11 +1453,9 @@ impl ContainmentEngine {
         &self,
         h: &Arc<SchemaEntry>,
         k: &Arc<SchemaEntry>,
-        fan_out: bool,
         cancel: Option<&CancelToken>,
     ) -> SearchOutcome {
         let opts = self.options.search.clone();
-        let parallel = fan_out && self.options.threads > 1;
         let mut examined = 0usize;
         let mut checked = 0usize;
         let mut scratch = ValidateScratch::new();
@@ -1620,13 +1477,11 @@ impl ContainmentEngine {
                 // The baseline increments `examined` per candidate and
                 // abandons the pool once the count exceeds the budget, so at
                 // most this many candidates of the pool get validated:
-                let limit = pool.len().min(opts.max_candidates.saturating_sub(examined));
-                let mut verdicts = parallel.then(|| vec![None; limit]);
-                for (i, graph) in pool.iter().enumerate() {
+                for graph in pool.iter() {
                     // The per-candidate cancellation checkpoint: one poll
                     // (and one armed fault site) per candidate bounds the
                     // interval between an expiry and its observation by one
-                    // stripe of validations.
+                    // validation.
                     faults::trigger(faults::site::SOLVER_BRANCH);
                     if let Some(token) = cancel {
                         if token.fired() {
@@ -1638,10 +1493,7 @@ impl ContainmentEngine {
                     if examined > opts.max_candidates {
                         break;
                     }
-                    let ok = match &mut verdicts {
-                        Some(v) => self.verdict_at(k, &pool, v, i),
-                        None => self.validate_one(k, graph, &mut scratch),
-                    };
+                    let ok = self.validate_one(k, graph, &mut scratch);
                     checked += 1;
                     if !ok {
                         return SearchOutcome {
@@ -1661,8 +1513,7 @@ impl ContainmentEngine {
             let Some(pool) = self.sampled_pool(h, &opts, cancel) else {
                 return expired(checked, cancel.expect("only a token cancels a build"));
             };
-            let mut verdicts = parallel.then(|| vec![None; pool.len()]);
-            for (i, graph) in pool.iter().enumerate() {
+            for graph in pool.iter() {
                 faults::trigger(faults::site::SOLVER_BRANCH);
                 if let Some(token) = cancel {
                     if token.fired() {
@@ -1670,10 +1521,7 @@ impl ContainmentEngine {
                         return expired(checked, token);
                     }
                 }
-                let ok = match &mut verdicts {
-                    Some(v) => self.verdict_at(k, &pool, v, i),
-                    None => self.validate_one(k, graph, &mut scratch),
-                };
+                let ok = self.validate_one(k, graph, &mut scratch);
                 checked += 1;
                 if !ok {
                     return SearchOutcome {
@@ -1691,34 +1539,6 @@ impl ContainmentEngine {
             depth: opts.max_depth,
             cancelled: None,
         }
-    }
-
-    /// The parallel-mode verdict for `pool[i]`: if it is not resolved yet,
-    /// fan out one *stripe* of following candidates
-    /// (`threads × parallel_threshold`, clipped to `verdicts.len()`, the
-    /// consumable prefix of the pool) across the workers. Striping bounds
-    /// the eagerness: a witness at index `i` costs at most one stripe of
-    /// extra validations instead of the whole pool.
-    fn verdict_at(
-        &self,
-        k: &SchemaEntry,
-        pool: &[Arc<Graph>],
-        verdicts: &mut [Option<bool>],
-        i: usize,
-    ) -> bool {
-        if let Some(v) = verdicts[i] {
-            return v;
-        }
-        let stripe = (self.options.threads * self.options.parallel_threshold.max(1)).max(1);
-        let end = (i + stripe).min(verdicts.len());
-        for (offset, v) in self
-            .validate_slice(k, &pool[i..end])
-            .into_iter()
-            .enumerate()
-        {
-            verdicts[i + offset] = Some(v);
-        }
-        verdicts[i].expect("stripe covers i")
     }
 
     /// The pool of valid members of `h` unfolded from `root` up to `depth` —
@@ -1935,76 +1755,6 @@ impl ContainmentEngine {
         validate_memoised(k, &self.counters, &self.budget, graph, scratch)
     }
 
-    /// Memoised verdicts for one stripe of candidates, with the uncached
-    /// ones fanned across the engine's worker threads when there are enough
-    /// of them (below `parallel_threshold` the spawn overhead dominates and
-    /// the stripe is validated inline). Lookups go through the hashed memo
-    /// keys, so a fully warm stripe allocates nothing.
-    fn validate_slice(&self, k: &SchemaEntry, pool: &[Arc<Graph>]) -> Vec<bool> {
-        let hashes: Vec<u64> = pool.iter().map(|g| candidate_hash(g)).collect();
-        let mut verdicts: Vec<Option<bool>> = {
-            let memo = read_or_recover(&k.validate_memo);
-            pool.iter()
-                .zip(&hashes)
-                .map(|(graph, &hash)| memo.get(hash, graph, &self.budget))
-                .collect()
-        };
-        let missing: Vec<usize> = verdicts
-            .iter()
-            .enumerate()
-            .filter(|(_, v)| v.is_none())
-            .map(|(i, _)| i)
-            .collect();
-        EngineCounters::add(
-            &self.counters.validate_hits,
-            (pool.len() - missing.len()) as u64,
-        );
-        EngineCounters::add(&self.counters.validate_misses, missing.len() as u64);
-        if !missing.is_empty() {
-            let schema = &k.schema;
-            let workers = self.options.threads.min(missing.len());
-            if workers > 1 && missing.len() >= self.options.parallel_threshold.max(1) {
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> = missing
-                        .chunks(missing.len().div_ceil(workers))
-                        .map(|part| {
-                            scope.spawn(move || {
-                                let mut scratch = ValidateScratch::new();
-                                part.iter()
-                                    .map(|&i| (i, validates_with(&pool[i], schema, &mut scratch)))
-                                    .collect::<Vec<(usize, bool)>>()
-                            })
-                        })
-                        .collect();
-                    for handle in handles {
-                        for (i, v) in handle.join().expect("validation worker panicked") {
-                            verdicts[i] = Some(v);
-                        }
-                    }
-                });
-            } else {
-                let mut scratch = ValidateScratch::new();
-                for &i in &missing {
-                    verdicts[i] = Some(validates_with(&pool[i], schema, &mut scratch));
-                }
-            }
-            let mut memo = write_or_recover(&k.validate_memo);
-            for &i in &missing {
-                memo.insert(
-                    hashes[i],
-                    &pool[i],
-                    verdicts[i].expect("filled above"),
-                    &self.budget,
-                );
-            }
-        }
-        self.maybe_evict();
-        verdicts
-            .into_iter()
-            .map(|v| v.expect("resolved above"))
-            .collect()
-    }
-
     /// Re-measure an entry's unfolder and charge/credit the ledger delta.
     /// Callers hold the entry's unfolder lock, so the swap serialises with
     /// other re-measurements and with the sweeper's reset.
@@ -2016,58 +1766,6 @@ impl ContainmentEngine {
         } else {
             self.budget.credit(CacheKind::Unfolder, before - now);
         }
-    }
-
-    /// Targeted invalidation for evolving graphs: drop the memoised
-    /// `validates(graph, ·)` verdicts for this exact candidate structure
-    /// from every registered schema's memo, crediting the ledger. Verdicts
-    /// for other candidates — and every other cache — are untouched, which
-    /// is the point: a delta that perturbs one graph should not cost the
-    /// session its warm state for every other graph. Returns the accounted
-    /// bytes freed.
-    pub fn invalidate_candidate(&self, graph: &Graph) -> u64 {
-        let entries: Vec<Arc<SchemaEntry>> = {
-            let registry = read_or_recover(&self.registry);
-            registry.schemas.clone()
-        };
-        let hash = candidate_hash(graph);
-        let mut freed = 0u64;
-        for entry in &entries {
-            let mut memo = write_or_recover(&entry.validate_memo);
-            freed += memo.remove(hash, graph, &self.budget);
-        }
-        freed
-    }
-
-    /// Targeted invalidation of one schema's unfolding state: drain its
-    /// enumerated pools and reset its unfolder session, crediting the
-    /// ledger, while every other schema's caches stay warm. The pools are
-    /// pure memos (they rebuild deterministically), so this is a cost knob,
-    /// not a correctness one. Returns the accounted bytes freed; unknown
-    /// handles free nothing.
-    pub fn invalidate_pools(&self, id: SchemaId) -> u64 {
-        if !self.is_registered(id) {
-            return 0;
-        }
-        let entry = self.entry(id);
-        let mut freed = 0u64;
-        {
-            let mut pools = write_or_recover(&entry.enumerated);
-            for (_, slot) in std::mem::take(&mut *pools) {
-                freed += slot.bytes;
-                self.budget.credit(CacheKind::Pools, slot.bytes);
-            }
-        }
-        {
-            let mut unfolder = lock_or_recover(&entry.unfolder);
-            let before = entry.unfolder_bytes.swap(0, Ordering::Relaxed);
-            if before > 0 {
-                *unfolder = Unfolder::with_context(self.session.clone());
-                self.budget.credit(CacheKind::Unfolder, before);
-                freed += before;
-            }
-        }
-        freed
     }
 
     /// Re-measure the session atom table and charge the pinned-ledger delta.
@@ -2536,16 +2234,10 @@ mod tests {
     fn builder_configures_every_knob() {
         let options = EngineOptions::builder()
             .search(SearchOptions::quick())
-            .threads(3)
-            .parallel_threshold(4)
-            .matrix_threads(2)
             .cache_budget(1 << 20)
             .max_entry_bytes(1 << 16)
             .coalesce(false)
             .build();
-        assert_eq!(options.threads, 3);
-        assert_eq!(options.parallel_threshold, 4);
-        assert_eq!(options.matrix_threads, 2);
         assert_eq!(options.cache_budget, Some(1 << 20));
         assert_eq!(options.max_entry_bytes, Some(1 << 16));
         assert!(!options.coalesce);
@@ -2558,9 +2250,9 @@ mod tests {
             SearchOptions::quick().max_depth,
             "search budget must carry through the builder"
         );
-        let unbounded = EngineOptions::builder().threads(0).build();
-        assert_eq!(unbounded.threads, 1, "thread counts clamp to at least 1");
+        let unbounded = EngineOptions::builder().build();
         assert_eq!(unbounded.cache_budget, None);
+        assert_eq!(unbounded.max_entry_bytes, None);
     }
 
     #[test]
@@ -2605,92 +2297,6 @@ mod tests {
     }
 
     #[test]
-    fn invalidate_candidate_drops_one_structure_and_balances_the_ledger() {
-        let engine = quick_engine();
-        let schema = parse_schema("T -> p::L?\nL -> EMPTY\n").unwrap();
-        let id = engine.register(&schema);
-        let entry = engine.entry(id);
-        let member = shapex_graph::parse_graph("a -p-> b\n").unwrap();
-        let other = shapex_graph::parse_graph("a -p-> b\nb -p-> c\n").unwrap();
-        {
-            let mut memo = entry.validate_memo.write().unwrap();
-            memo.insert(candidate_hash(&member), &member, true, &engine.budget);
-            memo.insert(candidate_hash(&other), &other, false, &engine.budget);
-        }
-        let before = engine.stats().validate_bytes;
-        assert!(before > 0);
-        let absent = shapex_graph::parse_graph("x -q-> y\n").unwrap();
-        assert_eq!(
-            engine.invalidate_candidate(&absent),
-            0,
-            "absent structures free nothing"
-        );
-        assert_eq!(engine.stats().validate_bytes, before);
-        let freed = engine.invalidate_candidate(&member);
-        assert!(freed > 0);
-        assert_eq!(
-            engine.stats().validate_bytes,
-            before - freed,
-            "the ledger credits exactly the freed record"
-        );
-        let memo = entry.validate_memo.read().unwrap();
-        assert!(
-            memo.get(candidate_hash(&other), &other, &engine.budget)
-                .is_some(),
-            "the unrelated candidate's verdict stays warm"
-        );
-        assert!(memo
-            .get(candidate_hash(&member), &member, &engine.budget)
-            .is_none());
-    }
-
-    #[test]
-    fn invalidate_pools_drains_one_schema_and_leaves_neighbours_warm() {
-        let engine = quick_engine();
-        let h = parse_schema("T -> p::L*\nL -> EMPTY\n").unwrap();
-        let k = parse_schema("T -> p::L?\nL -> EMPTY\n").unwrap();
-        // Warm both directions so both entries hold enumerated pools.
-        engine.check(&h, &k);
-        engine.check(&k, &h);
-        let ih = engine.register(&h);
-        let ik = engine.register(&k);
-        let pool_bytes_of = |id: SchemaId| -> u64 {
-            engine
-                .entry(id)
-                .enumerated
-                .read()
-                .unwrap()
-                .values()
-                .map(|slot| slot.bytes)
-                .sum()
-        };
-        let before = engine.stats();
-        let h_pools = pool_bytes_of(ih);
-        let k_pools = pool_bytes_of(ik);
-        let h_unfolder = engine.entry(ih).unfolder_bytes.load(Ordering::Relaxed);
-        assert!(h_pools + h_unfolder > 0, "warm-up must build h's pools");
-        let freed = engine.invalidate_pools(ih);
-        assert_eq!(freed, h_pools + h_unfolder);
-        let after = engine.stats();
-        assert_eq!(after.pool_bytes, before.pool_bytes - h_pools);
-        assert_eq!(after.unfolder_bytes, before.unfolder_bytes - h_unfolder);
-        assert!(engine.entry(ih).enumerated.read().unwrap().is_empty());
-        assert_eq!(pool_bytes_of(ik), k_pools, "neighbour pools are untouched");
-        assert_eq!(
-            after.validate_bytes, before.validate_bytes,
-            "validation memos are not this knob's business"
-        );
-        assert_eq!(
-            engine.invalidate_pools(SchemaId::from_index(999)),
-            0,
-            "unknown handles free nothing"
-        );
-        // The drained caches rebuild transparently: verdicts are unchanged.
-        let again = engine.check(&h, &k);
-        assert_eq!(format!("{again}"), format!("{}", engine.check(&h, &k)));
-    }
-
-    #[test]
     fn matrix_matches_individual_checks() {
         let texts = [
             "T -> p::L?\nL -> EMPTY\n",
@@ -2715,49 +2321,6 @@ mod tests {
         for (i, row) in matrix.iter().enumerate() {
             assert!(row[i].is_contained(), "matrix[{i}][{i}]");
         }
-    }
-
-    #[test]
-    fn row_parallel_matrix_matches_serial() {
-        let texts = [
-            "T -> p::L?\nL -> EMPTY\n",
-            "T -> p::L*\nL -> EMPTY\n",
-            "T -> p::L+\nL -> EMPTY\n",
-            "T -> p::L, p::L?\nL -> EMPTY\n",
-        ];
-        let schemas: Vec<Schema> = texts.iter().map(|t| parse_schema(t).unwrap()).collect();
-        let serial = quick_engine().check_matrix(&schemas);
-        for workers in [2usize, 8] {
-            let options = EngineOptions::builder()
-                .search(SearchOptions::quick())
-                .matrix_threads(workers)
-                .build();
-            let parallel = ContainmentEngine::with_options(options).check_matrix(&schemas);
-            for (i, (row_s, row_p)) in serial.iter().zip(&parallel).enumerate() {
-                for (j, (s, p)) in row_s.iter().zip(row_p).enumerate() {
-                    assert_eq!(
-                        format!("{s}"),
-                        format!("{p}"),
-                        "matrix[{i}][{j}] differs at {workers} workers"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_engine_answers_identically() {
-        let h = parse_schema("Root -> p::A, p::B\nA -> a::L?\nB -> b::L\nL -> EMPTY\n").unwrap();
-        let k = parse_schema("Root -> p::A, p::A\nA -> a::L?\nB -> b::L\nL -> EMPTY\n").unwrap();
-        let sequential = quick_engine().check(&h, &k);
-        let options = EngineOptions::builder()
-            .search(SearchOptions::quick())
-            .threads(4)
-            .parallel_threshold(1)
-            .build();
-        let parallel = ContainmentEngine::with_options(options).check(&h, &k);
-        assert_eq!(format!("{sequential}"), format!("{parallel}"));
-        assert!(parallel.is_not_contained());
     }
 
     #[test]

@@ -27,7 +27,7 @@ pub mod site {
     /// Just after a service request's schema text parsed successfully.
     pub const POST_PARSE: &str = "post-parse";
     /// At the engine's per-candidate checkpoint in the counter-example
-    /// search (the seam closest to the Presburger branch fan-out).
+    /// search (the seam closest to the Presburger solver).
     pub const SOLVER_BRANCH: &str = "solver-branch";
     /// In a pool worker, just before dispatching a received request.
     pub const WORKER_DISPATCH: &str = "worker-dispatch";

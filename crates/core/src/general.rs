@@ -18,7 +18,6 @@
 
 use std::collections::BTreeSet;
 
-use shapex_presburger::SolverOptions;
 use shapex_rbe::Bag;
 use shapex_shex::typing::{neighbourhood_satisfies_with, EdgeSummary, SolverTelemetry};
 use shapex_shex::{Atom, Schema, TypeId};
@@ -72,7 +71,6 @@ pub(crate) fn type_simulation_with_bags(
     h: &Schema,
     bags_per_type: &[Vec<Bag<Atom>>],
     k: &Schema,
-    solver: SolverOptions,
     telemetry: Option<&SolverTelemetry>,
 ) -> bool {
     let mut relation: Vec<BTreeSet<TypeId>> = h
@@ -84,14 +82,7 @@ pub(crate) fn type_simulation_with_bags(
         for t in h.types() {
             let candidates: Vec<TypeId> = relation[t.index()].iter().copied().collect();
             for s in candidates {
-                if !pair_consistent(
-                    &bags_per_type[t.index()],
-                    k,
-                    s,
-                    &relation,
-                    solver,
-                    telemetry,
-                ) {
+                if !pair_consistent(&bags_per_type[t.index()], k, s, &relation, telemetry) {
                     relation[t.index()].remove(&s);
                     changed = true;
                 }
@@ -109,7 +100,6 @@ fn pair_consistent(
     k: &Schema,
     s: TypeId,
     relation: &[BTreeSet<TypeId>],
-    solver: SolverOptions,
     telemetry: Option<&SolverTelemetry>,
 ) -> bool {
     // Every neighbourhood of t must be acceptable for s once the target types
@@ -124,7 +114,7 @@ fn pair_consistent(
             })
             .collect();
         // Without a token the check always answers.
-        if neighbourhood_satisfies_with(&edges, k.def(s), solver, telemetry, None) != Some(true) {
+        if neighbourhood_satisfies_with(&edges, k.def(s), telemetry, None) != Some(true) {
             return false;
         }
     }

@@ -25,11 +25,10 @@
 //!   `ContainmentEngine` registers schemas once and memoises shape graphs,
 //!   unfolding pools, and validation/embedding verdicts behind `&self`
 //!   concurrent caches, so one engine (typically in an `Arc`) serves
-//!   batch matrices, parallel rows, and long-lived services.
+//!   batch matrices and long-lived services, one query per caller thread.
 //! * [`simulation`] — the worklist + bitset simulation engine behind
 //!   [`embedding`]: dense bitset relation, joint interned-label space, and
-//!   predecessor-directed refinement, with an optional `std::thread` worker
-//!   pool for the initial candidate-pruning pass.
+//!   predecessor-directed refinement.
 //! * [`baseline`] — brute-force references: enumeration of small
 //!   counter-examples and the original full-rescan simulation fix-point,
 //!   used as test oracles and benchmark baselines.

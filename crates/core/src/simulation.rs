@@ -1,7 +1,7 @@
 //! The worklist + bitset simulation engine.
 //!
-//! [`max_simulation_with`] computes the unique maximal simulation of `G` in
-//! `H` (Section 3 of the paper). It replaces the naive fix-point of
+//! [`max_simulation`] computes the unique maximal simulation of `G` in `H`
+//! (Section 3 of the paper). It replaces the naive fix-point of
 //! [`crate::baseline::max_simulation_baseline`] — which rescans all
 //! `|N_G| · |N_H|` pairs until nothing changes — with three structural
 //! optimisations:
@@ -24,14 +24,11 @@
 //!   of rescanning the full product. Pairs are deduplicated in the queue by
 //!   a dirty bitset.
 //!
-//! Each witness check is one [`FlowScratch::solve`] call on a reused scratch
-//! (one per worker), so the steady state performs no allocation. When every
-//! out-edge of `n` has at most one candidate edge of `m` — always so when no
-//! label repeats among `m`'s out-edges — the routing is forced and no flow
-//! network is built. The initial pass over all candidate pairs is
-//! embarrassingly parallel across `G`-rows; [`SimulationOptions::threads`]
-//! gates a `std::thread` worker pool for it (no external dependencies), and
-//! the result is identical regardless of the thread count.
+//! Each witness check is one [`FlowScratch::solve`] call on one reused
+//! scratch, so the steady state performs no allocation. When every out-edge
+//! of `n` has at most one candidate edge of `m` — always so when no label
+//! repeats among `m`'s out-edges — the routing is forced and no flow network
+//! is built. The whole computation runs on the calling thread.
 
 use std::collections::{BTreeSet, VecDeque};
 
@@ -84,52 +81,6 @@ impl Simulation {
     /// Whether the relation is empty.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-}
-
-/// Tuning knobs for [`max_simulation_with`].
-#[derive(Debug, Clone)]
-pub struct SimulationOptions {
-    /// Worker threads for the initial candidate-pruning pass. `1` keeps the
-    /// whole computation on the calling thread; the refinement loop is
-    /// always sequential. The computed simulation does not depend on this.
-    pub threads: usize,
-    /// Minimum number of candidate pairs (`|N_G| · |N_H|`) before worker
-    /// threads are actually spawned; below it the spawn overhead dominates.
-    pub parallel_threshold: usize,
-}
-
-impl Default for SimulationOptions {
-    fn default() -> Self {
-        SimulationOptions {
-            threads: 1,
-            parallel_threshold: 4096,
-        }
-    }
-}
-
-impl SimulationOptions {
-    /// Single-threaded engine (the default).
-    pub fn sequential() -> SimulationOptions {
-        SimulationOptions::default()
-    }
-
-    /// Use all available cores for the initial pass.
-    pub fn parallel() -> SimulationOptions {
-        SimulationOptions {
-            threads: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-            ..SimulationOptions::default()
-        }
-    }
-
-    /// Use a fixed number of worker threads for the initial pass.
-    pub fn with_threads(threads: usize) -> SimulationOptions {
-        SimulationOptions {
-            threads: threads.max(1),
-            ..SimulationOptions::default()
-        }
     }
 }
 
@@ -445,12 +396,14 @@ fn initial_row(
     }
 }
 
-/// Compute the maximal simulation of `G` in `H` with the worklist engine.
+/// Compute the maximal simulation of `G` in `H`.
 ///
-/// Algorithmically identical in outcome to the brute-force fix-point (the
-/// maximal simulation is unique); see the module docs for what makes it
-/// fast. `options` only affects how the initial pass is scheduled.
-pub fn max_simulation_with(g: &Graph, h: &Graph, options: &SimulationOptions) -> Simulation {
+/// Starting from the full relation `N_G × N_H`, pairs without a witness are
+/// removed until no change occurs; since simulations are closed under union
+/// the result is the unique maximal simulation. See the module docs for what
+/// makes this engine fast; the original full-rescan fix-point survives as
+/// the test oracle [`crate::baseline::max_simulation_baseline`].
+pub fn max_simulation(g: &Graph, h: &Graph) -> Simulation {
     let (g_map, h_map) = joint_label_maps(g, h);
     let gi = GraphIndex::build(g, &g_map);
     let hi = GraphIndex::build(h, &h_map);
@@ -458,31 +411,11 @@ pub fn max_simulation_with(g: &Graph, h: &Graph, options: &SimulationOptions) ->
     let h_n = hi.node_count;
 
     let mut rel = BitRel::empty(g_n, h_n);
-    let pairs = g_n * h_n;
-    let threads = options.threads.min(g_n.max(1));
-    if threads > 1 && pairs > 0 && pairs >= options.parallel_threshold {
-        let blocks = rel.blocks;
-        let rows_per_chunk = g_n.div_ceil(threads);
-        std::thread::scope(|scope| {
-            for (chunk_index, chunk) in rel.bits.chunks_mut(rows_per_chunk * blocks).enumerate() {
-                let gi = &gi;
-                let hi = &hi;
-                scope.spawn(move || {
-                    let mut scratch = FlowScratch::new();
-                    for (offset, row) in chunk.chunks_mut(blocks).enumerate() {
-                        let n = chunk_index * rows_per_chunk + offset;
-                        initial_row(gi, hi, n, row, &mut scratch);
-                    }
-                });
-            }
-        });
-    } else {
-        let mut scratch = FlowScratch::new();
-        let blocks = rel.blocks;
-        for n in 0..g_n {
-            let row = &mut rel.bits[n * blocks..(n + 1) * blocks];
-            initial_row(&gi, &hi, n, row, &mut scratch);
-        }
+    let mut scratch = FlowScratch::new();
+    let blocks = rel.blocks;
+    for n in 0..g_n {
+        let row = &mut rel.bits[n * blocks..(n + 1) * blocks];
+        initial_row(&gi, &hi, n, row, &mut scratch);
     }
 
     // Worklist refinement: whenever a pair (n, m) is found removed, the only
@@ -530,7 +463,6 @@ pub fn max_simulation_with(g: &Graph, h: &Graph, options: &SimulationOptions) ->
         }
     }
 
-    let mut scratch = FlowScratch::new();
     while let Some((n, m)) = queue.pop_front() {
         let (n, m) = (n as usize, m as usize);
         dirty.remove(n, m);
@@ -563,18 +495,9 @@ mod tests {
 
     fn engines_agree(g: &Graph, h: &Graph) -> Simulation {
         let baseline = max_simulation_baseline(g, h);
-        let sequential = max_simulation_with(g, h, &SimulationOptions::sequential());
-        assert_eq!(baseline, sequential, "worklist engine disagrees");
-        let parallel = max_simulation_with(
-            g,
-            h,
-            &SimulationOptions {
-                threads: 4,
-                parallel_threshold: 0,
-            },
-        );
-        assert_eq!(baseline, parallel, "parallel initial pass disagrees");
-        sequential
+        let worklist = max_simulation(g, h);
+        assert_eq!(baseline, worklist, "worklist engine disagrees");
+        worklist
     }
 
     #[test]

@@ -42,7 +42,7 @@ use rand::prelude::*;
 use rand::rngs::StdRng;
 
 use shapex_graph::{Graph, GraphBuilder, Label};
-use shapex_presburger::{CancelToken, SolverOptions};
+use shapex_presburger::CancelToken;
 use shapex_rbe::{Bag, Interval, Rbe};
 use shapex_shex::typing::{neighbourhood_satisfies_with, validates, EdgeSummary, SolverTelemetry};
 use shapex_shex::{Atom, AtomId, AtomTable, Schema, TypeId};
@@ -99,22 +99,19 @@ impl SearchOptions {
 }
 
 /// Cross-schema state shared by every [`Unfolder`] of one containment
-/// session, plus the Presburger solver configuration for local acceptance
-/// checks.
+/// session.
 ///
-/// The default context gives each `Unfolder` private tables and a serial
-/// solver — the behaviour of the historical per-schema design. An engine
-/// clones one context into every schema entry so that atoms are interned and
-/// candidate bags enumerated once per *session* rather than once per schema,
-/// and so that solver work is configured and counted centrally.
+/// The default context gives each `Unfolder` private tables — the behaviour
+/// of the historical per-schema design. An engine clones one context into
+/// every schema entry so that atoms are interned and candidate bags
+/// enumerated once per *session* rather than once per schema, and so that
+/// solver work is counted centrally.
 #[derive(Debug, Clone, Default)]
 pub struct SessionContext {
     /// Session-level interner over `Σ × Γ`; arena memo keys are ids in it.
     pub atoms: Arc<AtomTable>,
     /// Session-level candidate-bag cache keyed by defining expression.
     pub bags: Arc<SharedBagCache>,
-    /// Solver options for Presburger-backed acceptance checks.
-    pub solver: SolverOptions,
     /// Cumulative solver counters (engine-owned; `None` drops the stats).
     pub telemetry: Option<Arc<SolverTelemetry>>,
     /// The engine's cache ledger, when the session runs under one: bag-cache
@@ -408,8 +405,8 @@ impl TreeArena {
     /// Intern a tree with the given root type and labelled children
     /// (children must already live in this arena). Structurally identical
     /// trees share one index. The session context supplies the atom table
-    /// for the acceptance memo and the solver configuration for the check
-    /// itself. The acceptance check's Presburger fallback polls `cancel`,
+    /// for the acceptance memo and the telemetry the check's solver calls
+    /// report to. The acceptance check's Presburger fallback polls `cancel`,
     /// and a fired token returns `None` *before* anything is interned — the
     /// arena, its memos, and the dedup tables are exactly as if the call
     /// never happened.
@@ -497,13 +494,8 @@ impl TreeArena {
                 multiplicity: 1,
             })
             .collect();
-        let ok = neighbourhood_satisfies_with(
-            &edges,
-            schema.def(t),
-            ctx.solver,
-            ctx.telemetry.as_deref(),
-            cancel,
-        )?;
+        let ok =
+            neighbourhood_satisfies_with(&edges, schema.def(t), ctx.telemetry.as_deref(), cancel)?;
         self.local.entry(key).or_default().push(LocalVerdict {
             type_id: t,
             profile,
@@ -565,12 +557,12 @@ pub struct Unfolder {
     /// One graph per distinct tree, built on first demand.
     graphs: Vec<Option<Arc<Graph>>>,
     builder: GraphBuilder,
-    /// Session-shared atom table, bag cache, and solver configuration.
+    /// Session-shared atom table, bag cache, and solver telemetry.
     ctx: SessionContext,
 }
 
 impl Unfolder {
-    /// An empty session with private tables and a serial solver.
+    /// An empty session with private tables.
     pub fn new() -> Unfolder {
         Unfolder::default()
     }

@@ -64,8 +64,6 @@ impl Drop for Armed {
 fn chaos_options() -> EngineOptions {
     EngineOptions::builder()
         .search(tiny())
-        .threads(1)
-        .matrix_threads(1)
         .cache_budget(4096)
         .build()
 }

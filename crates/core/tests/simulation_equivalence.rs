@@ -2,33 +2,26 @@
 //! engine and the retained full-rescan fix-point of `baseline.rs` must
 //! compute *identical* maximal simulations on random graph pairs — in both
 //! the polynomial (all-basic-interval) regime and the backtracking-witness
-//! regime of general intervals, and regardless of whether the parallel
-//! initial pass is enabled.
+//! regime of general intervals.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use shapex_core::baseline::max_simulation_baseline;
-use shapex_core::simulation::{max_simulation_with, SimulationOptions};
+use shapex_core::simulation::max_simulation;
 use shapex_graph::generate::{sample_from_shape, GraphGen};
 use shapex_graph::Graph;
 use shapex_rbe::Interval;
 
-/// Assert that all three engine configurations agree with the oracle.
+/// Assert that the worklist engine agrees with the oracle.
 fn engines_agree(g: &Graph, h: &Graph) {
     let oracle = max_simulation_baseline(g, h);
-    let sequential = max_simulation_with(g, h, &SimulationOptions::sequential());
-    assert_eq!(oracle, sequential, "worklist engine differs from baseline");
-    let parallel = max_simulation_with(
-        g,
-        h,
-        &SimulationOptions {
-            threads: 3,
-            parallel_threshold: 0,
-        },
+    assert_eq!(
+        oracle,
+        max_simulation(g, h),
+        "worklist engine differs from baseline"
     );
-    assert_eq!(oracle, parallel, "parallel initial pass differs");
 }
 
 /// A random graph with *general* intervals, the regime where the witness

@@ -15,8 +15,7 @@
 //! candidate filtering of the counter-example search — takes the ψ
 //! translation into the bounded solver, and every group contributes an
 //! independent branch point. On the Unsat side the solver must refute every
-//! branch combination, which is exactly the workload the parallel disjunct
-//! search spreads across workers.
+//! branch combination.
 
 use shapex_rbe::{Interval, Rbe};
 use shapex_shex::{Atom, Schema, TypeId};

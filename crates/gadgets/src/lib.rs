@@ -13,7 +13,7 @@
 //!   construction.
 //! * [`disjuncts`] — disjunct-heavy general-containment pairs whose
 //!   neighbourhood checks are forced through the Presburger solver, the
-//!   workload the parallel disjunct search is measured on.
+//!   workload the disjunct search is measured on.
 //! * [`corpus`] — corpus-scale workloads: fleets of schema families evolving
 //!   under seeded deltas, the input of the `service_throughput` bench.
 

@@ -68,9 +68,9 @@ macro_rules! assert_send_sync {
 }
 
 // The thread-safety contract of the graph layer: graphs, labels, and both
-// interners are shared by reference across `ContainmentEngine` worker
-// threads (matrix rows, validation fan-outs) and across service clients, so
-// they must all be `Send + Sync`. `Label` is a content-compared `Arc<str>`;
+// interners are shared by reference across every thread that queries a
+// `ContainmentEngine` (service workers and other callers), so they must all
+// be `Send + Sync`. `Label` is a content-compared `Arc<str>`;
 // `Graph` only mutates through `&mut self` and its lazy adjacency cache is a
 // `OnceLock`; `SharedLabelTable` is the concurrent interner engineered for
 // exactly this sharing.

@@ -138,8 +138,8 @@ impl LabelTable {
 /// A concurrent label interner whose reads are lock-free.
 ///
 /// A long-lived containment session shares one label table across every
-/// registered schema and every worker thread (matrix rows, validation
-/// fan-outs), so the interner is engineered for the read-mostly case: the
+/// registered schema and every thread that queries it, so the interner is
+/// engineered for the read-mostly case: the
 /// predicate alphabet is small and stable after warm-up, and nearly every
 /// call re-interns a label that is already present. Labels live in a
 /// fixed-capacity open-addressed table of [`OnceLock`] slots, each written at

@@ -30,5 +30,5 @@ pub mod translate;
 
 pub use cancel::CancelToken;
 pub use formula::{Constraint, Formula, LinearExpr, Var, VarPool};
-pub use solver::{Bounds, SolveResult, Solver, SolverOptions, SolverStats};
+pub use solver::{Bounds, SolveResult, Solver, SolverStats};
 pub use translate::{psi, rbe_member};

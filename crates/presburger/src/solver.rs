@@ -11,8 +11,6 @@
 //! (Proposition 6.3 / Weispfenning 1990), so bounded solving loses no
 //! generality provided the caller passes a large-enough bound.
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-
 use crate::cancel::CancelToken;
 use crate::formula::{Constraint, Formula, LinearExpr, VarPool};
 
@@ -21,8 +19,8 @@ use crate::formula::{Constraint, Formula, LinearExpr, VarPool};
 /// relaxed load), the clock only every this-many nodes, so the polling cost
 /// stays far below the per-node search work while the checkpoint interval
 /// stays bounded (a few hundred nodes — microseconds). An expired deadline
-/// is latched into the token's flag, so every parallel worker sharing the
-/// token aborts promptly.
+/// is latched into the token's flag, so every later checkpoint of the same
+/// query — in the solver or in its caller — sees it with one load.
 const CANCEL_POLL_INTERVAL: u32 = 256;
 
 /// Variable bounds used by the solver when the [`VarPool`] does not declare a
@@ -46,106 +44,6 @@ impl Bounds {
     }
 }
 
-/// Knobs controlling how a [`Solver`] explores disjunctions.
-///
-/// With `threads > 1`, when the search pops a disjunction of two or more
-/// branches (outside an already-forked worker) *and* the estimated cost of
-/// exploring a branch from the current state — accumulated atom count times
-/// the size of the unresolved assignment space, see
-/// [`estimated_branch_cost`] — reaches `min_fork_cost`, the branches are
-/// explored by a scoped worker pool: each
-/// worker snapshots the accumulated atoms and domains (cheap — the
-/// undo-trail design keeps both flat vectors), claims branches from a shared
-/// atomic cursor (work-stealing), and a first-solution latch stops the
-/// others early. Workers never fork again, so the pool depth is exactly one.
-///
-/// The cost gate replaces an earlier fixed branch-count threshold: branch
-/// count says nothing about how much work hides behind each branch, so wide
-/// but trivially-propagated disjunctions (tight domains, few atoms) used to
-/// pay thread-spawn and snapshot overhead for microseconds of search, while
-/// narrow-but-deep forks were never taken.
-///
-/// The estimate itself has been recalibrated once: it originally multiplied
-/// the atom count by only the *widest* single domain, which priced a
-/// top-level disjunction (no atoms accumulated yet, every variable
-/// unresolved) at `1 × (width + 1)` — single digits for the disjunct
-/// gadgets, far below any sensible `min_fork_cost`, so the exact workload
-/// parallel fan-out exists for never forked at its outermost (and only
-/// eligible) disjunction. The estimate now multiplies the widths of *all*
-/// unresolved domains — the size of the remaining assignment space a branch
-/// might explore — so top-level disjunctions over many free variables price
-/// as the exponential searches they are.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SolverOptions {
-    /// Worker threads for disjunct exploration; `1` keeps the search serial.
-    pub threads: usize,
-    /// Minimum [`estimated_branch_cost`] before a disjunction is fanned out;
-    /// `0` forks every disjunction (useful in tests).
-    pub min_fork_cost: u64,
-}
-
-impl Default for SolverOptions {
-    fn default() -> Self {
-        SolverOptions {
-            threads: 1,
-            min_fork_cost: 256,
-        }
-    }
-}
-
-impl SolverOptions {
-    /// Serial exploration (the default).
-    pub fn serial() -> SolverOptions {
-        SolverOptions::default()
-    }
-
-    /// Parallel exploration with the given worker count.
-    pub fn parallel(threads: usize) -> SolverOptions {
-        SolverOptions {
-            threads: threads.max(1),
-            ..SolverOptions::default()
-        }
-    }
-
-    /// Options from the environment: `SOLVER_THREADS` sets the worker count
-    /// (unset, empty, `0` or `1` keep the search serial).
-    pub fn from_env() -> SolverOptions {
-        let threads = std::env::var("SOLVER_THREADS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .unwrap_or(1);
-        SolverOptions::parallel(threads)
-    }
-
-    /// Override the minimum per-branch cost estimate required to fork.
-    pub fn with_min_fork_cost(mut self, cost: u64) -> SolverOptions {
-        self.min_fork_cost = cost;
-        self
-    }
-}
-
-/// The cheap per-branch cost estimate gating parallel fan-out: the number of
-/// accumulated atomic constraints times the size of the unresolved
-/// assignment space — the product over every domain of `(width + 1)`, so a
-/// resolved variable (width 0) contributes a factor of one and `n` free
-/// variables of width `w` contribute `(w + 1)ⁿ`. Propagation re-scans every
-/// atom per tightening pass and the search in the worst case enumerates the
-/// remaining assignment space, so the (saturating) product tracks how much
-/// work a worker could claim per branch — enough to tell "microseconds"
-/// from "worth a thread" without inspecting the branches themselves.
-///
-/// In particular a *top-level* disjunction (no atoms yet, all variables
-/// free) prices at the full assignment space: the disjunct-scaling gadgets
-/// at `vars = 6` estimate `7⁶ ≈ 10⁵`, comfortably past the default
-/// [`SolverOptions::min_fork_cost`] of 256, where the previous
-/// widest-single-domain estimate priced them at 7 and never forked.
-pub fn estimated_branch_cost(atoms_len: usize, domains: &[(u64, u64)]) -> u64 {
-    let space = domains.iter().fold(1u64, |acc, &(lo, hi)| {
-        acc.saturating_mul(hi.saturating_sub(lo).saturating_add(1))
-    });
-    (atoms_len as u64).max(1).saturating_mul(space)
-}
-
 /// Counters of one [`Solver::solve_with_stats`] call.
 ///
 /// The branch-and-bound search no longer clones its constraint set and
@@ -158,15 +56,6 @@ pub struct SolverStats {
     pub search_nodes: u64,
     /// Branches cut by interval propagation finding a contradiction.
     pub pruned_branches: u64,
-}
-
-impl SolverStats {
-    /// Accumulate another counter set (used when merging worker results and
-    /// when surfacing per-query stats into session-level totals).
-    pub fn merge(&mut self, other: SolverStats) {
-        self.search_nodes += other.search_nodes;
-        self.pruned_branches += other.pruned_branches;
-    }
 }
 
 /// Result of a satisfiability query.
@@ -205,7 +94,6 @@ impl SolveResult {
 pub struct Solver {
     bounds: Bounds,
     node_budget: u64,
-    options: SolverOptions,
 }
 
 impl Default for Solver {
@@ -213,7 +101,6 @@ impl Default for Solver {
         Solver {
             bounds: Bounds::default(),
             node_budget: 2_000_000,
-            options: SolverOptions::default(),
         }
     }
 }
@@ -244,28 +131,16 @@ struct SearchState<'a> {
     trail: Vec<TrailEntry>,
     budget: u64,
     stats: SolverStats,
-    /// Set inside a parallel worker: the shared first-solution latch. A set
-    /// latch aborts the worker's search; its presence also marks "already
-    /// forked", so workers never fan out a nested disjunction themselves.
-    stop: Option<&'a AtomicBool>,
-    /// External cancellation (caller-supplied token) — deliberately a
-    /// separate field from `stop`: the fork gate keys on `stop.is_none()` to
-    /// mean "not yet inside a worker", so reusing the latch for external
-    /// cancellation would disable parallel fan-out for every cancellable
-    /// solve.
+    /// External cancellation (caller-supplied token).
     cancel: Option<&'a CancelToken>,
     /// Node counter amortising the deadline clock reads of `cancel`.
     polls: u32,
 }
 
 impl SearchState<'_> {
-    /// Whether this search must abort: another worker latched a model, the
-    /// caller cancelled, or (checked every [`CANCEL_POLL_INTERVAL`] nodes)
-    /// the caller's deadline expired.
+    /// Whether this search must abort: the caller cancelled, or (checked
+    /// every [`CANCEL_POLL_INTERVAL`] nodes) the caller's deadline expired.
     fn aborted(&mut self) -> bool {
-        if self.stop.is_some_and(|stop| stop.load(Ordering::Relaxed)) {
-            return true;
-        }
         let Some(cancel) = self.cancel else {
             return false;
         };
@@ -275,14 +150,6 @@ impl SearchState<'_> {
         self.polls = self.polls.wrapping_add(1);
         self.polls % CANCEL_POLL_INTERVAL == 0 && cancel.fired()
     }
-}
-
-/// What one disjunct worker brings back to the fork point.
-struct WorkerOutcome {
-    model: Option<Vec<u64>>,
-    exhausted: bool,
-    spent: u64,
-    stats: SolverStats,
 }
 
 /// Restore every domain recorded after `base`, in reverse push order.
@@ -299,7 +166,6 @@ impl Solver {
         Solver {
             bounds,
             node_budget: 2_000_000,
-            options: SolverOptions::default(),
         }
     }
 
@@ -307,17 +173,6 @@ impl Solver {
     pub fn with_node_budget(mut self, budget: u64) -> Solver {
         self.node_budget = budget;
         self
-    }
-
-    /// Override the disjunct-exploration options.
-    pub fn with_options(mut self, options: SolverOptions) -> Solver {
-        self.options = options;
-        self
-    }
-
-    /// The disjunct-exploration options in effect.
-    pub fn options(&self) -> SolverOptions {
-        self.options
     }
 
     /// Decide satisfiability of `formula` with variables bounded by the pool's
@@ -371,7 +226,6 @@ impl Solver {
             trail: Vec::new(),
             budget: self.node_budget,
             stats: SolverStats::default(),
-            stop: None,
             cancel,
             polls: 0,
         };
@@ -436,14 +290,6 @@ impl Solver {
             let Nnf::Or(choices) = or else {
                 unreachable!("only Or is deferred")
             };
-            if self.options.threads > 1
-                && state.stop.is_none()
-                && choices.len() >= 2
-                && estimated_branch_cost(state.atoms.len(), &state.domains)
-                    >= self.options.min_fork_cost
-            {
-                return self.search_disjuncts_parallel(choices, &disjunctions, state);
-            }
             for choice in choices {
                 let mut next: Vec<&Nnf> = Vec::with_capacity(disjunctions.len() + 1);
                 next.push(choice);
@@ -459,108 +305,6 @@ impl Solver {
 
         // Only atomic constraints remain: branch and bound over the domains.
         self.enumerate(state)
-    }
-
-    /// Explore the branches of one disjunction on a scoped worker pool.
-    ///
-    /// Each worker snapshots the parent's accumulated atoms and domains (the
-    /// trail starts empty — worker states are discarded, never unwound into
-    /// the parent), claims branch indices from a shared cursor, and runs the
-    /// ordinary serial search on each claimed branch with the first-solution
-    /// latch installed. Merging keeps the counters exact: every node a worker
-    /// visits lands in the parent's [`SolverStats`], and the parent budget is
-    /// charged for the total work. On `Unsat` every branch subtree is
-    /// explored in full exactly as the serial search would, so the merged
-    /// counters equal the serial run's; on early exit the counters reflect
-    /// the work actually performed. If the collective spend overruns the
-    /// budget the fork reports `Unknown`, like a serial run that ran dry.
-    fn search_disjuncts_parallel(
-        &self,
-        choices: &[Nnf],
-        deferred: &[&Nnf],
-        state: &mut SearchState<'_>,
-    ) -> Option<Option<Vec<u64>>> {
-        let latch = AtomicBool::new(false);
-        let cursor = AtomicUsize::new(0);
-        let workers = self.options.threads.min(choices.len());
-        let budget_at_fork = state.budget;
-        let cancel = state.cancel;
-        let base_atoms = &state.atoms;
-        let base_domains = &state.domains;
-        let outcomes: Vec<WorkerOutcome> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut local = SearchState {
-                            atoms: base_atoms.clone(),
-                            domains: base_domains.clone(),
-                            trail: Vec::new(),
-                            budget: budget_at_fork,
-                            stats: SolverStats::default(),
-                            stop: Some(&latch),
-                            cancel,
-                            polls: 0,
-                        };
-                        let mut model = None;
-                        let mut exhausted = false;
-                        loop {
-                            let i = cursor.fetch_add(1, Ordering::Relaxed);
-                            if i >= choices.len() || latch.load(Ordering::Relaxed) {
-                                break;
-                            }
-                            let mut pending: Vec<&Nnf> = Vec::with_capacity(deferred.len() + 1);
-                            pending.push(&choices[i]);
-                            pending.extend(deferred.iter().copied());
-                            match self.search(&pending, &mut local) {
-                                Some(Some(found)) => {
-                                    latch.store(true, Ordering::Relaxed);
-                                    model = Some(found);
-                                    break;
-                                }
-                                Some(None) => continue,
-                                None => {
-                                    // Budget ran dry — unless the abort came
-                                    // from the latch, in which case another
-                                    // worker's model supersedes this branch.
-                                    exhausted = !latch.load(Ordering::Relaxed);
-                                    break;
-                                }
-                            }
-                        }
-                        WorkerOutcome {
-                            model,
-                            exhausted,
-                            spent: budget_at_fork - local.budget,
-                            stats: local.stats,
-                        }
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("solver worker panicked"))
-                .collect()
-        });
-
-        let mut model = None;
-        let mut exhausted = false;
-        let mut total_spent: u64 = 0;
-        for outcome in outcomes {
-            state.stats.merge(outcome.stats);
-            total_spent += outcome.spent;
-            exhausted |= outcome.exhausted;
-            if model.is_none() {
-                model = outcome.model;
-            }
-        }
-        state.budget = budget_at_fork.saturating_sub(total_spent);
-        if let Some(found) = model {
-            return Some(Some(found));
-        }
-        if exhausted || total_spent > budget_at_fork {
-            return None;
-        }
-        Some(None)
     }
 
     fn enumerate(&self, state: &mut SearchState<'_>) -> Option<Option<Vec<u64>>> {
@@ -823,6 +567,11 @@ mod tests {
         ]);
         let model = solver().solve(&f, &pool);
         assert_eq!(model.model().unwrap()[0], 7);
+        // Sixteen disjuncts, explored in order: the first one that survives
+        // the floor is the model.
+        let branches: Vec<Formula> = (0..16).map(|k| Formula::eq(x, k)).collect();
+        let f = Formula::and(vec![Formula::or(branches), Formula::ge(x, 13)]);
+        assert_eq!(solver().solve(&f, &pool).model().unwrap()[0], 13);
     }
 
     #[test]
@@ -912,6 +661,20 @@ mod tests {
         let (sat, sat_stats) = solver().solve_with_stats(&Formula::ge(x, 3), &pool);
         assert!(sat.is_sat());
         assert!(sat_stats.search_nodes >= 1);
+        // The wide Unsat disjunction: one root node plus one node per
+        // disjunct, and propagation refutes every disjunct.
+        let mut pool = VarPool::new();
+        let f = wide_unsat_disjunction(&mut pool);
+        assert_eq!(
+            solver().solve_with_stats(&f, &pool),
+            (
+                SolveResult::Unsat,
+                SolverStats {
+                    search_nodes: 13,
+                    pruned_branches: 12,
+                }
+            )
+        );
     }
 
     #[test]
@@ -949,83 +712,6 @@ mod tests {
             Formula::or(branches),
             Formula::ge(sum, LinearExpr::constant(40)),
         ])
-    }
-
-    #[test]
-    fn parallel_search_matches_serial_verdicts_and_exact_stats_on_unsat() {
-        let mut pool = VarPool::new();
-        let f = wide_unsat_disjunction(&mut pool);
-        let serial = solver();
-        let parallel = solver().with_options(SolverOptions::parallel(4).with_min_fork_cost(0));
-        let (sr, ss) = serial.solve_with_stats(&f, &pool);
-        let (pr, ps) = parallel.solve_with_stats(&f, &pool);
-        assert_eq!(sr, SolveResult::Unsat);
-        assert_eq!(pr, sr);
-        // On Unsat the whole branch tree is explored either way, so the
-        // merged worker counters must equal the serial counters exactly.
-        assert_eq!(ps, ss, "merged stats must be exact on Unsat");
-    }
-
-    #[test]
-    fn parallel_search_finds_models_behind_wide_disjunctions() {
-        let mut pool = VarPool::new();
-        let x = pool.fresh_named("x");
-        let branches: Vec<Formula> = (0..16).map(|k| Formula::eq(x, k)).collect();
-        let f = Formula::and(vec![Formula::or(branches), Formula::ge(x, 13)]);
-        for threads in [2usize, 8] {
-            let parallel =
-                solver().with_options(SolverOptions::parallel(threads).with_min_fork_cost(0));
-            let result = parallel.solve(&f, &pool);
-            let model = result.model().expect("satisfiable");
-            assert!(model[0] >= 13, "latched model must satisfy the formula");
-        }
-    }
-
-    #[test]
-    fn solver_options_from_env_shape() {
-        let opts = SolverOptions::parallel(0);
-        assert_eq!(opts.threads, 1, "zero threads degrades to serial");
-        let opts = SolverOptions::parallel(8).with_min_fork_cost(3);
-        assert_eq!((opts.threads, opts.min_fork_cost), (8, 3));
-    }
-
-    #[test]
-    fn fork_cost_estimate_scales_with_atoms_and_assignment_space() {
-        assert_eq!(estimated_branch_cost(0, &[]), 1, "empty state costs ~1");
-        assert_eq!(estimated_branch_cost(4, &[(0, 0), (0, 9)]), 4 * 10);
-        // Resolved variables contribute a factor of one.
-        assert_eq!(estimated_branch_cost(1, &[(5, 5), (0, 99)]), 100);
-        // Free variables multiply: the unresolved assignment space, not just
-        // the single widest domain, prices a top-level disjunction.
-        assert_eq!(estimated_branch_cost(0, &[(0, 6); 6]), 7u64.pow(6));
-        assert_eq!(estimated_branch_cost(2, &[(0, 9), (0, 9)]), 2 * 100);
-        // The product saturates instead of wrapping.
-        assert_eq!(
-            estimated_branch_cost(1, &[(0, u64::MAX - 1), (0, u64::MAX - 1)]),
-            u64::MAX
-        );
-    }
-
-    #[test]
-    fn cheap_disjunctions_stay_serial_but_verdicts_agree() {
-        // Tiny domains: the branch cost sits below the default gate, so a
-        // parallel-configured solver takes the serial path — and must agree
-        // with a fork-everything configuration on both verdicts and stats.
-        let mut pool = VarPool::new();
-        let x = pool.fresh_bounded("x", 3);
-        let branches: Vec<Formula> = (0..8).map(|k| Formula::eq(x, k)).collect();
-        let f = Formula::and(vec![Formula::or(branches), Formula::ge(x, 2)]);
-        let gated = solver().with_options(SolverOptions::parallel(4));
-        let forked = solver().with_options(SolverOptions::parallel(4).with_min_fork_cost(0));
-        let serial = solver();
-        let (gr, gs) = gated.solve_with_stats(&f, &pool);
-        let (fr, _) = forked.solve_with_stats(&f, &pool);
-        let (sr, ss) = serial.solve_with_stats(&f, &pool);
-        assert!(matches!(gr, SolveResult::Sat(_)));
-        assert_eq!(gr.model().is_some(), fr.model().is_some());
-        assert_eq!(gr.model().is_some(), sr.model().is_some());
-        // Below the gate the search is bit-for-bit the serial one.
-        assert_eq!(gs, ss);
     }
 
     #[test]
@@ -1078,21 +764,6 @@ mod tests {
         assert!(
             started.elapsed() < std::time::Duration::from_secs(5),
             "cancellation must bound the solve"
-        );
-    }
-
-    #[test]
-    fn parallel_workers_observe_the_cancel_flag() {
-        let mut pool = VarPool::new();
-        let f = wide_unsat_disjunction(&mut pool);
-        let token = CancelToken::new();
-        token.cancel();
-        let parallel = solver().with_options(SolverOptions::parallel(4).with_min_fork_cost(0));
-        let (result, _) = parallel.solve_with_stats_cancellable(&f, &pool, Some(&token));
-        assert_eq!(
-            result,
-            SolveResult::Unknown,
-            "a fired flag must abort even the forked search"
         );
     }
 

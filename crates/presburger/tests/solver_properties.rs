@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 
 use shapex_presburger::formula::{Constraint, Formula, LinearExpr, Var, VarPool};
-use shapex_presburger::solver::{Bounds, SolveResult, Solver, SolverOptions};
+use shapex_presburger::solver::{Bounds, SolveResult, Solver};
 
 const VARS: u32 = 3;
 const BOUND: u64 = 4;
@@ -86,55 +86,6 @@ proptest! {
                 // The default budget should be ample for these tiny formulas.
                 prop_assert!(false, "budget exhausted on a tiny formula");
             }
-        }
-    }
-
-    #[test]
-    fn parallel_search_is_equivalent_to_serial(formula in arb_formula()) {
-        // The scoped worker pool must be an implementation detail: for every
-        // thread count the verdict matches the serial search, `Sat` models
-        // satisfy the formula, and on `Unsat` (where the whole branch tree is
-        // explored either way) the merged counters equal the serial counters
-        // exactly. The fork-cost gate is zeroed so the small random
-        // disjunctions of `arb_formula` actually fork.
-        let serial = Solver::new(Bounds::uniform(BOUND));
-        let (serial_result, serial_stats) = serial.solve_with_stats(&formula, &pool());
-        for threads in [1usize, 2, 8] {
-            let parallel = Solver::new(Bounds::uniform(BOUND))
-                .with_options(SolverOptions::parallel(threads).with_min_fork_cost(0));
-            let (result, stats) = parallel.solve_with_stats(&formula, &pool());
-            match (&serial_result, &result) {
-                (SolveResult::Sat(_), SolveResult::Sat(model)) => {
-                    prop_assert!(
-                        formula.eval(model),
-                        "worker model does not satisfy the formula (threads={threads})"
-                    );
-                }
-                (SolveResult::Unsat, SolveResult::Unsat) => {
-                    prop_assert_eq!(
-                        stats, serial_stats,
-                        "merged stats must be exact on Unsat (threads={})", threads
-                    );
-                }
-                (expected, got) => prop_assert!(
-                    false,
-                    "verdict diverged at {threads} threads: serial {expected:?}, parallel {got:?}"
-                ),
-            }
-        }
-        // The environment-driven configuration: CI reruns this suite with
-        // SOLVER_THREADS=8, which must change nothing observable either.
-        let from_env = Solver::new(Bounds::uniform(BOUND))
-            .with_options(SolverOptions::from_env().with_min_fork_cost(0));
-        match (&serial_result, from_env.solve(&formula, &pool())) {
-            (SolveResult::Sat(_), SolveResult::Sat(model)) => {
-                prop_assert!(formula.eval(&model), "env-configured model must satisfy the formula");
-            }
-            (SolveResult::Unsat, SolveResult::Unsat) => {}
-            (expected, got) => prop_assert!(
-                false,
-                "env-configured verdict diverged: serial {expected:?}, got {got:?}"
-            ),
         }
     }
 

@@ -7,8 +7,8 @@ use std::sync::OnceLock;
 use shapex_graph::{Graph, Label, LabelTable, NodeId, SharedLabelTable};
 use shapex_rbe::{Interval, Rbe, Rbe0};
 
-// Thread-safety contract: registered schemas are shared read-only across
-// `ContainmentEngine` worker threads (all interior caches are `OnceLock`s,
+// Thread-safety contract: registered schemas are shared read-only by every
+// thread that queries a `ContainmentEngine` (all interior caches are `OnceLock`s,
 // all labels content-compared `Arc<str>`s), so `Schema` and its pieces must
 // stay `Send + Sync`.
 shapex_graph::assert_send_sync!(Schema, Atom, TypeId, SchemaClass, ShapeExpr);

@@ -24,7 +24,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use shapex_graph::{Graph, Label, NodeId};
 use shapex_presburger::cancel::CancelToken;
 use shapex_presburger::formula::{Formula, LinearExpr, VarPool};
-use shapex_presburger::solver::{Bounds, SolveResult, Solver, SolverOptions, SolverStats};
+use shapex_presburger::solver::{Bounds, SolveResult, Solver, SolverStats};
 use shapex_presburger::translate::{max_interval_constant, ParikhVec, PsiBuilder};
 use shapex_rbe::{FlowScratch, Interval, Rbe, Rbe0};
 
@@ -623,13 +623,7 @@ fn try_node_satisfies_scratch(
             multiplicity: graph.occur(e).singleton().unwrap_or(1),
         })
         .collect();
-    neighbourhood_satisfies_with(
-        &edges,
-        schema.def(t),
-        SolverOptions::default(),
-        None,
-        cancel,
-    )
+    neighbourhood_satisfies_with(&edges, schema.def(t), None, cancel)
 }
 
 /// Whether `node` satisfies the definition of `t` given the candidate types
@@ -661,14 +655,14 @@ pub fn node_satisfies(
 /// procedures of `shapex-core` (where the "candidate types" come from node
 /// kinds rather than a typing).
 pub fn neighbourhood_satisfies(edges: &[EdgeSummary], def: &Rbe<Atom>) -> bool {
-    neighbourhood_satisfies_with(edges, def, SolverOptions::default(), None, None)
+    neighbourhood_satisfies_with(edges, def, None, None)
         .expect("an uncancelled satisfaction check cannot be cancelled")
 }
 
-/// [`neighbourhood_satisfies`] with explicit [`SolverOptions`] for the
-/// Presburger fallback, an optional [`SolverTelemetry`] that accumulates
-/// the solver counters (the RBE₀ flow fast path records nothing — it never
-/// enters the solver), and an optional [`CancelToken`]: the Presburger
+/// [`neighbourhood_satisfies`] with an optional [`SolverTelemetry`] that
+/// accumulates the Presburger fallback's solver counters (the RBE₀ flow
+/// fast path records nothing — it never enters the solver), and an optional
+/// [`CancelToken`]: the Presburger
 /// fallback polls it at its search checkpoints and the call returns `None`
 /// once it fires (the RBE₀ flow fast path is polynomial and runs to
 /// completion regardless). `Some` verdicts are identical to the uncancelled
@@ -676,7 +670,6 @@ pub fn neighbourhood_satisfies(edges: &[EdgeSummary], def: &Rbe<Atom>) -> bool {
 pub fn neighbourhood_satisfies_with(
     edges: &[EdgeSummary],
     def: &Rbe<Atom>,
-    options: SolverOptions,
     telemetry: Option<&SolverTelemetry>,
     cancel: Option<&CancelToken>,
 ) -> Option<bool> {
@@ -707,13 +700,12 @@ pub fn neighbourhood_satisfies_with(
     }
     // General path: Presburger encoding of the partition of edge copies into
     // types, fed to ψ_def (the formulas φ_t of Section 6 with x̄ fixed).
-    satisfies_via_presburger(edges, def, options, telemetry, cancel)
+    satisfies_via_presburger(edges, def, telemetry, cancel)
 }
 
 fn satisfies_via_presburger(
     edges: &[EdgeSummary],
     def: &Rbe<Atom>,
-    options: SolverOptions,
     telemetry: Option<&SolverTelemetry>,
     cancel: Option<&CancelToken>,
 ) -> Option<bool> {
@@ -754,7 +746,7 @@ fn satisfies_via_presburger(
     let psi = PsiBuilder::new(&mut pool, bound).psi(def, &contributions, &LinearExpr::constant(1));
     conjuncts.push(psi);
     let formula = Formula::and(conjuncts);
-    let solver = Solver::new(Bounds::uniform(bound)).with_options(options);
+    let solver = Solver::new(Bounds::uniform(bound));
     let (result, stats) = solver.solve_with_stats_cancellable(&formula, &pool, cancel);
     if let Some(telemetry) = telemetry {
         telemetry.record(stats);
@@ -1085,25 +1077,13 @@ emp1 -email-> l9
         let fired = CancelToken::new();
         fired.cancel();
         assert_eq!(
-            neighbourhood_satisfies_with(
-                &edges,
-                schema.def(a_type),
-                SolverOptions::default(),
-                None,
-                Some(&fired),
-            ),
+            neighbourhood_satisfies_with(&edges, schema.def(a_type), None, Some(&fired),),
             None,
             "a fired flag must abort the solver, not return a verdict"
         );
         let dormant = CancelToken::new();
         assert_eq!(
-            neighbourhood_satisfies_with(
-                &edges,
-                schema.def(a_type),
-                SolverOptions::default(),
-                None,
-                Some(&dormant),
-            ),
+            neighbourhood_satisfies_with(&edges, schema.def(a_type), None, Some(&dormant),),
             Some(true)
         );
     }

@@ -48,19 +48,9 @@ const VERSIONS: [(&str, &str); 3] = [
 ];
 
 fn main() {
-    // Production shape: parallel matrix rows AND a byte budget on the
-    // evictable caches — a long-lived service must not grow without bound.
+    // Production shape: a byte budget on the evictable caches — a long-lived
+    // service must not grow without bound.
     let options = EngineOptions::builder()
-        .threads(
-            thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-        )
-        .matrix_threads(
-            thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-        )
         .cache_budget(8 << 20) // 8 MiB across pools, memos, and arenas
         .build();
     let service = ContainmentService::with_options(options);

@@ -52,7 +52,7 @@ pub mod prelude {
         engine::{ContainmentEngine, ContainmentMatrix, EngineOptions, EngineStats, SchemaId},
         general::{general_containment, GeneralOptions},
         shex0::{shex0_containment, Shex0Options},
-        simulation::{max_simulation_with, Simulation, SimulationOptions},
+        simulation::Simulation,
         Containment, UnknownReason,
     };
     pub use shapex_gadgets::figures;

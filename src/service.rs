@@ -60,9 +60,11 @@
 //!   already-expired request with [`ServiceError::DeadlineExceeded`] and
 //!   runs the rest under one engine [`CancelToken`] bound to the deadline —
 //!   [`ServiceRequest::Check`], [`ServiceRequest::Matrix`] and
-//!   [`ServiceRequest::Revalidate`] poll it — so a 10 ms budget comes back
-//!   within a bounded checkpoint interval as a typed answer, never as a
-//!   hung worker. The call retries [`ServiceError::Overloaded`] with bounded
+//!   [`ServiceRequest::Revalidate`] poll it, and
+//!   [`ServiceRequest::LoadTriples`] and [`ServiceRequest::ApplyDelta`]
+//!   check it once they hold their graph's lock — so a 10 ms budget comes
+//!   back within a bounded checkpoint interval as a typed answer, never as
+//!   a hung worker. The call retries [`ServiceError::Overloaded`] with bounded
 //!   deterministic-jitter backoff ([`ServiceStats::retries`] /
 //!   [`ServiceStats::retry_gave_up`]) and surfaces a reply that misses the
 //!   budget as [`ServiceError::DeadlineExceeded`] instead of parking
@@ -682,7 +684,13 @@ impl ContainmentService {
     /// Run one request. `cancel` — the request's deadline token, if any —
     /// bounds [`ServiceRequest::Check`], [`ServiceRequest::Matrix`] and
     /// [`ServiceRequest::Revalidate`] (its first build and its incremental
-    /// repairs).
+    /// repairs). [`ServiceRequest::LoadTriples`] and
+    /// [`ServiceRequest::ApplyDelta`] check it once they hold the graph's
+    /// lock, where they wait behind other requests on the same graph: a
+    /// fired token answers [`ServiceError::DeadlineExceeded`] before the
+    /// parser is fed or the graph changes, so a chunk or a delta is applied
+    /// whole or not at all. A chunk that names no graph mints one and skips
+    /// the check, since nothing waits on a new graph's lock.
     fn dispatch(
         &self,
         tenant: TenantId,
@@ -715,11 +723,14 @@ impl ContainmentService {
                 Ok(ServiceResponse::Matrix(matrix))
             }
             ServiceRequest::LoadTriples { graph, chunk } => {
-                let id = match graph {
-                    Some(id) => id,
-                    None => self.create_graph(tenant)?,
+                let (id, cancel) = match graph {
+                    Some(id) => (id, cancel),
+                    None => (self.create_graph(tenant)?, None),
                 };
                 self.with_graph(tenant, id, |entry| {
+                    if cancel.is_some_and(|t| t.fired()) {
+                        return Err(ServiceError::DeadlineExceeded);
+                    }
                     let mut delta = GraphDelta::new();
                     let mut sink =
                         |t: Triple<'_>| delta.add_triple(t.subject, t.predicate, t.object);
@@ -757,6 +768,9 @@ impl ContainmentService {
             }
             ServiceRequest::ApplyDelta { graph, delta } => {
                 self.with_graph(tenant, graph, |entry| {
+                    if cancel.is_some_and(|t| t.fired()) {
+                        return Err(ServiceError::DeadlineExceeded);
+                    }
                     let report = entry.graph.apply_delta(&delta);
                     entry.dirty.extend_from_slice(&report.dirty);
                     Ok(ServiceResponse::Applied {
@@ -1815,6 +1829,102 @@ mod tests {
             .unwrap();
         assert_eq!(valid, scratch);
         assert!(valid, "u1 has both a name and an email");
+    }
+
+    /// What a test can observe of a streaming graph: node and edge counts,
+    /// the dirty log, and every edge as a `(source, label, target)` name
+    /// triple, sorted.
+    type GraphView = (usize, usize, Vec<NodeId>, Vec<(String, String, String)>);
+
+    fn view(service: &ContainmentService, graph: GraphId) -> GraphView {
+        service
+            .with_graph(TenantId::DEFAULT, graph, |entry| {
+                let g = &entry.graph;
+                let mut edges: Vec<_> = g
+                    .edges()
+                    .map(|e| {
+                        (
+                            g.node_name(g.source(e)).to_string(),
+                            g.label(e).as_str().to_string(),
+                            g.node_name(g.target(e)).to_string(),
+                        )
+                    })
+                    .collect();
+                edges.sort();
+                Ok((g.node_count(), g.edge_count(), entry.dirty.clone(), edges))
+            })
+            .unwrap()
+    }
+
+    #[test]
+    fn expired_load_triples_leaves_the_graph_and_the_partial_line_intact() {
+        let service = ContainmentService::new();
+        let doc = b"<u1> <name> \"n\" .\n<u1> <email> \"e\" .\n<u2> <name> \"m\" .\n";
+        // The first chunk ends mid-way through the second statement.
+        let (graph, ..) = load(&service, TenantId::DEFAULT, None, &doc[..25]).unwrap();
+        let before = view(&service, graph);
+        let expired = CancelToken::new();
+        expired.cancel();
+        let request = ServiceRequest::LoadTriples {
+            graph: Some(graph),
+            chunk: doc[25..].to_vec(),
+        };
+        match service.dispatch(TenantId::DEFAULT, request, Some(&expired)) {
+            Err(ServiceError::DeadlineExceeded) => {}
+            other => panic!("expected DeadlineExceeded, got {other:?}"),
+        }
+        assert_eq!(view(&service, graph), before, "nothing was fed or applied");
+        // The buffered half line survived: the plain retry of the same rest
+        // yields the graph that one whole-document load gives.
+        let (_, triples, _) = load(&service, TenantId::DEFAULT, Some(graph), &doc[25..]).unwrap();
+        assert_eq!(triples, 3);
+        let (whole, ..) = load(&service, TenantId::DEFAULT, None, doc).unwrap();
+        assert_eq!(view(&service, graph).3, view(&service, whole).3);
+        assert_eq!(view(&service, graph).0, view(&service, whole).0);
+    }
+
+    #[test]
+    fn expired_apply_delta_leaves_the_graph_and_the_dirty_log_intact() {
+        let service = ContainmentService::new();
+        let doc = b"<u1> <name> \"n\" .\n<u1> <email> \"e\" .\n";
+        let (graph, ..) = load(&service, TenantId::DEFAULT, None, doc).unwrap();
+        let before = view(&service, graph);
+        let delta = || {
+            let mut delta = GraphDelta::new();
+            delta.remove_edge("u1", "email", "\"e\"");
+            delta.add_edge("u2", "name", "\"m\"");
+            Box::new(delta)
+        };
+        let expired = CancelToken::new();
+        expired.cancel();
+        let request = ServiceRequest::ApplyDelta {
+            graph,
+            delta: delta(),
+        };
+        match service.dispatch(TenantId::DEFAULT, request, Some(&expired)) {
+            Err(ServiceError::DeadlineExceeded) => {}
+            other => panic!("expected DeadlineExceeded, got {other:?}"),
+        }
+        assert_eq!(view(&service, graph), before, "nothing was applied");
+        // The plain retry applies the whole delta.
+        let request = ServiceRequest::ApplyDelta {
+            graph,
+            delta: delta(),
+        };
+        match service.handle(TenantId::DEFAULT, request) {
+            Ok(ServiceResponse::Applied { report, .. }) => {
+                assert_eq!((report.added_edges, report.removed_edges), (1, 1));
+            }
+            other => panic!("expected Applied, got {other:?}"),
+        }
+        let (whole, ..) = load(
+            &service,
+            TenantId::DEFAULT,
+            None,
+            b"<u1> <name> \"n\" .\n<u2> <name> \"m\" .\n",
+        )
+        .unwrap();
+        assert_eq!(view(&service, graph).3, view(&service, whole).3);
     }
 
     #[test]
