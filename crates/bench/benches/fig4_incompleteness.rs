@@ -1,7 +1,7 @@
 //! E3 (Figure 4): embeddings are a sufficient but not necessary condition for
-//! containment. `L(G) = L(H)` yet only `H ≼ G` holds; the budgeted ShEx₀
-//! procedure must decide the embedding direction fast and must not produce a
-//! counter-example for the other.
+//! containment. `L(G) = L(H)` yet only `H ≼ G` holds; the ShEx₀ procedure
+//! decides the embedding direction fast and proves the other with the
+//! type-set fixpoint, after the systematic search finds no counter-example.
 
 use std::time::Duration;
 
@@ -28,7 +28,7 @@ fn bench(c: &mut Criterion) {
         b.iter(|| shex0_containment(&h, &g, &Shex0Options::quick()).is_contained())
     });
     group.bench_function("containment_g_in_h_budgeted_search", |b| {
-        b.iter(|| !shex0_containment(&g, &h, &Shex0Options::quick()).is_not_contained())
+        b.iter(|| shex0_containment(&g, &h, &Shex0Options::quick()).is_contained())
     });
     group.finish();
 }

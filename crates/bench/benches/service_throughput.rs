@@ -1,8 +1,9 @@
 //! Corpus-scale service throughput: closed-loop client fleets hammering a
 //! `ServicePool` of sharded workers over one shared engine, on the
 //! duplicate-heavy request mix of `shapex_bench::throughput` (three in four
-//! requests hit a hot anchor pair — the traffic single-flight coalescing
-//! absorbs).
+//! requests hit a hot anchor pair: single-flight coalescing absorbs the
+//! duplicates of its first, cold check, and the memoised fixpoint outcome
+//! answers the rest).
 //!
 //! Each iteration is one full drive: fresh service (cold caches), corpus
 //! registration, `clients` closed-loop threads of `requests_per_client`

@@ -22,17 +22,20 @@
 //!   across every partner schema.
 //! * **Verdict memos.** `validates(candidate, S)` verdicts are memoised per
 //!   registered schema under a structural fingerprint of the candidate
-//!   graph, and shape-graph embedding verdicts per ordered schema pair. The
-//!   depth-cumulative systematic search re-encounters the same candidates at
-//!   every depth, so even a single one-shot query through a throwaway engine
-//!   validates each distinct candidate once.
+//!   graph, and shape-graph embedding verdicts and the type-set fixpoint's
+//!   outcomes per ordered schema pair. The depth-cumulative systematic search
+//!   re-encounters the same candidates at every depth, so even a single
+//!   one-shot query through a throwaway engine validates each distinct
+//!   candidate once.
 //!
 //! # One query path
 //!
 //! Every verdict goes through one dispatch chain that picks the strongest
 //! procedure for the pair's class: embedding (§3), the characterizing graph
-//! for `DetShEx₀⁻` (Lemma 4.2), then the type-simulation check and the
-//! bounded counter-example search (§5–6). Four methods reach it:
+//! for `DetShEx₀⁻` (Lemma 4.2), then, for `ShEx₀` pairs, the systematic
+//! counter-example search and the exact type-set fixpoint
+//! ([`crate::fixpoint`], §5), and for full ShEx the type-simulation check
+//! and the bounded counter-example search (§6). Four methods reach it:
 //! [`ContainmentEngine::check`] and [`ContainmentEngine::check_matrix`]
 //! register schemas and ask; [`ContainmentEngine::check_ids`] and
 //! [`ContainmentEngine::check_matrix_ids`] take handles plus an optional
@@ -66,7 +69,8 @@
 //! [`EngineOptionsBuilder::cache_budget`] set, the engine keeps an
 //! accounted-byte ledger (the
 //! [`crate::budget::CacheBudget`]/[`crate::budget::Weigh`] seam):
-//! enumerated pools, validation memos, the pair memos, and the
+//! enumerated pools, validation memos, the pair memos (fixpoint outcomes
+//! with their witnesses included), and the
 //! per-schema unfolding arenas are size-accounted and stamped with an LRU
 //! clock on every hit, and whenever the evictable total exceeds the budget
 //! an epoch-LRU sweep drops the least-recently-used entries until the total
@@ -119,6 +123,7 @@ use crate::budget::{CacheBudget, CacheKind, Weigh};
 use crate::det::{characterizing_graph, NotDetShex0Minus};
 use crate::embedding::embeds;
 use crate::faults;
+use crate::fixpoint::{self, FixpointOutcome};
 use crate::general::{exhaustive_bags, type_simulation_with_bags};
 use crate::sync::{lock_or_recover, read_or_recover, write_or_recover};
 use crate::unfold::{SearchOptions, SessionContext, Unfolder};
@@ -322,9 +327,17 @@ pub struct EngineStats {
     /// because their cancellation token fired before the search reached a
     /// sound answer.
     pub deadline_exceeded: u64,
-    /// Search branches (candidate loops, pool builds, sampled phases)
-    /// abandoned at a cancellation checkpoint.
+    /// Search branches (candidate loops, pool builds, sampled phases, type-set
+    /// fixpoints) abandoned at a cancellation checkpoint.
     pub cancelled_branches: u64,
+    /// RBE₀ pairs the type-set fixpoint ([`crate::fixpoint`]) decided after
+    /// the systematic search left them open.
+    pub fixpoint_decided: u64,
+    /// RBE₀ pairs whose fixpoint ran over its evaluation budget and fell
+    /// through to the sampled search.
+    pub fixpoint_over_budget: u64,
+    /// Checks answered from the memo of fixpoint outcomes.
+    pub fixpoint_memo_hits: u64,
     /// Presburger solver invocations (the RBE₀ fast paths never enter the
     /// solver and are not counted).
     pub solver_calls: u64,
@@ -383,6 +396,11 @@ impl fmt::Display for EngineStats {
             f,
             "; coalesced {} queries + {} pools",
             self.coalesced_queries, self.coalesced_pools,
+        )?;
+        write!(
+            f,
+            "; fixpoint {} decided / {} over budget ({} memo hits)",
+            self.fixpoint_decided, self.fixpoint_over_budget, self.fixpoint_memo_hits,
         )?;
         write!(
             f,
@@ -446,6 +464,9 @@ struct EngineCounters {
     coalesced_pools: AtomicU64,
     deadline_exceeded: AtomicU64,
     cancelled_branches: AtomicU64,
+    fixpoint_decided: AtomicU64,
+    fixpoint_over_budget: AtomicU64,
+    fixpoint_memo_hits: AtomicU64,
 }
 
 impl EngineCounters {
@@ -466,6 +487,9 @@ impl EngineCounters {
             coalesced_pools: self.coalesced_pools.load(Ordering::Relaxed),
             deadline_exceeded: self.deadline_exceeded.load(Ordering::Relaxed),
             cancelled_branches: self.cancelled_branches.load(Ordering::Relaxed),
+            fixpoint_decided: self.fixpoint_decided.load(Ordering::Relaxed),
+            fixpoint_over_budget: self.fixpoint_over_budget.load(Ordering::Relaxed),
+            fixpoint_memo_hits: self.fixpoint_memo_hits.load(Ordering::Relaxed),
             cache_budget: budget.limit(),
             max_entry_bytes: budget.max_entry_bytes(),
             admission_rejections: budget.admission_rejections(),
@@ -649,8 +673,8 @@ struct SchemaEntry {
     /// Present iff the schema is RBE₀ (Proposition 3.2).
     shape_graph: Option<Graph>,
     /// The characterizing graph of Lemma 4.2, built on first demand
-    /// (`DetShEx₀⁻` schemas only).
-    characterizing: OnceLock<Graph>,
+    /// (`DetShEx₀⁻` schemas only) and shared by every answer it refutes.
+    characterizing: OnceLock<Arc<Graph>>,
     /// `validates(candidate, schema)` verdicts (read-mostly; see
     /// [`validate_memoised`]).
     validate_memo: RwLock<ValidateMemo>,
@@ -703,58 +727,97 @@ impl Registry {
 /// sharing one engine rarely contend on the same shard.
 const PAIR_SHARDS: usize = 16;
 
-/// One memoised pair verdict plus its LRU stamp. The accounted weight is
-/// the flat [`PAIR_ENTRY_BYTES`] — key, slot, and tree-node allowance.
+/// One memoised pair value plus its accounting: the bytes charged at
+/// insertion (credited back verbatim on eviction) and the LRU stamp.
 #[derive(Debug)]
-struct PairSlot {
-    verdict: bool,
+struct PairSlot<V> {
+    value: V,
+    bytes: u64,
     stamp: AtomicU64,
 }
 
 /// Accounted bytes per pair-memo entry: key + slot + `BTreeMap` node
-/// allowance. A flat approximation — pair entries are tiny and uniform.
+/// allowance. A flat approximation — pair entries are tiny and uniform; a
+/// memoised witness adds its own weight on top.
 const PAIR_ENTRY_BYTES: u64 = 64;
 
-/// A `(SchemaId, SchemaId) → bool` verdict memo sharded across
-/// independently locked maps, so concurrent queries for different pairs
-/// proceed without contending on one lock.
+/// A `(SchemaId, SchemaId) → V` memo sharded across independently locked
+/// maps, so concurrent queries for different pairs proceed without
+/// contending on one lock. Entries are charged to [`CacheKind::Pairs`] and
+/// evicted by the engine's sweeps.
 #[derive(Debug)]
-struct ShardedPairMap {
-    shards: [RwLock<BTreeMap<(u32, u32), PairSlot>>; PAIR_SHARDS],
+struct ShardedPairMap<V> {
+    shards: [PairShard<V>; PAIR_SHARDS],
 }
 
-impl ShardedPairMap {
-    fn new() -> ShardedPairMap {
+/// One independently locked shard of a [`ShardedPairMap`].
+type PairShard<V> = RwLock<BTreeMap<(u32, u32), PairSlot<V>>>;
+
+impl<V: Clone> ShardedPairMap<V> {
+    fn new() -> ShardedPairMap<V> {
         ShardedPairMap {
             shards: std::array::from_fn(|_| RwLock::new(BTreeMap::new())),
         }
     }
 
-    fn shard(&self, key: (u32, u32)) -> &RwLock<BTreeMap<(u32, u32), PairSlot>> {
+    fn shard(&self, key: (u32, u32)) -> &PairShard<V> {
         let spread = key.0.wrapping_mul(31).wrapping_add(key.1) as usize;
         &self.shards[spread % PAIR_SHARDS]
     }
 
-    fn get(&self, key: (u32, u32), budget: &CacheBudget) -> Option<bool> {
+    fn get(&self, key: (u32, u32), budget: &CacheBudget) -> Option<V> {
         let shard = read_or_recover(self.shard(key));
         let slot = shard.get(&key)?;
         slot.stamp.store(budget.touch(), Ordering::Relaxed);
-        Some(slot.verdict)
+        Some(slot.value.clone())
     }
 
-    fn insert(&self, key: (u32, u32), verdict: bool, budget: &CacheBudget) {
+    /// Memoise `value`, charging [`PAIR_ENTRY_BYTES`] plus `extra` bytes
+    /// when the insertion wins (a racing thread may have stored the same
+    /// value first).
+    fn insert(&self, key: (u32, u32), value: V, extra: u64, budget: &CacheBudget) {
         use std::collections::btree_map::Entry;
-        if !budget.admits(PAIR_ENTRY_BYTES) {
-            return; // a sub-64-byte admission ceiling refuses even these
+        let bytes = PAIR_ENTRY_BYTES + extra;
+        if !budget.admits(bytes) {
+            return; // a small admission ceiling refuses even these
         }
         let mut shard = write_or_recover(self.shard(key));
         if let Entry::Vacant(slot) = shard.entry(key) {
             slot.insert(PairSlot {
-                verdict,
+                value,
+                bytes,
                 stamp: AtomicU64::new(budget.touch()),
             });
-            budget.charge(CacheKind::Pairs, PAIR_ENTRY_BYTES);
+            budget.charge(CacheKind::Pairs, bytes);
         }
+    }
+
+    /// Every entry's `(stamp, bytes)`, for the sweep's cutoff.
+    fn collect_stamps(&self, stamped: &mut Vec<(u64, u64)>) {
+        for shard in &self.shards {
+            for slot in read_or_recover(shard).values() {
+                stamped.push((slot.stamp.load(Ordering::Relaxed), slot.bytes));
+            }
+        }
+    }
+
+    /// Drop every entry stamped at or before `cutoff` (every entry for
+    /// `u64::MAX`), crediting the ledger. Returns `(entries, bytes)` freed.
+    fn evict(&self, cutoff: u64, budget: &CacheBudget) -> (u64, u64) {
+        let (mut entries, mut bytes) = (0, 0);
+        for shard in &self.shards {
+            write_or_recover(shard).retain(|_, slot| {
+                if slot.stamp.load(Ordering::Relaxed) <= cutoff {
+                    entries += 1;
+                    bytes += slot.bytes;
+                    budget.credit(CacheKind::Pairs, slot.bytes);
+                    false
+                } else {
+                    true
+                }
+            });
+        }
+        (entries, bytes)
     }
 }
 
@@ -909,7 +972,8 @@ impl<K: Eq + Hash + Copy, V: Clone> Drop for FlightGuard<'_, K, V> {
 
 /// What the bounded search learned about a pair.
 struct SearchOutcome {
-    witness: Option<Graph>,
+    /// A certified counter-example: the pool member itself, shared.
+    witness: Option<Arc<Graph>>,
     /// Candidate graphs actually validated against the right-hand schema.
     candidates: usize,
     depth: usize,
@@ -922,9 +986,15 @@ struct SearchOutcome {
 }
 
 impl SearchOutcome {
+    /// Neither a witness nor an expired token: the phases run so far left
+    /// the pair open.
+    fn is_open(&self) -> bool {
+        self.witness.is_none() && self.cancelled.is_none()
+    }
+
     fn into_containment(self) -> Containment {
         match (self.witness, self.cancelled) {
-            (Some(witness), _) => Containment::not_contained(witness),
+            (Some(witness), _) => Containment::NotContained(witness),
             (None, Some(elapsed)) => Containment::deadline_exceeded(elapsed),
             (None, None) if self.candidates == 0 => Containment::not_supported(),
             (None, None) => Containment::budget_exhausted(self.candidates, self.depth),
@@ -942,16 +1012,22 @@ pub struct ContainmentEngine {
     labels: SharedLabelTable,
     registry: RwLock<Registry>,
     /// `(h, k) → whether the shape graph of h embeds in the one of k`.
-    embeds_memo: ShardedPairMap,
+    embeds_memo: ShardedPairMap<bool>,
     /// `(h, k) → whether the general sufficient condition holds`.
-    sufficient_memo: ShardedPairMap,
+    sufficient_memo: ShardedPairMap<bool>,
+    /// `(h, k) → the type-set fixpoint's answer for an RBE₀ pair that the
+    /// systematic search left open` (`None`: over the fixpoint's budget).
+    /// Consulted before the systematic search, so a repeated check of such
+    /// a pair costs two memo lookups.
+    fixpoint_memo: ShardedPairMap<Option<Containment>>,
     /// In-flight `(h, k)` verdict computations (single-flight coalescing,
     /// [`EngineOptionsBuilder::coalesce`]): sharded like the pair memos so
-    /// concurrent queries for different pairs never contend. Full verdicts
-    /// are deliberately *not* memoised — the bounded search re-runs per call
-    /// over warm memos — so coalescing duplicate concurrent checks is what
-    /// keeps a thundering herd of identical queries from multiplying that
-    /// warm re-walk.
+    /// concurrent queries for different pairs never contend. Verdicts the
+    /// systematic search or the bounded searches of the general pipeline
+    /// reach are not memoised — those searches re-run per call over warm
+    /// memos — so coalescing duplicate concurrent checks is what keeps a
+    /// thundering herd of identical queries from multiplying that warm
+    /// re-walk.
     query_flights: SingleFlight<(u32, u32), Containment>,
     counters: EngineCounters,
     /// The accounted-byte ledger and eviction bookkeeping behind
@@ -998,6 +1074,7 @@ impl ContainmentEngine {
             registry: RwLock::new(Registry::default()),
             embeds_memo: ShardedPairMap::new(),
             sufficient_memo: ShardedPairMap::new(),
+            fixpoint_memo: ShardedPairMap::new(),
             query_flights: SingleFlight::new(PAIR_SHARDS),
             counters: EngineCounters::default(),
             budget,
@@ -1273,7 +1350,7 @@ impl ContainmentEngine {
                 .is_some(),
                 "characterizing graph must belong to L(H)"
             );
-            Ok(Containment::not_contained(witness))
+            Ok(Containment::NotContained(witness))
         }
     }
 
@@ -1284,13 +1361,17 @@ impl ContainmentEngine {
         let h = self.register(h);
         let k = self.register(k);
         let entries = self.entries(&[h, k]);
-        self.search_ids(&entries[0], &entries[1], None).witness
+        self.search_ids(&entries[0], &entries[1], None)
+            .witness
+            .map(|witness| Graph::clone(&witness))
     }
 
     /// The `ShEx₀` procedure over registered schemas (Section 5 pipeline:
-    /// embedding, characterizing-graph shortcut, bounded search). The
-    /// caller supplies the already-fetched entries — the dispatch chain
-    /// touches the registry lock once per query, not once per hop.
+    /// embedding, characterizing-graph shortcut, the systematic search, the
+    /// type-set fixpoint, and the sampled search for pairs over the
+    /// fixpoint's budget). The caller supplies the already-fetched entries —
+    /// the dispatch chain touches the registry lock once per query, not once
+    /// per hop.
     fn shex0_entries(
         &self,
         h: SchemaId,
@@ -1309,9 +1390,52 @@ impl ContainmentEngine {
             && k_entry.class == SchemaClass::DetShEx0Minus
         {
             let witness = self.characterizing(h_entry).expect("checked DetShEx0-");
-            return Containment::not_contained(witness);
+            return Containment::NotContained(witness);
         }
-        self.search_ids(h_entry, k_entry, cancel).into_containment()
+        let key = (h.0, k.0);
+        if let Some(memoised) = self.fixpoint_memo.get(key, &self.budget) {
+            EngineCounters::tick(&self.counters.fixpoint_memo_hits);
+            return match memoised {
+                Some(answer) => answer,
+                None => self.search_ids(h_entry, k_entry, cancel).into_containment(),
+            };
+        }
+        // The systematic search first, so every witness it finds stays the
+        // one the search order gives; the fixpoint decides what it leaves.
+        let systematic = self.systematic_search(h_entry, k_entry, cancel);
+        if !systematic.is_open() {
+            self.maybe_evict();
+            return systematic.into_containment();
+        }
+        let answer = match fixpoint::decide(&h_entry.schema, &k_entry.schema, cancel) {
+            FixpointOutcome::Contained => Some(Containment::Contained),
+            FixpointOutcome::NotContained(witness) => Some(Containment::NotContained(witness)),
+            FixpointOutcome::OverBudget => None,
+            FixpointOutcome::Cancelled => {
+                EngineCounters::tick(&self.counters.cancelled_branches);
+                let token = cancel.expect("only a token cancels the fixpoint");
+                return Containment::deadline_exceeded(token.elapsed());
+            }
+        };
+        let witness_bytes = match &answer {
+            Some(Containment::NotContained(witness)) => witness.weight_bytes(),
+            _ => 0,
+        };
+        self.fixpoint_memo
+            .insert(key, answer.clone(), witness_bytes, &self.budget);
+        let verdict = match answer {
+            Some(answer) => {
+                EngineCounters::tick(&self.counters.fixpoint_decided);
+                answer
+            }
+            None => {
+                EngineCounters::tick(&self.counters.fixpoint_over_budget);
+                self.sampled_search(h_entry, k_entry, cancel, systematic.candidates)
+                    .into_containment()
+            }
+        };
+        self.maybe_evict();
+        verdict
     }
 
     /// The general procedure over registered schemas (Section 6 pipeline:
@@ -1365,19 +1489,19 @@ impl ContainmentEngine {
             .as_ref()
             .expect("RBE0 schema has a shape graph");
         let v = embeds(hg, kg).is_some();
-        self.embeds_memo.insert((h.0, k.0), v, &self.budget);
+        self.embeds_memo.insert((h.0, k.0), v, 0, &self.budget);
         self.maybe_evict();
         v
     }
 
     /// The characterizing graph of a registered `DetShEx₀⁻` schema, built
     /// once (`OnceLock`: concurrent demanders block on one construction).
-    fn characterizing(&self, entry: &SchemaEntry) -> Result<Graph, NotDetShex0Minus> {
+    fn characterizing(&self, entry: &SchemaEntry) -> Result<Arc<Graph>, NotDetShex0Minus> {
         require_det_minus(entry)?;
         let mut built_here = false;
         let graph = entry.characterizing.get_or_init(|| {
             built_here = true;
-            characterizing_graph(&entry.schema).expect("class-checked DetShEx0- schema")
+            Arc::new(characterizing_graph(&entry.schema).expect("class-checked DetShEx0- schema"))
         });
         if built_here {
             self.budget.charge(CacheKind::Pinned, graph.weight_bytes());
@@ -1407,7 +1531,7 @@ impl ContainmentEngine {
                 self.session.telemetry.as_deref(),
             ),
         };
-        self.sufficient_memo.insert((h.0, k.0), v, &self.budget);
+        self.sufficient_memo.insert((h.0, k.0), v, 0, &self.budget);
         self.maybe_evict();
         v
     }
@@ -1429,7 +1553,8 @@ impl ContainmentEngine {
         bags
     }
 
-    /// The bounded counter-example search over registered schemas.
+    /// The bounded counter-example search over registered schemas: the
+    /// systematic phase, then the sampled one if it left the pair open.
     ///
     /// Candidate order — and therefore the returned witness — is exactly
     /// that of [`crate::baseline::search_counter_example_baseline`]:
@@ -1441,7 +1566,12 @@ impl ContainmentEngine {
         k: &Arc<SchemaEntry>,
         cancel: Option<&CancelToken>,
     ) -> SearchOutcome {
-        let outcome = self.search_ids_inner(h, k, cancel);
+        let systematic = self.systematic_search(h, k, cancel);
+        let outcome = if systematic.is_open() {
+            self.sampled_search(h, k, cancel, systematic.candidates)
+        } else {
+            systematic
+        };
         // Whatever validation memos the systematic or sampled phase just
         // grew, bring the evictable total back under budget before the
         // query returns.
@@ -1449,30 +1579,23 @@ impl ContainmentEngine {
         outcome
     }
 
-    fn search_ids_inner(
+    /// The systematic phase: the enumerated pools of every root, depth by
+    /// depth, under the shared `max_candidates` budget.
+    fn systematic_search(
         &self,
         h: &Arc<SchemaEntry>,
         k: &Arc<SchemaEntry>,
         cancel: Option<&CancelToken>,
     ) -> SearchOutcome {
-        let opts = self.options.search.clone();
+        let opts = &self.options.search;
         let mut examined = 0usize;
         let mut checked = 0usize;
         let mut scratch = ValidateScratch::new();
-        let roots: Vec<TypeId> = h.schema.types().collect();
-        let expired = |checked: usize, token: &CancelToken| SearchOutcome {
-            witness: None,
-            candidates: checked,
-            depth: opts.max_depth,
-            cancelled: Some(token.elapsed()),
-        };
-
-        // Systematic phase.
-        for &root in &roots {
+        for root in h.schema.types() {
             for depth in 1..=opts.max_depth {
-                let Some(pool) = self.enumerated_pool(h, root, depth, &opts, cancel) else {
+                let Some(pool) = self.enumerated_pool(h, root, depth, opts, cancel) else {
                     // The pool build itself observed the expired token.
-                    return expired(checked, cancel.expect("only a token cancels a build"));
+                    return self.expired(checked, cancel);
                 };
                 // The baseline increments `examined` per candidate and
                 // abandons the pool once the count exceeds the budget, so at
@@ -1482,61 +1605,90 @@ impl ContainmentEngine {
                     // (and one armed fault site) per candidate bounds the
                     // interval between an expiry and its observation by one
                     // validation.
-                    faults::trigger(faults::site::SOLVER_BRANCH);
-                    if let Some(token) = cancel {
-                        if token.fired() {
-                            EngineCounters::tick(&self.counters.cancelled_branches);
-                            return expired(checked, token);
-                        }
+                    if let Some(expired) = self.checkpoint(checked, cancel) {
+                        return expired;
                     }
                     examined += 1;
                     if examined > opts.max_candidates {
                         break;
                     }
-                    let ok = self.validate_one(k, graph, &mut scratch);
                     checked += 1;
-                    if !ok {
-                        return SearchOutcome {
-                            witness: Some(Graph::clone(graph)),
-                            candidates: checked,
-                            depth: opts.max_depth,
-                            cancelled: None,
-                        };
+                    if !self.validate_one(k, graph, &mut scratch) {
+                        return self.refuted(graph, checked);
                     }
                 }
             }
         }
+        self.open(checked)
+    }
 
-        // Randomized phase (skipped entirely when the schema has no types,
-        // like the baseline).
-        if !roots.is_empty() {
-            let Some(pool) = self.sampled_pool(h, &opts, cancel) else {
-                return expired(checked, cancel.expect("only a token cancels a build"));
-            };
-            for graph in pool.iter() {
-                faults::trigger(faults::site::SOLVER_BRANCH);
-                if let Some(token) = cancel {
-                    if token.fired() {
-                        EngineCounters::tick(&self.counters.cancelled_branches);
-                        return expired(checked, token);
-                    }
-                }
-                let ok = self.validate_one(k, graph, &mut scratch);
-                checked += 1;
-                if !ok {
-                    return SearchOutcome {
-                        witness: Some(Graph::clone(graph)),
-                        candidates: checked,
-                        depth: opts.max_depth,
-                        cancelled: None,
-                    };
-                }
+    /// The sampled phase, continuing the candidate count `checked` of the
+    /// systematic one: the ordered randomized samples of `h` (none when the
+    /// schema has no types, like the baseline).
+    fn sampled_search(
+        &self,
+        h: &Arc<SchemaEntry>,
+        k: &Arc<SchemaEntry>,
+        cancel: Option<&CancelToken>,
+        mut checked: usize,
+    ) -> SearchOutcome {
+        if h.schema.type_count() == 0 {
+            return self.open(checked);
+        }
+        let Some(pool) = self.sampled_pool(h, &self.options.search, cancel) else {
+            return self.expired(checked, cancel);
+        };
+        let mut scratch = ValidateScratch::new();
+        for graph in pool.iter() {
+            if let Some(expired) = self.checkpoint(checked, cancel) {
+                return expired;
+            }
+            checked += 1;
+            if !self.validate_one(k, graph, &mut scratch) {
+                return self.refuted(graph, checked);
             }
         }
+        self.open(checked)
+    }
+
+    /// The per-candidate checkpoint of both phases: one armed fault site and
+    /// one poll of the token. `Some` once the token has fired.
+    fn checkpoint(&self, checked: usize, cancel: Option<&CancelToken>) -> Option<SearchOutcome> {
+        faults::trigger(faults::site::SOLVER_BRANCH);
+        if cancel.is_some_and(|token| token.fired()) {
+            EngineCounters::tick(&self.counters.cancelled_branches);
+            return Some(self.expired(checked, cancel));
+        }
+        None
+    }
+
+    /// The search stopped at an expired token (which must be given).
+    fn expired(&self, checked: usize, cancel: Option<&CancelToken>) -> SearchOutcome {
+        let token = cancel.expect("only a token cancels a search");
         SearchOutcome {
             witness: None,
             candidates: checked,
-            depth: opts.max_depth,
+            depth: self.options.search.max_depth,
+            cancelled: Some(token.elapsed()),
+        }
+    }
+
+    /// The search found `witness`, its `checked`-th candidate.
+    fn refuted(&self, witness: &Arc<Graph>, checked: usize) -> SearchOutcome {
+        SearchOutcome {
+            witness: Some(Arc::clone(witness)),
+            candidates: checked,
+            depth: self.options.search.max_depth,
+            cancelled: None,
+        }
+    }
+
+    /// The search ran out of candidates after validating `checked`.
+    fn open(&self, checked: usize) -> SearchOutcome {
+        SearchOutcome {
+            witness: None,
+            candidates: checked,
+            depth: self.options.search.max_depth,
             cancelled: None,
         }
     }
@@ -1842,13 +1994,9 @@ impl ContainmentEngine {
                 }
             }
         }
-        for memo in [&self.embeds_memo, &self.sufficient_memo] {
-            for shard in &memo.shards {
-                for slot in read_or_recover(shard).values() {
-                    stamped.push((slot.stamp.load(Ordering::Relaxed), PAIR_ENTRY_BYTES));
-                }
-            }
-        }
+        self.embeds_memo.collect_stamps(&mut stamped);
+        self.sufficient_memo.collect_stamps(&mut stamped);
+        self.fixpoint_memo.collect_stamps(&mut stamped);
         self.session.bags.collect_stamps(&mut stamped);
         stamped.sort_unstable();
         let low_water = limit / 2;
@@ -1916,19 +2064,13 @@ impl ContainmentEngine {
                 });
             }
         }
-        for memo in [&self.embeds_memo, &self.sufficient_memo] {
-            for shard in &memo.shards {
-                write_or_recover(shard).retain(|_, slot| {
-                    if slot.stamp.load(Ordering::Relaxed) <= cutoff {
-                        evicted += 1;
-                        freed += PAIR_ENTRY_BYTES;
-                        self.budget.credit(CacheKind::Pairs, PAIR_ENTRY_BYTES);
-                        false
-                    } else {
-                        true
-                    }
-                });
-            }
+        for (entries, bytes) in [
+            self.embeds_memo.evict(cutoff, &self.budget),
+            self.sufficient_memo.evict(cutoff, &self.budget),
+            self.fixpoint_memo.evict(cutoff, &self.budget),
+        ] {
+            evicted += entries;
+            freed += bytes;
         }
         {
             // Shared bag enumerations are pure memos too: per-unfolder
@@ -1985,15 +2127,13 @@ impl ContainmentEngine {
                 }
             }
         }
-        for memo in [&self.embeds_memo, &self.sufficient_memo] {
-            for shard in &memo.shards {
-                let mut shard = write_or_recover(shard);
-                let drained = std::mem::take(&mut *shard);
-                evicted += drained.len() as u64;
-                freed += drained.len() as u64 * PAIR_ENTRY_BYTES;
-                self.budget
-                    .credit(CacheKind::Pairs, drained.len() as u64 * PAIR_ENTRY_BYTES);
-            }
+        for (entries, bytes) in [
+            self.embeds_memo.evict(u64::MAX, &self.budget),
+            self.sufficient_memo.evict(u64::MAX, &self.budget),
+            self.fixpoint_memo.evict(u64::MAX, &self.budget),
+        ] {
+            evicted += entries;
+            freed += bytes;
         }
         {
             let (entries, bytes) = self.session.bags.clear();
@@ -2107,6 +2247,18 @@ mod tests {
         ContainmentEngine::with_search(SearchOptions::quick())
     }
 
+    /// The choice-group schema of the `disjunct` gadgets, `Root -> (a1::L |
+    /// b1::L)[1;2], …` over `groups` groups. It is outside RBE₀, and from
+    /// four groups on its definition has more bags than the sufficient check
+    /// enumerates, so `L ⊆ L` goes to the bounded search, which exhausts its
+    /// budget without a witness.
+    fn choice_groups(groups: usize) -> Schema {
+        let parts: Vec<String> = (1..=groups)
+            .map(|i| format!("(a{i}::L | b{i}::L)[1;2]"))
+            .collect();
+        parse_schema(&format!("Root -> {}\n", parts.join(", "))).unwrap()
+    }
+
     #[test]
     fn registration_interns_by_content() {
         let a = parse_schema("T -> p::L?\nL -> EMPTY\n").unwrap();
@@ -2218,6 +2370,9 @@ mod tests {
             pair_bytes: 3,
             unfolder_bytes: 7,
             pinned_bytes: 500,
+            fixpoint_decided: 4,
+            fixpoint_over_budget: 1,
+            fixpoint_memo_hits: 9,
             ..EngineStats::default()
         };
         assert_eq!(stats.evictable_bytes(), 130);
@@ -2228,6 +2383,41 @@ mod tests {
         assert!(text.contains("0 hits / 2 misses (0.0% hit)"), "{text}");
         assert!(text.contains("130 B evictable"), "{text}");
         assert!(text.contains("budget unbounded"), "{text}");
+        assert!(
+            text.contains("fixpoint 4 decided / 1 over budget (9 memo hits)"),
+            "{text}"
+        );
+    }
+
+    #[test]
+    fn fixpoint_outcomes_are_memoised_per_pair() {
+        // The introduction's refactoring of Figure 1: equal languages, no
+        // embedding, split outside DetShEx0- — only the fixpoint decides it.
+        let original = parse_schema(
+            "Bug  -> descr::Literal, reportedBy::User, related::Bug*\n\
+             User -> name::Literal, email::Literal?\n",
+        )
+        .unwrap();
+        let split = parse_schema(
+            "Bug1 -> descr::Literal, reportedBy::User1, related::Bug1*, related::Bug2*\n\
+             Bug2 -> descr::Literal, reportedBy::User2, related::Bug1*, related::Bug2*\n\
+             User1 -> name::Literal\n\
+             User2 -> name::Literal, email::Literal\n",
+        )
+        .unwrap();
+        let engine = quick_engine();
+        assert!(engine.check(&original, &split).is_contained());
+        let cold = engine.stats();
+        assert_eq!(cold.fixpoint_decided, 1, "{cold}");
+        assert_eq!(cold.fixpoint_memo_hits, 0, "{cold}");
+        assert!(cold.pair_bytes > 0, "the outcome is accounted: {cold}");
+        // The repeat skips the systematic search: no pool is even looked up.
+        assert!(engine.check(&original, &split).is_contained());
+        let warm = engine.stats();
+        assert_eq!(warm.fixpoint_memo_hits, 1, "{warm}");
+        assert_eq!(warm.fixpoint_decided, 1, "{warm}");
+        assert_eq!(warm.pool_hits, cold.pool_hits, "{warm}");
+        assert_eq!(warm.validate_misses, cold.validate_misses, "{warm}");
     }
 
     #[test]
@@ -2326,22 +2516,11 @@ mod tests {
     #[test]
     fn unknown_answers_carry_budget_reasons() {
         use crate::UnknownReason;
-        // The Figure-1 original-vs-split pair: semantically contained, no
-        // embedding, split is not DetShEx0-, no counter-example exists — the
-        // budget runs dry.
-        let original = parse_schema(
-            "Bug  -> descr::Literal, reportedBy::User, related::Bug*\n\
-             User -> name::Literal, email::Literal?\n",
-        )
-        .unwrap();
-        let split = parse_schema(
-            "Bug1 -> descr::Literal, reportedBy::User1, related::Bug1*, related::Bug2*\n\
-             Bug2 -> descr::Literal, reportedBy::User2, related::Bug1*, related::Bug2*\n\
-             User1 -> name::Literal\n\
-             User2 -> name::Literal, email::Literal\n",
-        )
-        .unwrap();
-        let answer = quick_engine().check(&original, &split);
+        // A choice-group schema against itself: contained, outside RBE₀,
+        // too many bags for the sufficient check, and no counter-example
+        // exists — the budget runs dry.
+        let groups = choice_groups(4);
+        let answer = quick_engine().check(&groups, &groups);
         assert!(answer.is_unknown());
         match answer.unknown_reason().unwrap() {
             UnknownReason::BudgetExhausted { candidates, depth } => {
@@ -2356,30 +2535,19 @@ mod tests {
     fn expired_deadline_surfaces_within_the_latency_bound() {
         use crate::UnknownReason;
         use std::time::Instant;
-        // The budget-exhausting Figure-1 anchor pair under a 10 ms deadline:
-        // the engine must answer DeadlineExceeded well inside 100 ms instead
-        // of running the full search budget — while the same engine
+        // A budget-exhausting choice-group pair under a 10 ms deadline: the
+        // engine must answer DeadlineExceeded well inside 100 ms instead of
+        // running the full search budget — while the same engine
         // concurrently completes an undeadlined query bit-identical to a
         // fresh oracle.
-        let original = parse_schema(
-            "Bug  -> descr::Literal, reportedBy::User, related::Bug*\n\
-             User -> name::Literal, email::Literal?\n",
-        )
-        .unwrap();
-        let split = parse_schema(
-            "Bug1 -> descr::Literal, reportedBy::User1, related::Bug1*, related::Bug2*\n\
-             Bug2 -> descr::Literal, reportedBy::User2, related::Bug1*, related::Bug2*\n\
-             User1 -> name::Literal\n\
-             User2 -> name::Literal, email::Literal\n",
-        )
-        .unwrap();
+        let groups = choice_groups(6);
         // A cheap pair for the concurrent undeadlined query, so the test
-        // does not pay the anchor pair's full default search budget twice.
+        // does not pay the slow pair's full default search budget twice.
         let wide = parse_schema("T -> p::L*\nL -> EMPTY\n").unwrap();
         let narrow = parse_schema("T -> p::L?\nL -> EMPTY\n").unwrap();
         let engine = Arc::new(ContainmentEngine::new());
-        let ih = engine.register(&original);
-        let ik = engine.register(&split);
+        let ih = engine.register(&groups);
+        let ik = ih;
         let (deadlined, undeadlined) = std::thread::scope(|scope| {
             let fast = {
                 let engine = Arc::clone(&engine);

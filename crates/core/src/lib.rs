@@ -12,11 +12,15 @@
 //!   with embedding (Corollary 4.3), so it is decidable in polynomial time
 //!   (Corollary 4.4); plus the characterizing-graph construction of Lemma 4.2.
 //! * [`shex0`] (§5) — containment for `ShEx₀` (shape graphs): embedding as the
-//!   sufficient check, certified counter-example search for the other
-//!   direction, complete on `DetShEx₀⁻` and on instances that admit small
-//!   counter-examples. The problem itself is EXP-complete, so the general
-//!   procedure is necessarily bounded and reports [`Containment::Unknown`]
-//!   when its budget is exhausted.
+//!   sufficient check, the `DetShEx₀⁻` shortcut, a systematic counter-example
+//!   search, and then [`fixpoint`], which decides the pair exactly by a
+//!   least fixpoint over abstract node states. The problem is EXP-hard and
+//!   in coNEXP, so the fixpoint runs under a constant work bound; a pair
+//!   over it falls back to random sampling and may report
+//!   [`Containment::Unknown`].
+//! * [`fixpoint`] — the type-set fixpoint behind [`shex0`]: states `(t, S)`
+//!   of an H-type and a set of K-types, antichains of ⊆-minimal sets, and
+//!   certified witnesses unfolded from the derivation.
 //! * [`general`] (§6) — containment for full ShEx (arbitrary shape
 //!   expressions), via unfolding-based counter-example search with Presburger
 //!   validation; sound in both directions, bounded (the problem is
@@ -36,13 +40,14 @@
 //! Every `NotContained` answer carries a counter-example graph that has been
 //! re-verified with the validation semantics of `shapex-shex`, so
 //! non-containment answers are certified. `Contained` answers are exact for
-//! `DetShEx₀⁻` and conservative (never wrong, but possibly replaced by
-//! `Unknown`) elsewhere.
+//! `ShEx₀` within the fixpoint's work bound and conservative (never wrong,
+//! but possibly replaced by `Unknown`) for full ShEx.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::fmt;
+use std::sync::Arc;
 
 use shapex_graph::Graph;
 
@@ -52,6 +57,7 @@ pub mod det;
 pub mod embedding;
 pub mod engine;
 pub mod faults;
+pub mod fixpoint;
 pub mod general;
 pub mod matrix;
 pub mod shex0;
@@ -112,17 +118,16 @@ impl fmt::Display for UnknownReason {
 
 /// The answer of a containment check `L(H) ⊆ L(K)`.
 ///
-/// The counter-example is boxed: a `Graph` now carries its interner and
-/// adjacency indices inline, and `Containment` values travel up through the
-/// whole decision-procedure call stack, so the indirection keeps the enum a
-/// couple of words.
+/// The counter-example is shared: the engine hands out the graph its
+/// candidate pool, characterizing-graph cache or verdict memo already holds,
+/// so cloning an answer — or keeping many of them — copies no graph.
 #[derive(Debug, Clone)]
 pub enum Containment {
     /// Containment holds.
     Contained,
     /// Containment does not hold; the graph is a certified counter-example
     /// (it satisfies `H` and violates `K`).
-    NotContained(Box<Graph>),
+    NotContained(Arc<Graph>),
     /// The procedure gave up before reaching a sound answer; the reason says
     /// whether the budget ran out mid-search or no search was possible.
     Unknown(UnknownReason),
@@ -131,7 +136,7 @@ pub enum Containment {
 impl Containment {
     /// A `NotContained` answer carrying the given counter-example.
     pub fn not_contained(witness: Graph) -> Containment {
-        Containment::NotContained(Box::new(witness))
+        Containment::NotContained(Arc::new(witness))
     }
 
     /// An `Unknown` answer whose search exhausted its budget after examining
@@ -177,7 +182,7 @@ impl Containment {
     /// The counter-example, if the answer is `NotContained`.
     pub fn counter_example(&self) -> Option<&Graph> {
         match self {
-            Containment::NotContained(g) => Some(g),
+            Containment::NotContained(g) => Some(g.as_ref()),
             _ => None,
         }
     }

@@ -1,7 +1,7 @@
 //! Scaffolding shared by the `engine_session`, `engine_concurrency`, and
 //! `arena_search` suites: the tiny search budget, structural witness
 //! comparison, and the memo-free ShEx₀ oracle assembled from the retained
-//! baseline pieces.
+//! baseline pieces and the type-set fixpoint.
 
 // Each suite uses its own subset of these helpers; unused ones in a given
 // test binary are expected.
@@ -10,6 +10,7 @@
 use shapex_core::baseline::search_counter_example_baseline;
 use shapex_core::det::characterizing_graph;
 use shapex_core::embedding::embeds;
+use shapex_core::fixpoint::{self, FixpointOutcome};
 use shapex_core::unfold::SearchOptions;
 use shapex_core::Containment;
 use shapex_graph::Graph;
@@ -27,6 +28,18 @@ pub fn tiny() -> SearchOptions {
         random_samples: 30,
         ..SearchOptions::default()
     }
+}
+
+/// The choice-group schema of the `disjunct` gadgets, `Root -> (a1::L |
+/// b1::L)[1;2], …` over `groups` groups. It is outside RBE₀, and from four
+/// groups on its definition has more bags than the sufficient check
+/// enumerates, so checking it against itself goes to the bounded search,
+/// which exhausts its budget without a witness.
+pub fn choice_groups(groups: usize) -> Schema {
+    let parts: Vec<String> = (1..=groups)
+        .map(|i| format!("(a{i}::L | b{i}::L)[1;2]"))
+        .collect();
+    shapex_shex::parse_schema(&format!("Root -> {}\n", parts.join(", "))).unwrap()
 }
 
 /// A structural rendering for witness comparison (node names are irrelevant
@@ -62,10 +75,12 @@ pub fn same_answer(a: &Containment, b: &Containment) -> bool {
     }
 }
 
-/// The ShEx₀ pipeline exactly as the paper (and the pre-engine code) runs
-/// it, over the memo-free baseline search. Unknown answers carry a dummy
-/// reason — the oracle does not model engine-side budget accounting, so
-/// callers compare Unknowns by variant only.
+/// The ShEx₀ pipeline exactly as the engine runs it, over the memo-free
+/// baseline search: embedding, the `DetShEx₀⁻` shortcut, the systematic
+/// search (the baseline without random samples), the type-set fixpoint, and
+/// the full baseline search for pairs over the fixpoint's budget. Unknown
+/// answers carry a dummy reason — the oracle does not model engine-side
+/// budget accounting, so callers compare Unknowns by variant only.
 pub fn shex0_oracle(h: &Schema, k: &Schema, options: &SearchOptions) -> Containment {
     assert!(h.is_rbe0() && k.is_rbe0(), "oracle is for ShEx0 pairs");
     let hg = h.to_shape_graph().expect("RBE0 schema has a shape graph");
@@ -77,8 +92,21 @@ pub fn shex0_oracle(h: &Schema, k: &Schema, options: &SearchOptions) -> Containm
         let witness = characterizing_graph(h).expect("checked DetShEx0-");
         return Containment::not_contained(witness);
     }
-    match search_counter_example_baseline(h, k, options) {
-        Some(witness) => Containment::not_contained(witness),
-        None => Containment::budget_exhausted(0, 0),
+    let systematic = SearchOptions {
+        random_samples: 0,
+        ..options.clone()
+    };
+    if let Some(witness) = search_counter_example_baseline(h, k, &systematic) {
+        return Containment::not_contained(witness);
+    }
+    match fixpoint::decide(h, k, None) {
+        FixpointOutcome::Contained => Containment::Contained,
+        FixpointOutcome::NotContained(witness) => Containment::NotContained(witness),
+        FixpointOutcome::OverBudget | FixpointOutcome::Cancelled => {
+            match search_counter_example_baseline(h, k, options) {
+                Some(witness) => Containment::not_contained(witness),
+                None => Containment::budget_exhausted(0, 0),
+            }
+        }
     }
 }

@@ -20,7 +20,7 @@ use shapex_graph::generate::GraphGen;
 use shapex_shex::{parse_schema, Schema};
 
 mod common;
-use common::{same_answer, shex0_oracle, tiny};
+use common::{choice_groups, same_answer, shex0_oracle, tiny};
 
 /// The bug-tracker schema of the paper's Figure 1 (deterministic).
 fn bug_tracker() -> Schema {
@@ -46,13 +46,14 @@ fn bug_tracker_split() -> Schema {
     .expect("the split schema parses")
 }
 
-/// A search budget big enough that the original-vs-split check exhausts it
-/// over tens of milliseconds (it budget-exhausts at any size — the pair is
-/// language-equal, so no counter-example exists). The computation must take
-/// long enough that every hammer thread reaches the in-flight table while
-/// the leader's search is still running, even under scheduler noise; with a
-/// microsecond-fast check the followers could miss the flight and the
-/// counter assertions below would flake.
+/// A search budget big enough that checking a choice-group schema against
+/// itself exhausts it over tens of milliseconds (it budget-exhausts at any
+/// size — no counter-example exists, and the sufficient check gives up on
+/// the schema's many bags). The computation must take long enough that
+/// every hammer thread reaches the in-flight table while the leader's search
+/// is still running, even under scheduler noise; with a microsecond-fast
+/// check the followers could miss the flight and the counter assertions
+/// below would flake.
 fn heavy() -> SearchOptions {
     SearchOptions {
         max_candidates: 20_000,
@@ -67,8 +68,8 @@ fn heavy() -> SearchOptions {
 /// fresh engine answering the check once.
 #[test]
 fn eight_identical_checks_run_one_search() {
-    let h = bug_tracker();
-    let k = bug_tracker_split();
+    let h = choice_groups(6);
+    let k = h.clone();
 
     // The uncontended reference: one engine, one check.
     let reference_engine = ContainmentEngine::with_search(heavy());
@@ -78,7 +79,7 @@ fn eight_identical_checks_run_one_search() {
     assert_eq!(reference_stats.coalesced_queries, 0, "no concurrency yet");
     assert!(
         matches!(reference, Containment::Unknown(_)),
-        "the Figure 1 pair is language-equal; the search must exhaust its budget"
+        "no counter-example exists and no sufficient check applies; the search must exhaust its budget"
     );
 
     const THREADS: usize = 8;

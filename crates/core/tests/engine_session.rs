@@ -25,7 +25,7 @@ use shapex_graph::generate::GraphGen;
 use shapex_shex::{parse_schema, Schema};
 
 mod common;
-use common::{graph_key, same_answer, shex0_oracle, tiny};
+use common::{choice_groups, graph_key, same_answer, shex0_oracle, tiny};
 
 /// Assert every engine configuration agrees with the oracle on a pair.
 fn engines_agree(h: &Schema, k: &Schema) {
@@ -152,14 +152,11 @@ fn check_matrix_equals_individual_calls() {
 #[test]
 fn unknown_reasons_distinguish_exhaustion_from_unexplorable_inputs() {
     let opts = tiny();
-    // Contained non-deterministic pair without an embedding: every candidate
-    // validates against k, so the budget runs dry with a positive count.
-    let g = parse_schema("G -> a::Leaf*, b::Leaf*\nLeaf -> EMPTY\n").unwrap();
-    let h = parse_schema(
-        "H0 -> a::Leaf*\nH1 -> a::Leaf*, b::Leaf\nH2 -> a::Leaf*, b::Leaf, b::Leaf*\nLeaf -> EMPTY\n",
-    )
-    .unwrap();
-    let exhausted = shex0_containment(&g, &h, &opts);
+    // A choice-group schema against itself: contained, outside RBE₀, with
+    // too many bags for the sufficient check, and every candidate validates
+    // against itself, so the budget runs dry with a positive count.
+    let groups = choice_groups(4);
+    let exhausted = general_containment(&groups, &groups, &opts);
     match exhausted.unknown_reason() {
         Some(UnknownReason::BudgetExhausted { candidates, depth }) => {
             assert!(*candidates > 0);
@@ -167,14 +164,14 @@ fn unknown_reasons_distinguish_exhaustion_from_unexplorable_inputs() {
         }
         other => panic!("expected BudgetExhausted, got {other:?}"),
     }
-    // Mandatory cycles everywhere (and a duplicated label keeping the pair
-    // off the DetShEx0- shortcut): no type has a finite unfolding, so the
-    // search inspects zero candidates. (`L(h)` still contains cyclic graphs
+    // Mandatory cycles everywhere (and a disjunction keeping the pair off
+    // the RBE₀ procedures): no type has a finite unfolding, so the search
+    // inspects zero candidates. (`L(looped)` still contains cyclic graphs
     // the unfolding search cannot reach, hence Unknown rather than
     // Contained.)
-    let looped = parse_schema("T -> p::T, p::U\nU -> q::T\n").unwrap();
+    let looped = parse_schema("T -> (p::T, p::U) | (r::T, p::U)\nU -> q::T\n").unwrap();
     let incomparable = parse_schema("T -> z::T\n").unwrap();
-    let unexplorable = shex0_containment(&looped, &incomparable, &opts);
+    let unexplorable = general_containment(&looped, &incomparable, &opts);
     assert_eq!(
         unexplorable.unknown_reason(),
         Some(&UnknownReason::NotSupported),

@@ -1,12 +1,13 @@
 //! Cooperative cancellation and deadline tokens for long-running searches.
 //!
-//! The paper's decision procedures are intrinsically expensive (EXP-complete
-//! for ShEx₀, coNEXP-hard in general), so every long-running loop in the
+//! The paper's decision procedures are intrinsically expensive (EXP-hard for
+//! ShEx₀, coNEXP-hard in general), so every long-running loop in the
 //! stack polls a [`CancelToken`] at bounded checkpoint intervals: the
 //! [`crate::Solver`] of this crate (one flag load per search node, one clock
 //! read every 256 nodes), the typing fixpoints of `shapex-shex` (once per
 //! node per sweep), and the candidate enumeration and counter-example search
-//! of `shapex-core` (once per candidate). The token lives here, in the lowest
+//! of `shapex-core` (once per candidate) and its type-set fixpoint (once per
+//! 64 enumeration steps). The token lives here, in the lowest
 //! crate that polls it, so every layer shares one type; `shapex-core`
 //! re-exports it. An expired deadline surfaces within one checkpoint interval
 //! instead of wedging a worker for the rest of its search budget.

@@ -145,9 +145,11 @@ pub struct IncrementalTyping {
     /// Number of schema types the retained typing was computed against; a
     /// mismatch on `apply` forces a full rebuild.
     type_count: usize,
-    /// Set when a cancelled [`IncrementalTyping::try_apply`] abandoned the
-    /// worklist mid-refinement, leaving the retained typing in an
-    /// intermediate (unsound) state; the next call forces a full rebuild.
+    /// Set by [`IncrementalTyping::try_apply`] before it first mutates the
+    /// retained typing and cleared only when it completes, so a call that
+    /// was cancelled — or that panicked — mid-refinement leaves the flag up
+    /// over an intermediate (unsound) typing; the next call forces a full
+    /// rebuild.
     poisoned: bool,
     /// Scratch: membership in the affected region `R`.
     affected: Vec<bool>,
@@ -236,10 +238,12 @@ impl IncrementalTyping {
     ///
     /// A cancelled call leaves the retained typing *poisoned* — the worklist
     /// was abandoned mid-refinement, so the retained sets are neither an
-    /// over- nor an under-approximation of the fixpoint. The next
-    /// `apply`/`try_apply` call detects this and recomputes from scratch
-    /// (itself cancellable); until one succeeds, [`IncrementalTyping::typing`]
-    /// must not be trusted.
+    /// over- nor an under-approximation of the fixpoint. So does a call that
+    /// panics part-way (a Presburger budget panic, say) and is caught by the
+    /// caller: the flag goes up before the first mutation and comes down
+    /// only on success. The next `apply`/`try_apply` call detects this and
+    /// recomputes from scratch (itself cancellable); until one succeeds,
+    /// [`IncrementalTyping::typing`] must not be trusted.
     ///
     /// # Panics
     /// Panics (in debug builds) if the graph uses occurrence intervals other
@@ -274,6 +278,9 @@ impl IncrementalTyping {
             graph.edges().all(|e| graph.occur(e).singleton().is_some()),
             "validation requires a simple or compressed graph"
         );
+        // Up until the refinement completes: a cancellation or a panic below
+        // leaves a typing the next call must not trust.
+        self.poisoned = true;
         let nodes = graph.node_count();
         let full: BTreeSet<TypeId> = schema.types().collect();
         // Nodes created since the last call start at the full candidate set;
@@ -327,9 +334,10 @@ impl IncrementalTyping {
         // in-neighbour may lose a type that matched an atom pointing at it.
         while let Some(node) = self.stack.pop() {
             if cancel.is_some_and(|c| c.fired()) {
-                self.poisoned = true;
                 return None;
             }
+            #[cfg(test)]
+            tests::refinement_step();
             self.queued[node.index()] = false;
             self.scratch.current.clear();
             self.scratch
@@ -347,10 +355,7 @@ impl IncrementalTyping {
                     &mut self.scratch,
                     cancel,
                 ) {
-                    None => {
-                        self.poisoned = true;
-                        return None;
-                    }
+                    None => return None,
                     Some(true) => {}
                     Some(false) => {
                         self.typing.sets[node.index()].remove(&t);
@@ -369,6 +374,7 @@ impl IncrementalTyping {
                 }
             }
         }
+        self.poisoned = false;
         Some(region.len())
     }
 }
@@ -1060,6 +1066,52 @@ emp1 -email-> l9
             .is_none());
         let touched = inc.apply(&graph, &schema, &[]);
         assert_eq!(touched, graph.node_count(), "poisoned state forces rebuild");
+        assert_eq!(inc.typing(), &maximal_typing(&graph, &schema));
+    }
+
+    thread_local! {
+        /// Refinement steps of `IncrementalTyping::try_apply` left before an
+        /// injected panic (`None`: never).
+        static PANIC_AFTER: std::cell::Cell<Option<usize>> = const { std::cell::Cell::new(None) };
+    }
+
+    /// The test hook in `try_apply`'s refinement loop: panics once the
+    /// armed step count runs out.
+    pub(super) fn refinement_step() {
+        PANIC_AFTER.with(|left| match left.get() {
+            Some(0) => {
+                left.set(None);
+                panic!("injected panic mid-refinement");
+            }
+            Some(n) => left.set(Some(n - 1)),
+            None => {}
+        });
+    }
+
+    #[test]
+    fn a_panic_mid_refinement_forces_a_rebuild() {
+        let schema = parse_schema(FIG1_SCHEMA).unwrap();
+        let mut graph = parse_graph(FIG1_GRAPH).unwrap();
+        let mut inc = IncrementalTyping::new(&graph, &schema);
+        // user1 loses its name, so it and the bugs reaching it lose types:
+        // the repair re-expands them first and refines them back down.
+        use shapex_graph::GraphDelta;
+        let mut delta = GraphDelta::new();
+        delta.remove_edge("user1", "name", "l5");
+        let report = graph.apply_delta(&delta);
+        PANIC_AFTER.with(|left| left.set(Some(1)));
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            inc.apply(&graph, &schema, &report.dirty)
+        }));
+        assert!(caught.is_err(), "the hook panics on the second step");
+        // Nothing changed since: an unpoisoned typing would answer from the
+        // half-refined sets it kept.
+        let touched = inc.apply(&graph, &schema, &[]);
+        assert_eq!(
+            touched,
+            graph.node_count(),
+            "a panicked repair forces a rebuild"
+        );
         assert_eq!(inc.typing(), &maximal_typing(&graph, &schema));
     }
 

@@ -1659,18 +1659,16 @@ mod tests {
     /// The Figure-1 anchor pair: no embedding, no counter-example — the
     /// search exhausts the default budget, so a short deadline reliably
     /// expires mid-search.
-    const FIG1_ORIGINAL: &str = "Bug  -> descr::Literal, reportedBy::User, related::Bug*\n\
-         User -> name::Literal, email::Literal?\n";
-    const FIG1_SPLIT: &str =
-        "Bug1 -> descr::Literal, reportedBy::User1, related::Bug1*, related::Bug2*\n\
-         Bug2 -> descr::Literal, reportedBy::User2, related::Bug1*, related::Bug2*\n\
-         User1 -> name::Literal\n\
-         User2 -> name::Literal, email::Literal\n";
+    /// The choice-group schema of the `disjunct` gadgets: outside RBE₀ and
+    /// with too many bags for the sufficient check, so checking it against
+    /// itself runs the bounded search to the end of its budget.
+    const CHOICE_GROUPS: &str = "Root -> (a1::L | b1::L)[1;2], (a2::L | b2::L)[1;2], \
+         (a3::L | b3::L)[1;2], (a4::L | b4::L)[1;2], (a5::L | b5::L)[1;2], (a6::L | b6::L)[1;2]\n";
 
     #[test]
     fn deadlines_surface_as_typed_answers_in_the_timeout_histogram() {
         let service = ContainmentService::new();
-        let ids = ids_of(&service, TenantId::DEFAULT, &[FIG1_ORIGINAL, FIG1_SPLIT]);
+        let ids = ids_of(&service, TenantId::DEFAULT, &[CHOICE_GROUPS, CHOICE_GROUPS]);
         let check = ServiceRequest::Check {
             h: ids[0],
             k: ids[1],
