@@ -1,7 +1,7 @@
 //! E3 (Figure 4): embeddings are a sufficient but not necessary condition for
 //! containment. `L(G) = L(H)` yet only `H ≼ G` holds; the ShEx₀ procedure
 //! decides the embedding direction fast and proves the other with the
-//! type-set fixpoint, after the systematic search finds no counter-example.
+//! type-set fixpoint.
 
 use std::time::Duration;
 

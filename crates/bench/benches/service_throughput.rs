@@ -1,15 +1,13 @@
 //! Corpus-scale service throughput: closed-loop client fleets hammering a
 //! `ServicePool` of sharded workers over one shared engine, on the
 //! duplicate-heavy request mix of `shapex_bench::throughput` (three in four
-//! requests hit a hot anchor pair: single-flight coalescing absorbs the
-//! duplicates of its first, cold check, and the memoised fixpoint outcome
-//! answers the rest).
+//! requests hit one hot check that the bounded search answers and the
+//! engine does not memoise, so single-flight coalescing absorbs its
+//! concurrent duplicates).
 //!
 //! Each iteration is one full drive: fresh service (cold caches), corpus
 //! registration, `clients` closed-loop threads of `requests_per_client`
-//! checks each. The `coalesce=off` arm at the widest fleet measures the
-//! uncoalesced path; the wall-clock gap between the two 16-client arms is
-//! the coalescing win the `fig7_summary` gate tracks. Run with
+//! checks each. Run with
 //! `cargo bench -p shapex-bench --bench service_throughput`.
 
 use std::time::Duration;
@@ -33,18 +31,6 @@ fn bench(c: &mut Criterion) {
             |b, options| b.iter(|| drive(options).requests),
         );
     }
-
-    let uncoalesced = DriveOptions {
-        clients: 16,
-        requests_per_client: 32,
-        coalesce: false,
-        ..DriveOptions::default()
-    };
-    group.bench_with_input(
-        BenchmarkId::new("clients_uncoalesced", 16),
-        &uncoalesced,
-        |b, options| b.iter(|| drive(options).requests),
-    );
 
     group.finish();
 }

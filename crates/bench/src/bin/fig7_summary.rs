@@ -22,7 +22,7 @@
 
 use std::time::{Duration, Instant};
 
-use shapex_bench::throughput::{drive, DriveOptions, ThroughputReport};
+use shapex_bench::throughput::{drive, DriveOptions};
 use shapex_bench::{contained_det_pair, contained_shex0_pair, evolution_family, rng};
 use shapex_core::det::det_containment;
 use shapex_core::engine::ContainmentEngine;
@@ -259,7 +259,7 @@ fn main() {
 
     // --- ShEx0: the DNF gadget grows quickly --------------------------------
     println!(
-        "\n[ShEx0 / DetShEx0] DNF-tautology gadget (Thm. 4.5), answer via search and type-set fixpoint"
+        "\n[ShEx0 / DetShEx0] DNF-tautology gadget (Thm. 4.5), answer via the type-set fixpoint"
     );
     println!(
         "{:>8} {:>12} {:>14} {:>12}",
@@ -516,22 +516,10 @@ fn main() {
     // --- Service throughput: sharded workers + single-flight coalescing ----
     println!("\n[service] corpus throughput: closed-loop clients over the sharded worker pool");
     println!(
-        "{:>10} {:>10} {:>10} {:>10} {:>10} {:>10} {:>10}",
-        "clients", "coalesce", "req/s", "p50", "p90", "p99", "coalesced"
+        "{:>10} {:>10} {:>10} {:>10} {:>10} {:>10}",
+        "clients", "req/s", "p50", "p90", "p99", "coalesced"
     );
-    let print_drive = |clients: usize, coalesce: bool, report: &ThroughputReport| {
-        println!(
-            "{:>10} {:>10} {:>10.0} {:>10.2?} {:>10.2?} {:>10.2?} {:>10}",
-            clients,
-            if coalesce { "on" } else { "off" },
-            report.requests_per_sec(),
-            report.latency.p50().unwrap_or_default(),
-            report.latency.p90().unwrap_or_default(),
-            report.latency.p99().unwrap_or_default(),
-            report.coalesced_queries
-        );
-    };
-    let mut coalesced_16 = None;
+    let mut coalesced_16 = 0;
     for &clients in &[1usize, 4, 16] {
         let (report, _) =
             recorder.measure(&format!("service_throughput/clients={clients}"), 2, || {
@@ -540,36 +528,22 @@ fn main() {
                     ..DriveOptions::default()
                 })
             });
-        print_drive(clients, true, &report);
+        println!(
+            "{:>10} {:>10.0} {:>10.2?} {:>10.2?} {:>10.2?} {:>10}",
+            clients,
+            report.requests_per_sec(),
+            report.latency.p50().unwrap_or_default(),
+            report.latency.p90().unwrap_or_default(),
+            report.latency.p99().unwrap_or_default(),
+            report.coalesced_queries
+        );
         if clients == 16 {
-            coalesced_16 = Some(report);
+            coalesced_16 = report.coalesced_queries;
         }
     }
-    let (uncoalesced_16, _) =
-        recorder.measure("service_throughput/clients=16/coalesce=off", 2, || {
-            drive(&DriveOptions {
-                clients: 16,
-                coalesce: false,
-                ..DriveOptions::default()
-            })
-        });
-    print_drive(16, false, &uncoalesced_16);
-    let coalesced_16 = coalesced_16.expect("16-client drive ran");
     assert!(
-        coalesced_16.coalesced_queries > 0,
+        coalesced_16 > 0,
         "a duplicate-heavy 16-client fleet must coalesce"
-    );
-    assert_eq!(
-        uncoalesced_16.coalesced_queries, 0,
-        "the knob-gated path must not coalesce"
-    );
-    // The acceptance bar (≥ 2× on the duplicate-heavy mix) is asserted by
-    // the release-mode test suite on reference hosts; here the ratio is
-    // printed so CI logs and BENCH_fig7.json rows carry the evidence
-    // without flaking on loaded shared runners.
-    println!(
-        "coalescing on/off at 16 clients: {:.1}× requests/sec",
-        coalesced_16.requests_per_sec() / uncoalesced_16.requests_per_sec().max(f64::EPSILON)
     );
 
     // --- Streaming ingestion: O(graph) memory, one pass over the bytes -----

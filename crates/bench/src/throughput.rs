@@ -2,26 +2,23 @@
 //! `service_throughput` bench and the `fig7_summary` rows.
 //!
 //! One drive builds a fresh [`ContainmentService`] (so every run starts with
-//! cold caches), registers the seeded gadget corpus plus a pair of heavy
-//! anchor schemas, spawns a [`ServicePool`] of workers, and hammers it with
+//! cold caches), registers the seeded gadget corpus plus a heavy anchor
+//! schema, spawns a [`ServicePool`] of workers, and hammers it with
 //! closed-loop client threads: each client blocks on one request at a time
 //! and immediately issues the next, the standard closed-loop load model.
 //!
 //! The request mix is *duplicate-heavy by design*: every client walks the
-//! same seeded plan, so at any instant the fleet concentrates on a handful
-//! of hot `(h, k)` pairs — the traffic shape of a production deployment
-//! where many tenants audit the same popular schema revisions, and exactly
-//! the shape the engine's single-flight coalescing absorbs. Driving with
-//! [`DriveOptions::coalesce`] off measures the uncoalesced path for the
-//! on/off ratio the acceptance gate watches.
+//! same seeded plan, so at any instant the fleet concentrates on one hot
+//! `(h, k)` pair — the traffic shape of a production deployment where many
+//! tenants audit the same popular schema revision, and exactly the shape
+//! the engine's single-flight coalescing absorbs.
 
 use std::time::{Duration, Instant};
 
 use shapex::prelude::*;
 use shapex::service::{ContainmentService, ServiceRequest, ServiceResponse, TenantId};
-use shapex_core::unfold::SearchOptions;
 use shapex_gadgets::corpus::{Corpus, CorpusOptions};
-use shapex_gadgets::figures;
+use shapex_gadgets::disjuncts::disjunct_choice_pair;
 
 /// Parameters of one throughput drive.
 #[derive(Debug, Clone)]
@@ -32,8 +29,6 @@ pub struct DriveOptions {
     pub clients: usize,
     /// Requests each client issues.
     pub requests_per_client: usize,
-    /// Whether the engine coalesces duplicate concurrent queries.
-    pub coalesce: bool,
     /// Per-worker queue capacity.
     pub queue_capacity: usize,
     /// Corpus seed (same seed ⇒ identical corpus and plan).
@@ -46,7 +41,6 @@ impl Default for DriveOptions {
             workers: 8,
             clients: 4,
             requests_per_client: 64,
-            coalesce: true,
             queue_capacity: 32,
             seed: 0xFEED,
         }
@@ -74,37 +68,18 @@ impl ThroughputReport {
     }
 }
 
-/// Build the drive's service with the coalescing knob set.
-///
-/// The search budget is deliberately large: the first check of each
-/// direction of the hot anchor pair walks the whole systematic search
-/// before the type-set fixpoint proves it contained, so that cold check
-/// takes milliseconds — the window in which duplicate concurrent checks
-/// genuinely overlap (even on a single core, where overlap comes from
-/// preemption) and single-flight coalescing has work to absorb. The
-/// fixpoint's outcome is memoised, so every later check of the pair is a
-/// memo hit; the corpus pairs the systematic search refutes re-walk their
-/// warm pools on every check.
-fn service(coalesce: bool) -> ContainmentService {
-    let search = SearchOptions {
-        max_candidates: 80_000,
-        random_samples: 8_000,
-        ..SearchOptions::default()
-    };
-    ContainmentService::with_options(
-        EngineOptions::builder()
-            .search(search)
-            .coalesce(coalesce)
-            .build(),
-    )
-}
-
-/// Register the corpus and the heavy anchor pair, returning the seeded
+/// Register the corpus and the heavy anchor schema, returning the seeded
 /// request plan every client walks: three in four requests hit the hot
-/// anchor pair (the Figure 1 bug tracker against its non-deterministic
-/// split — equal languages, which only the type-set fixpoint proves, after
-/// a full systematic search on the first check), the rest walk the corpus's
-/// evolution pairs.
+/// check, the rest walk the corpus's evolution pairs.
+///
+/// The hot check is the six-group choice schema of the `disjunct` gadgets
+/// against itself. It is outside RBE₀ and has more bags than the sufficient
+/// check enumerates, so the bounded search answers it, exhausting its
+/// budget without a witness, and the engine memoises no such verdict. The
+/// first, cold check builds the pools and validates every candidate, which
+/// takes long enough that the whole fleet's first requests pile up behind
+/// it and coalesce; later checks re-walk the warm pools and memos and
+/// coalesce whenever they overlap.
 fn plan(service: &ContainmentService, options: &DriveOptions) -> Vec<(SchemaId, SchemaId)> {
     let register = |schema: Schema| -> SchemaId {
         match service.handle(
@@ -115,11 +90,10 @@ fn plan(service: &ContainmentService, options: &DriveOptions) -> Vec<(SchemaId, 
             other => panic!("corpus registration failed: {other:?}"),
         }
     };
-    let original = register(figures::bug_tracker_schema());
-    let split = register(figures::bug_tracker_split_schema());
+    let choice = register(disjunct_choice_pair(6).1);
     // A compact corpus: the evolution pairs are the diverse background
     // traffic, not the hot set, and every distinct pair's cold check is
-    // uncoalescible floor time shared by the coalesced and uncoalesced arms.
+    // uncoalescible floor time.
     let corpus = Corpus::generate(&CorpusOptions {
         families: 2,
         revisions: 4,
@@ -128,14 +102,10 @@ fn plan(service: &ContainmentService, options: &DriveOptions) -> Vec<(SchemaId, 
     });
     let ids: Vec<SchemaId> = corpus.schemas().cloned().map(register).collect();
     let pairs = corpus.evolution_pairs();
-    // Hot requests come in blocks of eight per direction: clients drift a
-    // little relative to each other, and blocks keep drifted clients on the
-    // *same* hot pair so their checks actually coincide.
-    let hot = [(original, split), (split, original)];
     (0..options.requests_per_client)
         .map(|i| {
             if i % 4 != 3 {
-                hot[(i / 8) % hot.len()]
+                (choice, choice)
             } else {
                 let (h, k) = pairs[i % pairs.len()];
                 (ids[h], ids[k])
@@ -146,7 +116,7 @@ fn plan(service: &ContainmentService, options: &DriveOptions) -> Vec<(SchemaId, 
 
 /// Run one closed-loop drive against a fresh service and pool.
 pub fn drive(options: &DriveOptions) -> ThroughputReport {
-    let service = service(options.coalesce);
+    let service = ContainmentService::new();
     let plan = plan(&service, options);
     let pool = service.pool(options.workers, options.queue_capacity);
     let start = Instant::now();
@@ -193,17 +163,5 @@ mod tests {
         assert!(report.latency.count() >= 16);
         assert!(report.requests_per_sec() > 0.0);
         assert!(report.latency.p99() >= report.latency.p50());
-    }
-
-    #[test]
-    fn uncoalesced_drives_never_report_coalesced_queries() {
-        let report = drive(&DriveOptions {
-            workers: 2,
-            clients: 2,
-            requests_per_client: 8,
-            coalesce: false,
-            ..DriveOptions::default()
-        });
-        assert_eq!(report.coalesced_queries, 0);
     }
 }

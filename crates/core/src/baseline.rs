@@ -11,24 +11,23 @@
 //!   the worklist + bitset engine of [`crate::simulation`] is checked
 //!   against (and the baseline the `sim_engine_scaling` bench measures its
 //!   speed-up over).
-//! * [`search_counter_example_baseline`] — the original memo-free
-//!   counter-example search, retained verbatim as the oracle for the pooled
-//!   and memoised search of [`crate::engine::ContainmentEngine`] (and the
-//!   baseline of the `batch_matrix` bench).
+//! * [`search_counter_example_baseline`] — the memo-free systematic
+//!   counter-example search, retained as the oracle for the pooled and
+//!   memoised search of [`crate::engine::ContainmentEngine`] (and the
+//!   baseline of the `batch_matrix` bench). The engine runs that search for
+//!   full ShEx pairs and for the `ShEx₀` pairs over the type-set fixpoint's
+//!   budget; every other `ShEx₀` pair is decided by [`crate::fixpoint`].
 
 use std::collections::BTreeSet;
-
-use rand::prelude::*;
-use rand::rngs::StdRng;
 
 use shapex_graph::{Graph, Label, NodeId};
 use shapex_rbe::flow::{basic_assignment, general_assignment};
 use shapex_rbe::Interval;
 use shapex_shex::typing::validates;
-use shapex_shex::{Schema, TypeId};
+use shapex_shex::Schema;
 
 use crate::simulation::Simulation;
-use crate::unfold::{enumerate_members, sample_member, SearchOptions};
+use crate::unfold::{enumerate_members, SearchOptions};
 
 /// Compute the maximal simulation of `G` in `H` by naive fix-point
 /// refinement: starting from the full relation `N_G × N_H`, every pair is
@@ -88,12 +87,11 @@ fn has_witness(
     }
 }
 
-/// The original one-shot counter-example search: systematic unfoldings first
-/// (every root, depths `1..=max_depth`), then randomized sampling — with no
-/// pooling or memoisation, every candidate graph is re-enumerated and
-/// re-validated from scratch.
+/// The original one-shot counter-example search: systematic unfoldings of
+/// every root at depths `1..=max_depth`, with no pooling or memoisation —
+/// every candidate graph is re-enumerated and re-validated from scratch.
 ///
-/// Retained verbatim as the answer oracle for the session-layer search of
+/// Retained as the answer oracle for the session-layer search of
 /// [`crate::engine::ContainmentEngine`]: the engine must examine the same
 /// candidates in the same order, so both return the same witness (or both
 /// return `None`) — a property the `engine_session` *and* the
@@ -106,7 +104,6 @@ pub fn search_counter_example_baseline(
     options: &SearchOptions,
 ) -> Option<Graph> {
     let mut examined = 0usize;
-    // Systematic phase.
     for root in h.types() {
         for depth in 1..=options.max_depth {
             let scoped = SearchOptions {
@@ -121,20 +118,6 @@ pub fn search_counter_example_baseline(
                 if !validates(&graph, k) {
                     return Some(graph);
                 }
-            }
-        }
-    }
-    // Randomized phase.
-    let mut rng = StdRng::seed_from_u64(options.seed);
-    let roots: Vec<TypeId> = h.types().collect();
-    if roots.is_empty() {
-        return None;
-    }
-    for _ in 0..options.random_samples {
-        let root = roots[rng.gen_range(0..roots.len())];
-        if let Some(graph) = sample_member(h, root, &mut rng, options) {
-            if !validates(&graph, k) {
-                return Some(graph);
             }
         }
     }

@@ -27,9 +27,8 @@
 //! — runs an **epoch-LRU sweep**: collect all `(stamp, bytes)` pairs, pick
 //! the cutoff stamp that frees enough to reach the low-water mark (half the
 //! limit, for hysteresis), and drop every entry at or below it. One-shot
-//! `OnceLock` caches (characterizing graphs, exhaustive bag enumerations,
-//! sampled pools) and the registered schemas themselves are **exempt but
-//! counted**: they appear as [`CacheKind::Pinned`] bytes in the stats so a
+//! `OnceLock` caches (characterizing graphs, exhaustive bag enumerations)
+//! and the registered schemas themselves are **exempt but counted**: they appear as [`CacheKind::Pinned`] bytes in the stats so a
 //! capacity planner sees the whole footprint, but a sweep never touches
 //! them.
 

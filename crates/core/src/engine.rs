@@ -17,25 +17,27 @@
 //!   allocation per distinct predicate label.
 //! * **Per-schema caches.** The characterizing graph (Lemma 4.2), the
 //!   exhaustive per-type bag enumeration of the general sufficient check,
-//!   and the enumerated/sampled unfolding pools — keyed by `(type, depth)`
-//!   under the engine's fixed search budget — are each built once and reused
-//!   across every partner schema.
-//! * **Verdict memos.** `validates(candidate, S)` verdicts are memoised per
-//!   registered schema under a structural fingerprint of the candidate
-//!   graph, and shape-graph embedding verdicts and the type-set fixpoint's
-//!   outcomes per ordered schema pair. The depth-cumulative systematic search
-//!   re-encounters the same candidates at every depth, so even a single
-//!   one-shot query through a throwaway engine validates each distinct
-//!   candidate once.
+//!   and the enumerated unfolding pools of the bounded search — keyed by
+//!   `(type, depth)` under the engine's fixed search budget — are each built
+//!   once and reused across every partner schema.
+//! * **Verdict memos.** Shape-graph embedding verdicts, type-simulation
+//!   verdicts and the type-set fixpoint's outcomes are memoised per ordered
+//!   schema pair, so a repeated check of a `ShEx₀` pair costs memo lookups
+//!   only. The bounded search memoises `validates(candidate, S)` verdicts
+//!   per registered schema under a structural fingerprint of the candidate
+//!   graph: it re-encounters the same candidates at every depth, so even a
+//!   single one-shot query through a throwaway engine validates each
+//!   distinct candidate once.
 //!
 //! # One query path
 //!
 //! Every verdict goes through one dispatch chain that picks the strongest
-//! procedure for the pair's class: embedding (§3), the characterizing graph
-//! for `DetShEx₀⁻` (Lemma 4.2), then, for `ShEx₀` pairs, the systematic
-//! counter-example search and the exact type-set fixpoint
-//! ([`crate::fixpoint`], §5), and for full ShEx the type-simulation check
-//! and the bounded counter-example search (§6). Four methods reach it:
+//! procedure for the pair's class. A `ShEx₀` pair goes to embedding (§3),
+//! then the characterizing graph for `DetShEx₀⁻` (Lemma 4.2), then the
+//! exact type-set fixpoint ([`crate::fixpoint`], §5); only a pair over the
+//! fixpoint's work bound reaches the bounded counter-example search. A pair
+//! with a full ShEx side goes to the type-simulation check and then the
+//! bounded search (§6). Four methods reach it:
 //! [`ContainmentEngine::check`] and [`ContainmentEngine::check_matrix`]
 //! register schemas and ask; [`ContainmentEngine::check_ids`] and
 //! [`ContainmentEngine::check_matrix_ids`] take handles plus an optional
@@ -79,17 +81,19 @@
 //! entry costs a recomputation, never a different verdict or witness (the
 //! `engine_eviction` suite pins this against the unbounded engine and the
 //! memo-free baseline). One-shot `OnceLock` caches (characterizing graphs,
-//! sampled pools, exhaustive bag enumerations) and the registered schemas
-//! are exempt but counted, so [`EngineStats`] reports the full footprint:
+//! exhaustive bag enumerations) and the registered schemas are exempt but
+//! counted, so [`EngineStats`] reports the full footprint:
 //! per-cache resident bytes, evictions, and bytes freed, next to the hit
 //! ratios — the capacity-planning surface of a service deployment. The
 //! default budget is `None` (unbounded): existing workloads pay only a few
 //! atomic increments.
 //!
 //! The one-shot functions still exist and behave identically — they
-//! construct a throwaway engine — and the candidate order of the search is
-//! exactly that of [`crate::baseline::search_counter_example_baseline`], the
-//! retained memo-free reference, so witnesses are reproducible.
+//! construct a throwaway engine. Witnesses are reproducible: a `ShEx₀`
+//! witness is the one the fixpoint's derivation unfolds, and the bounded
+//! search examines candidates in exactly the order of
+//! [`crate::baseline::search_counter_example_baseline`], the retained
+//! memo-free reference.
 //!
 //! ```
 //! use shapex_core::engine::ContainmentEngine;
@@ -110,9 +114,6 @@ use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError, RwLock};
 use std::time::Duration;
-
-use rand::prelude::*;
-use rand::rngs::StdRng;
 
 use shapex_graph::{Graph, Label, SharedLabelTable};
 use shapex_rbe::{Bag, Rbe};
@@ -141,23 +142,11 @@ shapex_graph::assert_send_sync!(ContainmentEngine, EngineOptions, EngineStats, S
 /// Options are set only through [`EngineOptions::builder`] (the fields are
 /// private), so adding a knob is never a breaking change for downstream
 /// crates. [`EngineOptions::default`] is what the builder starts from.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct EngineOptions {
     search: SearchOptions,
     cache_budget: Option<u64>,
     max_entry_bytes: Option<u64>,
-    coalesce: bool,
-}
-
-impl Default for EngineOptions {
-    fn default() -> Self {
-        EngineOptions {
-            search: SearchOptions::default(),
-            cache_budget: None,
-            max_entry_bytes: None,
-            coalesce: true,
-        }
-    }
 }
 
 /// Builder for [`EngineOptions`], the one way to configure an engine.
@@ -177,8 +166,8 @@ pub struct EngineOptionsBuilder {
 }
 
 impl EngineOptionsBuilder {
-    /// Replace the counter-example search budget (depth, pool sizes, sample
-    /// count, seed). Fixed for the lifetime of the engine so that cached
+    /// Replace the counter-example search budget (depth, pool sizes,
+    /// candidate count). Fixed for the lifetime of the engine so that cached
     /// unfolding pools remain valid for every query.
     pub fn search(mut self, search: SearchOptions) -> Self {
         self.options.search = search;
@@ -204,19 +193,6 @@ impl EngineOptionsBuilder {
     /// it.
     pub fn max_entry_bytes(mut self, bytes: u64) -> Self {
         self.options.max_entry_bytes = Some(bytes);
-        self
-    }
-
-    /// Enable or disable single-flight coalescing of duplicate concurrent
-    /// queries (enabled by default): while one thread computes the verdict
-    /// for a pair `(h, k)`, other threads asking the same ordered pair block
-    /// on that computation and share its verdict instead of re-running the
-    /// search (and cold enumerated pools are built once, not once per
-    /// racer). Verdicts are deterministic, so coalescing is observationally
-    /// invisible; [`EngineStats`] counts the wins in `coalesced_queries` /
-    /// `coalesced_pools`.
-    pub fn coalesce(mut self, coalesce: bool) -> Self {
-        self.options.coalesce = coalesce;
         self
     }
 
@@ -279,7 +255,7 @@ pub struct EngineStats {
     pub embed_hits: u64,
     /// Shape-graph embedding verdicts actually computed.
     pub embed_misses: u64,
-    /// Unfolding pools (enumerated or sampled) answered from the cache.
+    /// Enumerated unfolding pools answered from the cache.
     pub pool_hits: u64,
     /// Unfolding pools built.
     pub pools_built: u64,
@@ -309,8 +285,8 @@ pub struct EngineStats {
     /// cache.
     pub bag_bytes: u64,
     /// Accounted bytes in the pinned (counted, never evicted) caches:
-    /// registered schemas, characterizing graphs, sampled pools, bag
-    /// enumerations, and the session atom table.
+    /// registered schemas, characterizing graphs, bag enumerations, and the
+    /// session atom table.
     pub pinned_bytes: u64,
     /// Accounted bytes of the session-wide atom table — a subset of
     /// `pinned_bytes`, broken out because it is the one pinned cache that
@@ -327,14 +303,14 @@ pub struct EngineStats {
     /// because their cancellation token fired before the search reached a
     /// sound answer.
     pub deadline_exceeded: u64,
-    /// Search branches (candidate loops, pool builds, sampled phases, type-set
-    /// fixpoints) abandoned at a cancellation checkpoint.
+    /// Search branches (candidate loops, pool builds, type-set fixpoints)
+    /// abandoned at a cancellation checkpoint.
     pub cancelled_branches: u64,
     /// RBE₀ pairs the type-set fixpoint ([`crate::fixpoint`]) decided after
-    /// the systematic search left them open.
+    /// embedding and the `DetShEx₀⁻` shortcut left them open.
     pub fixpoint_decided: u64,
     /// RBE₀ pairs whose fixpoint ran over its evaluation budget and fell
-    /// through to the sampled search.
+    /// through to the bounded counter-example search.
     pub fixpoint_over_budget: u64,
     /// Checks answered from the memo of fixpoint outcomes.
     pub fixpoint_memo_hits: u64,
@@ -694,8 +670,6 @@ struct SchemaEntry {
     /// cold pool coalesce onto a single construction instead of queueing on
     /// the unfolder lock to each rebuild (and race-adopt) the same pool.
     pool_flights: SingleFlight<(TypeId, usize), Pool>,
-    /// The ordered randomized-phase sample pool.
-    sampled: OnceLock<Pool>,
     /// The exhaustive per-type bag enumeration (`None` = infinite).
     bags: OnceLock<CachedBags>,
 }
@@ -986,12 +960,6 @@ struct SearchOutcome {
 }
 
 impl SearchOutcome {
-    /// Neither a witness nor an expired token: the phases run so far left
-    /// the pair open.
-    fn is_open(&self) -> bool {
-        self.witness.is_none() && self.cancelled.is_none()
-    }
-
     fn into_containment(self) -> Containment {
         match (self.witness, self.cancelled) {
             (Some(witness), _) => Containment::NotContained(witness),
@@ -1015,19 +983,18 @@ pub struct ContainmentEngine {
     embeds_memo: ShardedPairMap<bool>,
     /// `(h, k) → whether the general sufficient condition holds`.
     sufficient_memo: ShardedPairMap<bool>,
-    /// `(h, k) → the type-set fixpoint's answer for an RBE₀ pair that the
-    /// systematic search left open` (`None`: over the fixpoint's budget).
-    /// Consulted before the systematic search, so a repeated check of such
-    /// a pair costs two memo lookups.
+    /// `(h, k) → the type-set fixpoint's answer for an RBE₀ pair that
+    /// embedding and the DetShEx₀⁻ shortcut left open` (`None`: over the
+    /// fixpoint's budget, so the bounded search answers). A repeated check
+    /// of such a pair costs two memo lookups.
     fixpoint_memo: ShardedPairMap<Option<Containment>>,
     /// In-flight `(h, k)` verdict computations (single-flight coalescing,
-    /// [`EngineOptionsBuilder::coalesce`]): sharded like the pair memos so
+    /// see [`ContainmentEngine::check_ids`]): sharded like the pair memos so
     /// concurrent queries for different pairs never contend. Verdicts the
-    /// systematic search or the bounded searches of the general pipeline
-    /// reach are not memoised — those searches re-run per call over warm
-    /// memos — so coalescing duplicate concurrent checks is what keeps a
-    /// thundering herd of identical queries from multiplying that warm
-    /// re-walk.
+    /// bounded search reaches are not memoised — it re-runs per call over
+    /// warm memos — so coalescing duplicate concurrent checks is what keeps
+    /// a thundering herd of identical queries from multiplying that warm
+    /// re-walk, and what shares the cold work of a pair's first check.
     query_flights: SingleFlight<(u32, u32), Containment>,
     counters: EngineCounters,
     /// The accounted-byte ledger and eviction bookkeeping behind
@@ -1167,7 +1134,6 @@ impl ContainmentEngine {
             unfolder_bytes: AtomicU64::new(0),
             enumerated: RwLock::new(BTreeMap::new()),
             pool_flights: SingleFlight::new(1),
-            sampled: OnceLock::new(),
             bags: OnceLock::new(),
         });
         // The registered schema (its cached shape graph included — derived
@@ -1223,8 +1189,12 @@ impl ContainmentEngine {
     /// under a [`CancelToken`].
     ///
     /// Without a token, duplicate concurrent queries for the same ordered
-    /// pair coalesce onto one computation (single-flight,
-    /// [`EngineOptionsBuilder::coalesce`]). With a token, the query threads
+    /// pair coalesce onto one computation (single-flight): while one thread
+    /// computes the verdict, the others block on it and share it, and
+    /// [`EngineStats`] counts them in `coalesced_queries` (and cold pools
+    /// built once for several racers in `coalesced_pools`). Verdicts are
+    /// deterministic, so coalescing is observationally invisible. With a
+    /// token, the query threads
     /// it through every long-running loop it reaches — pool enumeration,
     /// per-candidate validation, the typing fixpoints, the Presburger
     /// solver — and polls it at bounded checkpoint intervals. Once the token
@@ -1250,13 +1220,11 @@ impl ContainmentEngine {
     /// deadline counter ticks on expiry). Without one, while a thread runs
     /// the chain for an ordered pair, duplicate concurrent queries for the
     /// same pair block on that computation and share its verdict
-    /// ([`EngineStats::coalesced_queries`] counts them); a straight
-    /// pass-through when [`EngineOptionsBuilder::coalesce`] is off. Sound
-    /// because verdicts are deterministic functions of the registered pair —
-    /// and because [`ContainmentEngine::shex0_entries`] and
-    /// [`ContainmentEngine::general_entries`] delegate to each other on class
-    /// mismatch, every route through the chain computes the same verdict for
-    /// a given pair, so one flight key serves them all.
+    /// ([`EngineStats::coalesced_queries`] counts them). Sound because
+    /// verdicts are deterministic functions of the registered pair, and
+    /// every route enters the chain at
+    /// [`ContainmentEngine::general_entries`], so one flight key serves
+    /// them all.
     fn verdict(
         &self,
         h: SchemaId,
@@ -1275,9 +1243,6 @@ impl ContainmentEngine {
                 EngineCounters::tick(&self.counters.deadline_exceeded);
             }
             return verdict;
-        }
-        if !self.options.coalesce {
-            return run();
         }
         self.query_flights
             .run((h.0, k.0), run, &self.counters.coalesced_queries)
@@ -1361,17 +1326,17 @@ impl ContainmentEngine {
         let h = self.register(h);
         let k = self.register(k);
         let entries = self.entries(&[h, k]);
-        self.search_ids(&entries[0], &entries[1], None)
+        self.search(&entries[0], &entries[1], None)
             .witness
             .map(|witness| Graph::clone(&witness))
     }
 
-    /// The `ShEx₀` procedure over registered schemas (Section 5 pipeline:
-    /// embedding, characterizing-graph shortcut, the systematic search, the
-    /// type-set fixpoint, and the sampled search for pairs over the
-    /// fixpoint's budget). The caller supplies the already-fetched entries —
-    /// the dispatch chain touches the registry lock once per query, not once
-    /// per hop.
+    /// The `ShEx₀` procedure over registered RBE₀ schemas (Section 5
+    /// pipeline: embedding, the characterizing-graph shortcut, then the
+    /// type-set fixpoint, whose outcome is memoised per pair). Only a pair
+    /// over the fixpoint's budget runs the bounded search. The caller
+    /// supplies the already-fetched entries — the dispatch chain touches the
+    /// registry lock once per query, not once per hop.
     fn shex0_entries(
         &self,
         h: SchemaId,
@@ -1380,9 +1345,6 @@ impl ContainmentEngine {
         k_entry: &Arc<SchemaEntry>,
         cancel: Option<&CancelToken>,
     ) -> Containment {
-        if h_entry.class == SchemaClass::ShEx || k_entry.class == SchemaClass::ShEx {
-            return self.general_entries(h, k, h_entry, k_entry, cancel);
-        }
         if self.embeds_cached(h, k, h_entry, k_entry) {
             return Containment::Contained;
         }
@@ -1393,49 +1355,42 @@ impl ContainmentEngine {
             return Containment::NotContained(witness);
         }
         let key = (h.0, k.0);
-        if let Some(memoised) = self.fixpoint_memo.get(key, &self.budget) {
-            EngineCounters::tick(&self.counters.fixpoint_memo_hits);
-            return match memoised {
-                Some(answer) => answer,
-                None => self.search_ids(h_entry, k_entry, cancel).into_containment(),
-            };
-        }
-        // The systematic search first, so every witness it finds stays the
-        // one the search order gives; the fixpoint decides what it leaves.
-        let systematic = self.systematic_search(h_entry, k_entry, cancel);
-        if !systematic.is_open() {
-            self.maybe_evict();
-            return systematic.into_containment();
-        }
-        let answer = match fixpoint::decide(&h_entry.schema, &k_entry.schema, cancel) {
-            FixpointOutcome::Contained => Some(Containment::Contained),
-            FixpointOutcome::NotContained(witness) => Some(Containment::NotContained(witness)),
-            FixpointOutcome::OverBudget => None,
-            FixpointOutcome::Cancelled => {
-                EngineCounters::tick(&self.counters.cancelled_branches);
-                let token = cancel.expect("only a token cancels the fixpoint");
-                return Containment::deadline_exceeded(token.elapsed());
-            }
-        };
-        let witness_bytes = match &answer {
-            Some(Containment::NotContained(witness)) => witness.weight_bytes(),
-            _ => 0,
-        };
-        self.fixpoint_memo
-            .insert(key, answer.clone(), witness_bytes, &self.budget);
-        let verdict = match answer {
-            Some(answer) => {
-                EngineCounters::tick(&self.counters.fixpoint_decided);
-                answer
+        let answer = match self.fixpoint_memo.get(key, &self.budget) {
+            Some(memoised) => {
+                EngineCounters::tick(&self.counters.fixpoint_memo_hits);
+                memoised
             }
             None => {
-                EngineCounters::tick(&self.counters.fixpoint_over_budget);
-                self.sampled_search(h_entry, k_entry, cancel, systematic.candidates)
-                    .into_containment()
+                let answer = match fixpoint::decide(&h_entry.schema, &k_entry.schema, cancel) {
+                    FixpointOutcome::Contained => Some(Containment::Contained),
+                    FixpointOutcome::NotContained(witness) => {
+                        Some(Containment::NotContained(witness))
+                    }
+                    FixpointOutcome::OverBudget => None,
+                    FixpointOutcome::Cancelled => {
+                        EngineCounters::tick(&self.counters.cancelled_branches);
+                        let token = cancel.expect("only a token cancels the fixpoint");
+                        return Containment::deadline_exceeded(token.elapsed());
+                    }
+                };
+                let witness_bytes = match &answer {
+                    Some(Containment::NotContained(witness)) => witness.weight_bytes(),
+                    _ => 0,
+                };
+                self.fixpoint_memo
+                    .insert(key, answer.clone(), witness_bytes, &self.budget);
+                EngineCounters::tick(match answer {
+                    Some(_) => &self.counters.fixpoint_decided,
+                    None => &self.counters.fixpoint_over_budget,
+                });
+                self.maybe_evict();
+                answer
             }
         };
-        self.maybe_evict();
-        verdict
+        match answer {
+            Some(answer) => answer,
+            None => self.search(h_entry, k_entry, cancel).into_containment(),
+        }
     }
 
     /// The general procedure over registered schemas (Section 6 pipeline:
@@ -1463,7 +1418,7 @@ impl ContainmentEngine {
         if self.sufficient_cached(h, k, h_entry, k_entry) {
             return Containment::Contained;
         }
-        self.search_ids(h_entry, k_entry, cancel).into_containment()
+        self.search(h_entry, k_entry, cancel).into_containment()
     }
 
     /// Whether the shape graph of `h` embeds in the shape graph of `k`
@@ -1554,34 +1509,12 @@ impl ContainmentEngine {
     }
 
     /// The bounded counter-example search over registered schemas: the
-    /// systematic phase, then the sampled one if it left the pair open.
+    /// enumerated pools of every root, depth by depth, under the shared
+    /// `max_candidates` budget.
     ///
     /// Candidate order — and therefore the returned witness — is exactly
-    /// that of [`crate::baseline::search_counter_example_baseline`]:
-    /// systematic unfoldings per root and depth under the shared `examined`
-    /// budget, then the ordered randomized samples.
-    fn search_ids(
-        &self,
-        h: &Arc<SchemaEntry>,
-        k: &Arc<SchemaEntry>,
-        cancel: Option<&CancelToken>,
-    ) -> SearchOutcome {
-        let systematic = self.systematic_search(h, k, cancel);
-        let outcome = if systematic.is_open() {
-            self.sampled_search(h, k, cancel, systematic.candidates)
-        } else {
-            systematic
-        };
-        // Whatever validation memos the systematic or sampled phase just
-        // grew, bring the evictable total back under budget before the
-        // query returns.
-        self.maybe_evict();
-        outcome
-    }
-
-    /// The systematic phase: the enumerated pools of every root, depth by
-    /// depth, under the shared `max_candidates` budget.
-    fn systematic_search(
+    /// that of [`crate::baseline::search_counter_example_baseline`].
+    fn search(
         &self,
         h: &Arc<SchemaEntry>,
         k: &Arc<SchemaEntry>,
@@ -1591,67 +1524,45 @@ impl ContainmentEngine {
         let mut examined = 0usize;
         let mut checked = 0usize;
         let mut scratch = ValidateScratch::new();
-        for root in h.schema.types() {
-            for depth in 1..=opts.max_depth {
-                let Some(pool) = self.enumerated_pool(h, root, depth, opts, cancel) else {
-                    // The pool build itself observed the expired token.
-                    return self.expired(checked, cancel);
-                };
-                // The baseline increments `examined` per candidate and
-                // abandons the pool once the count exceeds the budget, so at
-                // most this many candidates of the pool get validated:
-                for graph in pool.iter() {
-                    // The per-candidate cancellation checkpoint: one poll
-                    // (and one armed fault site) per candidate bounds the
-                    // interval between an expiry and its observation by one
-                    // validation.
-                    if let Some(expired) = self.checkpoint(checked, cancel) {
-                        return expired;
-                    }
-                    examined += 1;
-                    if examined > opts.max_candidates {
-                        break;
-                    }
-                    checked += 1;
-                    if !self.validate_one(k, graph, &mut scratch) {
-                        return self.refuted(graph, checked);
+        let outcome = 'search: {
+            for root in h.schema.types() {
+                for depth in 1..=opts.max_depth {
+                    let Some(pool) = self.enumerated_pool(h, root, depth, opts, cancel) else {
+                        // The pool build itself observed the expired token.
+                        break 'search self.expired(checked, cancel);
+                    };
+                    // The baseline increments `examined` per candidate and
+                    // abandons the pool once the count exceeds the budget,
+                    // so at most this many candidates of the pool get
+                    // validated:
+                    for graph in pool.iter() {
+                        // The per-candidate cancellation checkpoint: one
+                        // poll (and one armed fault site) per candidate
+                        // bounds the interval between an expiry and its
+                        // observation by one validation.
+                        if let Some(expired) = self.checkpoint(checked, cancel) {
+                            break 'search expired;
+                        }
+                        examined += 1;
+                        if examined > opts.max_candidates {
+                            break;
+                        }
+                        checked += 1;
+                        if !self.validate_one(k, graph, &mut scratch) {
+                            break 'search self.refuted(graph, checked);
+                        }
                     }
                 }
             }
-        }
-        self.open(checked)
-    }
-
-    /// The sampled phase, continuing the candidate count `checked` of the
-    /// systematic one: the ordered randomized samples of `h` (none when the
-    /// schema has no types, like the baseline).
-    fn sampled_search(
-        &self,
-        h: &Arc<SchemaEntry>,
-        k: &Arc<SchemaEntry>,
-        cancel: Option<&CancelToken>,
-        mut checked: usize,
-    ) -> SearchOutcome {
-        if h.schema.type_count() == 0 {
-            return self.open(checked);
-        }
-        let Some(pool) = self.sampled_pool(h, &self.options.search, cancel) else {
-            return self.expired(checked, cancel);
+            self.open(checked)
         };
-        let mut scratch = ValidateScratch::new();
-        for graph in pool.iter() {
-            if let Some(expired) = self.checkpoint(checked, cancel) {
-                return expired;
-            }
-            checked += 1;
-            if !self.validate_one(k, graph, &mut scratch) {
-                return self.refuted(graph, checked);
-            }
-        }
-        self.open(checked)
+        // Whatever validation memos the search just grew, bring the
+        // evictable total back under budget before the query returns.
+        self.maybe_evict();
+        outcome
     }
 
-    /// The per-candidate checkpoint of both phases: one armed fault site and
+    /// The per-candidate checkpoint of the search: one armed fault site and
     /// one poll of the token. `Some` once the token has fired.
     fn checkpoint(&self, checked: usize, cancel: Option<&CancelToken>) -> Option<SearchOutcome> {
         faults::trigger(faults::site::SOLVER_BRANCH);
@@ -1715,7 +1626,7 @@ impl ContainmentEngine {
             slot.stamp.store(self.budget.touch(), Ordering::Relaxed);
             return Some(slot.pool.clone());
         }
-        if cancel.is_some() || !self.options.coalesce {
+        if cancel.is_some() {
             // Cancellable builders skip the pool flight: a cancelled leader
             // has no pool to hand its followers, and a follower must not
             // block on a leader whose deadline differs from its own.
@@ -1804,104 +1715,6 @@ impl ContainmentEngine {
         Some(shared)
     }
 
-    /// The ordered randomized-sample pool of `h` — the entry's [`Unfolder`]
-    /// over the baseline's exact RNG sequence, with the fallback
-    /// member-validation step routed through the memo, built once per schema
-    /// (`OnceLock`). `None` = the cancellation token fired mid-build; a
-    /// partial pool is never published to the `OnceLock`.
-    fn sampled_pool(
-        &self,
-        h: &Arc<SchemaEntry>,
-        opts: &SearchOptions,
-        cancel: Option<&CancelToken>,
-    ) -> Option<Pool> {
-        if let Some(token) = cancel {
-            // Cancellable cold build: bypass the `OnceLock` so a cancelled
-            // (partial) pool can never be published, and so this builder
-            // never blocks behind — or wedges — an uncancellable one. A
-            // build that *completes* is offered to the slot; losing that
-            // race adopts the winner (bit-identical: same seed, same draw).
-            if let Some(pool) = h.sampled.get() {
-                EngineCounters::tick(&self.counters.pool_hits);
-                return Some(pool.clone());
-            }
-            EngineCounters::tick(&self.counters.pools_built);
-            let Some(graphs) = self.draw_sampled_graphs(h, opts, Some(token)) else {
-                EngineCounters::tick(&self.counters.cancelled_branches);
-                return None;
-            };
-            let pool: Pool = Arc::new(graphs);
-            if h.sampled.set(pool.clone()).is_ok() {
-                // `OnceLock`-cached for the engine's lifetime: pinned.
-                self.budget.charge(CacheKind::Pinned, pool_weight(&pool));
-                return Some(pool);
-            }
-            return Some(h.sampled.get().expect("set raced a winner").clone());
-        }
-        // Exactly one of pool_hits / pools_built ticks per call: a thread
-        // losing the init race still counts its request as a hit.
-        let mut built_here = false;
-        let pool = h
-            .sampled
-            .get_or_init(|| {
-                built_here = true;
-                EngineCounters::tick(&self.counters.pools_built);
-                Arc::new(
-                    self.draw_sampled_graphs(h, opts, None)
-                        .expect("an uncancelled sample draw cannot be cancelled"),
-                )
-            })
-            .clone();
-        if built_here {
-            // `OnceLock`-cached for the engine's lifetime: pinned footprint.
-            self.budget.charge(CacheKind::Pinned, pool_weight(&pool));
-        } else {
-            EngineCounters::tick(&self.counters.pool_hits);
-        }
-        Some(pool)
-    }
-
-    /// The randomized-phase sample draw shared by the cached and the
-    /// deadline-bypassed builds of [`ContainmentEngine::sampled_pool`].
-    /// `None` = the token fired mid-draw.
-    fn draw_sampled_graphs(
-        &self,
-        h: &Arc<SchemaEntry>,
-        opts: &SearchOptions,
-        cancel: Option<&CancelToken>,
-    ) -> Option<Vec<Arc<Graph>>> {
-        let mut rng = StdRng::seed_from_u64(opts.seed);
-        let roots: Vec<TypeId> = h.schema.types().collect();
-        let mut graphs = Vec::new();
-        if !roots.is_empty() {
-            let mut scratch = ValidateScratch::new();
-            let mut unfolder = lock_or_recover(&h.unfolder);
-            let mut is_member =
-                |g: &Graph| validate_memoised(h, &self.counters, &self.budget, g, &mut scratch);
-            for _ in 0..opts.random_samples {
-                if cancel.is_some_and(|t| t.fired()) {
-                    self.sync_unfolder_bytes(h, &unfolder);
-                    return None;
-                }
-                let root = roots[rng.gen_range(0..roots.len())];
-                match unfolder.sample_with(&h.schema, root, &mut rng, opts, &mut is_member, cancel)
-                {
-                    Some(graph) => graphs.push(graph),
-                    // A `None` draw is ambiguous — no valid sample (the
-                    // historical meaning) or cancelled mid-draw; the token
-                    // tells the cases apart.
-                    None if cancel.is_some_and(|t| t.is_cancelled()) => {
-                        self.sync_unfolder_bytes(h, &unfolder);
-                        return None;
-                    }
-                    None => {}
-                }
-            }
-            self.sync_unfolder_bytes(h, &unfolder);
-        }
-        Some(graphs)
-    }
-
     /// One memoised `validates(graph, k)` verdict.
     fn validate_one(&self, k: &SchemaEntry, graph: &Graph, scratch: &mut ValidateScratch) -> bool {
         validate_memoised(k, &self.counters, &self.budget, graph, scratch)
@@ -1971,8 +1784,8 @@ impl ContainmentEngine {
     /// low-water mark (half the limit), and drop everything at or below
     /// it. Unfolder sessions whose enumerated pools all left are reset
     /// wholesale — their arenas are memo state that rebuilds
-    /// deterministically (same node names, same RNG stream), so the reset
-    /// is invisible to verdicts and witnesses.
+    /// deterministically (same node names, same pools), so the reset is
+    /// invisible to verdicts and witnesses.
     ///
     /// Locks are taken one cache at a time, never an unfolder lock while
     /// holding a cache lock, so concurrent queries at worst block briefly
@@ -2242,6 +2055,7 @@ fn validate_memoised(
 mod tests {
     use super::*;
     use shapex_shex::parse_schema;
+    use shapex_shex::typing::validates;
 
     fn quick_engine() -> ContainmentEngine {
         ContainmentEngine::with_search(SearchOptions::quick())
@@ -2338,16 +2152,16 @@ mod tests {
 
     #[test]
     fn repeated_queries_hit_the_caches() {
-        // A contained-but-unknown pair: the search exhausts its budget, so
-        // the second identical query must be answered from warm pools and
-        // memos without a single fresh validation.
-        let h = parse_schema("Root -> p::A, p::B\nA -> a::L?\nB -> b::L?\nL -> EMPTY\n").unwrap();
-        let k = parse_schema("Root -> p::A, p::A\nA -> a::L?\nB -> b::L?\nL -> EMPTY\n").unwrap();
+        // A contained pair outside RBE₀ that the sufficient check cannot
+        // settle: the bounded search exhausts its budget without a witness,
+        // so the second identical query must be answered from warm pools
+        // and memos without a single fresh validation.
+        let groups = choice_groups(4);
         let engine = quick_engine();
-        let first = engine.check(&h, &k);
+        let first = engine.check(&groups, &groups);
         let after_first = engine.stats();
         assert!(after_first.validate_misses > 0);
-        let second = engine.check(&h, &k);
+        let second = engine.check(&groups, &groups);
         let after_second = engine.stats();
         assert_eq!(
             after_second.validate_misses, after_first.validate_misses,
@@ -2411,13 +2225,37 @@ mod tests {
         assert_eq!(cold.fixpoint_decided, 1, "{cold}");
         assert_eq!(cold.fixpoint_memo_hits, 0, "{cold}");
         assert!(cold.pair_bytes > 0, "the outcome is accounted: {cold}");
-        // The repeat skips the systematic search: no pool is even looked up.
+        // The fixpoint is the whole procedure: the cold check unfolds no
+        // pool and validates no candidate.
+        assert_eq!(cold.pools_built, 0, "{cold}");
+        assert_eq!(cold.pool_hits, 0, "{cold}");
+        assert_eq!(cold.validate_misses, 0, "{cold}");
         assert!(engine.check(&original, &split).is_contained());
         let warm = engine.stats();
         assert_eq!(warm.fixpoint_memo_hits, 1, "{warm}");
         assert_eq!(warm.fixpoint_decided, 1, "{warm}");
         assert_eq!(warm.pool_hits, cold.pool_hits, "{warm}");
         assert_eq!(warm.validate_misses, cold.validate_misses, "{warm}");
+
+        // A refutable pair outside DetShEx0- (`p` repeats): the fixpoint
+        // finds the witness, and the repeat returns the memoised one.
+        let h = parse_schema("Root -> p::A, p::B\nA -> a::L?\nB -> b::L?\nL -> EMPTY\n").unwrap();
+        let k = parse_schema("Root -> p::A, p::A\nA -> a::L?\nB -> b::L?\nL -> EMPTY\n").unwrap();
+        let refuted = engine.check(&h, &k);
+        let witness = refuted.counter_example().expect("not contained");
+        assert!(validates(witness, &h) && !validates(witness, &k));
+        let after = engine.stats();
+        assert_eq!(after.fixpoint_decided, 2, "{after}");
+        assert_eq!(after.pools_built, 0, "{after}");
+        assert_eq!(after.validate_misses, 0, "{after}");
+        let again = engine.check(&h, &k);
+        assert_eq!(engine.stats().fixpoint_memo_hits, 2);
+        match (&refuted, &again) {
+            (Containment::NotContained(a), Containment::NotContained(b)) => {
+                assert!(Arc::ptr_eq(a, b), "the repeat shares the memoised witness")
+            }
+            _ => panic!("expected two refutations, got {refuted} and {again}"),
+        }
     }
 
     #[test]
@@ -2426,15 +2264,9 @@ mod tests {
             .search(SearchOptions::quick())
             .cache_budget(1 << 20)
             .max_entry_bytes(1 << 16)
-            .coalesce(false)
             .build();
         assert_eq!(options.cache_budget, Some(1 << 20));
         assert_eq!(options.max_entry_bytes, Some(1 << 16));
-        assert!(!options.coalesce);
-        assert!(
-            EngineOptions::default().coalesce,
-            "coalescing is on by default"
-        );
         assert_eq!(
             options.search.max_depth,
             SearchOptions::quick().max_depth,
@@ -2716,27 +2548,6 @@ mod tests {
         assert_eq!(follower, 7, "follower recomputes after an abandoned flight");
         assert!(leader.join().is_err(), "leader panicked");
         assert!(table.shards[0].lock().unwrap().is_empty());
-    }
-
-    #[test]
-    fn uncoalesced_engine_answers_identically() {
-        let h = parse_schema("Root -> p::A, p::B\nA -> a::L?\nB -> b::L\nL -> EMPTY\n").unwrap();
-        let k = parse_schema("Root -> p::A, p::A\nA -> a::L?\nB -> b::L\nL -> EMPTY\n").unwrap();
-        let coalesced = quick_engine();
-        let plain = ContainmentEngine::with_options(
-            EngineOptions::builder()
-                .search(SearchOptions::quick())
-                .coalesce(false)
-                .build(),
-        );
-        for (a, b) in [(&h, &k), (&k, &h), (&h, &h)] {
-            assert_eq!(
-                format!("{}", coalesced.check(a, b)),
-                format!("{}", plain.check(a, b))
-            );
-        }
-        assert_eq!(plain.stats().coalesced_queries, 0);
-        assert_eq!(plain.stats().coalesced_pools, 0);
     }
 
     #[test]

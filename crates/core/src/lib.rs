@@ -12,12 +12,11 @@
 //!   with embedding (Corollary 4.3), so it is decidable in polynomial time
 //!   (Corollary 4.4); plus the characterizing-graph construction of Lemma 4.2.
 //! * [`shex0`] (§5) — containment for `ShEx₀` (shape graphs): embedding as the
-//!   sufficient check, the `DetShEx₀⁻` shortcut, a systematic counter-example
-//!   search, and then [`fixpoint`], which decides the pair exactly by a
-//!   least fixpoint over abstract node states. The problem is EXP-hard and
-//!   in coNEXP, so the fixpoint runs under a constant work bound; a pair
-//!   over it falls back to random sampling and may report
-//!   [`Containment::Unknown`].
+//!   sufficient check, the `DetShEx₀⁻` shortcut, and then [`fixpoint`], which
+//!   decides the pair exactly by a least fixpoint over abstract node states.
+//!   The problem is EXP-hard and in coNEXP, so the fixpoint runs under a
+//!   constant work bound; a pair over it falls back to the bounded
+//!   counter-example search and may report [`Containment::Unknown`].
 //! * [`fixpoint`] — the type-set fixpoint behind [`shex0`]: states `(t, S)`
 //!   of an H-type and a set of K-types, antichains of ⊆-minimal sets, and
 //!   certified witnesses unfolded from the derivation.
@@ -27,7 +26,8 @@
 //!   coNEXP-hard).
 //! * [`engine`] — the shared-state query session over all of the above:
 //!   `ContainmentEngine` registers schemas once and memoises shape graphs,
-//!   unfolding pools, and validation/embedding verdicts behind `&self`
+//!   embedding verdicts, fixpoint outcomes, and the search's unfolding pools
+//!   and validation verdicts behind `&self`
 //!   concurrent caches, so one engine (typically in an `Arc`) serves
 //!   batch matrices and long-lived services, one query per caller thread.
 //! * [`simulation`] — the worklist + bitset simulation engine behind

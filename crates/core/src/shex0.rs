@@ -10,15 +10,16 @@
 //! 2. both schemas are in `DetShEx₀⁻` (then embedding is also necessary,
 //!    Corollary 4.3, and the characterizing graph of Lemma 4.2 is returned as
 //!    the counter-example when it fails);
-//! 3. a counter-example exists within the systematic unfolding budget (it is
-//!    returned, certified by re-validation);
-//! 4. the type-set fixpoint of [`crate::fixpoint`] stays within its
+//! 3. the type-set fixpoint of [`crate::fixpoint`] stays within its
 //!    constant evaluation budget — it decides containment exactly, with a
 //!    certified counter-example when it fails. No pair of the benchmark's
-//!    corpus comes near that budget.
+//!    corpus comes near that budget;
+//! 4. for a pair over that budget, a counter-example exists within the
+//!    systematic unfolding budget (it is returned, certified by
+//!    re-validation).
 //!
-//! Otherwise (a pair over the fixpoint's budget) the procedure draws random
-//! samples, and reports [`Containment::Unknown`] if none refutes.
+//! Otherwise (a pair over the fixpoint's budget that the bounded search
+//! cannot refute) the procedure reports [`Containment::Unknown`].
 
 use shapex_shex::Schema;
 
@@ -36,11 +37,10 @@ pub type Shex0Options = SearchOptions;
 /// This is the one-shot entry point: it runs through a throwaway
 /// [`crate::engine::ContainmentEngine`] (embedding between the cached shape
 /// graphs first, then the `DetShEx₀⁻` characterizing-graph shortcut, then
-/// the pooled systematic search and the type-set fixpoint). Callers issuing many queries over the
-/// same schemas should hold an engine so those caches — including the
-/// session-level cross-schema atom table and shared candidate-bag cache the
-/// engine's [`crate::unfold::SessionContext`] carries — survive across
-/// calls; a throwaway engine pays the interning cost per query.
+/// the type-set fixpoint, and the pooled systematic search only for a pair
+/// over the fixpoint's budget). Callers issuing many queries over the same
+/// schemas should hold an engine so those caches — the shape graphs, the
+/// embedding verdicts and the fixpoint's outcomes — survive across calls.
 pub fn shex0_containment(h: &Schema, k: &Schema, options: &Shex0Options) -> Containment {
     crate::engine::ContainmentEngine::with_search(options.clone()).check(h, k)
 }

@@ -1,10 +1,10 @@
-//! Systematic and randomized unfolding of schemas into member graphs.
+//! Systematic unfolding of schemas into member graphs.
 //!
 //! The counter-example searches of [`crate::shex0`] and [`crate::general`]
 //! need candidate graphs drawn from `L(H)`. An *unfolding* instantiates a type
 //! as a tree: a bag of outgoing edges accepted by the type definition, with a
 //! recursively unfolded subtree per edge. Repetition under unbounded intervals
-//! is sampled with small counts (`*` as 0, 1 or 2; `+` as 1 or 2), which is
+//! is enumerated with small counts (`*` as 0, 1 or 2; `+` as 1 or 2), which is
 //! exactly the granularity the containment arguments of the paper rely on
 //! (distinguishing 0, 1, and "more than one").
 //!
@@ -14,8 +14,7 @@
 //! [`TypeId`] plus a child range into one flat child table, and nodes are
 //! *hash-consed* — structurally identical subtrees (same type, same labelled
 //! children) get the same index no matter where the enumeration encounters
-//! them. An [`Unfolder`] drives enumeration and sampling over one arena and
-//! memoises everything by construction key: candidate bags per type,
+//! them. An [`Unfolder`] drives enumeration over one arena and memoises everything by construction key: candidate bags per type,
 //! enumerated tree lists per `(type, depth)`, and one shared [`Graph`] per
 //! distinct tree. The depth-cumulative searches of the containment engine
 //! re-encounter the same subtrees at every depth and in every Cartesian
@@ -37,9 +36,6 @@ use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
-
-use rand::prelude::*;
-use rand::rngs::StdRng;
 
 use shapex_graph::{Graph, GraphBuilder, Label};
 use shapex_presburger::CancelToken;
@@ -63,10 +59,6 @@ pub struct SearchOptions {
     pub max_graph_nodes: usize,
     /// Maximum number of candidate graphs examined in total.
     pub max_candidates: usize,
-    /// Number of additional randomized unfoldings to try.
-    pub random_samples: usize,
-    /// Seed for the randomized phase (deterministic by default).
-    pub seed: u64,
 }
 
 impl Default for SearchOptions {
@@ -77,8 +69,6 @@ impl Default for SearchOptions {
             max_trees: 48,
             max_graph_nodes: 600,
             max_candidates: 4_000,
-            random_samples: 400,
-            seed: 0xC0FFEE,
         }
     }
 }
@@ -92,8 +82,6 @@ impl SearchOptions {
             max_trees: 16,
             max_graph_nodes: 200,
             max_candidates: 600,
-            random_samples: 100,
-            ..SearchOptions::default()
         }
     }
 }
@@ -792,104 +780,6 @@ impl Unfolder {
         }
         Some(graphs)
     }
-
-    /// Draw one random unfolding of `root`; see [`sample_member`] for the
-    /// contract. The RNG consumption is identical to the historical sampler
-    /// (and independent of the memo state), so pooled and baseline searches
-    /// draw the same samples.
-    pub fn sample(
-        &mut self,
-        schema: &Schema,
-        root: TypeId,
-        rng: &mut StdRng,
-        options: &SearchOptions,
-    ) -> Option<Arc<Graph>> {
-        self.sample_with(
-            schema,
-            root,
-            rng,
-            options,
-            &mut |g| validates(g, schema),
-            None,
-        )
-    }
-
-    /// [`Unfolder::sample`] with the fallback member-validation step
-    /// injected (see [`Unfolder::members_with`]) and external cancellation.
-    /// `None` means either "no valid sample this draw" (the historical
-    /// meaning) or "cancelled" — callers that passed a token must inspect it
-    /// to tell the cases apart. The RNG consumption up to a cancellation
-    /// point is identical to the uncancelled sampler's.
-    pub(crate) fn sample_with(
-        &mut self,
-        schema: &Schema,
-        root: TypeId,
-        rng: &mut StdRng,
-        options: &SearchOptions,
-        is_member: &mut dyn FnMut(&Graph) -> bool,
-        cancel: Option<&CancelToken>,
-    ) -> Option<Arc<Graph>> {
-        let tree = self.sample_tree(
-            schema,
-            root,
-            options.max_depth + 2,
-            rng,
-            options,
-            &mut 0,
-            cancel,
-        )?;
-        let graph = self.graph(tree, schema);
-        if graph.node_count() <= options.max_graph_nodes
-            && (self.arena.certified_member(tree) || is_member(&graph))
-        {
-            Some(graph)
-        } else {
-            None
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn sample_tree(
-        &mut self,
-        schema: &Schema,
-        t: TypeId,
-        depth: usize,
-        rng: &mut StdRng,
-        options: &SearchOptions,
-        nodes: &mut usize,
-        cancel: Option<&CancelToken>,
-    ) -> Option<Tree> {
-        *nodes += 1;
-        if *nodes > options.max_graph_nodes {
-            return None;
-        }
-        let bags = self.type_bags(schema, t, options);
-        if bags.is_empty() {
-            return None;
-        }
-        // At shallow remaining depth, prefer small bags to terminate.
-        let bag = if depth == 0 {
-            bags.iter().min_by_key(|b| b.total())?
-        } else {
-            &bags[rng.gen_range(0..bags.len())]
-        };
-        let mut children = Vec::new();
-        for (atom, count) in bag.iter() {
-            for _ in 0..count {
-                let child = self.sample_tree(
-                    schema,
-                    atom.target,
-                    depth.saturating_sub(1),
-                    rng,
-                    options,
-                    nodes,
-                    cancel,
-                )?;
-                children.push((atom.label.clone(), child));
-            }
-        }
-        self.arena.node(schema, t, &children, &self.ctx, cancel)
-    }
 }
 
 /// First-occurrence-order deduplication of bags by hash, with full equality
@@ -999,9 +889,9 @@ fn enumerate_bags(expr: &Rbe<Atom>, limit: usize) -> Vec<Bag<Atom>> {
 /// bags, or `None` when the language has more than `limit` bags or is
 /// infinite (some repetition interval is unbounded or very wide).
 ///
-/// Unlike [`candidate_bags`], which samples, a `Some` answer here is a
-/// complete listing of `L(expr)`; the sufficient containment check of
-/// `crate::general` relies on that completeness.
+/// Unlike [`candidate_bags`], which keeps a bounded selection, a `Some`
+/// answer here is a complete listing of `L(expr)`; the sufficient
+/// containment check of `crate::general` relies on that completeness.
 pub fn all_bags(expr: &Rbe<Atom>, limit: usize) -> Option<Vec<Bag<Atom>>> {
     match expr {
         Rbe::Epsilon => Some(vec![Bag::new()]),
@@ -1109,23 +999,10 @@ pub fn enumerate_members(schema: &Schema, root: TypeId, options: &SearchOptions)
         .collect()
 }
 
-/// Draw a random unfolding of `root` (depth- and size-bounded); returns `None`
-/// when the sampler runs into the node budget before closing all mandatory
-/// edges.
-pub fn sample_member(
-    schema: &Schema,
-    root: TypeId,
-    rng: &mut StdRng,
-    options: &SearchOptions,
-) -> Option<Graph> {
-    Unfolder::new()
-        .sample(schema, root, rng, options)
-        .map(|graph| Graph::clone(&graph))
-}
-
 /// Search for a counter-example to `L(h) ⊆ L(k)`: a graph that validates
-/// against `h` but not against `k`. Systematic unfoldings are tried first,
-/// then randomized ones. Any returned graph is certified by re-validation.
+/// against `h` but not against `k`. The systematic unfoldings of every root
+/// are tried depth by depth. Any returned graph is certified by
+/// re-validation.
 ///
 /// This is the one-shot entry point: it runs through a throwaway
 /// [`crate::engine::ContainmentEngine`], so a single call already reuses
@@ -1223,7 +1100,6 @@ mod tests {
         let schema =
             parse_schema("Root -> children::Item*\nItem -> tag::Leaf?\nLeaf -> EMPTY\n").unwrap();
         let root = schema.find_type("Root").unwrap();
-        let item = schema.find_type("Item").unwrap();
         let schema_label = schema.def(root).to_rbe0().unwrap().atoms()[0]
             .0
             .label
@@ -1253,23 +1129,6 @@ mod tests {
             }
         }
         assert!(edges_seen > 0, "some tree has a children edge");
-        // Sampled trees go through the same path.
-        let mut rng = StdRng::seed_from_u64(3);
-        for _ in 0..10 {
-            if let Some(tree) = unfolder.sample_tree(
-                &schema,
-                item,
-                2,
-                &mut rng,
-                &SearchOptions::quick(),
-                &mut 0,
-                None,
-            ) {
-                for (label, _) in unfolder.arena().children(tree) {
-                    assert_eq!(label.as_str(), "tag");
-                }
-            }
-        }
     }
 
     #[test]
@@ -1279,26 +1138,6 @@ mod tests {
         let t = schema.find_type("T").unwrap();
         let graphs = enumerate_members(&schema, t, &SearchOptions::quick());
         assert!(graphs.is_empty());
-    }
-
-    #[test]
-    fn sampling_produces_valid_members() {
-        let schema = parse_schema(
-            "Bug  -> descr::Literal, reportedBy::User, related::Bug*\n\
-             User -> name::Literal, email::Literal?\n\
-             Literal -> EMPTY\n",
-        )
-        .unwrap();
-        let bug = schema.find_type("Bug").unwrap();
-        let mut rng = StdRng::seed_from_u64(5);
-        let mut produced = 0;
-        for _ in 0..20 {
-            if let Some(g) = sample_member(&schema, bug, &mut rng, &SearchOptions::quick()) {
-                assert!(validates(&g, &schema));
-                produced += 1;
-            }
-        }
-        assert!(produced > 0, "sampler should succeed at least once");
     }
 
     #[test]

@@ -25,8 +25,6 @@ pub fn tiny() -> SearchOptions {
         max_trees: 8,
         max_graph_nodes: 40,
         max_candidates: 120,
-        random_samples: 30,
-        ..SearchOptions::default()
     }
 }
 
@@ -76,11 +74,11 @@ pub fn same_answer(a: &Containment, b: &Containment) -> bool {
 }
 
 /// The ShEx₀ pipeline exactly as the engine runs it, over the memo-free
-/// baseline search: embedding, the `DetShEx₀⁻` shortcut, the systematic
-/// search (the baseline without random samples), the type-set fixpoint, and
-/// the full baseline search for pairs over the fixpoint's budget. Unknown
-/// answers carry a dummy reason — the oracle does not model engine-side
-/// budget accounting, so callers compare Unknowns by variant only.
+/// baseline search: embedding, the `DetShEx₀⁻` shortcut, the type-set
+/// fixpoint, and the baseline search only for pairs the fixpoint does not
+/// decide. Unknown answers carry a dummy reason — the oracle does not model
+/// engine-side budget accounting, so callers compare Unknowns by variant
+/// only.
 pub fn shex0_oracle(h: &Schema, k: &Schema, options: &SearchOptions) -> Containment {
     assert!(h.is_rbe0() && k.is_rbe0(), "oracle is for ShEx0 pairs");
     let hg = h.to_shape_graph().expect("RBE0 schema has a shape graph");
@@ -90,13 +88,6 @@ pub fn shex0_oracle(h: &Schema, k: &Schema, options: &SearchOptions) -> Containm
     }
     if h.is_det_shex0_minus() && k.is_det_shex0_minus() {
         let witness = characterizing_graph(h).expect("checked DetShEx0-");
-        return Containment::not_contained(witness);
-    }
-    let systematic = SearchOptions {
-        random_samples: 0,
-        ..options.clone()
-    };
-    if let Some(witness) = search_counter_example_baseline(h, k, &systematic) {
         return Containment::not_contained(witness);
     }
     match fixpoint::decide(h, k, None) {

@@ -13,38 +13,14 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use shapex_core::engine::{ContainmentEngine, EngineOptions};
+use shapex_core::engine::ContainmentEngine;
 use shapex_core::unfold::SearchOptions;
 use shapex_core::Containment;
 use shapex_graph::generate::GraphGen;
-use shapex_shex::{parse_schema, Schema};
+use shapex_shex::Schema;
 
 mod common;
 use common::{choice_groups, same_answer, shex0_oracle, tiny};
-
-/// The bug-tracker schema of the paper's Figure 1 (deterministic).
-fn bug_tracker() -> Schema {
-    parse_schema(
-        "Bug  -> descr::Literal, reportedBy::User, reproducedBy::Employee?, related::Bug*\n\
-         User -> name::Literal, email::Literal?\n\
-         Employee -> name::Literal, email::Literal\n",
-    )
-    .expect("the Figure 1 schema parses")
-}
-
-/// The introduction's refactoring of Figure 1: `User` split into email-less
-/// `User1` and email-ful `User2`, `Bug` split accordingly — same language,
-/// no longer deterministic, so containment goes through the budgeted search.
-fn bug_tracker_split() -> Schema {
-    parse_schema(
-        "Bug1 -> descr::Literal, reportedBy::User1, reproducedBy::Employee?, related::Bug1*, related::Bug2*\n\
-         Bug2 -> descr::Literal, reportedBy::User2, reproducedBy::Employee?, related::Bug1*, related::Bug2*\n\
-         User1 -> name::Literal\n\
-         User2 -> name::Literal, email::Literal\n\
-         Employee -> name::Literal, email::Literal\n",
-    )
-    .expect("the split schema parses")
-}
 
 /// A search budget big enough that checking a choice-group schema against
 /// itself exhausts it over tens of milliseconds (it budget-exhausts at any
@@ -57,7 +33,6 @@ fn bug_tracker_split() -> Schema {
 fn heavy() -> SearchOptions {
     SearchOptions {
         max_candidates: 20_000,
-        random_samples: 2_000,
         ..SearchOptions::default()
     }
 }
@@ -123,42 +98,6 @@ fn eight_identical_checks_run_one_search() {
         stats.validate_misses, reference_stats.validate_misses,
         "eight concurrent checks must validate like a single check: {stats}"
     );
-}
-
-/// The same hammer with coalescing switched off: the verdicts still agree
-/// (correctness never depended on the flight table), but no query coalesces.
-#[test]
-fn uncoalesced_hammer_agrees_without_sharing() {
-    let h = bug_tracker();
-    let k = bug_tracker_split();
-    // The quick budget suffices here — no timing-sensitive counter claims.
-    let engine = Arc::new(ContainmentEngine::with_options(
-        EngineOptions::builder()
-            .search(SearchOptions::quick())
-            .coalesce(false)
-            .build(),
-    ));
-    let reference = ContainmentEngine::with_search(SearchOptions::quick()).check(&h, &k);
-    let ids = (engine.register(&h), engine.register(&k));
-    let barrier = Barrier::new(4);
-    std::thread::scope(|scope| {
-        for _ in 0..4 {
-            let engine = &engine;
-            let barrier = &barrier;
-            let reference = &reference;
-            scope.spawn(move || {
-                barrier.wait();
-                let verdict = engine.check_ids(ids.0, ids.1, None);
-                assert!(
-                    same_answer(&verdict, reference),
-                    "uncoalesced verdict diverged: {verdict} vs {reference}"
-                );
-            });
-        }
-    });
-    let stats = engine.stats();
-    assert_eq!(stats.coalesced_queries, 0, "knob-gated off: {stats}");
-    assert_eq!(stats.coalesced_pools, 0, "knob-gated off: {stats}");
 }
 
 /// Random ShEx₀ pairs via the shape-graph round-trip, as in the concurrency

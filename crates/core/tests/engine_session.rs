@@ -6,10 +6,10 @@
 //! individual calls.
 //!
 //! The oracle is built from the retained memo-free pieces: `embeds` between
-//! shape graphs, the `DetShEx₀⁻` characterizing-graph shortcut, and
-//! `baseline::search_counter_example_baseline` (the original pooling-free
-//! search), assembled exactly like `shex0_containment` before the engine
-//! existed.
+//! shape graphs, the `DetShEx₀⁻` characterizing-graph shortcut,
+//! `fixpoint::decide`, and `baseline::search_counter_example_baseline` (the
+//! pooling-free search) for pairs the fixpoint leaves open — the pipeline
+//! `shex0_containment` runs, without the engine's caches.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -63,8 +63,8 @@ fn engines_agree(h: &Schema, k: &Schema) {
     );
 
     // The token route: a token that never fires makes a fresh engine skip
-    // coalescing and the sampled-pool `OnceLock`s, and it must still answer
-    // like the coalesced route.
+    // coalescing and the pool flights, and it must still answer like the
+    // coalesced route.
     let tokened = ContainmentEngine::with_search(opts);
     let (hid, kid) = (tokened.register(h), tokened.register(k));
     let via_token = tokened.check_ids(hid, kid, Some(&CancelToken::new()));
@@ -182,10 +182,13 @@ fn unknown_reasons_distinguish_exhaustion_from_unexplorable_inputs() {
 #[test]
 fn session_reuses_pools_across_partners() {
     // The batch-workload claim behind check_matrix: h's unfolding pools are
-    // built for the first partner and only *hit* for the second.
-    let h = parse_schema("Root -> p::A, p::B\nA -> a::L?\nB -> b::L?\nL -> EMPTY\n").unwrap();
-    let k1 = parse_schema("Root -> p::A, p::A\nA -> a::L?\nB -> b::L?\nL -> EMPTY\n").unwrap();
-    let k2 = parse_schema("Root -> p::B, p::B\nA -> a::L?\nB -> b::L?\nL -> EMPTY\n").unwrap();
+    // built for the first partner and only *hit* for the second. The pairs
+    // are outside RBE₀ and the sufficient check gives up on h's many bags,
+    // so both go to the bounded search. Against itself h exhausts the
+    // budget, walking every pool; the five-group schema refutes it.
+    let h = choice_groups(4);
+    let k1 = choice_groups(4);
+    let k2 = choice_groups(5);
     let session = ContainmentEngine::with_search(tiny());
     let _ = session.check(&h, &k1);
     let built_after_first = session.stats().pools_built;

@@ -71,7 +71,7 @@ impl Corpus {
                 let generator = SchemaGen::new(options.types.max(2), options.labels.max(1));
                 // Alternate deterministic and non-deterministic bases so the
                 // corpus exercises both the embedding fast path and the
-                // budgeted search.
+                // type-set fixpoint.
                 let mut chain = vec![generator.shex0(&mut rng, family % 2 == 0)];
                 for _ in 1..options.revisions.max(1) {
                     let next = evolve(&mut rng, chain.last().expect("chain starts non-empty"));

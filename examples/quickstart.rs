@@ -68,8 +68,7 @@ fn main() {
     );
     println!(
         "original ⊆ split : {} (no embedding exists; the equivalence needs the union\n\
-         of User1 and User2, which the budgeted procedure reports as unknown rather\n\
-         than guessing)",
+         of User1 and User2, which the type-set fixpoint proves)",
         shex0_containment(&schema, &split, &options)
     );
 }

@@ -912,7 +912,7 @@ impl ContainmentService {
 ///
 /// Duplicate concurrent queries landing on different workers coalesce inside
 /// the engine
-/// ([single-flight](shapex_core::engine::EngineOptionsBuilder::coalesce)), so
+/// ([single-flight](shapex_core::engine::ContainmentEngine::check_ids)), so
 /// sharding the loop never multiplies the work of a thundering herd.
 #[derive(Debug)]
 pub struct ServicePool {
