@@ -17,44 +17,109 @@
 //! * arbitrary definitions go through the Presburger translation
 //!   (`ψ_E`), which also covers compressed graphs whose edge multiplicities
 //!   are binary-encoded (Proposition 6.2, NP).
+//!
+//! A [`Typing`] stores each node's types as a bitset row of `⌈|Γ|/64⌉`
+//! words. The from-scratch fixpoint and the incremental repair of
+//! [`IncrementalTyping`] run one predecessor worklist over those rows.
 
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use shapex_graph::{Graph, Label, NodeId};
+use shapex_graph::{EdgeId, Graph, Label, LabelId, NodeId};
 use shapex_presburger::cancel::CancelToken;
 use shapex_presburger::formula::{Formula, LinearExpr, VarPool};
 use shapex_presburger::solver::{Bounds, SolveResult, Solver, SolverStats};
 use shapex_presburger::translate::{max_interval_constant, ParikhVec, PsiBuilder};
-use shapex_rbe::{FlowScratch, Interval, Rbe, Rbe0};
+use shapex_rbe::{FlowScratch, Interval, Rbe};
 
 use crate::schema::{Atom, Schema, TypeId};
 
-/// Reusable buffers for [`validates_with`] / [`maximal_typing_with`].
+/// A label id no graph edge carries: marks an atom whose label is absent
+/// from the graph, and a label no definition mentions.
+const NO_LABEL: u32 = u32::MAX;
+/// Per-node mark: the node is on the refinement worklist.
+const QUEUED: u8 = 1;
+/// Per-node mark: the node was checked during the current call.
+const EXAMINED: u8 = 2;
+/// Per-node mark: the node is on the scratch's `touched` list.
+const TOUCHED: u8 = 4;
+/// Per-node mark: the node had no type when the repair gave it its first
+/// candidate.
+const WAS_UNTYPED: u8 = 8;
+
+/// The positions of the set bits of a bitset row, ascending.
+fn set_bits(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    words.iter().enumerate().flat_map(|(w, &word)| {
+        std::iter::successors(Some(word).filter(|&x| x != 0), |&x| {
+            Some(x & (x - 1)).filter(|&y| y != 0)
+        })
+        .map(move |x| w * 64 + x.trailing_zeros() as usize)
+    })
+}
+
+/// The number of parallel copies an edge of a simple or compressed graph
+/// stands for.
+fn multiplicity(graph: &Graph, e: EdgeId) -> u64 {
+    graph.occur(e).singleton().unwrap_or(1)
+}
+
+/// One atom `a::s^I` of an RBE₀ definition, with `a` as the graph's label id
+/// ([`NO_LABEL`] when no edge carries it).
+#[derive(Debug, Clone, Copy)]
+struct CompiledAtom {
+    label: u32,
+    target: TypeId,
+    interval: Interval,
+}
+
+/// Reusable state of the typing worklist behind [`validates_with`],
+/// [`maximal_typing_with`] and [`IncrementalTyping`].
 ///
-/// The fixpoint refinement re-checks node satisfaction for every `(node,
-/// type)` pair on every sweep; the stateless [`node_satisfies`] entry point
-/// allocates an [`EdgeSummary`] vector (with a cloned type set per edge) and
-/// fresh flow buffers for each of those checks. A `ValidateScratch` hoists
-/// all of it — the interval-flow buffers (a [`FlowScratch`], mirroring the
-/// simulation engine's usage in `shapex-rbe`), the expanded source→edge map,
-/// and a per-call cache of each type's RBE₀ view — so the per-`(node, type,
-/// sweep)` inner loop of the fixpoint allocates nothing. (A call still pays
-/// one `Typing` allocation and one RBE₀-view rebuild per type; only the
-/// inner loop, which runs orders of magnitude more often, is allocation
-/// free.) The containment engine of `shapex-core` threads one scratch
-/// through its memoised validate step.
+/// Each call compiles the schema against the graph's interned label ids.
+/// Every RBE₀ definition becomes a run of atoms (label id, target type,
+/// interval), so a satisfaction check compares integers and reads typing
+/// bits, with one [`FlowScratch`] for the interval flow. The *atom
+/// table* records, for a label `a` and a type `s`, which types `t` mention
+/// `a::s` in `δ(t)`; the worklist consults it to decide which predecessors
+/// a lost type can affect. Per-node marks are cleared through the list of
+/// nodes a call touched, so they cost nothing for the nodes a call never
+/// reaches. Buffers keep
+/// their capacity across calls, and one scratch may serve many graphs and
+/// schemas: the containment engine of `shapex-core` threads one through
+/// its memoised validate step.
 #[derive(Debug, Default)]
 pub struct ValidateScratch {
     flow: FlowScratch,
     /// `source index → out-edge position` for multiplicity-expanded sources.
     source_edges: Vec<usize>,
-    /// Per-[`TypeId`] RBE₀ views of the schema under validation, rebuilt at
-    /// the start of every [`maximal_typing_with`] call (the scratch may be
-    /// reused across schemas).
-    rbe0s: Vec<Option<Rbe0<Atom>>>,
-    /// The types of the node under refinement (snapshot per node per sweep).
-    current: Vec<TypeId>,
+    /// Types of the compiled schema.
+    types: usize,
+    /// Words per typing row, `⌈types/64⌉`.
+    words: usize,
+    /// Per type: its atoms as a range of `atoms`, or `None` when the
+    /// definition is not RBE₀.
+    rbe0: Vec<Option<(usize, usize)>>,
+    /// The atoms of the RBE₀ definitions.
+    atoms: Vec<CompiledAtom>,
+    /// Graph label id → block of `users`, or [`NO_LABEL`] for a label no
+    /// definition mentions.
+    label_slot: Vec<u32>,
+    /// The atom table: the row at `(slot · types + s) · words` holds the
+    /// types `t` whose definition mentions `a::s`, for the label `a` of
+    /// `slot`.
+    users: Vec<u64>,
+    /// Per-node [`QUEUED`], [`EXAMINED`], [`TOUCHED`] and [`WAS_UNTYPED`]
+    /// marks.
+    marks: Vec<u8>,
+    /// The nodes whose `marks` may be set.
+    touched: Vec<NodeId>,
+    /// The refinement worklist.
+    stack: Vec<NodeId>,
+    /// The repair's worklist of added candidate pairs.
+    gains: Vec<(NodeId, TypeId)>,
+    /// The row of the node under refinement before its check; afterwards,
+    /// the types it lost.
+    lost: Vec<u64>,
 }
 
 impl ValidateScratch {
@@ -62,51 +127,420 @@ impl ValidateScratch {
     pub fn new() -> ValidateScratch {
         ValidateScratch::default()
     }
+
+    /// Clear the per-node state of the nodes the last call touched (a
+    /// cancelled or panicked call included).
+    fn reset(&mut self) {
+        for &n in &self.touched {
+            self.marks[n.index()] = 0;
+        }
+        self.touched.clear();
+        self.stack.clear();
+        self.gains.clear();
+    }
+
+    /// Start a call: reset, then compile `schema` against `graph`'s label
+    /// ids.
+    fn prepare(&mut self, graph: &Graph, schema: &Schema) {
+        self.reset();
+        if self.marks.len() < graph.node_count() {
+            self.marks.resize(graph.node_count(), 0);
+        }
+        let types = schema.type_count();
+        let words = types.div_ceil(64);
+        self.types = types;
+        self.words = words;
+        self.rbe0.clear();
+        self.atoms.clear();
+        self.label_slot.clear();
+        self.label_slot.resize(graph.label_count(), NO_LABEL);
+        self.users.clear();
+        for t in schema.types() {
+            let start = self.atoms.len();
+            let rbe0 = self.compile(graph, schema.def(t), t);
+            if !rbe0 {
+                self.atoms.truncate(start);
+            }
+            self.rbe0.push(rbe0.then_some((start, self.atoms.len())));
+        }
+    }
+
+    /// Walk `expr`, the definition of `t`: append its atoms to `atoms` and
+    /// record each `a::s` in the atom table under `t`. Returns whether
+    /// `expr` is an RBE₀ (an unordered concatenation of interval-repeated
+    /// atoms, as [`Rbe::to_rbe0`] decides); if not, the atoms it appended
+    /// mean nothing.
+    fn compile(&mut self, graph: &Graph, expr: &Rbe<Atom>, t: TypeId) -> bool {
+        match expr {
+            Rbe::Epsilon => true,
+            Rbe::Symbol(atom) => {
+                self.add_atom(graph, atom, Interval::ONE, t);
+                true
+            }
+            Rbe::Repeat(inner, interval) => match inner.as_ref() {
+                Rbe::Symbol(atom) => {
+                    self.add_atom(graph, atom, *interval, t);
+                    true
+                }
+                inner => {
+                    self.compile(graph, inner, t);
+                    false
+                }
+            },
+            Rbe::Concat(parts) => {
+                // Every part is walked, whatever an earlier one returned.
+                let mut rbe0 = true;
+                for part in parts {
+                    rbe0 &= self.compile(graph, part, t);
+                }
+                rbe0
+            }
+            Rbe::Disj(parts) => {
+                for part in parts {
+                    self.compile(graph, part, t);
+                }
+                false
+            }
+        }
+    }
+
+    /// Append one atom of `t`'s definition to `atoms` and the atom table.
+    fn add_atom(&mut self, graph: &Graph, atom: &Atom, interval: Interval, t: TypeId) {
+        let label = graph
+            .find_label(atom.label.as_str())
+            .map_or(NO_LABEL, |l| l.0);
+        self.atoms.push(CompiledAtom {
+            label,
+            target: atom.target,
+            interval,
+        });
+        if label == NO_LABEL {
+            return;
+        }
+        let block = self.types * self.words;
+        let slot = &mut self.label_slot[label as usize];
+        if *slot == NO_LABEL {
+            *slot = (self.users.len() / block) as u32;
+            self.users.resize(self.users.len() + block, 0);
+        }
+        let at = (*slot as usize * self.types + atom.target.index()) * self.words + t.index() / 64;
+        self.users[at] |= 1 << (t.index() % 64);
+    }
+
+    /// Record that `node` carries per-node state to clear.
+    fn touch(&mut self, node: NodeId) {
+        let mark = &mut self.marks[node.index()];
+        if *mark & TOUCHED == 0 {
+            *mark |= TOUCHED;
+            self.touched.push(node);
+        }
+    }
+
+    /// Put `node` on the worklist unless it is already there.
+    fn enqueue(&mut self, node: NodeId) {
+        self.touch(node);
+        let mark = &mut self.marks[node.index()];
+        if *mark & QUEUED == 0 {
+            *mark |= QUEUED;
+            self.stack.push(node);
+        }
+    }
+
+    /// Where the atom table's row for `label` and target type `s` starts,
+    /// or `None` when no definition mentions the label.
+    fn users_at(&self, label: LabelId, s: usize) -> Option<usize> {
+        match self.label_slot[label.index()] {
+            NO_LABEL => None,
+            slot => Some((slot as usize * self.types + s) * self.words),
+        }
+    }
+
+    /// The gain half of a repair: give every absent pair that may belong to
+    /// the new fixpoint its bit as a candidate, and queue its node.
+    /// Every absent pair of a seed (a dirty or new node) may appear. An
+    /// absent `(p, t)` may appear when an `a`-edge of `p` reaches an added
+    /// `(q, s)` with `a::s` in `δ(t)`, or, over an edge of multiplicity 0,
+    /// when `q` had no type before (the edge then only asks for `q` to have
+    /// one). The closure is complete before anything is refined, so the
+    /// nodes of a cycle that can only regain a type together regain it.
+    fn collect_gains(
+        &mut self,
+        graph: &Graph,
+        typing: &mut Typing,
+        seeds: impl Iterator<Item = NodeId>,
+    ) {
+        let words = self.words;
+        for p in seeds {
+            self.enqueue(p);
+            for t in 0..self.types {
+                self.gain(typing, p, TypeId(t as u32));
+            }
+        }
+        while let Some((q, s)) = self.gains.pop() {
+            let was_untyped = self.marks[q.index()] & WAS_UNTYPED != 0;
+            for &e in graph.ins(q) {
+                let p = graph.source(e);
+                if was_untyped && multiplicity(graph, e) == 0 {
+                    for t in 0..self.types {
+                        self.gain(typing, p, TypeId(t as u32));
+                    }
+                    continue;
+                }
+                let Some(users) = self.users_at(graph.label_id(e), s.index()) else {
+                    continue;
+                };
+                for w in 0..words {
+                    let mut word = self.users[users + w] & !typing.row(p)[w];
+                    while word != 0 {
+                        let t = TypeId((w * 64) as u32 + word.trailing_zeros());
+                        word &= word - 1;
+                        self.gain(typing, p, t);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Add the pair `(p, t)` as a candidate if `p` lacks `t`.
+    fn gain(&mut self, typing: &mut Typing, p: NodeId, t: TypeId) {
+        let untyped = typing.types_of(p).is_empty();
+        if typing.insert(p, t) {
+            self.enqueue(p);
+            if untyped {
+                self.marks[p.index()] |= WAS_UNTYPED;
+            }
+            self.gains.push((p, t));
+        }
+    }
+
+    /// Refine the queued nodes until every check holds. A popped node has
+    /// each of its types re-checked. When its row shrinks, a predecessor is
+    /// queued only if it holds a type whose definition mentions one of the
+    /// lost `(label, type)` pairs, or any type at all once the row is empty
+    /// (an edge into an untyped node fails every check). Returns how many
+    /// distinct nodes were checked, or `None` once `cancel` fires.
+    fn refine(
+        &mut self,
+        graph: &Graph,
+        schema: &Schema,
+        typing: &mut Typing,
+        cancel: Option<&CancelToken>,
+    ) -> Option<usize> {
+        let words = self.words;
+        let mut examined = 0;
+        while let Some(node) = self.stack.pop() {
+            if cancel.is_some_and(|c| c.fired()) {
+                return None;
+            }
+            #[cfg(test)]
+            tests::refinement_step();
+            let mark = &mut self.marks[node.index()];
+            *mark &= !QUEUED;
+            if *mark & EXAMINED == 0 {
+                *mark |= EXAMINED;
+                examined += 1;
+            }
+            self.lost.clear();
+            self.lost.extend_from_slice(typing.row(node));
+            for w in 0..words {
+                let mut word = self.lost[w];
+                while word != 0 {
+                    let t = TypeId((w * 64) as u32 + word.trailing_zeros());
+                    word &= word - 1;
+                    if !self.satisfies(graph, schema, typing, node, t, cancel)? {
+                        typing.remove(node, t);
+                    }
+                }
+            }
+            let mut shrunk = false;
+            for (lost, &kept) in self.lost.iter_mut().zip(typing.row(node)) {
+                *lost &= !kept;
+                shrunk |= *lost != 0;
+            }
+            if !shrunk {
+                continue;
+            }
+            let untyped = typing.types_of(node).is_empty();
+            for &e in graph.ins(node) {
+                let pred = graph.source(e);
+                if self.marks[pred.index()] & QUEUED != 0 {
+                    continue;
+                }
+                let row = typing.row(pred);
+                let affected = if untyped {
+                    row.iter().any(|&w| w != 0)
+                } else {
+                    self.mentions_lost(graph.label_id(e), row)
+                };
+                if affected {
+                    self.enqueue(pred);
+                }
+            }
+        }
+        Some(examined)
+    }
+
+    /// Whether a type of `row` mentions `label::s` for a type `s` in
+    /// `lost`.
+    fn mentions_lost(&self, label: LabelId, row: &[u64]) -> bool {
+        set_bits(&self.lost).any(|s| {
+            self.users_at(label, s).is_some_and(|at| {
+                self.users[at..at + self.words]
+                    .iter()
+                    .zip(row)
+                    .any(|(&users, &held)| users & held != 0)
+            })
+        })
+    }
+
+    /// Whether `node` satisfies `δ(t)` under `typing`. Semantically
+    /// identical to [`node_satisfies`], but on the RBE₀ path the flow
+    /// instance reads the compiled atom columns and the typing's bits
+    /// directly; other definitions fall back to materialised edge summaries
+    /// and the Presburger encoding, which runs under `cancel`: `None` means
+    /// it fired mid-solve.
+    fn satisfies(
+        &mut self,
+        graph: &Graph,
+        schema: &Schema,
+        typing: &Typing,
+        node: NodeId,
+        t: TypeId,
+        cancel: Option<&CancelToken>,
+    ) -> Option<bool> {
+        let out = graph.out(node);
+        // An edge whose target has no candidate type can never be matched (the
+        // signature's inner disjunction is empty, so the language is empty).
+        if out
+            .iter()
+            .any(|&e| typing.types_of(graph.target(e)).is_empty())
+        {
+            return Some(false);
+        }
+        if let Some((start, end)) = self.rbe0[t.index()] {
+            let atoms = &self.atoms[start..end];
+            if let Some(ok) = rbe0_flow_satisfies(
+                &mut self.flow,
+                &mut self.source_edges,
+                &mut out.iter().map(|&e| multiplicity(graph, e)),
+                &mut atoms.iter().map(|atom| atom.interval),
+                &|edge, u| {
+                    let e = out[edge];
+                    atoms[u].label == graph.label_id(e).0
+                        && typing.has_type(graph.target(e), atoms[u].target)
+                },
+            ) {
+                return Some(ok);
+            }
+        }
+        let edges = edge_summaries(graph, node, typing);
+        neighbourhood_satisfies_with(&edges, schema.def(t), None, cancel)
+    }
 }
 
-/// A typing: for every node of the graph, the set of types it satisfies.
+/// A typing: for every node of the graph, the set of types it satisfies,
+/// stored as one bitset row of `⌈|Γ|/64⌉` words per node.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Typing {
-    sets: Vec<BTreeSet<TypeId>>,
+    /// Words per row.
+    words: usize,
+    nodes: usize,
+    /// Row `n` is `bits[n · words .. (n + 1) · words]`; bit `t` stands for
+    /// [`TypeId`] `t`.
+    bits: Vec<u64>,
+    /// The number of empty rows, kept in step with `bits`.
+    untyped: usize,
 }
 
 impl Typing {
-    fn full(nodes: usize, schema: &Schema) -> Typing {
-        let all: BTreeSet<TypeId> = schema.types().collect();
+    /// Every node typed with all `types` types.
+    fn full(nodes: usize, types: usize) -> Typing {
+        let words = types.div_ceil(64);
+        let mut bits = vec![u64::MAX; nodes * words];
+        if types % 64 != 0 {
+            for row in bits.chunks_exact_mut(words) {
+                row[words - 1] >>= 64 - types % 64;
+            }
+        }
         Typing {
-            sets: vec![all; nodes],
+            words,
+            nodes,
+            bits,
+            untyped: if types == 0 { nodes } else { 0 },
+        }
+    }
+
+    fn row(&self, node: NodeId) -> &[u64] {
+        let at = node.index() * self.words;
+        &self.bits[at..at + self.words]
+    }
+
+    /// Append empty rows up to `nodes` rows.
+    fn grow(&mut self, nodes: usize) {
+        if nodes > self.nodes {
+            self.untyped += nodes - self.nodes;
+            self.nodes = nodes;
+            self.bits.resize(nodes * self.words, 0);
+        }
+    }
+
+    /// Give `node` the type `t`; whether it lacked it.
+    fn insert(&mut self, node: NodeId, t: TypeId) -> bool {
+        let at = node.index() * self.words;
+        let row = &mut self.bits[at..at + self.words];
+        let bit = 1 << (t.index() % 64);
+        if row[t.index() / 64] & bit != 0 {
+            return false;
+        }
+        if row.iter().all(|&w| w == 0) {
+            self.untyped -= 1;
+        }
+        row[t.index() / 64] |= bit;
+        true
+    }
+
+    /// Take the type `t` away from `node`.
+    fn remove(&mut self, node: NodeId, t: TypeId) {
+        let at = node.index() * self.words;
+        let row = &mut self.bits[at..at + self.words];
+        let bit = 1 << (t.index() % 64);
+        if row[t.index() / 64] & bit != 0 {
+            row[t.index() / 64] &= !bit;
+            if row.iter().all(|&w| w == 0) {
+                self.untyped += 1;
+            }
         }
     }
 
     /// The set of types assigned to a node.
-    pub fn types_of(&self, node: NodeId) -> &BTreeSet<TypeId> {
-        &self.sets[node.index()]
+    pub fn types_of(&self, node: NodeId) -> TypeRow<'_> {
+        TypeRow {
+            words: self.row(node),
+        }
     }
 
     /// Whether a node has the given type.
     pub fn has_type(&self, node: NodeId, t: TypeId) -> bool {
-        self.sets[node.index()].contains(&t)
+        self.types_of(node).contains(t)
     }
 
     /// Whether every node has at least one type (i.e. the graph satisfies the
     /// schema, `dom(Typing) = N_G`).
     pub fn is_total(&self) -> bool {
-        self.sets.iter().all(|s| !s.is_empty())
+        self.untyped == 0
     }
 
     /// The nodes with no type at all (the witnesses of a validation failure).
     pub fn untyped_nodes(&self) -> Vec<NodeId> {
-        self.sets
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.is_empty())
-            .map(|(i, _)| NodeId(i as u32))
+        (0..self.nodes as u32)
+            .map(NodeId)
+            .filter(|&n| self.types_of(n).is_empty())
             .collect()
     }
 
     /// Total number of `(node, type)` pairs in the typing.
     pub fn len(&self) -> usize {
-        self.sets.iter().map(|s| s.len()).sum()
+        self.bits.iter().map(|w| w.count_ones() as usize).sum()
     }
 
     /// Whether the typing is empty.
@@ -115,29 +549,66 @@ impl Typing {
     }
 }
 
-/// A retained maximal typing that is revalidated incrementally after graph
-/// deltas instead of recomputed from scratch.
+/// The types of one node in a [`Typing`]: a view of its bitset row.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TypeRow<'a> {
+    words: &'a [u64],
+}
+
+impl<'a> TypeRow<'a> {
+    /// Whether the row holds `t`.
+    pub fn contains(self, t: TypeId) -> bool {
+        self.words
+            .get(t.index() / 64)
+            .is_some_and(|w| w >> (t.index() % 64) & 1 == 1)
+    }
+
+    /// Whether the row holds no type.
+    pub fn is_empty(self) -> bool {
+        self.words.iter().all(|&w| w == 0)
+    }
+
+    /// The number of types in the row.
+    pub fn len(self) -> usize {
+        self.words.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// The types in the row, ascending.
+    pub fn iter(self) -> impl Iterator<Item = TypeId> + 'a {
+        set_bits(self.words).map(|t| TypeId(t as u32))
+    }
+}
+
+/// A retained maximal typing, repaired after graph deltas in proportion to
+/// what they change instead of recomputed from scratch.
 ///
-/// [`maximal_typing`] is a greatest fixpoint: it starts every node at the
-/// full candidate set and removes types until stable. After a delta, only
-/// part of the graph can change type. A node's types in the fixpoint depend
-/// solely on its *out-reachable* subgraph, so the nodes whose types may
-/// differ from the retained typing are exactly the **affected region** `R`:
-/// the dirty nodes (out-neighbourhood changed, reported by
-/// [`Graph::apply_delta`]) plus everything that reaches them — the reverse
-/// closure over [`Graph::ins`]. `R` is closed under predecessors, so the
-/// refinement worklist never needs to leave it: nodes outside `R` keep their
-/// retained sets, which over- *and* under-approximate nothing (their
-/// out-reachable subgraph is unchanged).
+/// [`maximal_typing`] is a greatest fixpoint, and a delta can make pairs
+/// `(node, type)` appear as well as disappear. [`IncrementalTyping::apply`]
+/// repairs the retained typing in two steps:
 ///
-/// [`IncrementalTyping::apply`] therefore (1) re-expands every node of `R`
-/// to the full candidate set — an *add* can legitimately give a node types
-/// it lost before, so shrinking alone would be unsound — and (2) runs a
-/// predecessor-directed worklist seeded with `R`: whenever a node's set
-/// shrinks, its in-neighbours are re-enqueued. The result is provably equal
-/// to [`maximal_typing`] from scratch (pinned by a proptest over random
-/// delta sequences), at `O(|R| neighbourhoods)` instead of `O(graph)` per
-/// delta.
+/// 1. **Gains.** A pair can appear only if its node is dirty (its outbound
+///    neighbourhood changed, as [`Graph::apply_delta`] reports) or new, or
+///    if an `a`-edge of the node reaches an appearing pair `(q, s)` with
+///    `a::s` in the type's definition. The repair collects that closure of
+///    absent pairs and sets their bits, all before refining. This is
+///    complete: the pairs of the new fixpoint outside the closure, added
+///    to the old typing, would give a valid typing of the old graph, so
+///    the old typing already held them. Collecting before refining is what
+///    lets the nodes of a cycle regain a type that they can only hold
+///    together.
+/// 2. **Losses.** The rows now over-approximate the new fixpoint, and only
+///    the dirty nodes and the nodes that gained a candidate can hold an
+///    unsupported pair. A predecessor worklist seeded with them re-checks
+///    them, and when a row shrinks it queues a predecessor only if that
+///    predecessor holds a type whose definition mentions a lost
+///    `(label, type)`.
+///
+/// The result equals [`maximal_typing`] from scratch, which is the same
+/// worklist started from full rows with every node queued (proptests pin
+/// both against an independent round-robin fixpoint). A call's work,
+/// resetting its scratch included, is proportional to the nodes it
+/// touches: an edit that changes no type re-examines exactly the dirty
+/// nodes, and `apply` returns the number of distinct nodes it re-examined.
 #[derive(Debug)]
 pub struct IncrementalTyping {
     typing: Typing,
@@ -151,12 +622,6 @@ pub struct IncrementalTyping {
     /// over an intermediate (unsound) typing; the next call forces a full
     /// rebuild.
     poisoned: bool,
-    /// Scratch: membership in the affected region `R`.
-    affected: Vec<bool>,
-    /// Scratch: worklist membership flags.
-    queued: Vec<bool>,
-    /// Scratch: the worklist itself.
-    stack: Vec<NodeId>,
 }
 
 impl IncrementalTyping {
@@ -188,11 +653,8 @@ impl IncrementalTyping {
         Some(IncrementalTyping {
             typing,
             scratch,
-            type_count: schema.types().count(),
+            type_count: schema.type_count(),
             poisoned: false,
-            affected: Vec::new(),
-            queued: Vec::new(),
-            stack: Vec::new(),
         })
     }
 
@@ -211,16 +673,17 @@ impl IncrementalTyping {
     /// fallback when the caller lost track of which nodes are dirty).
     pub fn rebuild(&mut self, graph: &Graph, schema: &Schema) {
         self.typing = maximal_typing_with(graph, schema, &mut self.scratch);
-        self.type_count = schema.types().count();
+        self.type_count = schema.type_count();
         self.poisoned = false;
     }
 
     /// Revalidate after a delta. `graph` is the post-delta graph and `dirty`
     /// must contain every node whose outbound neighbourhood changed plus
     /// every newly added node — exactly the `dirty` field of
-    /// [`shapex_graph::DeltaReport`]. Returns the size of the affected
-    /// region that was re-examined (the locality measure: 0 when `dirty` is
-    /// empty, `O(dirty + its ancestors)` in general).
+    /// [`shapex_graph::DeltaReport`]. Returns the number of distinct nodes
+    /// the repair re-examined: 0 when `dirty` is empty, exactly the dirty
+    /// nodes when the delta changes no type, and the whole graph when the
+    /// call rebuilt from scratch.
     ///
     /// Must be called with the same schema the typing was built against; a
     /// schema of a different shape triggers a full rebuild instead.
@@ -255,13 +718,14 @@ impl IncrementalTyping {
         dirty: &[NodeId],
         cancel: Option<&CancelToken>,
     ) -> Option<usize> {
-        if self.poisoned || self.type_count != schema.types().count() {
+        let known = self.typing.nodes;
+        if self.poisoned || self.type_count != schema.type_count() || graph.node_count() < known {
             // Full rebuild, itself cancellable: a second cancellation keeps
             // the typing poisoned for the next attempt.
             match try_maximal_typing_with(graph, schema, &mut self.scratch, cancel) {
                 Some(typing) => {
                     self.typing = typing;
-                    self.type_count = schema.types().count();
+                    self.type_count = schema.type_count();
                     self.poisoned = false;
                     return Some(graph.node_count());
                 }
@@ -271,111 +735,35 @@ impl IncrementalTyping {
                 }
             }
         }
-        if dirty.is_empty() && graph.node_count() == self.typing.sets.len() {
+        if dirty.is_empty() && graph.node_count() == known {
             return Some(0);
         }
         debug_assert!(
-            graph.edges().all(|e| graph.occur(e).singleton().is_some()),
+            dirty
+                .iter()
+                .flat_map(|&n| graph.out(n))
+                .all(|&e| graph.occur(e).singleton().is_some()),
             "validation requires a simple or compressed graph"
         );
         // Up until the refinement completes: a cancellation or a panic below
         // leaves a typing the next call must not trust.
         self.poisoned = true;
-        let nodes = graph.node_count();
-        let full: BTreeSet<TypeId> = schema.types().collect();
-        // Nodes created since the last call start at the full candidate set;
-        // they are expected to be in `dirty`, which re-expands them anyway.
-        self.typing.sets.resize(nodes, full.clone());
-
-        // The affected region R: reverse closure of the dirty set. R is
-        // closed under predecessors, so the worklist below stays inside it.
-        self.affected.clear();
-        self.affected.resize(nodes, false);
-        self.queued.clear();
-        self.queued.resize(nodes, false);
-        self.stack.clear();
-        for &n in dirty {
-            if !self.affected[n.index()] {
-                self.affected[n.index()] = true;
-                self.stack.push(n);
-            }
-        }
-        let mut region: Vec<NodeId> = Vec::new();
-        while let Some(n) = self.stack.pop() {
-            region.push(n);
-            for &e in graph.ins(n) {
-                let pred = graph.source(e);
-                if !self.affected[pred.index()] {
-                    self.affected[pred.index()] = true;
-                    self.stack.push(pred);
-                }
-            }
-        }
-
-        // Re-expand R to the full candidate set (adds can restore types) and
-        // seed the worklist with all of it, high ids first — candidate
-        // graphs number nodes in preorder, so refining successors before
-        // predecessors stabilises trees in one pass.
-        region.sort_unstable();
-        for &n in &region {
-            self.typing.sets[n.index()].clone_from(&full);
-            self.queued[n.index()] = true;
-        }
-        self.stack.extend(region.iter().copied());
-
-        // Rebuild the per-schema RBE₀ views (the scratch may have been used
-        // against another schema between calls).
-        self.scratch.rbe0s.clear();
-        self.scratch
-            .rbe0s
-            .extend(schema.types().map(|t| schema.def(t).to_rbe0()));
-
-        // Predecessor-directed refinement: when a node's set shrinks, every
-        // in-neighbour may lose a type that matched an atom pointing at it.
-        while let Some(node) = self.stack.pop() {
-            if cancel.is_some_and(|c| c.fired()) {
-                return None;
-            }
-            #[cfg(test)]
-            tests::refinement_step();
-            self.queued[node.index()] = false;
-            self.scratch.current.clear();
-            self.scratch
-                .current
-                .extend(self.typing.sets[node.index()].iter().copied());
-            let mut shrunk = false;
-            for i in 0..self.scratch.current.len() {
-                let t = self.scratch.current[i];
-                match try_node_satisfies_scratch(
-                    graph,
-                    node,
-                    t,
-                    &self.typing,
-                    schema,
-                    &mut self.scratch,
-                    cancel,
-                ) {
-                    None => return None,
-                    Some(true) => {}
-                    Some(false) => {
-                        self.typing.sets[node.index()].remove(&t);
-                        shrunk = true;
-                    }
-                }
-            }
-            if shrunk {
-                for &e in graph.ins(node) {
-                    let pred = graph.source(e);
-                    debug_assert!(self.affected[pred.index()], "R is predecessor-closed");
-                    if !self.queued[pred.index()] {
-                        self.queued[pred.index()] = true;
-                        self.stack.push(pred);
-                    }
-                }
-            }
-        }
+        self.scratch.prepare(graph, schema);
+        // New nodes start untyped; like the dirty nodes, every type they
+        // lack becomes a candidate.
+        self.typing.grow(graph.node_count());
+        let new_nodes = (known..graph.node_count()).map(|i| NodeId(i as u32));
+        self.scratch.collect_gains(
+            graph,
+            &mut self.typing,
+            dirty.iter().copied().chain(new_nodes),
+        );
+        let examined = self
+            .scratch
+            .refine(graph, schema, &mut self.typing, cancel)?;
+        self.scratch.reset();
         self.poisoned = false;
-        Some(region.len())
+        Some(examined)
     }
 }
 
@@ -447,8 +835,8 @@ pub fn maximal_typing(graph: &Graph, schema: &Schema) -> Typing {
     maximal_typing_with(graph, schema, &mut ValidateScratch::new())
 }
 
-/// [`maximal_typing`] over a caller-provided [`ValidateScratch`], the
-/// allocation-free path for hot validation loops.
+/// [`maximal_typing`] over a caller-provided [`ValidateScratch`], whose
+/// buffers are reused across calls.
 ///
 /// # Panics
 /// Panics if the graph uses occurrence intervals other than singletons
@@ -462,10 +850,13 @@ pub fn maximal_typing_with(
         .expect("an uncancelled typing cannot be cancelled")
 }
 
-/// [`maximal_typing_with`] under external cancellation: the fixpoint checks
-/// `cancel` once per node per sweep (and threads it into every Presburger
+/// [`maximal_typing_with`] under external cancellation: the worklist checks
+/// `cancel` once per popped node (and threads it into every Presburger
 /// fallback), returning `None` within a bounded checkpoint interval once it
 /// fires. A `Some` result is bit-identical to the uncancelled typing.
+///
+/// The fixpoint is the refinement worklist of [`IncrementalTyping`], started
+/// from full rows with every node queued.
 ///
 /// # Panics
 /// Panics if the graph uses occurrence intervals other than singletons
@@ -483,45 +874,17 @@ pub fn try_maximal_typing_with(
             graph.occur(e)
         );
     }
-    // The RBE₀ view of every definition, once per call instead of once per
-    // (node, type, sweep) satisfaction check.
-    scratch.rbe0s.clear();
-    scratch
-        .rbe0s
-        .extend(schema.types().map(|t| schema.def(t).to_rbe0()));
-    let mut typing = Typing::full(graph.node_count(), schema);
-    loop {
-        let mut changed = false;
-        // Nodes are refined in reverse id order: the refinement operator is
-        // monotone, so chaotic iteration reaches the same greatest fixpoint
-        // in any order — but candidate graphs number their nodes in preorder
-        // (parents before children), and visiting successors first lets a
-        // whole tree stabilise in one sweep instead of one sweep per level.
-        for index in (0..graph.node_count()).rev() {
-            if cancel.is_some_and(|c| c.fired()) {
-                return None;
-            }
-            let node = NodeId(index as u32);
-            scratch.current.clear();
-            scratch
-                .current
-                .extend(typing.sets[node.index()].iter().copied());
-            for i in 0..scratch.current.len() {
-                let t = scratch.current[i];
-                match try_node_satisfies_scratch(graph, node, t, &typing, schema, scratch, cancel) {
-                    None => return None,
-                    Some(true) => {}
-                    Some(false) => {
-                        typing.sets[node.index()].remove(&t);
-                        changed = true;
-                    }
-                }
-            }
-        }
-        if !changed {
-            return Some(typing);
-        }
+    scratch.prepare(graph, schema);
+    let mut typing = Typing::full(graph.node_count(), schema.type_count());
+    // Queued in id order, so the highest ids pop first: candidate graphs
+    // number their nodes in preorder (parents before children), and checking
+    // successors first lets a whole tree settle with one check per node.
+    for node in graph.nodes() {
+        scratch.enqueue(node);
     }
+    scratch.refine(graph, schema, &mut typing, cancel)?;
+    scratch.reset();
+    Some(typing)
 }
 
 /// Whether the graph satisfies the schema: every node of the maximal typing
@@ -548,13 +911,13 @@ const FLOW_EXPANSION_LIMIT: u64 = 4096;
 /// otherwise it runs the polynomial solver when every atom's interval is
 /// basic (the sources are all `1`) and the backtracking solver if not.
 /// Returns `None` when the expansion exceeds [`FLOW_EXPANSION_LIMIT`]
-/// (callers fall back to Presburger). `compatible` is `(edge index, atom
-/// index)` — the only thing the two callers genuinely differ in.
+/// (callers fall back to Presburger). `sinks` are the atoms' intervals and
+/// `compatible` is `(edge index, atom index)`.
 fn rbe0_flow_satisfies(
     flow: &mut FlowScratch,
     source_edges: &mut Vec<usize>,
     multiplicities: &mut dyn Iterator<Item = u64>,
-    atoms: &[(Atom, Interval)],
+    sinks: &mut dyn Iterator<Item = Interval>,
     compatible: &dyn Fn(usize, usize) -> bool,
 ) -> Option<bool> {
     flow.clear();
@@ -570,66 +933,23 @@ fn rbe0_flow_satisfies(
             source_edges.push(i);
         }
     }
-    flow.sinks
-        .extend(atoms.iter().map(|&(_, interval)| interval));
+    flow.sinks.extend(sinks);
     let source_edges = &*source_edges;
     Some(flow.solve(|v, u| compatible(source_edges[v], u)))
 }
 
-/// The scratch-backed satisfaction check behind [`maximal_typing_with`]:
-/// semantically identical to [`node_satisfies`], but the edge summaries on
-/// the fast path are never materialised — the flow instance borrows the
-/// typing directly — and the RBE₀ view comes from the scratch's per-call
-/// cache. The Presburger fallback runs under external cancellation: `None`
-/// means `cancel` fired mid-solve; `Some` verdicts are identical to the
-/// uncancelled path.
-#[allow(clippy::too_many_arguments)]
-fn try_node_satisfies_scratch(
-    graph: &Graph,
-    node: NodeId,
-    t: TypeId,
-    typing: &Typing,
-    schema: &Schema,
-    scratch: &mut ValidateScratch,
-    cancel: Option<&CancelToken>,
-) -> Option<bool> {
-    let out = graph.out(node);
-    // An edge whose target has no candidate type can never be matched (the
-    // signature's inner disjunction is empty, so the language is empty).
-    if out
-        .iter()
-        .any(|&e| typing.types_of(graph.target(e)).is_empty())
-    {
-        return Some(false);
-    }
-    if let Some(rbe0) = scratch.rbe0s[t.index()].as_ref() {
-        let atoms = rbe0.atoms();
-        if let Some(ok) = rbe0_flow_satisfies(
-            &mut scratch.flow,
-            &mut scratch.source_edges,
-            &mut out.iter().map(|&e| graph.occur(e).singleton().unwrap_or(1)),
-            atoms,
-            &|edge, u| {
-                let e = out[edge];
-                let (atom, _) = &atoms[u];
-                atom.label == *graph.label(e)
-                    && typing.types_of(graph.target(e)).contains(&atom.target)
-            },
-        ) {
-            return Some(ok);
-        }
-    }
-    // General path (rare): fall back to the materialised edge summaries and
-    // the Presburger encoding.
-    let edges: Vec<EdgeSummary> = out
+/// The outgoing edges of `node` summarised for satisfaction checking, with
+/// their targets' types in `typing`.
+fn edge_summaries(graph: &Graph, node: NodeId, typing: &Typing) -> Vec<EdgeSummary> {
+    graph
+        .out(node)
         .iter()
         .map(|&e| EdgeSummary {
             label: graph.label(e).clone(),
-            target_types: typing.types_of(graph.target(e)).clone(),
-            multiplicity: graph.occur(e).singleton().unwrap_or(1),
+            target_types: typing.types_of(graph.target(e)).iter().collect(),
+            multiplicity: multiplicity(graph, e),
         })
-        .collect();
-    neighbourhood_satisfies_with(&edges, schema.def(t), None, cancel)
+        .collect()
 }
 
 /// Whether `node` satisfies the definition of `t` given the candidate types
@@ -641,16 +961,7 @@ pub fn node_satisfies(
     typing: &Typing,
     schema: &Schema,
 ) -> bool {
-    let edges: Vec<EdgeSummary> = graph
-        .out(node)
-        .iter()
-        .map(|&e| EdgeSummary {
-            label: graph.label(e).clone(),
-            target_types: typing.types_of(graph.target(e)).clone(),
-            multiplicity: graph.occur(e).singleton().unwrap_or(1),
-        })
-        .collect();
-    neighbourhood_satisfies(&edges, schema.def(t))
+    neighbourhood_satisfies(&edge_summaries(graph, node, typing), schema.def(t))
 }
 
 /// Decide whether an outbound neighbourhood can be assigned types so that the
@@ -694,7 +1005,7 @@ pub fn neighbourhood_satisfies_with(
             &mut flow,
             &mut source_edges,
             &mut edges.iter().map(|e| e.multiplicity),
-            atoms,
+            &mut atoms.iter().map(|&(_, interval)| interval),
             &|i, u| {
                 let edge = &edges[i];
                 let (atom, _) = &atoms[u];
@@ -772,7 +1083,7 @@ fn satisfies_via_presburger(
 mod tests {
     use super::*;
     use crate::parser::parse_schema;
-    use shapex_graph::parse_graph;
+    use shapex_graph::{parse_graph, Graph};
     use shapex_rbe::Rbe;
 
     const FIG1_SCHEMA: &str = "\
@@ -972,7 +1283,7 @@ emp1 -email-> l9
         assert!(!inc.typing().has_type(user1, user), "no name edge any more");
 
         // Adding the name back restores the original typing — a pure add can
-        // restore types, which is why the affected region re-expands.
+        // restore types, which is why the repair collects candidate gains.
         let mut delta = GraphDelta::new();
         delta.add_edge("user1", "name", "l5");
         let report = graph.apply_delta(&delta);
@@ -1030,12 +1341,197 @@ emp1 -email-> l9
         assert_eq!(inc.typing(), &maximal_typing(&graph, &other));
     }
 
+    /// Apply one batch of `(add, source, label, target)` edits and repair.
+    fn edit(
+        graph: &mut Graph,
+        inc: &mut IncrementalTyping,
+        schema: &Schema,
+        ops: &[(bool, &str, &str, &str)],
+    ) -> (usize, usize) {
+        let mut delta = shapex_graph::GraphDelta::new();
+        for &(add, source, label, target) in ops {
+            if add {
+                delta.add_edge(source, label, target);
+            } else {
+                delta.remove_edge(source, label, target);
+            }
+        }
+        let report = graph.apply_delta(&delta);
+        (inc.apply(graph, schema, &report.dirty), report.dirty.len())
+    }
+
+    #[test]
+    fn an_edit_that_changes_no_type_re_examines_only_the_dirty_nodes() {
+        // The streaming benchmark's lenient schema: an email is optional, so
+        // removing or restoring one changes no type anywhere.
+        let schema = parse_schema(
+            "Bug -> descr::Literal, reportedBy::User, related::Bug*\n\
+             User -> name::Literal, email::Literal?\n\
+             Literal -> EMPTY\n",
+        )
+        .unwrap();
+        let mut delta = shapex_graph::GraphDelta::new();
+        for u in 0..4 {
+            delta.add_edge(format!("u{u}"), "name", format!("n{u}"));
+            delta.add_edge(format!("u{u}"), "email", format!("e{u}"));
+        }
+        // One `related` chain through 12 bugs: every user is reached by the
+        // bugs reporting it and by the whole chain before them.
+        for b in 0..12 {
+            delta.add_edge(format!("b{b}"), "descr", format!("d{b}"));
+            delta.add_edge(format!("b{b}"), "reportedBy", format!("u{}", b % 4));
+            if b < 11 {
+                delta.add_edge(format!("b{b}"), "related", format!("b{}", b + 1));
+            }
+        }
+        let mut graph = Graph::new();
+        graph.apply_delta(&delta);
+        let mut inc = IncrementalTyping::new(&graph, &schema);
+        assert!(inc.is_total());
+        let batches: [&[(bool, &str, &str, &str)]; 4] = [
+            &[(false, "u1", "email", "e1")],
+            &[(true, "u1", "email", "e1")],
+            &[
+                (false, "u0", "email", "e0"),
+                (false, "u3", "email", "e3"),
+                (false, "b5", "related", "b6"),
+            ],
+            &[
+                (true, "u0", "email", "e0"),
+                (true, "u3", "email", "e3"),
+                (true, "b5", "related", "b6"),
+            ],
+        ];
+        for ops in batches {
+            let (examined, dirty) = edit(&mut graph, &mut inc, &schema, ops);
+            assert_eq!(examined, dirty, "only the dirty nodes are re-examined");
+            assert_eq!(inc.typing(), &maximal_typing(&graph, &schema));
+            assert!(inc.is_total());
+        }
+    }
+
+    #[test]
+    fn a_cycle_loses_and_regains_a_type_as_a_whole() {
+        // Each node of the ring needs the next one's type, and only the
+        // anchor edge, which leaves the ring, grounds the head.
+        let schema = parse_schema(
+            "Head -> anchor::Leaf, next::Mid\nMid -> next::Tail\nTail -> next::Head\nLeaf -> EMPTY\n",
+        )
+        .unwrap();
+        let mut graph =
+            parse_graph("n0 -next-> n1\nn1 -next-> n2\nn2 -next-> n0\nn0 -anchor-> leaf\n")
+                .unwrap();
+        let ring = ["n0", "n1", "n2"].map(|n| graph.find_node(n).unwrap());
+        let types = ["Head", "Mid", "Tail"].map(|t| schema.find_type(t).unwrap());
+        let ring_typed = |inc: &IncrementalTyping| {
+            ring.iter()
+                .zip(types)
+                .map(|(&n, t)| inc.typing().has_type(n, t))
+                .collect::<Vec<_>>()
+        };
+        let mut inc = IncrementalTyping::new(&graph, &schema);
+        assert_eq!(ring_typed(&inc), [true; 3]);
+        let steps = [
+            // The grounding edge goes, and returns.
+            ((false, "n0", "anchor", "leaf"), false),
+            ((true, "n0", "anchor", "leaf"), true),
+            // The leaf stops being a Leaf and becomes one again: edits
+            // outside the ring, whose nodes are not dirty.
+            ((true, "leaf", "mark", "x"), false),
+            ((false, "leaf", "mark", "x"), true),
+        ];
+        for (op, typed) in steps {
+            edit(&mut graph, &mut inc, &schema, &[op]);
+            assert_eq!(inc.typing(), &maximal_typing(&graph, &schema));
+            assert_eq!(ring_typed(&inc), [typed; 3]);
+            assert_eq!(inc.is_total(), typed);
+        }
+    }
+
+    #[test]
+    fn an_edge_of_multiplicity_zero_only_asks_for_a_typed_target() {
+        // x's `p[0]` edge stands for no copies, so x is an L as long as y
+        // has some type, although no definition mentions `p`. Untyping y
+        // (with an `r` edge no definition allows) must untype x, and typing
+        // y again must give x its type back.
+        let schema = parse_schema("L -> EMPTY\nB -> q::L\n").unwrap();
+        let mut graph = parse_graph("x -p[0]-> y\n").unwrap();
+        let x = graph.find_node("x").unwrap();
+        let mut inc = IncrementalTyping::new(&graph, &schema);
+        for (op, x_typed) in [
+            ((true, "y", "r", "z"), false),
+            ((false, "y", "r", "z"), true),
+        ] {
+            edit(&mut graph, &mut inc, &schema, &[op]);
+            assert_eq!(inc.typing(), &maximal_typing(&graph, &schema));
+            assert_eq!(!inc.typing().types_of(x).is_empty(), x_typed);
+        }
+    }
+
+    #[test]
+    fn rows_wider_than_one_word_follow_every_edit() {
+        // 70 types, so a row spans two words; definitions and edits come
+        // from a fixed linear congruential sequence.
+        const TYPES: u64 = 70;
+        let mut state = 7u64;
+        let mut draw = |n: u64| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) % n
+        };
+        let text: String = (0..TYPES)
+            .map(|i| {
+                let atoms: Vec<String> = (0..draw(3))
+                    .map(|_| {
+                        let card = ["", "?", "*", "+"][draw(4) as usize];
+                        format!("p{}::T{}{card}", draw(3), draw(TYPES))
+                    })
+                    .collect();
+                let def = if atoms.is_empty() {
+                    "EMPTY".to_string()
+                } else {
+                    atoms.join(", ")
+                };
+                format!("T{i} -> {def}\n")
+            })
+            .collect();
+        let schema = parse_schema(&text).unwrap();
+        assert_eq!(schema.type_count(), TYPES as usize);
+        let mut graph = Graph::new();
+        let mut inc = IncrementalTyping::new(&graph, &schema);
+        let mut second_word = false;
+        for _ in 0..60 {
+            let (source, label, target) = (
+                format!("n{}", draw(8)),
+                format!("p{}", draw(3)),
+                format!("n{}", draw(8)),
+            );
+            let add = draw(3) != 0;
+            edit(
+                &mut graph,
+                &mut inc,
+                &schema,
+                &[(add, &source, &label, &target)],
+            );
+            let expected = maximal_typing(&graph, &schema);
+            assert_eq!(inc.typing(), &expected);
+            for n in graph.nodes() {
+                let row = expected.types_of(n);
+                assert_eq!(row.len(), row.iter().count());
+                assert!(row.iter().all(|t| row.contains(t) && t.index() < 70));
+                second_word |= row.iter().any(|t| t.index() >= 64);
+            }
+        }
+        assert!(second_word, "some node holds a type of the second word");
+    }
+
     #[test]
     fn fired_cancel_aborts_typing_and_poisons_incremental_state() {
         let schema = parse_schema(FIG1_SCHEMA).unwrap();
         let mut graph = parse_graph(FIG1_GRAPH).unwrap();
 
-        // A pre-fired flag aborts the fixpoint before any sweep completes.
+        // A pre-fired flag aborts the fixpoint before its first check.
         let cancel = CancelToken::new();
         cancel.cancel();
         assert!(try_maximal_typing_with(
@@ -1094,7 +1590,7 @@ emp1 -email-> l9
         let mut graph = parse_graph(FIG1_GRAPH).unwrap();
         let mut inc = IncrementalTyping::new(&graph, &schema);
         // user1 loses its name, so it and the bugs reaching it lose types:
-        // the repair re-expands them first and refines them back down.
+        // the repair checks user1 and then each bug that loses its reporter.
         use shapex_graph::GraphDelta;
         let mut delta = GraphDelta::new();
         delta.remove_edge("user1", "name", "l5");

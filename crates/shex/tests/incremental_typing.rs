@@ -2,11 +2,18 @@
 //! random deltas, an [`IncrementalTyping`] repaired from the dirty sets
 //! equals the maximal typing recomputed from scratch — incrementality is an
 //! optimisation, never a semantics change.
+//!
+//! [`maximal_typing`] runs the repair's own worklist, so both are also
+//! compared with [`reference_typing`], a plain round-robin fixpoint that
+//! shares nothing with them but the public [`neighbourhood_satisfies`].
+
+use std::collections::BTreeSet;
 
 use proptest::prelude::*;
 
 use shapex_graph::{Graph, GraphDelta};
-use shapex_shex::{maximal_typing, parse_schema, IncrementalTyping, Schema};
+use shapex_shex::typing::{neighbourhood_satisfies, EdgeSummary, Typing};
+use shapex_shex::{maximal_typing, parse_schema, IncrementalTyping, Schema, TypeId};
 
 const NODES: u32 = 8;
 const LABELS: u32 = 3;
@@ -37,6 +44,44 @@ fn arb_schema() -> impl Strategy<Value = Schema> {
             parse_schema(&text).expect("generated schema text parses")
         },
     )
+}
+
+/// The maximal typing by round-robin refinement: start every node at every
+/// type, and sweep all nodes, dropping each type whose definition the
+/// node's neighbourhood no longer satisfies, until a sweep drops nothing.
+fn reference_typing(graph: &Graph, schema: &Schema) -> Vec<BTreeSet<TypeId>> {
+    let mut sets: Vec<BTreeSet<TypeId>> = vec![schema.types().collect(); graph.node_count()];
+    loop {
+        let mut changed = false;
+        for n in graph.nodes() {
+            for t in sets[n.index()].clone() {
+                let edges: Vec<EdgeSummary> = graph
+                    .out(n)
+                    .iter()
+                    .map(|&e| EdgeSummary {
+                        label: graph.label(e).clone(),
+                        target_types: sets[graph.target(e).index()].clone(),
+                        multiplicity: graph.occur(e).singleton().expect("a simple graph"),
+                    })
+                    .collect();
+                if !neighbourhood_satisfies(&edges, schema.def(t)) {
+                    sets[n.index()].remove(&t);
+                    changed = true;
+                }
+            }
+        }
+        if !changed {
+            return sets;
+        }
+    }
+}
+
+/// A typing's rows as plain sets, comparable with [`reference_typing`].
+fn rows(graph: &Graph, typing: &Typing) -> Vec<BTreeSet<TypeId>> {
+    graph
+        .nodes()
+        .map(|n| typing.types_of(n).iter().collect())
+        .collect()
 }
 
 /// One random edge-level operation over the bounded node/label universe.
@@ -86,6 +131,17 @@ proptest! {
                 "incremental repair diverged from the from-scratch typing"
             );
             prop_assert_eq!(typing.is_total(), maximal_typing(&graph, &schema).is_total());
+            let reference = reference_typing(&graph, &schema);
+            prop_assert_eq!(
+                rows(&graph, &maximal_typing(&graph, &schema)),
+                reference.clone(),
+                "the from-scratch typing diverged from the round-robin reference"
+            );
+            prop_assert_eq!(
+                rows(&graph, typing.typing()),
+                reference,
+                "the repaired typing diverged from the round-robin reference"
+            );
         }
     }
 

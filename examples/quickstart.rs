@@ -27,7 +27,7 @@ fn main() {
         let types: Vec<&str> = typing
             .types_of(node)
             .iter()
-            .map(|t| schema.type_name(*t))
+            .map(|t| schema.type_name(t))
             .collect();
         println!("  {:10} : {}", graph.node_name(node), types.join(", "));
     }

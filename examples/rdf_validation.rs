@@ -70,7 +70,7 @@ fn main() -> ExitCode {
         let types: Vec<&str> = typing
             .types_of(node)
             .iter()
-            .map(|t| schema.type_name(*t))
+            .map(|t| schema.type_name(t))
             .collect();
         let rendered = if types.is_empty() {
             "<none>".to_owned()

@@ -29,9 +29,12 @@
 //!   validation verdict against any of its registered schemas with
 //!   [`ServiceRequest::Revalidate`]. The service retains one
 //!   [`IncrementalTyping`] per `(graph, schema)` pair and replays only the
-//!   dirty-node log accumulated since that pair's last revalidation — an
-//!   edit touching one node revalidates its affected region, never the
-//!   whole graph. Graph handles are tenant-scoped like schema handles;
+//!   dirty-node log accumulated since that pair's last revalidation — the
+//!   repair re-examines the dirty nodes and the nodes whose types change,
+//!   never the whole graph. The log is kept only while the graph holds a
+//!   typing, and a typing that falls behind by more entries than the graph
+//!   has nodes is dropped and rebuilt on its next revalidation. Graph
+//!   handles are tenant-scoped like schema handles;
 //!   presenting another tenant's (or a never-issued) handle gets
 //!   [`ServiceError::UnknownGraph`], with no distinction that would leak
 //!   which handles exist.
@@ -205,9 +208,9 @@ pub enum ServiceRequest {
         delta: Box<GraphDelta>,
     },
     /// The validation verdict of a tenant graph against one of the tenant's
-    /// registered schemas, computed incrementally: only the dirty nodes
-    /// accumulated since this `(graph, schema)` pair's previous revalidation
-    /// (and the region they influence) are re-examined. Answered with
+    /// registered schemas, computed incrementally: the repair re-examines
+    /// the dirty nodes accumulated since this `(graph, schema)` pair's
+    /// previous revalidation and the nodes whose types change. Answered with
     /// [`ServiceResponse::Validation`]. Under a deadline the first build of
     /// the pair's typing and every later repair poll the request's token
     /// once per examined node. An expired build or repair answers
@@ -261,8 +264,9 @@ pub enum ServiceResponse {
         /// Whether the graph currently satisfies the schema (its maximal
         /// typing is total).
         valid: bool,
-        /// Nodes whose types were actually recomputed by this request — the
-        /// affected region of the dirty log, not the whole graph.
+        /// Nodes the repair re-examined: the dirty nodes plus those whose
+        /// types changed, or the whole graph when the typing was rebuilt (0
+        /// for a first build).
         affected: usize,
     },
     /// The metrics snapshot for a [`ServiceRequest::Stats`]. Boxed: the
@@ -532,13 +536,47 @@ struct GraphEntry {
     graph: Graph,
     /// The streaming N-Triples parser (bounded buffer: at most one line).
     parser: NTriplesParser,
-    /// Dirty nodes accumulated since the oldest unsynced typing, in
+    /// Dirty nodes not yet consumed by every retained typing, in
     /// application order (duplicates allowed — revalidation dedupes via its
-    /// worklist). Trimmed whenever every retained typing has caught up.
+    /// worklist). Nothing is recorded while the graph holds no typing, and
+    /// the prefix every typing has consumed is drained.
     dirty: Vec<NodeId>,
     /// One retained incremental typing per schema this graph has been
     /// validated against, each with its sync point into `dirty`.
     typings: HashMap<SchemaId, TypingSlot>,
+}
+
+impl GraphEntry {
+    /// Log the dirty nodes of a delta just applied, for the retained
+    /// typings to consume. A typing that now lags by more entries than the
+    /// graph has nodes is dropped: replaying its backlog would cost more
+    /// than the rebuild its next `Revalidate` does instead.
+    fn record(&mut self, dirty: &[NodeId]) {
+        if self.typings.is_empty() {
+            return;
+        }
+        self.dirty.extend_from_slice(dirty);
+        let (len, limit) = (self.dirty.len(), self.graph.node_count());
+        self.typings.retain(|_, slot| len - slot.synced <= limit);
+        self.drain_consumed();
+    }
+
+    /// Drop the prefix of the dirty log that every retained typing has
+    /// consumed.
+    fn drain_consumed(&mut self) {
+        let consumed = self
+            .typings
+            .values()
+            .map(|slot| slot.synced)
+            .min()
+            .unwrap_or(self.dirty.len());
+        if consumed > 0 {
+            self.dirty.drain(..consumed);
+            for slot in self.typings.values_mut() {
+                slot.synced -= consumed;
+            }
+        }
+    }
 }
 
 /// A retained [`IncrementalTyping`] plus how much of the dirty log it has
@@ -758,7 +796,7 @@ impl ContainmentService {
                     // recovers on the next request.
                     faults::trigger(faults::site::POST_PARSE);
                     let report = entry.graph.apply_delta(&delta);
-                    entry.dirty.extend_from_slice(&report.dirty);
+                    entry.record(&report.dirty);
                     Ok(ServiceResponse::Loaded {
                         graph: id,
                         triples: entry.parser.triples(),
@@ -772,7 +810,7 @@ impl ContainmentService {
                         return Err(ServiceError::DeadlineExceeded);
                     }
                     let report = entry.graph.apply_delta(&delta);
-                    entry.dirty.extend_from_slice(&report.dirty);
+                    entry.record(&report.dirty);
                     Ok(ServiceResponse::Applied {
                         graph,
                         report: Box::new(report),
@@ -818,15 +856,7 @@ impl ContainmentService {
                         };
                         (slot.typing.is_total(), affected)
                     };
-                    // Trim the log once every retained typing has caught up,
-                    // so it grows with the edit rate between revalidations,
-                    // not with the graph's lifetime.
-                    if !dirty.is_empty() && typings.values().all(|s| s.synced == dirty.len()) {
-                        dirty.clear();
-                        for slot in typings.values_mut() {
-                            slot.synced = 0;
-                        }
-                    }
+                    entry.drain_consumed();
                     Ok(ServiceResponse::Validation {
                         graph,
                         schema,
@@ -1923,6 +1953,95 @@ mod tests {
         )
         .unwrap();
         assert_eq!(view(&service, graph).3, view(&service, whole).3);
+    }
+
+    fn apply_delta(service: &ContainmentService, graph: GraphId, delta: GraphDelta) {
+        let request = ServiceRequest::ApplyDelta {
+            graph,
+            delta: Box::new(delta),
+        };
+        match service.handle(TenantId::DEFAULT, request) {
+            Ok(ServiceResponse::Applied { .. }) => {}
+            other => panic!("expected Applied, got {other:?}"),
+        }
+    }
+
+    /// Remove `user`'s email on even rounds, restore it on odd ones.
+    fn toggle_email(service: &ContainmentService, graph: GraphId, user: &str, round: usize) {
+        let mut delta = GraphDelta::new();
+        if round % 2 == 0 {
+            delta.remove_edge(user, "email", format!("\"{user}@x\""));
+        } else {
+            delta.add_edge(user, "email", format!("\"{user}@x\""));
+        }
+        apply_delta(service, graph, delta);
+    }
+
+    /// The verdict of validating `graph` against `schema` from scratch.
+    fn from_scratch(service: &ContainmentService, graph: GraphId, schema: SchemaId) -> bool {
+        let definition = service.engine().schema(schema);
+        service
+            .with_graph(TenantId::DEFAULT, graph, |entry| {
+                Ok(shapex_shex::maximal_typing(&entry.graph, &definition).is_total())
+            })
+            .unwrap()
+    }
+
+    const TWO_USERS: &[u8] = b"<u1> <name> \"n\" .\n<u1> <email> \"u1@x\" .\n\
+                               <u2> <name> \"m\" .\n<u2> <email> \"u2@x\" .\n";
+
+    #[test]
+    fn a_graph_never_revalidated_keeps_no_dirty_log() {
+        let service = ContainmentService::new();
+        let schema = user_schema_id(&service, TenantId::DEFAULT);
+        let (graph, ..) = load(&service, TenantId::DEFAULT, None, TWO_USERS).unwrap();
+        for round in 0..41 {
+            toggle_email(&service, graph, "u1", round);
+        }
+        assert!(view(&service, graph).2.is_empty(), "no typing consumes it");
+        // u1 ends without an email; the first Revalidate builds from scratch.
+        let (valid, affected) = revalidate(&service, TenantId::DEFAULT, graph, schema);
+        assert_eq!(valid, from_scratch(&service, graph, schema));
+        assert!(!valid);
+        assert_eq!(affected, 0);
+    }
+
+    #[test]
+    fn a_typing_left_behind_is_dropped_and_rebuilt() {
+        let service = ContainmentService::new();
+        let ids = ids_of(
+            &service,
+            TenantId::DEFAULT,
+            &[
+                USER_SCHEMA,
+                "User -> name::Literal, email::Literal?\nLiteral -> EMPTY\n",
+            ],
+        );
+        let (a, b) = (ids[0], ids[1]);
+        let (graph, ..) = load(&service, TenantId::DEFAULT, None, TWO_USERS).unwrap();
+        assert!(revalidate(&service, TenantId::DEFAULT, graph, a).0);
+        let nodes = view(&service, graph).0;
+        // Only B is revalidated from now on: A's typing falls behind.
+        for round in 0..41 {
+            toggle_email(&service, graph, "u1", round);
+            assert!(revalidate(&service, TenantId::DEFAULT, graph, b).0);
+            let logged = view(&service, graph).2.len();
+            assert!(
+                logged <= nodes,
+                "round {round}: {logged} dirty entries kept"
+            );
+        }
+        let slots = service
+            .with_graph(TenantId::DEFAULT, graph, |entry| Ok(entry.typings.len()))
+            .unwrap();
+        assert_eq!(
+            slots, 1,
+            "A's typing lagged by more than the graph and was dropped"
+        );
+        // u1 ends without an email, so A's next answer differs from its last.
+        let (valid, _) = revalidate(&service, TenantId::DEFAULT, graph, a);
+        assert_eq!(valid, from_scratch(&service, graph, a));
+        assert!(!valid);
     }
 
     #[test]
