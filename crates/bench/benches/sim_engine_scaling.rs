@@ -1,10 +1,11 @@
-//! Tentpole experiment: the worklist + bitset simulation engine versus the
-//! retained full-rescan fix-point (`baseline.rs`) on generated graph pairs
-//! of growing size — shape-graph pairs from the `shapex-gadgets` schema
-//! generator and instance-vs-shape pairs sampled from random shapes.
+//! `max_simulation` — the bitset-row typing worklist of `shapex-shex`, run
+//! with `H`'s nodes as the types — versus the retained full-rescan
+//! fix-point (`baseline.rs`) on generated graph pairs of growing size:
+//! shape-graph pairs from the `shapex-gadgets` schema generator and
+//! instance-vs-shape pairs sampled from random shapes.
 //!
 //! The acceptance bar for this harness is a ≥ 3× speed-up of the worklist
-//! engine over the baseline on the largest generated pair; run with
+//! over the baseline on the largest generated pair; run with
 //! `cargo bench -p shapex-bench --bench sim_engine_scaling`.
 
 use std::time::Duration;

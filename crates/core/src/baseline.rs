@@ -8,9 +8,10 @@
 //!   so this is only usable for tiny bounds.
 //! * [`max_simulation_baseline`] — the original full-rescan fix-point
 //!   computation of the maximal simulation, retained verbatim as the oracle
-//!   the worklist + bitset engine of [`crate::simulation`] is checked
-//!   against (and the baseline the `sim_engine_scaling` bench measures its
-//!   speed-up over).
+//!   that [`crate::simulation::max_simulation`], the typing worklist of
+//!   `shapex-shex`, is checked against (and the baseline the
+//!   `sim_engine_scaling` bench measures its speed-up over). It shares no
+//!   code with the worklist.
 //! * [`search_counter_example_baseline`] — the memo-free systematic
 //!   counter-example search, retained as the oracle for the pooled and
 //!   memoised search of [`crate::engine::ContainmentEngine`] (and the
@@ -35,11 +36,10 @@ use crate::unfold::{enumerate_members, SearchOptions};
 /// until a whole sweep changes nothing.
 ///
 /// This is `O(iterations · |N_G| · |N_H|)` witness checks with
-/// `Arc<str>`-equality label comparison and per-call interval allocation —
-/// exactly the implementation the worklist engine replaced. It is retained
-/// as the equivalence oracle for the property suite and as the benchmark
-/// baseline; production callers should use
-/// [`crate::embedding::max_simulation`].
+/// `Arc<str>`-equality label comparison and per-call interval allocation,
+/// on per-node `BTreeSet`s. It is retained as the equivalence oracle for
+/// the property suite and as the benchmark baseline; production callers
+/// should use [`crate::embedding::max_simulation`].
 pub fn max_simulation_baseline(g: &Graph, h: &Graph) -> Simulation {
     let all_h: BTreeSet<NodeId> = h.nodes().collect();
     let mut simulators: Vec<BTreeSet<NodeId>> = vec![all_h; g.node_count()];
@@ -56,7 +56,7 @@ pub fn max_simulation_baseline(g: &Graph, h: &Graph) -> Simulation {
             }
         }
         if !changed {
-            return Simulation::from_simulators(simulators);
+            return Simulation::from_simulators(h.node_count(), &simulators);
         }
     }
 }

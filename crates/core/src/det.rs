@@ -21,7 +21,6 @@ use shapex_graph::{Graph, Label, NodeId};
 use shapex_rbe::Interval;
 use shapex_shex::{Schema, TypeId};
 
-use crate::embedding::embeds;
 use crate::Containment;
 
 /// Error returned when an input schema is outside `DetShEx₀⁻`.
@@ -66,13 +65,6 @@ fn require_det_minus(schema: &Schema) -> Result<(), NotDetShex0Minus> {
 /// characterizing graphs, and embedding verdicts are computed once.
 pub fn det_containment(h: &Schema, k: &Schema) -> Result<Containment, NotDetShex0Minus> {
     crate::engine::ContainmentEngine::new().det(h, k)
-}
-
-/// The embedding-based *sufficient* containment check for arbitrary shape
-/// graphs (Lemma 3.3): `H ≼ K` implies `L(H) ⊆ L(K)`. The converse holds for
-/// `DetShEx₀⁻` but not in general (Figure 4 of the paper).
-pub fn embedding_containment(h: &Graph, k: &Graph) -> bool {
-    embeds(h, k).is_some()
 }
 
 /// Construct the characterizing graph of a `DetShEx₀⁻` schema `H`
@@ -239,6 +231,7 @@ pub fn characterizing_graph(h: &Schema) -> Result<Graph, NotDetShex0Minus> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::embedding::embeds;
     use shapex_shex::parse_schema;
     use shapex_shex::typing::validates;
 

@@ -8,18 +8,17 @@
 //! `G ≼ H`.
 //!
 //! Simulations are closed under union, so there is a unique maximal
-//! simulation, computed by [`max_simulation`] — the worklist + bitset engine
-//! of [`crate::simulation`], re-exported here.
+//! simulation, computed by [`max_simulation`] — the typing worklist of
+//! `shapex-shex` run with `H`'s nodes as the types ([`crate::simulation`],
+//! re-exported here).
 //! The witness check is the interval-flow problem of `shapex_rbe::flow`:
 //! polynomial when both neighbourhoods use basic intervals (Theorem 3.4) and
 //! NP-complete for arbitrary intervals (Theorem 3.5), where a backtracking
 //! search is used instead.
 
-use std::collections::BTreeSet;
-
 use shapex_graph::{Graph, NodeId};
 
-pub use crate::simulation::{max_simulation, Simulation};
+pub use crate::simulation::{max_simulation, Simulation, Simulators};
 
 /// An embedding of `G` in `H`: a maximal simulation whose domain is all of
 /// `N_G` (Definition 3.1).
@@ -29,13 +28,8 @@ pub struct Embedding {
 }
 
 impl Embedding {
-    /// The underlying (maximal) simulation.
-    pub fn simulation(&self) -> &Simulation {
-        &self.simulation
-    }
-
     /// The nodes of `H` simulating `n` (never empty).
-    pub fn images_of(&self, n: NodeId) -> &BTreeSet<NodeId> {
+    pub fn images_of(&self, n: NodeId) -> Simulators<'_> {
         self.simulation.simulators_of(n)
     }
 }
@@ -49,12 +43,6 @@ pub fn embeds(g: &Graph, h: &Graph) -> Option<Embedding> {
     } else {
         None
     }
-}
-
-/// The language membership test of Section 3: a simple graph `G` belongs to
-/// the language of a shape graph `H` iff `G ≼ H`.
-pub fn graph_in_shape_language(g: &Graph, h: &Graph) -> bool {
-    embeds(g, h).is_some()
 }
 
 #[cfg(test)]
@@ -92,11 +80,11 @@ mod tests {
         let t1 = h.find_node("t1").unwrap();
         let t2 = h.find_node("t2").unwrap();
         let t3 = h.find_node("t3").unwrap();
-        assert!(embedding.images_of(n0).contains(&t0));
-        assert!(embedding.images_of(n1).contains(&t1));
-        assert!(embedding.images_of(n1).contains(&t2));
-        assert!(embedding.images_of(n2).contains(&t3));
-        assert!(!embedding.images_of(n0).contains(&t3));
+        assert!(embedding.images_of(n0).contains(t0));
+        assert!(embedding.images_of(n1).contains(t1));
+        assert!(embedding.images_of(n1).contains(t2));
+        assert!(embedding.images_of(n2).contains(t3));
+        assert!(!embedding.images_of(n0).contains(t3));
         // The reverse embedding does not hold: t0's mandatory a-edge targets a
         // node that needs both b and c edges, which n2 (no out-edges) lacks.
         assert!(embeds(&h, &g).is_none());
@@ -210,8 +198,8 @@ mod tests {
         let emp1 = instance.find_node("emp1").unwrap();
         let employee = shape.find_node("Employee").unwrap();
         let user = shape.find_node("User").unwrap();
-        assert!(embedding.images_of(emp1).contains(&employee));
-        assert!(embedding.images_of(emp1).contains(&user));
+        assert!(embedding.images_of(emp1).contains(employee));
+        assert!(embedding.images_of(emp1).contains(user));
         // Remove a mandatory edge and the embedding disappears.
         let broken = parse_graph("bug1 -descr-> l1\n").unwrap();
         assert!(embeds(&broken, &shape).is_none());

@@ -30,9 +30,9 @@
 //!   and validation verdicts behind `&self`
 //!   concurrent caches, so one engine (typically in an `Arc`) serves
 //!   batch matrices and long-lived services, one query per caller thread.
-//! * [`simulation`] — the worklist + bitset simulation engine behind
-//!   [`embedding`]: dense bitset relation, joint interned-label space, and
-//!   predecessor-directed refinement.
+//! * [`simulation`] — the maximal simulation behind [`embedding`]: the
+//!   bitset-row typing worklist of `shapex-shex`, run with `H`'s nodes as
+//!   the types (Proposition 3.2).
 //! * [`baseline`] — brute-force references: enumeration of small
 //!   counter-examples and the original full-rescan simulation fix-point,
 //!   used as test oracles and benchmark baselines.

@@ -1,8 +1,9 @@
-//! Engine-equivalence property suite: the worklist + bitset simulation
-//! engine and the retained full-rescan fix-point of `baseline.rs` must
-//! compute *identical* maximal simulations on random graph pairs — in both
-//! the polynomial (all-basic-interval) regime and the backtracking-witness
-//! regime of general intervals.
+//! Engine-equivalence property suite: `max_simulation`, the typing
+//! worklist of `shapex-shex` run with `H`'s nodes as the types, and the
+//! retained full-rescan fix-point of `baseline.rs` must compute *identical*
+//! maximal simulations on random graph pairs — in both the polynomial
+//! (all-basic-interval) regime and the backtracking-witness regime of
+//! general intervals, and with rows of one word or more.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -14,7 +15,7 @@ use shapex_graph::generate::{sample_from_shape, GraphGen};
 use shapex_graph::Graph;
 use shapex_rbe::Interval;
 
-/// Assert that the worklist engine agrees with the oracle.
+/// Assert that the worklist agrees with the oracle.
 fn engines_agree(g: &Graph, h: &Graph) {
     let oracle = max_simulation_baseline(g, h);
     assert_eq!(
@@ -50,7 +51,7 @@ fn general_graph(rng: &mut StdRng, nodes: usize, labels: usize, edges: usize) ->
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(40))]
+    #![proptest_config(ProptestConfig::with_cases(500))]
 
     #[test]
     fn engines_agree_on_random_shape_pairs(seed in 0u64..100_000) {
@@ -89,6 +90,26 @@ proptest! {
         let h = general_graph(&mut rng, 5, 3, 8);
         engines_agree(&g, &h);
     }
+}
+
+#[test]
+fn engines_agree_on_rows_wider_than_one_word() {
+    // 70 nodes in H: each row spans two words, the second holding 6 valid
+    // bits.
+    let mut wide = false;
+    for seed in 0..6u64 {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let h = GraphGen::new(70, 3).out_degree(2.0).shape(&mut rng);
+        let instance = sample_from_shape(&mut rng, &h, 40);
+        for g in [&instance, &h] {
+            engines_agree(g, &h);
+            let sim = max_simulation(g, &h);
+            wide |= g
+                .nodes()
+                .any(|n| sim.simulators_of(n).iter().any(|m| m.index() >= 64));
+        }
+    }
+    assert!(wide, "some simulator sits in the second word of its row");
 }
 
 #[test]

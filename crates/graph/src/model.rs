@@ -473,8 +473,7 @@ impl std::error::Error for UnpackError {}
 ///
 /// Labels are interned on construction: every edge carries a dense
 /// [`LabelId`] next to its [`Label`], and the graph maintains reverse
-/// adjacency plus lazily built per-label groupings of both edge directions,
-/// the layout the simulation engine in `shapex-core` consumes.
+/// adjacency plus lazily built per-label groupings of both edge directions.
 #[derive(Debug, Clone, Default)]
 pub struct Graph {
     nodes: Vec<NodeData>,

@@ -26,13 +26,13 @@
 //!   routing's loads fit every sink. No network is built, whatever the
 //!   intervals.
 //!
-//! Hot callers (the simulation engine of `shapex-core` re-checks witnesses
-//! for thousands of node pairs, the typing fixpoint of `shapex-shex` checks
-//! every `(node, type)` pair) should call [`FlowScratch::solve`]: it owns
-//! every buffer the solvers need, so repeated calls perform no allocation
-//! once the buffers have grown to the workload's high-water mark. The two
-//! free functions above are the reference solvers, thin wrappers that build
-//! a fresh scratch per call.
+//! Hot callers should call [`FlowScratch::solve`]: the typing worklist of
+//! `shapex-shex` checks every `(node, type)` pair with it, and so computes
+//! both maximal typings and maximal simulations (the `(node, node)` pairs
+//! of `shapex-core`'s embeddings). It owns every buffer the solvers need,
+//! so repeated calls perform no allocation once the buffers have grown to
+//! the workload's high-water mark. The two free functions above are the
+//! reference solvers, thin wrappers that build a fresh scratch per call.
 
 use crate::interval::Interval;
 
@@ -128,10 +128,11 @@ impl FlowScratch {
     /// Decide whether a valid routing of `sources` into `sinks` exists.
     ///
     /// A first pass scans the sources in order and builds no flow network.
-    /// A source with no compatible sink answers `false`. A source with two or
-    /// more hands the instance to the polynomial solver when every interval
-    /// is basic and to the backtracking solver otherwise. When every source
+    /// A source with no compatible sink answers `false`. When every source
     /// has exactly one, the routing is forced and only its loads are checked.
+    /// Otherwise, unless the sources with one compatible sink already
+    /// overfill a sink (`false`), the instance goes to the polynomial solver
+    /// when every interval is basic and to the backtracking solver if not.
     pub fn solve(&mut self, compatible: impl Fn(usize, usize) -> bool) -> bool {
         if let Some(answer) = self.solve_forced(&compatible) {
             return answer;
@@ -148,16 +149,18 @@ impl FlowScratch {
         }
     }
 
-    /// The forced-routing pass of [`FlowScratch::solve`]: `None` as soon as
-    /// a source has two or more compatible sinks (a real choice), otherwise
-    /// the answer. A source with no compatible sink makes the instance
-    /// infeasible; when each source has exactly one, the routing is unique,
-    /// so it is feasible iff every sink's load fits its interval.
+    /// The forced-routing pass of [`FlowScratch::solve`]. A source with no
+    /// compatible sink makes the instance infeasible; when each source has
+    /// exactly one, the routing is unique, so it is feasible iff every
+    /// sink's load fits its interval. When some source has two or more (a
+    /// real choice), the answer is `None` unless the sources with one
+    /// compatible sink already exceed a sink's upper bound.
     fn solve_forced(&mut self, compatible: &impl Fn(usize, usize) -> bool) -> Option<bool> {
         let n_sinks = self.sinks.len();
         self.assignment.clear();
         self.loads.clear();
         self.loads.resize(n_sinks, SinkLoad::default());
+        let mut choice = false;
         for (v, &source) in self.sources.iter().enumerate() {
             let mut sinks = (0..n_sinks).filter(|&u| compatible(v, u));
             match (sinks.next(), sinks.next()) {
@@ -169,11 +172,19 @@ impl FlowScratch {
                     self.assignment.clear();
                     return Some(false);
                 }
-                (Some(_), Some(_)) => {
-                    self.assignment.clear();
-                    return None;
-                }
+                (Some(_), Some(_)) => choice = true,
             }
+        }
+        if choice {
+            // The forced sources go where they must whatever the others do,
+            // so a sink they already overfill refutes the instance.
+            self.assignment.clear();
+            let overfilled = self
+                .loads
+                .iter()
+                .zip(&self.sinks)
+                .any(|(load, sink)| !load.fits_upper(*sink));
+            return overfilled.then_some(false);
         }
         let fits = self
             .loads

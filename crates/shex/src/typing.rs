@@ -20,7 +20,10 @@
 //!
 //! A [`Typing`] stores each node's types as a bitset row of `⌈|Γ|/64⌉`
 //! words. The from-scratch fixpoint and the incremental repair of
-//! [`IncrementalTyping`] run one predecessor worklist over those rows.
+//! [`IncrementalTyping`] run one predecessor worklist over those rows, and
+//! so does [`simulation_rows`], the maximal simulation of a graph in a
+//! shape graph whose nodes stand for the types (Proposition 3.2 of the
+//! containment paper makes the two relations one).
 
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -73,15 +76,17 @@ struct CompiledAtom {
 }
 
 /// Reusable state of the typing worklist behind [`validates_with`],
-/// [`maximal_typing_with`] and [`IncrementalTyping`].
+/// [`maximal_typing_with`], [`IncrementalTyping`] and [`simulation_rows`].
 ///
-/// Each call compiles the schema against the graph's interned label ids.
-/// Every RBE₀ definition becomes a run of atoms (label id, target type,
-/// interval), so a satisfaction check compares integers and reads typing
-/// bits, with one [`FlowScratch`] for the interval flow. The *atom
-/// table* records, for a label `a` and a type `s`, which types `t` mention
-/// `a::s` in `δ(t)`; the worklist consults it to decide which predecessors
-/// a lost type can affect. Per-node marks are cleared through the list of
+/// Each call compiles its types — a schema's, or the nodes of a shape
+/// graph — against the graph's interned label ids. Every RBE₀ definition
+/// becomes a run of atoms (label id, target type, interval), so a
+/// satisfaction check compares integers and reads typing bits, with one
+/// [`FlowScratch`] for the interval flow. The *dependents* of a type `s`
+/// are the pairs `(a, t)` such that `δ(t)` mentions `a::s`; the worklist
+/// consults them to decide which predecessors a lost type can affect. They
+/// take one sorted entry per atom (per edge of a shape graph), never a
+/// square of the types. Per-node marks are cleared through the list of
 /// nodes a call touched, so they cost nothing for the nodes a call never
 /// reaches. Buffers keep
 /// their capacity across calls, and one scratch may serve many graphs and
@@ -92,7 +97,7 @@ pub struct ValidateScratch {
     flow: FlowScratch,
     /// `source index → out-edge position` for multiplicity-expanded sources.
     source_edges: Vec<usize>,
-    /// Types of the compiled schema.
+    /// Types of the compiled schema or shape graph.
     types: usize,
     /// Words per typing row, `⌈types/64⌉`.
     words: usize,
@@ -101,13 +106,12 @@ pub struct ValidateScratch {
     rbe0: Vec<Option<(usize, usize)>>,
     /// The atoms of the RBE₀ definitions.
     atoms: Vec<CompiledAtom>,
-    /// Graph label id → block of `users`, or [`NO_LABEL`] for a label no
-    /// definition mentions.
-    label_slot: Vec<u32>,
-    /// The atom table: the row at `(slot · types + s) · words` holds the
-    /// types `t` whose definition mentions `a::s`, for the label `a` of
-    /// `slot`.
-    users: Vec<u64>,
+    /// `(s, a, t)` for every atom `a::s` of every `δ(t)` whose label some
+    /// graph edge carries, sorted.
+    dependents: Vec<(u32, u32, u32)>,
+    /// Type `s` → where its run of `dependents` starts (`types + 1`
+    /// entries).
+    dependents_start: Vec<usize>,
     /// Per-node [`QUEUED`], [`EXAMINED`], [`TOUCHED`] and [`WAS_UNTYPED`]
     /// marks.
     marks: Vec<u8>,
@@ -139,22 +143,23 @@ impl ValidateScratch {
         self.gains.clear();
     }
 
-    /// Start a call: reset, then compile `schema` against `graph`'s label
-    /// ids.
-    fn prepare(&mut self, graph: &Graph, schema: &Schema) {
+    /// Start a call on `graph` over `types` types: reset, and forget the
+    /// last call's definitions.
+    fn begin(&mut self, graph: &Graph, types: usize) {
         self.reset();
         if self.marks.len() < graph.node_count() {
             self.marks.resize(graph.node_count(), 0);
         }
-        let types = schema.type_count();
-        let words = types.div_ceil(64);
         self.types = types;
-        self.words = words;
+        self.words = types.div_ceil(64);
         self.rbe0.clear();
         self.atoms.clear();
-        self.label_slot.clear();
-        self.label_slot.resize(graph.label_count(), NO_LABEL);
-        self.users.clear();
+        self.dependents.clear();
+    }
+
+    /// Start a call: compile `schema` against `graph`'s label ids.
+    fn prepare(&mut self, graph: &Graph, schema: &Schema) {
+        self.begin(graph, schema.type_count());
         for t in schema.types() {
             let start = self.atoms.len();
             let rbe0 = self.compile(graph, schema.def(t), t);
@@ -163,23 +168,53 @@ impl ValidateScratch {
             }
             self.rbe0.push(rbe0.then_some((start, self.atoms.len())));
         }
+        self.index_dependents();
+    }
+
+    /// Start a call whose types are the nodes of the shape graph `h`: node
+    /// `m`'s out-edges are the atoms of its definition, with `h`'s labels
+    /// mapped to `graph`'s label ids once.
+    fn prepare_shape(&mut self, graph: &Graph, h: &Graph) {
+        self.begin(graph, h.node_count());
+        let labels: Vec<u32> = h
+            .label_ids()
+            .map(|l| {
+                graph
+                    .find_label(h.label_of(l).as_str())
+                    .map_or(NO_LABEL, |l| l.0)
+            })
+            .collect();
+        for m in h.nodes() {
+            let start = self.atoms.len();
+            for &f in h.out(m) {
+                let label = labels[h.label_id(f).index()];
+                self.add_atom(label, TypeId(h.target(f).0), h.occur(f), TypeId(m.0));
+            }
+            self.rbe0.push(Some((start, self.atoms.len())));
+        }
+        self.index_dependents();
     }
 
     /// Walk `expr`, the definition of `t`: append its atoms to `atoms` and
-    /// record each `a::s` in the atom table under `t`. Returns whether
+    /// record each `a::s` among the dependents of `s`. Returns whether
     /// `expr` is an RBE₀ (an unordered concatenation of interval-repeated
     /// atoms, as [`Rbe::to_rbe0`] decides); if not, the atoms it appended
     /// mean nothing.
     fn compile(&mut self, graph: &Graph, expr: &Rbe<Atom>, t: TypeId) -> bool {
+        let label = |atom: &Atom| {
+            graph
+                .find_label(atom.label.as_str())
+                .map_or(NO_LABEL, |l| l.0)
+        };
         match expr {
             Rbe::Epsilon => true,
             Rbe::Symbol(atom) => {
-                self.add_atom(graph, atom, Interval::ONE, t);
+                self.add_atom(label(atom), atom.target, Interval::ONE, t);
                 true
             }
             Rbe::Repeat(inner, interval) => match inner.as_ref() {
                 Rbe::Symbol(atom) => {
-                    self.add_atom(graph, atom, *interval, t);
+                    self.add_atom(label(atom), atom.target, *interval, t);
                     true
                 }
                 inner => {
@@ -204,27 +239,33 @@ impl ValidateScratch {
         }
     }
 
-    /// Append one atom of `t`'s definition to `atoms` and the atom table.
-    fn add_atom(&mut self, graph: &Graph, atom: &Atom, interval: Interval, t: TypeId) {
-        let label = graph
-            .find_label(atom.label.as_str())
-            .map_or(NO_LABEL, |l| l.0);
+    /// Append the atom `label::target^interval` of `t`'s definition to
+    /// `atoms` and the dependents.
+    fn add_atom(&mut self, label: u32, target: TypeId, interval: Interval, t: TypeId) {
         self.atoms.push(CompiledAtom {
             label,
-            target: atom.target,
+            target,
             interval,
         });
-        if label == NO_LABEL {
-            return;
+        if label != NO_LABEL {
+            self.dependents.push((target.0, label, t.0));
         }
-        let block = self.types * self.words;
-        let slot = &mut self.label_slot[label as usize];
-        if *slot == NO_LABEL {
-            *slot = (self.users.len() / block) as u32;
-            self.users.resize(self.users.len() + block, 0);
-        }
-        let at = (*slot as usize * self.types + atom.target.index()) * self.words + t.index() / 64;
-        self.users[at] |= 1 << (t.index() % 64);
+    }
+
+    /// Sort the dependents and index them by their target type.
+    fn index_dependents(&mut self) {
+        self.dependents.sort_unstable();
+        self.dependents_start.clear();
+        self.dependents_start
+            .extend((0..=self.types as u32).map(|s| self.dependents.partition_point(|d| d.0 < s)));
+    }
+
+    /// The positions in `dependents` of the types that mention `label::s`.
+    fn dependents_of(&self, label: LabelId, s: usize) -> std::ops::Range<usize> {
+        let start = self.dependents_start[s];
+        let run = &self.dependents[start..self.dependents_start[s + 1]];
+        start + run.partition_point(|d| d.1 < label.0)
+            ..start + run.partition_point(|d| d.1 <= label.0)
     }
 
     /// Record that `node` carries per-node state to clear.
@@ -246,15 +287,6 @@ impl ValidateScratch {
         }
     }
 
-    /// Where the atom table's row for `label` and target type `s` starts,
-    /// or `None` when no definition mentions the label.
-    fn users_at(&self, label: LabelId, s: usize) -> Option<usize> {
-        match self.label_slot[label.index()] {
-            NO_LABEL => None,
-            slot => Some((slot as usize * self.types + s) * self.words),
-        }
-    }
-
     /// The gain half of a repair: give every absent pair that may belong to
     /// the new fixpoint its bit as a candidate, and queue its node.
     /// Every absent pair of a seed (a dirty or new node) may appear. An
@@ -269,7 +301,6 @@ impl ValidateScratch {
         typing: &mut Typing,
         seeds: impl Iterator<Item = NodeId>,
     ) {
-        let words = self.words;
         for p in seeds {
             self.enqueue(p);
             for t in 0..self.types {
@@ -286,16 +317,8 @@ impl ValidateScratch {
                     }
                     continue;
                 }
-                let Some(users) = self.users_at(graph.label_id(e), s.index()) else {
-                    continue;
-                };
-                for w in 0..words {
-                    let mut word = self.users[users + w] & !typing.row(p)[w];
-                    while word != 0 {
-                        let t = TypeId((w * 64) as u32 + word.trailing_zeros());
-                        word &= word - 1;
-                        self.gain(typing, p, t);
-                    }
+                for i in self.dependents_of(graph.label_id(e), s.index()) {
+                    self.gain(typing, p, TypeId(self.dependents[i].2));
                 }
             }
         }
@@ -313,16 +336,39 @@ impl ValidateScratch {
         }
     }
 
+    /// The greatest fixpoint from full rows with every node queued, over
+    /// the types of the last `prepare` (`schema`) or `prepare_shape`
+    /// (`None`).
+    fn fixpoint(
+        &mut self,
+        graph: &Graph,
+        schema: Option<&Schema>,
+        cancel: Option<&CancelToken>,
+    ) -> Option<Typing> {
+        let mut typing = Typing::full(graph.node_count(), self.types);
+        // Queued in id order, so the highest ids pop first: candidate graphs
+        // number their nodes in preorder (parents before children), and
+        // checking successors first lets a whole tree settle with one check
+        // per node.
+        for node in graph.nodes() {
+            self.enqueue(node);
+        }
+        self.refine(graph, schema, &mut typing, cancel)?;
+        self.reset();
+        Some(typing)
+    }
+
     /// Refine the queued nodes until every check holds. A popped node has
     /// each of its types re-checked. When its row shrinks, a predecessor is
     /// queued only if it holds a type whose definition mentions one of the
     /// lost `(label, type)` pairs, or any type at all once the row is empty
     /// (an edge into an untyped node fails every check). Returns how many
-    /// distinct nodes were checked, or `None` once `cancel` fires.
+    /// distinct nodes were checked, or `None` once `cancel` fires. `schema`
+    /// is `None` when the types are the nodes of a shape graph.
     fn refine(
         &mut self,
         graph: &Graph,
-        schema: &Schema,
+        schema: Option<&Schema>,
         typing: &mut Typing,
         cancel: Option<&CancelToken>,
     ) -> Option<usize> {
@@ -342,12 +388,19 @@ impl ValidateScratch {
             }
             self.lost.clear();
             self.lost.extend_from_slice(typing.row(node));
+            // An edge whose target has no candidate type can never be
+            // matched (the signature's inner disjunction is empty, so the
+            // language is empty): every type goes.
+            let dead_end = graph
+                .out(node)
+                .iter()
+                .any(|&e| typing.types_of(graph.target(e)).is_empty());
             for w in 0..words {
                 let mut word = self.lost[w];
                 while word != 0 {
                     let t = TypeId((w * 64) as u32 + word.trailing_zeros());
                     word &= word - 1;
-                    if !self.satisfies(graph, schema, typing, node, t, cancel)? {
+                    if dead_end || !self.satisfies(graph, schema, typing, node, t, cancel)? {
                         typing.remove(node, t);
                     }
                 }
@@ -384,55 +437,62 @@ impl ValidateScratch {
     /// `lost`.
     fn mentions_lost(&self, label: LabelId, row: &[u64]) -> bool {
         set_bits(&self.lost).any(|s| {
-            self.users_at(label, s).is_some_and(|at| {
-                self.users[at..at + self.words]
-                    .iter()
-                    .zip(row)
-                    .any(|(&users, &held)| users & held != 0)
+            self.dependents_of(label, s).any(|i| {
+                let t = self.dependents[i].2 as usize;
+                row[t / 64] >> (t % 64) & 1 == 1
             })
         })
     }
 
-    /// Whether `node` satisfies `δ(t)` under `typing`. Semantically
-    /// identical to [`node_satisfies`], but on the RBE₀ path the flow
-    /// instance reads the compiled atom columns and the typing's bits
+    /// Whether `node`, whose every successor has a type, satisfies `δ(t)`
+    /// under `typing`. For a schema's type this is [`node_satisfies`], but
+    /// on the RBE₀ path the flow
+    /// instance reads the compiled atoms and the typing's bits
     /// directly; other definitions fall back to materialised edge summaries
     /// and the Presburger encoding, which runs under `cancel`: `None` means
-    /// it fired mid-solve.
+    /// it fired mid-solve. For a node `t` of a shape graph (`schema` is
+    /// `None`), it is whether `t` witnesses a simulation of `node`.
     fn satisfies(
         &mut self,
         graph: &Graph,
-        schema: &Schema,
+        schema: Option<&Schema>,
         typing: &Typing,
         node: NodeId,
         t: TypeId,
         cancel: Option<&CancelToken>,
     ) -> Option<bool> {
         let out = graph.out(node);
-        // An edge whose target has no candidate type can never be matched (the
-        // signature's inner disjunction is empty, so the language is empty).
-        if out
-            .iter()
-            .any(|&e| typing.types_of(graph.target(e)).is_empty())
-        {
-            return Some(false);
-        }
         if let Some((start, end)) = self.rbe0[t.index()] {
             let atoms = &self.atoms[start..end];
+            let compatible = |e: EdgeId, u: usize| {
+                atoms[u].label == graph.label_id(e).0
+                    && typing.has_type(graph.target(e), atoms[u].target)
+            };
+            if schema.is_none() {
+                // A simulation maps each edge whole, so an edge is one
+                // source carrying its own interval (Definition 3.1).
+                self.flow.clear();
+                self.flow
+                    .sources
+                    .extend(out.iter().map(|&e| graph.occur(e)));
+                self.flow
+                    .sinks
+                    .extend(atoms.iter().map(|atom| atom.interval));
+                return Some(self.flow.solve(|v, u| compatible(out[v], u)));
+            }
+            // A typing gives each copy of a compressed edge its own atom
+            // (Proposition 6.2).
             if let Some(ok) = rbe0_flow_satisfies(
                 &mut self.flow,
                 &mut self.source_edges,
                 &mut out.iter().map(|&e| multiplicity(graph, e)),
                 &mut atoms.iter().map(|atom| atom.interval),
-                &|edge, u| {
-                    let e = out[edge];
-                    atoms[u].label == graph.label_id(e).0
-                        && typing.has_type(graph.target(e), atoms[u].target)
-                },
+                &|edge, u| compatible(out[edge], u),
             ) {
                 return Some(ok);
             }
         }
+        let schema = schema.expect("every type of a shape graph is RBE₀");
         let edges = edge_summaries(graph, node, typing);
         neighbourhood_satisfies_with(&edges, schema.def(t), None, cancel)
     }
@@ -468,6 +528,26 @@ impl Typing {
             bits,
             untyped: if types == 0 { nodes } else { 0 },
         }
+    }
+
+    /// The typing over `types` types that gives the `n`-th node the types
+    /// of the `n`-th row.
+    ///
+    /// # Panics
+    /// Panics if a row holds a type outside `0..types`.
+    pub fn from_rows<R: IntoIterator<Item = TypeId>>(
+        types: usize,
+        rows: impl IntoIterator<Item = R>,
+    ) -> Typing {
+        let mut typing = Typing::full(0, types);
+        for (n, row) in rows.into_iter().enumerate() {
+            typing.grow(n + 1);
+            for t in row {
+                assert!(t.index() < types, "type {} out of range", t.0);
+                typing.insert(NodeId(n as u32), t);
+            }
+        }
+        typing
     }
 
     fn row(&self, node: NodeId) -> &[u64] {
@@ -760,7 +840,7 @@ impl IncrementalTyping {
         );
         let examined = self
             .scratch
-            .refine(graph, schema, &mut self.typing, cancel)?;
+            .refine(graph, Some(schema), &mut self.typing, cancel)?;
         self.scratch.reset();
         self.poisoned = false;
         Some(examined)
@@ -875,16 +955,22 @@ pub fn try_maximal_typing_with(
         );
     }
     scratch.prepare(graph, schema);
-    let mut typing = Typing::full(graph.node_count(), schema.type_count());
-    // Queued in id order, so the highest ids pop first: candidate graphs
-    // number their nodes in preorder (parents before children), and checking
-    // successors first lets a whole tree settle with one check per node.
-    for node in graph.nodes() {
-        scratch.enqueue(node);
-    }
-    scratch.refine(graph, schema, &mut typing, cancel)?;
-    scratch.reset();
-    Some(typing)
+    scratch.fixpoint(graph, Some(schema), cancel)
+}
+
+/// The maximal simulation of `g` in `h` (Definition 3.1 of the containment
+/// paper) as a typing of `g` whose type `t` stands for `h`'s node
+/// `NodeId(t)`: the worklist of [`maximal_typing`] over `h`'s nodes, each
+/// defined by its out-edges. `g` and `h` may carry any intervals. Where a
+/// typing splits a compressed `[k;k]` edge into `k` unit copies, an edge of
+/// `g` is one flow source carrying its own interval. Memory is the result's
+/// `|N_G| · ⌈|N_H|/64⌉` words plus terms linear in the nodes and edges.
+pub fn simulation_rows(g: &Graph, h: &Graph) -> Typing {
+    let mut scratch = ValidateScratch::new();
+    scratch.prepare_shape(g, h);
+    scratch
+        .fixpoint(g, None, None)
+        .expect("an uncancelled simulation cannot be cancelled")
 }
 
 /// Whether the graph satisfies the schema: every node of the maximal typing

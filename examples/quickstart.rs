@@ -48,7 +48,7 @@ fn main() {
             let images: Vec<&str> = embedding
                 .images_of(emp1)
                 .iter()
-                .map(|m| shape.node_name(*m))
+                .map(|m| shape.node_name(m))
                 .collect();
             println!(
                 "emp1 is simulated by the shape graph nodes: {}",

@@ -208,7 +208,7 @@ fn simulation_is_monotone_under_edge_removal() {
     for node in reduced.nodes() {
         let name = reduced.node_name(node);
         if let Some(original) = full.find_node(name) {
-            for image in full_sim.simulators_of(original) {
+            for image in full_sim.simulators_of(original).iter() {
                 assert!(
                     reduced_sim.simulators_of(node).contains(image),
                     "node {name} lost simulator {image:?} after removing edges"
