@@ -58,28 +58,30 @@ impl Recorder {
     /// last result together with the mean duration (shown in the tables).
     fn measure<F: FnMut() -> R, R>(&mut self, id: &str, runs: usize, mut f: F) -> (R, Duration) {
         let mut result = None;
-        let mut mean = 0.0;
-        let mut min = f64::INFINITY;
-        let mut max = 0.0f64;
+        let mut samples = Vec::with_capacity(runs);
         for _ in 0..runs {
             let start = Instant::now();
             result = Some(f());
-            let ns = start.elapsed().as_nanos() as f64;
-            mean += ns / runs as f64;
-            min = min.min(ns);
-            max = max.max(ns);
+            samples.push(start.elapsed().as_nanos() as f64);
         }
-        self.records.push(BenchRecord {
-            id: id.to_owned(),
-            runs,
-            mean_ns: mean,
-            min_ns: min,
-            max_ns: max,
-        });
+        let mean = self.record(id, &samples).mean_ns;
         (
             result.expect("runs >= 1"),
             Duration::from_nanos(mean as u64),
         )
+    }
+
+    /// Record mean/min/max of per-run `samples` (ns) timed elsewhere under
+    /// `id`.
+    fn record(&mut self, id: &str, samples: &[f64]) -> &BenchRecord {
+        self.records.push(BenchRecord {
+            id: id.to_owned(),
+            runs: samples.len(),
+            mean_ns: samples.iter().sum::<f64>() / samples.len() as f64,
+            min_ns: samples.iter().copied().fold(f64::INFINITY, f64::min),
+            max_ns: samples.iter().copied().fold(0.0, f64::max),
+        });
+        self.records.last().expect("just recorded")
     }
 
     /// Serialise all records as JSON (no external dependencies: the ids are
@@ -146,6 +148,34 @@ const REGRESSION_GATE: f64 = 2.5;
 /// Ceiling on `deadline_overhead/deadline=1h` relative to the undeadlined
 /// path: checkpoint polling may cost at most 3% on the disjunct gadget.
 const DEADLINE_OVERHEAD_GATE: f64 = 1.03;
+
+/// Interleaved `(no deadline, deadline)` run pairs behind the deadline gate.
+const DEADLINE_PAIRS: usize = 61;
+
+/// The deadline gate's statistic: the median over run pairs of
+/// `armed / plain`, where pair `i` timed `plain_ns[i]` and `armed_ns[i]`
+/// back to back. Host drift moves both runs of a pair alike, so it cancels
+/// in the ratio, and the median ignores the pairs a scheduler hiccup hit.
+fn median_pair_ratio(plain_ns: &[f64], armed_ns: &[f64]) -> f64 {
+    assert_eq!(plain_ns.len(), armed_ns.len(), "one ratio per pair");
+    let mut ratios: Vec<f64> = plain_ns
+        .iter()
+        .zip(armed_ns)
+        .map(|(plain, armed)| armed / plain.max(f64::EPSILON))
+        .collect();
+    ratios.sort_by(f64::total_cmp);
+    let mid = ratios.len() / 2;
+    if ratios.len() % 2 == 1 {
+        ratios[mid]
+    } else {
+        (ratios[mid - 1] + ratios[mid]) / 2.0
+    }
+}
+
+/// Whether deadline polling stays within [`DEADLINE_OVERHEAD_GATE`].
+fn deadline_gate_passes(plain_ns: &[f64], armed_ns: &[f64]) -> bool {
+    median_pair_ratio(plain_ns, armed_ns) <= DEADLINE_OVERHEAD_GATE
+}
 
 /// Parse a previously written summary back into `(id, mean_ns)` pairs. The
 /// format is this binary's own line-per-record JSON, so a line-based scan is
@@ -384,72 +414,6 @@ fn main() {
         }
     }
 
-    // --- Deadline checkpoint overhead ---------------------------------------
-    // The engine's cancellable path polls a deadline token at bounded
-    // checkpoint intervals (candidate loops, solver branches, sweep edges).
-    // This row prices that polling on the heaviest gadget above: the same
-    // `general_disjunct_gadget` pair, once through the plain path and once
-    // under a deadline that never fires, fresh engine per check so neither
-    // arm can hit a memo. The gate at the bottom fails the run only when
-    // both the mean and the best-of-run exceed the budget — a real
-    // regression slows every run, a scheduler hiccup only the mean.
-    println!("\n[engine] deadline checkpoint overhead (general_disjunct_gadget choice/groups=6)");
-    let (dl_h, dl_k) = disjunct_choice_pair(6);
-    let deadline_search = SearchOptions::quick();
-    const DEADLINE_CHECKS_PER_RUN: usize = 4;
-    let (plain_answer, plain_time) = recorder.measure("deadline_overhead/no_deadline", 5, || {
-        let mut last = None;
-        for _ in 0..DEADLINE_CHECKS_PER_RUN {
-            let engine = ContainmentEngine::with_search(deadline_search.clone());
-            last = Some(engine.check(&dl_h, &dl_k));
-        }
-        last.expect("at least one check ran")
-    });
-    let plain_min_ns = recorder.records.last().expect("just recorded").min_ns;
-    let plain_mean_ns = recorder.records.last().expect("just recorded").mean_ns;
-    let (armed_answer, armed_time) = recorder.measure("deadline_overhead/deadline=1h", 5, || {
-        let mut last = None;
-        for _ in 0..DEADLINE_CHECKS_PER_RUN {
-            let engine = ContainmentEngine::with_search(deadline_search.clone());
-            let (h, k) = (engine.register(&dl_h), engine.register(&dl_k));
-            let hour = CancelToken::with_timeout(Duration::from_secs(3600));
-            last = Some(engine.check_ids(h, k, Some(&hour)));
-        }
-        last.expect("at least one check ran")
-    });
-    let armed_min_ns = recorder.records.last().expect("just recorded").min_ns;
-    let armed_mean_ns = recorder.records.last().expect("just recorded").mean_ns;
-    assert_eq!(
-        plain_answer.is_contained(),
-        armed_answer.is_contained(),
-        "an unfired deadline must not change the verdict"
-    );
-    assert_eq!(
-        plain_answer.is_not_contained(),
-        armed_answer.is_not_contained(),
-        "an unfired deadline must not change the verdict"
-    );
-    let deadline_mean_ratio = armed_mean_ns / plain_mean_ns.max(f64::EPSILON);
-    let deadline_min_ratio = armed_min_ns / plain_min_ns.max(f64::EPSILON);
-    println!(
-        "{:>14} {:>12} {:>12} {:>10}",
-        "path", "mean", "min", "ratio"
-    );
-    println!(
-        "{:>14} {:>12.2?} {:>12.2?} {:>10}",
-        "no deadline",
-        plain_time,
-        Duration::from_nanos(plain_min_ns as u64),
-        "1.00×"
-    );
-    println!(
-        "{:>14} {:>12.2?} {:>12.2?} {:>9.2}×",
-        "deadline 1h",
-        armed_time,
-        Duration::from_nanos(armed_min_ns as u64),
-        deadline_mean_ratio
-    );
-
     // --- Presburger: the disjunct search ------------------------------------
     println!("\n[solver] wide unsatisfiable disjunctions");
     println!("{:>8} {:>12} {:>12}", "vars", "branches", "time");
@@ -643,6 +607,80 @@ fn main() {
         "incremental repair must equal the from-scratch typing"
     );
 
+    // --- Deadline checkpoint overhead ---------------------------------------
+    // The engine's cancellable path polls a deadline token at bounded
+    // checkpoint intervals (candidate loops, solver branches, sweep edges).
+    // This row prices that polling on the heaviest gadget above: the same
+    // `general_disjunct_gadget` pair, once through the plain path and once
+    // under a deadline that never fires, fresh engine per check so neither
+    // arm can hit a memo. The two arms run in interleaved pairs, alternating
+    // which goes first, and the gate at the bottom reads the median ratio
+    // within a pair, so drift of the host between runs does not read as
+    // overhead. The section runs last: its 488 fresh engines would
+    // otherwise slow the rows timed after it.
+    println!("\n[engine] deadline checkpoint overhead (general_disjunct_gadget choice/groups=6)");
+    let (dl_h, dl_k) = disjunct_choice_pair(6);
+    let deadline_search = SearchOptions::quick();
+    const DEADLINE_CHECKS_PER_RUN: usize = 4;
+    let run_arm = |armed: bool| {
+        let start = Instant::now();
+        let mut last = None;
+        for _ in 0..DEADLINE_CHECKS_PER_RUN {
+            let engine = ContainmentEngine::with_search(deadline_search.clone());
+            last = Some(if armed {
+                let (h, k) = (engine.register(&dl_h), engine.register(&dl_k));
+                let hour = CancelToken::with_timeout(Duration::from_secs(3600));
+                engine.check_ids(h, k, Some(&hour))
+            } else {
+                engine.check(&dl_h, &dl_k)
+            });
+        }
+        let answer = last.expect("at least one check ran");
+        (answer, start.elapsed().as_nanos() as f64)
+    };
+    let mut plain_ns = Vec::with_capacity(DEADLINE_PAIRS);
+    let mut armed_ns = Vec::with_capacity(DEADLINE_PAIRS);
+    let mut first_verdict = None;
+    for pair in 0..DEADLINE_PAIRS {
+        for armed in [pair % 2 == 1, pair % 2 == 0] {
+            let (answer, ns) = run_arm(armed);
+            let verdict = (answer.is_contained(), answer.is_not_contained());
+            assert_eq!(
+                *first_verdict.get_or_insert(verdict),
+                verdict,
+                "an unfired deadline must not change the verdict"
+            );
+            if armed {
+                armed_ns.push(ns);
+            } else {
+                plain_ns.push(ns);
+            }
+        }
+    }
+    let plain = recorder.record("deadline_overhead/no_deadline", &plain_ns);
+    let (plain_mean_ns, plain_min_ns) = (plain.mean_ns, plain.min_ns);
+    let armed = recorder.record("deadline_overhead/deadline=1h", &armed_ns);
+    let (armed_mean_ns, armed_min_ns) = (armed.mean_ns, armed.min_ns);
+    let deadline_ratio = median_pair_ratio(&plain_ns, &armed_ns);
+    println!(
+        "{:>14} {:>12} {:>12} {:>18}",
+        "path", "mean", "min", "median pair ratio"
+    );
+    println!(
+        "{:>14} {:>12.2?} {:>12.2?} {:>18}",
+        "no deadline",
+        Duration::from_nanos(plain_mean_ns as u64),
+        Duration::from_nanos(plain_min_ns as u64),
+        "1.00×"
+    );
+    println!(
+        "{:>14} {:>12.2?} {:>12.2?} {:>17.3}×",
+        "deadline 1h",
+        Duration::from_nanos(armed_mean_ns as u64),
+        Duration::from_nanos(armed_min_ns as u64),
+        deadline_ratio
+    );
+
     println!(
         "\nReading: the DetShEx0- column scales smoothly (polynomial), while the\n\
          gadget-driven ShEx0 and ShEx workloads grow quickly, and the ShEx\n\
@@ -679,20 +717,20 @@ fn main() {
         println!("regression gate skipped (BENCH_FIG7_NO_GATE is set)");
         return;
     }
-    // Deadline polling must stay within its budget on the disjunct gadget;
-    // like the baseline gate, a failure needs both the mean and the
-    // best-of-run over the line.
-    if deadline_mean_ratio > DEADLINE_OVERHEAD_GATE && deadline_min_ratio > DEADLINE_OVERHEAD_GATE {
+    // Deadline polling must stay within its budget on the disjunct gadget,
+    // read as the median ratio of interleaved run pairs.
+    if !deadline_gate_passes(&plain_ns, &armed_ns) {
         eprintln!(
             "\ndeadline checkpoint overhead beyond {DEADLINE_OVERHEAD_GATE}x: \
-             {deadline_mean_ratio:.3}x mean / {deadline_min_ratio:.3}x min \
+             {deadline_ratio:.3}x median over {DEADLINE_PAIRS} interleaved pairs \
              on general_disjunct_gadget choice/groups=6"
         );
         eprintln!("(set BENCH_FIG7_NO_GATE=1 to bypass on a noisy host)");
         std::process::exit(1);
     }
     println!(
-        "deadline overhead gate passed: {deadline_mean_ratio:.3}x mean (budget {DEADLINE_OVERHEAD_GATE}x)"
+        "deadline overhead gate passed: {deadline_ratio:.3}x median over {DEADLINE_PAIRS} \
+         interleaved pairs (budget {DEADLINE_OVERHEAD_GATE}x)"
     );
     match baseline {
         None => println!("no committed baseline found; regression gate skipped"),
@@ -714,5 +752,36 @@ fn main() {
                 "regression gate passed: no workload above {REGRESSION_GATE}x its committed mean"
             );
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// 31 plain run times with some spread, as a host produces them.
+    fn plain_runs() -> Vec<f64> {
+        (0..31)
+            .map(|i| 6.0e6 + (i * 37 % 23) as f64 * 4.0e4)
+            .collect()
+    }
+
+    #[test]
+    fn the_deadline_gate_fails_a_five_percent_slowdown() {
+        let plain = plain_runs();
+        let armed: Vec<f64> = plain.iter().map(|ns| ns * 1.05).collect();
+        assert!((median_pair_ratio(&plain, &armed) - 1.05).abs() < 1e-9);
+        assert!(!deadline_gate_passes(&plain, &armed));
+    }
+
+    #[test]
+    fn the_deadline_gate_passes_equal_runs_with_a_few_outliers() {
+        let plain = plain_runs();
+        let mut armed = plain.clone();
+        for i in [3, 11, 17, 29] {
+            armed[i] *= 1.5;
+        }
+        assert_eq!(median_pair_ratio(&plain, &armed), 1.0);
+        assert!(deadline_gate_passes(&plain, &armed));
     }
 }

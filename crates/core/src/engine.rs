@@ -1523,7 +1523,7 @@ impl ContainmentEngine {
         let opts = &self.options.search;
         let mut examined = 0usize;
         let mut checked = 0usize;
-        let mut scratch = ValidateScratch::new();
+        let mut scratch = ValidateScratch::with_telemetry(self.session.telemetry.clone());
         let outcome = 'search: {
             for root in h.schema.types() {
                 for depth in 1..=opts.max_depth {
@@ -1671,7 +1671,7 @@ impl ContainmentEngine {
             ..opts.clone()
         };
         let graphs = {
-            let mut scratch = ValidateScratch::new();
+            let mut scratch = ValidateScratch::with_telemetry(self.session.telemetry.clone());
             let mut unfolder = lock_or_recover(&h.unfolder);
             let graphs = unfolder.members_with(
                 &h.schema,

@@ -144,4 +144,23 @@ mod tests {
             "the gadget must exercise the solver path: {stats}"
         );
     }
+
+    #[test]
+    fn candidate_validation_counts_its_solver_calls() {
+        use shapex_core::engine::ContainmentEngine;
+        // H has no finite language, so the sufficient check gives up before
+        // the solver; only validating the search's candidates against K's
+        // choice-group root reaches it.
+        let h = shapex_shex::parse_schema("Root -> a1::L*\nL -> EMPTY\n").unwrap();
+        let (_, k) = disjunct_choice_pair(1);
+        let engine = ContainmentEngine::with_search(shapex_core::unfold::SearchOptions::quick());
+        let (hid, kid) = (engine.register(&h), engine.register(&k));
+        let _ = engine.check_ids(hid, kid, None);
+        let stats = engine.stats();
+        assert!(stats.validate_misses > 0, "{stats}");
+        assert!(
+            stats.solver_calls >= stats.validate_misses,
+            "every validation runs the solver on the root: {stats}"
+        );
+    }
 }

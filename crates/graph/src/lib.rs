@@ -71,9 +71,9 @@ macro_rules! assert_send_sync {
 // interners are shared by reference across every thread that queries a
 // `ContainmentEngine` (service workers and other callers), so they must all
 // be `Send + Sync`. `Label` is a content-compared `Arc<str>`;
-// `Graph` only mutates through `&mut self` and its lazy adjacency cache is a
-// `OnceLock`; `SharedLabelTable` is the concurrent interner engineered for
-// exactly this sharing.
+// `Graph` holds no interior mutability and only mutates through `&mut self`;
+// `SharedLabelTable` is the concurrent interner engineered for exactly this
+// sharing.
 assert_send_sync!(
     Graph,
     GraphDelta,

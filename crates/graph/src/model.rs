@@ -1,7 +1,7 @@
 //! The graph data structure and its subclasses.
 
 use std::borrow::Borrow;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -291,137 +291,11 @@ impl EdgeId {
 }
 
 #[derive(Debug, Clone)]
-struct NodeData {
-    name: String,
-}
-
-#[derive(Debug, Clone)]
 struct EdgeData {
     source: NodeId,
     target: NodeId,
-    label: Label,
-    label_id: LabelId,
+    label: LabelId,
     occur: Interval,
-}
-
-/// The per-label grouping of one node's adjacency, used as an overlay patch
-/// on top of the flat CSR after incremental mutations. `groups` ranges index
-/// into the patch's own `edges`.
-#[derive(Debug, Clone, Default)]
-struct NodeGroups {
-    edges: Vec<EdgeId>,
-    groups: Vec<(LabelId, u32, u32)>,
-}
-
-/// Out- and in-edges of every node grouped by interned label id. The base
-/// layout is a flat CSR built in one pass: `edges` holds edge ids sorted by
-/// `(node, label id)`, `groups` holds one `(label, start, end)` range per
-/// non-empty `(node, label)` pair, and `node_groups` holds one
-/// `(start, end)` range into `groups` per node. Mutations after the build do
-/// not discard the CSR: the affected nodes get per-node [`NodeGroups`]
-/// patches in `overlay`, which shadow the base for those nodes (and cover
-/// nodes added after the build, which have no base row at all). When the
-/// overlay would grow past a fraction of the graph the whole cache is
-/// dropped and rebuilt flat on next access.
-#[derive(Debug, Clone, Default)]
-struct GroupedEdges {
-    edges: Vec<EdgeId>,
-    groups: Vec<(LabelId, u32, u32)>,
-    node_groups: Vec<(u32, u32)>,
-    overlay: HashMap<u32, NodeGroups>,
-}
-
-impl GroupedEdges {
-    fn build(
-        node_count: usize,
-        adjacency: &[Vec<EdgeId>],
-        label_of: impl Fn(EdgeId) -> LabelId,
-    ) -> GroupedEdges {
-        let mut edges: Vec<EdgeId> = Vec::with_capacity(adjacency.iter().map(Vec::len).sum());
-        let mut groups: Vec<(LabelId, u32, u32)> = Vec::new();
-        let mut node_groups: Vec<(u32, u32)> = Vec::with_capacity(node_count);
-        let mut scratch: Vec<EdgeId> = Vec::new();
-        for node_edges in adjacency.iter() {
-            scratch.clear();
-            scratch.extend_from_slice(node_edges);
-            scratch.sort_by_key(|&e| (label_of(e), e));
-            let group_start = groups.len() as u32;
-            let mut i = 0;
-            while i < scratch.len() {
-                let label = label_of(scratch[i]);
-                let start = edges.len() as u32;
-                while i < scratch.len() && label_of(scratch[i]) == label {
-                    edges.push(scratch[i]);
-                    i += 1;
-                }
-                groups.push((label, start, edges.len() as u32));
-            }
-            node_groups.push((group_start, groups.len() as u32));
-        }
-        GroupedEdges {
-            edges,
-            groups,
-            node_groups,
-            overlay: HashMap::new(),
-        }
-    }
-
-    /// The `(groups, edges)` backing pair for one node: its overlay patch if
-    /// present, its base CSR row if it existed at build time, or empty.
-    fn parts(&self, node: NodeId) -> (&[(LabelId, u32, u32)], &[EdgeId]) {
-        if let Some(patch) = self.overlay.get(&node.0) {
-            (&patch.groups, &patch.edges)
-        } else if node.index() < self.node_groups.len() {
-            let (gs, ge) = self.node_groups[node.index()];
-            (&self.groups[gs as usize..ge as usize], &self.edges)
-        } else {
-            (&[], &[])
-        }
-    }
-
-    fn by_label(&self, node: NodeId, label: LabelId) -> &[EdgeId] {
-        let (groups, edges) = self.parts(node);
-        match groups.binary_search_by_key(&label, |&(l, _, _)| l) {
-            Ok(i) => {
-                let (_, s, e) = groups[i];
-                &edges[s as usize..e as usize]
-            }
-            Err(_) => &[],
-        }
-    }
-
-    fn node_groups(&self, node: NodeId) -> impl Iterator<Item = (LabelId, &[EdgeId])> + '_ {
-        let (groups, edges) = self.parts(node);
-        groups
-            .iter()
-            .map(move |&(label, s, e)| (label, &edges[s as usize..e as usize]))
-    }
-
-    /// Rebuild one node's grouping from its current adjacency list into the
-    /// overlay, shadowing the (now stale) base row.
-    fn patch(&mut self, node: NodeId, adjacency: &[EdgeId], edge_data: &[EdgeData]) {
-        let label_of = |e: EdgeId| edge_data[e.index()].label_id;
-        let patch = self.overlay.entry(node.0).or_default();
-        patch.edges.clear();
-        patch.groups.clear();
-        patch.edges.extend_from_slice(adjacency);
-        patch.edges.sort_by_key(|&e| (label_of(e), e));
-        let mut i = 0;
-        while i < patch.edges.len() {
-            let label = label_of(patch.edges[i]);
-            let start = i as u32;
-            while i < patch.edges.len() && label_of(patch.edges[i]) == label {
-                i += 1;
-            }
-            patch.groups.push((label, start, i as u32));
-        }
-    }
-}
-
-#[derive(Debug, Clone, Default)]
-struct GroupedAdjacency {
-    out: GroupedEdges,
-    ins: GroupedEdges,
 }
 
 /// Classification of a graph into the paper's subclasses.
@@ -471,19 +345,22 @@ impl std::error::Error for UnpackError {}
 /// A directed multigraph with labelled edges carrying occurrence intervals
 /// (Definition 2.1 of the paper).
 ///
-/// Labels are interned on construction: every edge carries a dense
-/// [`LabelId`] next to its [`Label`], and the graph maintains reverse
-/// adjacency plus lazily built per-label groupings of both edge directions.
+/// Each fact is stored once. Labels are interned on construction: an edge
+/// carries only a dense [`LabelId`] into the graph's label table, which
+/// holds each distinct [`Label`] once. A node name is one allocation,
+/// shared by the id-ordered name table and the name index. Forward and
+/// reverse adjacency lists are kept in step by every mutation.
 #[derive(Debug, Clone, Default)]
 pub struct Graph {
-    nodes: Vec<NodeData>,
+    /// Node names in id order; each shares its allocation with its
+    /// `by_name` key.
+    names: Vec<Arc<str>>,
     edges: Vec<EdgeData>,
     out: Vec<Vec<EdgeId>>,
     ins: Vec<Vec<EdgeId>>,
-    by_name: BTreeMap<String, NodeId>,
+    by_name: BTreeMap<Arc<str>, NodeId>,
     label_ids: BTreeMap<Label, LabelId>,
     label_names: Vec<Label>,
-    grouped: OnceLock<GroupedAdjacency>,
 }
 
 impl Graph {
@@ -500,7 +377,7 @@ impl Graph {
     /// arena instead of a geometric growth sequence.
     pub fn with_capacity(nodes: usize, edges: usize) -> Graph {
         Graph {
-            nodes: Vec::with_capacity(nodes),
+            names: Vec::with_capacity(nodes),
             edges: Vec::with_capacity(edges),
             out: Vec::with_capacity(nodes),
             ins: Vec::with_capacity(nodes),
@@ -510,7 +387,7 @@ impl Graph {
 
     /// Number of nodes.
     pub fn node_count(&self) -> usize {
-        self.nodes.len()
+        self.names.len()
     }
 
     /// Number of edges.
@@ -520,7 +397,7 @@ impl Graph {
 
     /// Iterate over all node identifiers.
     pub fn nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
-        (0..self.nodes.len() as u32).map(NodeId)
+        (0..self.names.len() as u32).map(NodeId)
     }
 
     /// Iterate over all edge identifiers.
@@ -530,7 +407,7 @@ impl Graph {
 
     /// Add a node with a fresh automatically generated name.
     pub fn add_node(&mut self) -> NodeId {
-        let name = format!("n{}", self.nodes.len());
+        let name = format!("n{}", self.names.len());
         self.add_named_node(name)
     }
 
@@ -539,18 +416,20 @@ impl Graph {
     /// # Panics
     /// Panics if a node with the same name already exists.
     pub fn add_named_node(&mut self, name: impl Into<String>) -> NodeId {
-        let name = name.into();
+        self.insert_node(Arc::from(name.into()))
+    }
+
+    /// Add a node under `name`, the one allocation of its name.
+    fn insert_node(&mut self, name: Arc<str>) -> NodeId {
         assert!(
             !self.by_name.contains_key(&name),
             "node `{name}` already exists"
         );
-        let id = NodeId(self.nodes.len() as u32);
-        self.by_name.insert(name.clone(), id);
-        self.nodes.push(NodeData { name });
+        let id = NodeId(self.names.len() as u32);
+        self.by_name.insert(Arc::clone(&name), id);
+        self.names.push(name);
         self.out.push(Vec::new());
         self.ins.push(Vec::new());
-        // The grouped adjacency cache survives: nodes beyond its build-time
-        // row count read as empty until an edge touches them.
         id
     }
 
@@ -558,7 +437,7 @@ impl Graph {
     pub fn node(&mut self, name: &str) -> NodeId {
         match self.by_name.get(name) {
             Some(id) => *id,
-            None => self.add_named_node(name),
+            None => self.insert_node(Arc::from(name)),
         }
     }
 
@@ -569,13 +448,13 @@ impl Graph {
 
     /// The display name of a node.
     pub fn node_name(&self, node: NodeId) -> &str {
-        &self.nodes[node.index()].name
+        &self.names[node.index()]
     }
 
     /// Add an edge with an explicit occurrence interval. The label is
-    /// interned: the stored [`Label`] shares its allocation with every other
-    /// edge carrying the same predicate, and the edge receives a dense
-    /// [`LabelId`].
+    /// interned: the edge receives a dense [`LabelId`], and
+    /// [`Graph::label`] returns the allocation of the predicate's first
+    /// occurrence in this graph.
     pub fn add_edge_with(
         &mut self,
         source: NodeId,
@@ -583,183 +462,107 @@ impl Graph {
         occur: Interval,
         target: NodeId,
     ) -> EdgeId {
-        let (label, label_id) = self.intern_label(label.into());
+        let label = self.intern_label(&label.into());
+        self.push_edge(source, label, occur, target)
+    }
+
+    fn push_edge(
+        &mut self,
+        source: NodeId,
+        label: LabelId,
+        occur: Interval,
+        target: NodeId,
+    ) -> EdgeId {
         let id = EdgeId(self.edges.len() as u32);
         self.edges.push(EdgeData {
             source,
             target,
             label,
-            label_id,
             occur,
         });
         self.out[source.index()].push(id);
         self.ins[target.index()].push(id);
-        if self.grouped.get().is_some() {
-            let touched_out = BTreeSet::from([source]);
-            let touched_in = BTreeSet::from([target]);
-            self.refresh_grouped(&touched_out, &touched_in);
-        }
         id
     }
 
     /// Remove an edge. The edge arena stays dense: the *last* edge is swapped
     /// into the freed slot, so that edge's id is remapped to `edge` while all
-    /// other edge ids stay valid. Adjacency (forward, reverse, and grouped)
-    /// is maintained incrementally. Returns the removed edge's
-    /// `(source, target)`.
+    /// other edge ids stay valid. Forward and reverse adjacency are repaired
+    /// in place. Returns the removed edge's `(source, target)`.
     pub fn remove_edge(&mut self, edge: EdgeId) -> (NodeId, NodeId) {
-        let mut touched_out = BTreeSet::new();
-        let mut touched_in = BTreeSet::new();
-        let ends = self.detach_edge(edge, &mut touched_out, &mut touched_in);
-        self.refresh_grouped(&touched_out, &touched_in);
-        ends
-    }
-
-    /// Unlink `edge` from both adjacency sides and swap-remove it from the
-    /// arena, recording every node whose out/in list changed (including the
-    /// endpoints of the edge that got remapped to fill the hole).
-    fn detach_edge(
-        &mut self,
-        edge: EdgeId,
-        touched_out: &mut BTreeSet<NodeId>,
-        touched_in: &mut BTreeSet<NodeId>,
-    ) -> (NodeId, NodeId) {
-        let (source, target) = {
-            let data = &self.edges[edge.index()];
-            (data.source, data.target)
-        };
+        let EdgeData { source, target, .. } = self.edges.swap_remove(edge.index());
         self.out[source.index()].retain(|&e| e != edge);
         self.ins[target.index()].retain(|&e| e != edge);
-        let last = EdgeId(self.edges.len() as u32 - 1);
-        self.edges.swap_remove(edge.index());
-        touched_out.insert(source);
-        touched_in.insert(target);
-        if edge != last {
-            let (moved_source, moved_target) = {
-                let data = &self.edges[edge.index()];
-                (data.source, data.target)
-            };
-            for slot in self.out[moved_source.index()].iter_mut() {
+        if let Some(moved) = self.edges.get(edge.index()) {
+            let last = EdgeId(self.edges.len() as u32);
+            let out = self.out[moved.source.index()].iter_mut();
+            for slot in out.chain(self.ins[moved.target.index()].iter_mut()) {
                 if *slot == last {
                     *slot = edge;
                 }
             }
-            for slot in self.ins[moved_target.index()].iter_mut() {
-                if *slot == last {
-                    *slot = edge;
-                }
-            }
-            touched_out.insert(moved_source);
-            touched_in.insert(moved_target);
         }
         (source, target)
     }
 
-    /// Incrementally repair the grouped adjacency cache (if built) after the
-    /// out-lists of `touched_out` / in-lists of `touched_in` changed. When
-    /// the accumulated overlay would dominate the base CSR the cache is
-    /// dropped instead, and the next reader rebuilds it flat.
-    fn refresh_grouped(&mut self, touched_out: &BTreeSet<NodeId>, touched_in: &BTreeSet<NodeId>) {
-        let Some(grouped) = self.grouped.get() else {
-            return;
-        };
-        let budget = self.nodes.len() / 4 + 64;
-        let projected = grouped.out.overlay.len()
-            + grouped.ins.overlay.len()
-            + touched_out.len()
-            + touched_in.len();
-        if projected > budget {
-            self.grouped.take();
-            return;
-        }
-        let grouped = self.grouped.get_mut().expect("grouped cache present");
-        for &n in touched_out {
-            grouped.out.patch(n, &self.out[n.index()], &self.edges);
-        }
-        for &n in touched_in {
-            grouped.ins.patch(n, &self.ins[n.index()], &self.edges);
-        }
-    }
-
-    /// Apply a batch of triple-level changes, maintaining forward, reverse,
-    /// and grouped adjacency incrementally, and report the *dirty* node set:
-    /// every node whose outbound neighbourhood changed (sources of added and
+    /// Apply a batch of triple-level changes, maintaining forward and
+    /// reverse adjacency in place, and report the *dirty* node set: every
+    /// node whose outbound neighbourhood changed (sources of added and
     /// removed edges) plus every newly created node. The dirty set is what
-    /// an incremental validator must re-examine; it is sorted and
-    /// duplicate-free.
+    /// an incremental validator must re-examine; it is collected as the
+    /// operations apply, then sorted and deduplicated once.
     pub fn apply_delta(&mut self, delta: &GraphDelta) -> DeltaReport {
         let mut report = DeltaReport::default();
-        let mut dirty: BTreeSet<NodeId> = BTreeSet::new();
-        let mut touched_out: BTreeSet<NodeId> = BTreeSet::new();
-        let mut touched_in: BTreeSet<NodeId> = BTreeSet::new();
         for op in &delta.ops {
             if op.add {
-                let source = self.delta_node(&op.source, &mut report, &mut dirty);
-                let target = self.delta_node(&op.target, &mut report, &mut dirty);
-                let (label, label_id) = self.intern_label(op.label.clone());
-                let id = EdgeId(self.edges.len() as u32);
-                self.edges.push(EdgeData {
-                    source,
-                    target,
-                    label,
-                    label_id,
-                    occur: Interval::ONE,
-                });
-                self.out[source.index()].push(id);
-                self.ins[target.index()].push(id);
+                let source = self.delta_node(&op.source, &mut report);
+                let target = self.delta_node(&op.target, &mut report);
+                let label = self.intern_label(&op.label);
+                self.push_edge(source, label, Interval::ONE, target);
                 report.added_edges += 1;
-                dirty.insert(source);
-                touched_out.insert(source);
-                touched_in.insert(target);
+                report.dirty.push(source);
             } else {
                 let found = self.find_node(&op.source).and_then(|s| {
                     let t = self.find_node(&op.target)?;
-                    let label_id = self.find_label(op.label.as_str())?;
+                    let label = self.find_label(op.label.as_str())?;
                     self.out[s.index()].iter().copied().find(|&e| {
                         let data = &self.edges[e.index()];
-                        data.label_id == label_id && data.target == t
+                        data.label == label && data.target == t
                     })
                 });
                 match found {
                     Some(edge) => {
-                        let (source, _) = self.detach_edge(edge, &mut touched_out, &mut touched_in);
+                        let (source, _) = self.remove_edge(edge);
                         report.removed_edges += 1;
-                        dirty.insert(source);
+                        report.dirty.push(source);
                     }
                     None => report.missing_removals += 1,
                 }
             }
         }
-        if !touched_out.is_empty() || !touched_in.is_empty() {
-            self.refresh_grouped(&touched_out, &touched_in);
-        }
-        report.dirty = dirty.into_iter().collect();
+        report.dirty.sort_unstable();
+        report.dirty.dedup();
         report
     }
 
-    fn delta_node(
-        &mut self,
-        name: &str,
-        report: &mut DeltaReport,
-        dirty: &mut BTreeSet<NodeId>,
-    ) -> NodeId {
+    fn delta_node(&mut self, name: &str, report: &mut DeltaReport) -> NodeId {
         if let Some(&id) = self.by_name.get(name) {
             return id;
         }
-        let id = self.add_named_node(name);
+        let id = self.insert_node(Arc::from(name));
         report.added_nodes += 1;
-        dirty.insert(id);
+        report.dirty.push(id);
         id
     }
 
-    fn intern_label(&mut self, label: Label) -> (Label, LabelId) {
-        if let Some((existing, &id)) = self.label_ids.get_key_value(&label) {
-            return (existing.clone(), id);
+    fn intern_label(&mut self, label: &Label) -> LabelId {
+        if let Some(&id) = self.label_ids.get(label) {
+            return id;
         }
         let id = LabelId(self.label_names.len() as u32);
         self.label_ids.insert(label.clone(), id);
         self.label_names.push(label.clone());
-        (label, id)
+        id
     }
 
     /// Add a plain edge with interval `1` (the only kind allowed in simple
@@ -794,12 +597,12 @@ impl Graph {
 
     /// The predicate label of an edge.
     pub fn label(&self, edge: EdgeId) -> &Label {
-        &self.edges[edge.index()].label
+        self.label_of(self.label_id(edge))
     }
 
     /// The interned label id of an edge.
     pub fn label_id(&self, edge: EdgeId) -> LabelId {
-        self.edges[edge.index()].label_id
+        self.edges[edge.index()].label
     }
 
     /// The label behind an interned id.
@@ -847,35 +650,6 @@ impl Graph {
         self.ins[node.index()].len()
     }
 
-    fn grouped(&self) -> &GroupedAdjacency {
-        self.grouped.get_or_init(|| GroupedAdjacency {
-            out: GroupedEdges::build(self.nodes.len(), &self.out, |e| self.label_id(e)),
-            ins: GroupedEdges::build(self.nodes.len(), &self.ins, |e| self.label_id(e)),
-        })
-    }
-
-    /// The outgoing edges of a node carrying a given label, contiguous in the
-    /// grouped adjacency cache.
-    pub fn out_by_label(&self, node: NodeId, label: LabelId) -> &[EdgeId] {
-        self.grouped().out.by_label(node, label)
-    }
-
-    /// The outgoing edges of a node grouped by label id (ascending).
-    pub fn out_groups(&self, node: NodeId) -> impl Iterator<Item = (LabelId, &[EdgeId])> + '_ {
-        self.grouped().out.node_groups(node)
-    }
-
-    /// The incoming edges of a node carrying a given label, contiguous in the
-    /// grouped adjacency cache.
-    pub fn in_by_label(&self, node: NodeId, label: LabelId) -> &[EdgeId] {
-        self.grouped().ins.by_label(node, label)
-    }
-
-    /// The incoming edges of a node grouped by label id (ascending).
-    pub fn in_groups(&self, node: NodeId) -> impl Iterator<Item = (LabelId, &[EdgeId])> + '_ {
-        self.grouped().ins.node_groups(node)
-    }
-
     /// The outbound neighbourhood of a node as a bag over `(label, target)`
     /// pairs, counting each edge with the multiplicity given by its singleton
     /// interval (or `1` for non-singleton intervals).
@@ -894,18 +668,19 @@ impl Graph {
     }
 
     /// Approximate heap footprint of the graph in bytes: arena capacities
-    /// times element sizes, node-name strings, the name/label indexes (at a
-    /// flat per-entry estimate for the tree overhead), and the grouped
-    /// adjacency if it has been built. Interned [`Label`]s are counted as
-    /// their `Arc` handle only — the string allocation belongs to whichever
-    /// table interned it. This feeds the cache accounting of the containment
-    /// engine; it is a conservative estimate, not allocator truth (lazily
-    /// built structures are counted once they exist).
+    /// times element sizes, each node name once (its bytes plus the `Arc`
+    /// header), and the name/label indexes (at a flat per-entry estimate
+    /// for the tree overhead). Interned [`Label`]s are counted as their
+    /// `Arc` handle only — the string allocation belongs to whichever table
+    /// interned it. This feeds the cache accounting of the containment
+    /// engine; it is a conservative estimate, not allocator truth.
     pub fn approx_heap_bytes(&self) -> usize {
         use std::mem::size_of;
         // Amortised B-tree node overhead per map entry (key/value inline).
         const MAP_ENTRY: usize = 32;
-        let mut bytes = self.nodes.capacity() * size_of::<NodeData>()
+        // The strong and weak counts in front of every `Arc` allocation.
+        const ARC_HEADER: usize = 2 * size_of::<usize>();
+        let mut bytes = self.names.capacity() * size_of::<Arc<str>>()
             + self.edges.capacity() * size_of::<EdgeData>()
             + self.out.capacity() * size_of::<Vec<EdgeId>>()
             + self.ins.capacity() * size_of::<Vec<EdgeId>>();
@@ -915,30 +690,14 @@ impl Graph {
             .chain(self.ins.iter())
             .map(|v| v.capacity() * size_of::<EdgeId>())
             .sum::<usize>();
-        bytes += self.nodes.iter().map(|n| n.name.capacity()).sum::<usize>();
         bytes += self
-            .by_name
-            .keys()
-            .map(|name| name.capacity() + size_of::<NodeId>() + MAP_ENTRY)
+            .names
+            .iter()
+            .map(|name| ARC_HEADER + name.len())
             .sum::<usize>();
+        bytes += self.by_name.len() * (size_of::<Arc<str>>() + size_of::<NodeId>() + MAP_ENTRY);
         bytes += self.label_ids.len() * (size_of::<Label>() + size_of::<LabelId>() + MAP_ENTRY);
         bytes += self.label_names.capacity() * size_of::<Label>();
-        if let Some(grouped) = self.grouped.get() {
-            for side in [&grouped.out, &grouped.ins] {
-                bytes += side.edges.capacity() * size_of::<EdgeId>()
-                    + side.groups.capacity() * size_of::<(LabelId, u32, u32)>()
-                    + side.node_groups.capacity() * size_of::<(u32, u32)>();
-                bytes += side
-                    .overlay
-                    .values()
-                    .map(|patch| {
-                        MAP_ENTRY
-                            + patch.edges.capacity() * size_of::<EdgeId>()
-                            + patch.groups.capacity() * size_of::<(LabelId, u32, u32)>()
-                    })
-                    .sum::<usize>();
-            }
-        }
         bytes
     }
 
@@ -966,7 +725,7 @@ impl Graph {
     fn no_parallel_duplicates(&self) -> bool {
         let mut seen = BTreeSet::new();
         for e in &self.edges {
-            if !seen.insert((e.source, e.label_id, e.target)) {
+            if !seen.insert((e.source, e.label, e.target)) {
                 return false;
             }
         }
@@ -1198,7 +957,7 @@ impl GraphBuilder {
     }
 
     /// Add a named node, rendering the name through the builder's reused
-    /// buffer (the graph still stores an owned, exactly sized copy).
+    /// buffer (the graph stores it as one exactly sized allocation).
     ///
     /// # Panics
     /// Panics if a node with the same name already exists (see
@@ -1207,7 +966,7 @@ impl GraphBuilder {
         use fmt::Write as _;
         self.name.clear();
         let _ = self.name.write_fmt(name);
-        graph.add_named_node(self.name.as_str())
+        graph.insert_node(Arc::from(self.name.as_str()))
     }
 }
 
@@ -1478,7 +1237,7 @@ mod tests {
     }
 
     #[test]
-    fn reverse_and_grouped_adjacency() {
+    fn reverse_adjacency() {
         let mut g = Graph::new();
         let hub = g.node("hub");
         let x = g.node("x");
@@ -1490,20 +1249,25 @@ mod tests {
         assert_eq!(g.ins(y), &[e2, e3, e4]);
         assert_eq!(g.in_degree(x), 1);
         assert_eq!(g.in_degree(hub), 0);
-        let p = g.find_label("p").unwrap();
-        let q = g.find_label("q").unwrap();
-        assert_eq!(g.out_by_label(hub, p), &[e1, e3]);
-        assert_eq!(g.out_by_label(hub, q), &[e2]);
-        assert_eq!(g.in_by_label(y, p), &[e3, e4]);
-        assert_eq!(g.in_by_label(y, q), &[e2]);
-        assert!(g.out_by_label(y, p).is_empty());
-        let groups: Vec<(LabelId, usize)> =
-            g.out_groups(hub).map(|(l, es)| (l, es.len())).collect();
-        assert_eq!(groups, vec![(p, 2), (q, 1)]);
-        // The cache is invalidated by mutation.
         let e5 = g.add_edge(y, "p", x);
-        assert_eq!(g.in_by_label(x, p), &[e1, e5]);
-        assert_eq!(g.in_groups(x).count(), 1);
+        assert_eq!(g.ins(x), &[e1, e5]);
+        assert_eq!(g.out(y), &[e5]);
+    }
+
+    #[test]
+    fn node_names_are_allocated_once() {
+        let mut g = Graph::new();
+        let a = g.node("a");
+        let b = g.add_named_node("b");
+        let mut delta = GraphDelta::new();
+        delta.add_edge("c", "p", "a");
+        g.apply_delta(&delta);
+        let c = g.find_node("c").unwrap();
+        for v in [a, b, c] {
+            let (key, &id) = g.by_name.get_key_value(g.node_name(v)).unwrap();
+            assert_eq!(id, v);
+            assert!(Arc::ptr_eq(key, &g.names[v.index()]), "{v}");
+        }
     }
 
     #[test]
@@ -1532,47 +1296,33 @@ mod tests {
         assert!(text.contains("3 nodes"));
     }
 
-    /// The grouped adjacency of `g` must match a from-scratch rebuild of the
-    /// same edge set, for every node and label, in both directions.
-    fn assert_grouped_consistent(g: &Graph) {
+    /// The forward and reverse adjacency of `g` must match a from-scratch
+    /// rebuild of the same edge set, for every node, in both directions.
+    fn assert_adjacency_consistent(g: &Graph) {
         let mut fresh = Graph::new();
         for v in g.nodes() {
             fresh.add_named_node(g.node_name(v));
         }
         for e in g.edges() {
             fresh.add_edge_with(g.source(e), g.label(e).clone(), g.occur(e), g.target(e));
+            assert_eq!(g.label(e), fresh.label(e));
         }
+        let set = |edges: &[EdgeId]| edges.iter().map(|e| e.0).collect::<BTreeSet<u32>>();
         for v in g.nodes() {
-            let ours: Vec<(String, BTreeSet<u32>)> = g
-                .out_groups(v)
-                .map(|(l, es)| {
-                    (
-                        g.label_of(l).as_str().to_string(),
-                        es.iter().map(|e| e.0).collect(),
-                    )
-                })
-                .collect();
-            let theirs: Vec<(String, BTreeSet<u32>)> = fresh
-                .out_groups(v)
-                .map(|(l, es)| {
-                    (
-                        fresh.label_of(l).as_str().to_string(),
-                        es.iter().map(|e| e.0).collect(),
-                    )
-                })
-                .collect();
-            assert_eq!(ours, theirs, "out groups of {} diverged", g.node_name(v));
-            let in_ours: BTreeSet<u32> = g.ins(v).iter().map(|e| e.0).collect();
-            let in_theirs: BTreeSet<u32> = fresh.ins(v).iter().map(|e| e.0).collect();
-            assert_eq!(in_ours, in_theirs, "ins of {} diverged", g.node_name(v));
-            for l in g.label_ids() {
-                let by: BTreeSet<u32> = g.in_by_label(v, l).iter().map(|e| e.0).collect();
-                let by_fresh: BTreeSet<u32> = fresh
-                    .find_label(g.label_of(l).as_str())
-                    .map(|fl| fresh.in_by_label(v, fl).iter().map(|e| e.0).collect())
-                    .unwrap_or_default();
-                assert_eq!(by, by_fresh, "in_by_label of {} diverged", g.node_name(v));
-            }
+            assert_eq!(
+                set(g.out(v)),
+                set(fresh.out(v)),
+                "out of {}",
+                g.node_name(v)
+            );
+            assert_eq!(
+                set(g.ins(v)),
+                set(fresh.ins(v)),
+                "ins of {}",
+                g.node_name(v)
+            );
+            assert_eq!(g.out_degree(v), fresh.out_degree(v));
+            assert_eq!(g.in_degree(v), fresh.in_degree(v));
         }
     }
 
@@ -1582,9 +1332,6 @@ mod tests {
         let a = g.node("a");
         let b = g.node("b");
         g.add_edge(a, "p", b);
-        // Force the grouped cache so the delta exercises incremental repair.
-        let p = g.find_label("p").unwrap();
-        assert_eq!(g.out_by_label(a, p).len(), 1);
 
         let mut delta = GraphDelta::new();
         delta.add_edge("a", "p", "c");
@@ -1605,7 +1352,7 @@ mod tests {
         assert_eq!(g.out_degree(a), 1);
         assert_eq!(g.target(g.out(a)[0]), c);
         assert_eq!(g.in_degree(b), 1);
-        assert_grouped_consistent(&g);
+        assert_adjacency_consistent(&g);
     }
 
     #[test]
@@ -1617,9 +1364,7 @@ mod tests {
         let e0 = g.add_edge(a, "p", b);
         let _e1 = g.add_edge(b, "q", c);
         let e2 = g.add_edge(c, "r", a);
-        // Build grouped before removal to exercise the moved-edge repair.
-        let r = g.find_label("r").unwrap();
-        assert_eq!(g.out_by_label(c, r), &[e2]);
+        assert_eq!(g.out(c), &[e2]);
 
         assert_eq!(g.remove_edge(e0), (a, b));
         assert_eq!(g.edge_count(), 2);
@@ -1628,45 +1373,7 @@ mod tests {
         assert_eq!(g.label(e0).as_str(), "r");
         assert_eq!(g.out(c), &[e0]);
         assert_eq!(g.ins(a), &[e0]);
-        assert_eq!(g.out_by_label(c, r), &[e0]);
-        assert!(g.out_by_label(a, g.find_label("p").unwrap()).is_empty());
-        assert_grouped_consistent(&g);
-    }
-
-    #[test]
-    fn grouped_overlay_collapses_to_a_full_rebuild_when_large() {
-        let mut g = Graph::new();
-        for i in 0..16 {
-            g.node(&format!("n{i}"));
-        }
-        let n0 = g.find_node("n0").unwrap();
-        let _ = g.out_groups(n0).count(); // build the cache
-                                          // Touch far more nodes than the overlay budget (16/4 + 64 = 68
-                                          // requires > 68 touched entries): 40 sources + 40 targets per side.
-        let mut delta = GraphDelta::new();
-        for i in 0..80 {
-            delta.add_edge(format!("s{i}"), "p", format!("t{i}"));
-        }
-        let report = g.apply_delta(&delta);
-        assert_eq!(report.added_edges, 80);
-        assert_eq!(report.added_nodes, 160);
-        assert_grouped_consistent(&g);
-    }
-
-    #[test]
-    fn deltas_keep_new_nodes_visible_in_grouped_queries() {
-        let mut g = Graph::new();
-        let a = g.node("a");
-        g.add_edge(a, "p", a);
-        let p = g.find_label("p").unwrap();
-        assert_eq!(g.out_by_label(a, p).len(), 1);
-        // A node added after the grouped build has no base row.
-        let mut delta = GraphDelta::new();
-        delta.add_edge("b", "p", "a");
-        g.apply_delta(&delta);
-        let b = g.find_node("b").unwrap();
-        assert_eq!(g.out_by_label(b, p).len(), 1);
-        assert_eq!(g.in_by_label(a, p).len(), 2);
-        assert_eq!(g.out_groups(b).count(), 1);
+        assert!(g.out(a).is_empty());
+        assert_adjacency_consistent(&g);
     }
 }

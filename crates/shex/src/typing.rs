@@ -27,6 +27,7 @@
 
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use shapex_graph::{EdgeId, Graph, Label, LabelId, NodeId};
 use shapex_presburger::cancel::CancelToken;
@@ -124,12 +125,24 @@ pub struct ValidateScratch {
     /// The row of the node under refinement before its check; afterwards,
     /// the types it lost.
     lost: Vec<u64>,
+    /// Where the Presburger fallback records its solver work, if anywhere.
+    telemetry: Option<Arc<SolverTelemetry>>,
 }
 
 impl ValidateScratch {
     /// A scratch with empty buffers.
     pub fn new() -> ValidateScratch {
         ValidateScratch::default()
+    }
+
+    /// A scratch with empty buffers whose Presburger fallback records its
+    /// solver work in `telemetry`: the containment engine passes its
+    /// session's, so candidate validation counts in its `EngineStats`.
+    pub fn with_telemetry(telemetry: Option<Arc<SolverTelemetry>>) -> ValidateScratch {
+        ValidateScratch {
+            telemetry,
+            ..ValidateScratch::default()
+        }
     }
 
     /// Clear the per-node state of the nodes the last call touched (a
@@ -494,7 +507,8 @@ impl ValidateScratch {
         }
         let schema = schema.expect("every type of a shape graph is RBE₀");
         let edges = edge_summaries(graph, node, typing);
-        neighbourhood_satisfies_with(&edges, schema.def(t), None, cancel)
+        let telemetry = self.telemetry.as_deref();
+        neighbourhood_satisfies_with(&edges, schema.def(t), telemetry, cancel)
     }
 }
 
