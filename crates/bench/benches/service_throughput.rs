@@ -1,9 +1,9 @@
 //! Corpus-scale service throughput: closed-loop client fleets hammering a
 //! `ServicePool` of sharded workers over one shared engine, on the
 //! duplicate-heavy request mix of `shapex_bench::throughput` (three in four
-//! requests hit one hot check that the bounded search answers and the
-//! engine does not memoise, so single-flight coalescing absorbs its
-//! concurrent duplicates).
+//! requests hit one hot check that the bounded search answers: single-flight
+//! coalescing absorbs the concurrent duplicates of its cold first check,
+//! and the engine's answer memo serves every check after it).
 //!
 //! Each iteration is one full drive: fresh service (cold caches), corpus
 //! registration, `clients` closed-loop threads of `requests_per_client`

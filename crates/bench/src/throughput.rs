@@ -75,11 +75,10 @@ impl ThroughputReport {
 /// The hot check is the six-group choice schema of the `disjunct` gadgets
 /// against itself. It is outside RBE₀ and has more bags than the sufficient
 /// check enumerates, so the bounded search answers it, exhausting its
-/// budget without a witness, and the engine memoises no such verdict. The
-/// first, cold check builds the pools and validates every candidate, which
-/// takes long enough that the whole fleet's first requests pile up behind
-/// it and coalesce; later checks re-walk the warm pools and memos and
-/// coalesce whenever they overlap.
+/// budget without a witness. The first, cold check unfolds the pools and
+/// validates every candidate, which takes long enough that the whole
+/// fleet's first requests pile up behind it and coalesce; the engine
+/// memoises the answer, so every later check is a memo hit.
 fn plan(service: &ContainmentService, options: &DriveOptions) -> Vec<(SchemaId, SchemaId)> {
     let register = |schema: Schema| -> SchemaId {
         match service.handle(

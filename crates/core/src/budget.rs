@@ -1,20 +1,19 @@
 //! Cache accounting and eviction for the [`crate::engine`]: the
 //! `CacheBudget`/[`Weigh`] seam.
 //!
-//! Every cache the engine grew in the session-layer PRs — enumerated
-//! unfolding pools, candidate-validation memos, the sharded pair memos, the
-//! per-schema [`crate::unfold::Unfolder`] arenas — is a pure memo: dropping
-//! an entry can never change a verdict, only cost a recomputation. That
-//! makes bounded memory a pure accounting problem, and this module is the
-//! ledger:
+//! Both evictable caches of the engine — the sharded memo of completed
+//! answers and the per-schema [`crate::unfold::Unfolder`] arenas — are pure
+//! memos: dropping an entry can never change a verdict, only cost a
+//! recomputation. That makes bounded memory a pure accounting problem, and
+//! this module is the ledger:
 //!
 //! * [`Weigh`] assigns every cached value an **accounted byte weight** — a
 //!   deliberate *approximation* of its heap footprint (capacities times
 //!   element sizes plus fixed per-container overheads). Structurally shared
-//!   allocations (`Arc`ed candidate graphs appear in pools *and* in the
-//!   unfolder that built them) are counted by every holder, so the accounted
-//!   total over-estimates the true resident set; the budget therefore bounds
-//!   a conservative upper bound, never an undercount.
+//!   allocations (an `Arc`ed candidate graph can be a memoised witness *and*
+//!   live in the unfolder that built it) are counted by every holder, so the
+//!   accounted total over-estimates the true resident set; the budget
+//!   therefore bounds a conservative upper bound, never an undercount.
 //! * [`CacheBudget`] holds the knobs ([`CacheBudget::limit`], `None` =
 //!   unbounded — the default, and the zero-overhead path; plus the
 //!   per-entry admission ceiling [`CacheBudget::max_entry_bytes`] that
@@ -23,14 +22,15 @@
 //!   the eviction counters that [`crate::engine::EngineStats`] surfaces.
 //!
 //! The engine charges the ledger on every insert, stamps every entry with
-//! the clock on every hit, and — when the evictable total exceeds the limit
-//! — runs an **epoch-LRU sweep**: collect all `(stamp, bytes)` pairs, pick
-//! the cutoff stamp that frees enough to reach the low-water mark (half the
-//! limit, for hysteresis), and drop every entry at or below it. One-shot
-//! `OnceLock` caches (characterizing graphs, exhaustive bag enumerations)
-//! and the registered schemas themselves are **exempt but counted**: they appear as [`CacheKind::Pinned`] bytes in the stats so a
-//! capacity planner sees the whole footprint, but a sweep never touches
-//! them.
+//! the clock on every use (one stamp per answer, one per unfolder), and —
+//! when the evictable total exceeds the limit — runs an **epoch-LRU
+//! sweep**: collect all `(stamp, bytes)` pairs, pick the cutoff stamp that
+//! frees enough to reach the low-water mark (half the limit, for
+//! hysteresis), and drop every entry at or below it. One-shot `OnceLock`
+//! caches (characterizing graphs, exhaustive bag enumerations) and the
+//! registered schemas themselves are **exempt but counted**: they appear as
+//! [`CacheKind::Pinned`] bytes in the stats so a capacity planner sees the
+//! whole footprint, but a sweep never touches them.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -39,44 +39,19 @@ use std::sync::Mutex;
 /// [`CacheKind::Pinned`] is evictable and counts against the budget.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CacheKind {
-    /// Enumerated `(root, depth)` unfolding pools.
-    Pools,
-    /// Candidate-validation verdict memos.
-    Validate,
-    /// The sharded `(schema, schema)` pair memos (embeds / sufficient).
+    /// The sharded `(schema, schema)` memo of completed answers, witnesses
+    /// included.
     Pairs,
     /// The per-schema unfolding sessions (tree arenas + built graphs);
-    /// reclaimed wholesale when a schema's pools have all been evicted.
+    /// reset wholesale when their LRU stamp falls behind a sweep's cutoff.
     Unfolder,
-    /// The session-wide candidate-bag enumerations shared across schemas
-    /// (the [`crate::unfold::SharedBagCache`]).
-    Bags,
     /// One-shot caches, registered schemas, and the session atom table:
     /// counted, never evicted.
     Pinned,
 }
 
 /// The evictable categories, in stats-reporting order.
-const EVICTABLE: [CacheKind; 5] = [
-    CacheKind::Pools,
-    CacheKind::Validate,
-    CacheKind::Pairs,
-    CacheKind::Unfolder,
-    CacheKind::Bags,
-];
-
-impl CacheKind {
-    fn index(self) -> usize {
-        match self {
-            CacheKind::Pools => 0,
-            CacheKind::Validate => 1,
-            CacheKind::Pairs => 2,
-            CacheKind::Unfolder => 3,
-            CacheKind::Bags => 4,
-            CacheKind::Pinned => 5,
-        }
-    }
-}
+const EVICTABLE: [CacheKind; 2] = [CacheKind::Pairs, CacheKind::Unfolder];
 
 /// Approximate heap footprint of a cached value, in bytes.
 ///
@@ -114,15 +89,16 @@ pub struct CacheBudget {
     limit: Option<u64>,
     /// Per-entry admission ceiling: a single cache entry heavier than this
     /// is never cached at all (`None` admits everything). Eviction alone
-    /// cannot protect the working set from one oversized pool or memo — it
-    /// only reacts *after* the giant entry has already displaced everything
+    /// cannot protect the working set from one oversized entry — it only
+    /// reacts *after* the giant entry has already displaced everything
     /// else, so admission refuses it up front.
     max_entry_bytes: Option<u64>,
     /// The LRU clock: ticks on every cache hit and insert. Stamps are
     /// compared only for ordering, so relaxed increments are enough.
     clock: AtomicU64,
-    /// Resident accounted bytes per [`CacheKind`] (last slot = pinned).
-    resident: [AtomicU64; 6],
+    /// Resident accounted bytes per [`CacheKind`], indexed by its
+    /// discriminant (last slot = pinned).
+    resident: [AtomicU64; 3],
     /// Entries evicted over the engine's lifetime.
     evictions: AtomicU64,
     /// Accounted bytes freed by eviction over the engine's lifetime.
@@ -190,7 +166,7 @@ impl CacheBudget {
 
     /// Account `bytes` of freshly cached data under `kind`.
     pub fn charge(&self, kind: CacheKind, bytes: u64) {
-        self.resident[kind.index()].fetch_add(bytes, Ordering::Relaxed);
+        self.resident[kind as usize].fetch_add(bytes, Ordering::Relaxed);
     }
 
     /// Return `bytes` of removed cached data under `kind` to the ledger.
@@ -198,14 +174,14 @@ impl CacheBudget {
         // Saturating: a racing snapshot may observe a transient imbalance,
         // but the ledger itself only moves by paired charge/credit amounts.
         let _ =
-            self.resident[kind.index()].fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
+            self.resident[kind as usize].fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
                 Some(v.saturating_sub(bytes))
             });
     }
 
     /// Resident accounted bytes of one category.
     pub fn resident(&self, kind: CacheKind) -> u64 {
-        self.resident[kind.index()].load(Ordering::Relaxed)
+        self.resident[kind as usize].load(Ordering::Relaxed)
     }
 
     /// Resident accounted bytes across every evictable category — the
@@ -265,17 +241,16 @@ mod tests {
     #[test]
     fn ledger_balances_charges_and_credits() {
         let budget = CacheBudget::new(Some(100));
-        budget.charge(CacheKind::Pools, 60);
-        budget.charge(CacheKind::Validate, 50);
+        budget.charge(CacheKind::Pairs, 60);
+        budget.charge(CacheKind::Unfolder, 50);
         budget.charge(CacheKind::Pinned, 1_000);
         assert_eq!(budget.evictable(), 110, "pinned bytes are not evictable");
         assert!(budget.over_budget());
-        budget.credit(CacheKind::Validate, 50);
+        budget.credit(CacheKind::Unfolder, 50);
         assert_eq!(budget.evictable(), 60);
         assert!(!budget.over_budget());
         assert_eq!(budget.resident(CacheKind::Pinned), 1_000);
-        budget.charge(CacheKind::Bags, 30);
-        assert_eq!(budget.evictable(), 90, "bag-cache bytes are evictable");
+        assert_eq!(budget.resident(CacheKind::Pairs), 60);
     }
 
     #[test]
@@ -316,8 +291,8 @@ mod tests {
     #[test]
     fn credits_saturate_instead_of_wrapping() {
         let budget = CacheBudget::new(Some(10));
-        budget.charge(CacheKind::Pools, 5);
-        budget.credit(CacheKind::Pools, 50);
-        assert_eq!(budget.resident(CacheKind::Pools), 0);
+        budget.charge(CacheKind::Pairs, 5);
+        budget.credit(CacheKind::Pairs, 50);
+        assert_eq!(budget.resident(CacheKind::Pairs), 0);
     }
 }

@@ -17,17 +17,17 @@
 //!   allocation per distinct predicate label.
 //! * **Per-schema caches.** The characterizing graph (Lemma 4.2), the
 //!   exhaustive per-type bag enumeration of the general sufficient check,
-//!   and the enumerated unfolding pools of the bounded search — keyed by
-//!   `(type, depth)` under the engine's fixed search budget — are each built
-//!   once and reused across every partner schema.
-//! * **Verdict memos.** Shape-graph embedding verdicts, type-simulation
-//!   verdicts and the type-set fixpoint's outcomes are memoised per ordered
-//!   schema pair, so a repeated check of a `ShEx₀` pair costs memo lookups
-//!   only. The bounded search memoises `validates(candidate, S)` verdicts
-//!   per registered schema under a structural fingerprint of the candidate
-//!   graph: it re-encounters the same candidates at every depth, so even a
-//!   single one-shot query through a throwaway engine validates each
-//!   distinct candidate once.
+//!   and the schema's [`Unfolder`] — hash-consed candidate trees per
+//!   `(type, depth)` under the engine's fixed search budget, and one shared
+//!   graph per distinct tree — are each built once and reused across every
+//!   partner schema.
+//! * **One answer per pair.** Every completed answer is memoised per ordered
+//!   schema pair, whichever procedure gave it — embedding, the
+//!   characterizing graph, the type-set fixpoint, the sufficient check or
+//!   the bounded search (whose budget is fixed per engine, so even its
+//!   `Unknown` is a deterministic function of the pair). A repeated check
+//!   costs one memo lookup; only a deadline answer is never memoised. Within
+//!   one search, each distinct candidate graph is validated once.
 //!
 //! # One query path
 //!
@@ -41,18 +41,21 @@
 //! [`ContainmentEngine::check`] and [`ContainmentEngine::check_matrix`]
 //! register schemas and ask; [`ContainmentEngine::check_ids`] and
 //! [`ContainmentEngine::check_matrix_ids`] take handles plus an optional
-//! [`CancelToken`]. Without a token, concurrent duplicates coalesce onto one
-//! computation; with one, the query polls it at bounded checkpoints and
-//! answers [`crate::UnknownReason::DeadlineExceeded`] once it fires.
+//! [`CancelToken`] (and [`ContainmentEngine::det_ids`] is the same answer
+//! behind a `DetShEx₀⁻` class gate). Each consults the pair's memoised
+//! answer first. Without a token, concurrent first checks of one pair
+//! coalesce onto one computation; with one, the query polls it at bounded
+//! checkpoints and answers [`crate::UnknownReason::DeadlineExceeded`] once
+//! it fires.
 //!
 //! # Shared state and concurrency
 //!
 //! All of the above is logically read-mostly shared state — the procedures
 //! are pure functions over registered schemas — so every query method takes
 //! `&self`: the registry is an `RwLock`-guarded append-only vector of
-//! [`Arc`]ed entries, per-schema caches sit behind `OnceLock`s and
-//! `RwLock`ed maps inside each entry, pair memos live in sharded `RwLock`
-//! maps, the label table is a lock-free-read interner, and the
+//! [`Arc`]ed entries, per-schema caches sit behind `OnceLock`s and the
+//! unfolder's `Mutex` inside each entry, the answer memo lives in sharded
+//! `RwLock` maps, the label table is a lock-free-read interner, and the
 //! [`EngineStats`] counters are atomics. A `ContainmentEngine` is therefore
 //! `Send + Sync` (compile-time asserted): wrap it in an `Arc` and query it
 //! from as many threads as you like — verdicts are deterministic, caches
@@ -70,23 +73,23 @@
 //! a batch job, fatal for a long-lived multi-tenant service. With
 //! [`EngineOptionsBuilder::cache_budget`] set, the engine keeps an
 //! accounted-byte ledger (the
-//! [`crate::budget::CacheBudget`]/[`crate::budget::Weigh`] seam):
-//! enumerated pools, validation memos, the pair memos (fixpoint outcomes
-//! with their witnesses included), and the
-//! per-schema unfolding arenas are size-accounted and stamped with an LRU
-//! clock on every hit, and whenever the evictable total exceeds the budget
-//! an epoch-LRU sweep drops the least-recently-used entries until the total
-//! is back under half the budget. Eviction is **observationally invisible**
-//! — every cache is a pure memo of a deterministic function, so a dropped
-//! entry costs a recomputation, never a different verdict or witness (the
+//! [`crate::budget::CacheBudget`]/[`crate::budget::Weigh`] seam): the
+//! answer memo (witnesses included) and the per-schema unfolders are
+//! size-accounted and stamped with an LRU clock on every use — one stamp
+//! per answer, one per unfolder — and whenever the evictable total exceeds
+//! the budget an epoch-LRU sweep drops the least-recently-used answers and
+//! resets the least-recently-used unfolders until the total is back under
+//! half the budget. Eviction is **observationally invisible** — both are
+//! pure memos of deterministic functions, so a dropped entry costs a
+//! recomputation, never a different verdict or witness (the
 //! `engine_eviction` suite pins this against the unbounded engine and the
 //! memo-free baseline). One-shot `OnceLock` caches (characterizing graphs,
 //! exhaustive bag enumerations) and the registered schemas are exempt but
-//! counted, so [`EngineStats`] reports the full footprint:
-//! per-cache resident bytes, evictions, and bytes freed, next to the hit
-//! ratios — the capacity-planning surface of a service deployment. The
-//! default budget is `None` (unbounded): existing workloads pay only a few
-//! atomic increments.
+//! counted, so [`EngineStats`] reports the full footprint: per-cache
+//! resident bytes, evictions, and bytes freed, next to the hit counters —
+//! the capacity-planning surface of a service deployment. The default
+//! budget is `None` (unbounded): existing workloads pay only a few atomic
+//! increments.
 //!
 //! The one-shot functions still exist and behave identically — they
 //! construct a throwaway engine. Witnesses are reproducible: a `ShEx₀`
@@ -107,7 +110,7 @@
 //! assert!(matrix[1][0].is_not_contained(), "* does not narrow to ?");
 //! ```
 
-use std::collections::hash_map::DefaultHasher;
+use std::collections::hash_map::{DefaultHasher, Entry};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -115,7 +118,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError, RwLock};
 use std::time::Duration;
 
-use shapex_graph::{Graph, Label, SharedLabelTable};
+use shapex_graph::{Graph, SharedLabelTable};
 use shapex_rbe::{Bag, Rbe};
 use shapex_shex::typing::{validates_with, SolverTelemetry, ValidateScratch};
 use shapex_shex::{Atom, Schema, SchemaClass, TypeId};
@@ -167,18 +170,19 @@ pub struct EngineOptionsBuilder {
 
 impl EngineOptionsBuilder {
     /// Replace the counter-example search budget (depth, pool sizes,
-    /// candidate count). Fixed for the lifetime of the engine so that cached
-    /// unfolding pools remain valid for every query.
+    /// candidate count). Fixed for the lifetime of the engine, so the
+    /// unfolders' memoised trees and the memoised answers — the search's
+    /// `Unknown` included — stay valid for every query.
     pub fn search(mut self, search: SearchOptions) -> Self {
         self.options.search = search;
         self
     }
 
-    /// Bound the evictable caches (enumerated pools, validation memos, pair
-    /// memos, unfolding arenas) to an accounted-byte budget: an epoch-LRU
-    /// sweep runs whenever the evictable total exceeds it. Without this call
-    /// every cache is kept for the engine's lifetime. Verdicts and witnesses
-    /// do not depend on it — see the [module docs](self). Weights are
+    /// Bound the evictable caches (the answer memo and the per-schema
+    /// unfolders) to an accounted-byte budget: an epoch-LRU sweep runs
+    /// whenever the evictable total exceeds it. Without this call every
+    /// cache is kept for the engine's lifetime. Verdicts and witnesses do
+    /// not depend on it — see the [module docs](self). Weights are
     /// documented approximations of heap footprint, not allocator ground
     /// truth.
     pub fn cache_budget(mut self, bytes: u64) -> Self {
@@ -186,11 +190,12 @@ impl EngineOptionsBuilder {
         self
     }
 
-    /// Refuse to cache any single entry (one enumerated pool, one validation
-    /// record, …) heavier than `bytes` accounted bytes: it is used but never
-    /// cached, so one oversized entry cannot evict the whole working set.
-    /// Without this call everything is admitted. Verdicts do not depend on
-    /// it.
+    /// Refuse to memoise any single answer heavier than `bytes` accounted
+    /// bytes (an entry's fixed cost plus its witness graph, if it carries
+    /// one): it is returned but never cached, so one oversized witness
+    /// cannot evict the whole working set. Unfolders are accounted as they
+    /// grow and are not subject to it. Without this call everything is
+    /// admitted. Verdicts do not depend on it.
     pub fn max_entry_bytes(mut self, bytes: u64) -> Self {
         self.options.max_entry_bytes = Some(bytes);
         self
@@ -247,43 +252,36 @@ impl SchemaId {
 pub struct EngineStats {
     /// Distinct schemas registered.
     pub schemas: usize,
-    /// Candidate-validation verdicts answered from the memo.
+    /// Checks answered from the memo of completed answers.
+    pub memo_hits: u64,
+    /// Candidates a search met again after validating them earlier in the
+    /// same search (each distinct candidate is validated once per search).
     pub validate_hits: u64,
-    /// Candidate-validation verdicts actually computed.
+    /// Candidate validations run (against the right-hand schema, plus the
+    /// rare pool member that is not certified by construction).
     pub validate_misses: u64,
-    /// Shape-graph embedding verdicts answered from the memo.
-    pub embed_hits: u64,
-    /// Shape-graph embedding verdicts actually computed.
+    /// Shape-graph embeddings computed.
     pub embed_misses: u64,
-    /// Enumerated unfolding pools answered from the cache.
+    /// Search pools whose `(root, depth)` trees the schema's unfolder
+    /// already held.
     pub pool_hits: u64,
-    /// Unfolding pools built.
+    /// Search pools whose trees the unfolder had to enumerate.
     pub pools_built: u64,
     /// Duplicate concurrent queries answered by waiting on another thread's
     /// in-flight computation of the same ordered pair instead of re-running
-    /// the search (single-flight coalescing wins).
+    /// it (single-flight coalescing wins).
     pub coalesced_queries: u64,
-    /// Duplicate concurrent pool enumerations that adopted another thread's
-    /// in-flight build instead of building (or re-looking-up) the pool.
-    pub coalesced_pools: u64,
     /// The configured evictable-cache budget (`None` = unbounded).
     pub cache_budget: Option<u64>,
     /// The configured per-entry admission ceiling (`None` = admit all).
     pub max_entry_bytes: Option<u64>,
-    /// Cache entries refused by the admission policy (computed and used,
-    /// but never cached, because they weighed more than `max_entry_bytes`).
+    /// Answers refused by the admission policy (computed and returned, but
+    /// never memoised, because they weighed more than `max_entry_bytes`).
     pub admission_rejections: u64,
-    /// Accounted bytes resident in the enumerated-pool caches.
-    pub pool_bytes: u64,
-    /// Accounted bytes resident in the candidate-validation memos.
-    pub validate_bytes: u64,
-    /// Accounted bytes resident in the embeds/sufficient pair memos.
+    /// Accounted bytes resident in the answer memo, witnesses included.
     pub pair_bytes: u64,
-    /// Accounted bytes resident in the per-schema unfolding arenas.
+    /// Accounted bytes resident in the per-schema unfolders.
     pub unfolder_bytes: u64,
-    /// Accounted bytes resident in the session-wide shared candidate-bag
-    /// cache.
-    pub bag_bytes: u64,
     /// Accounted bytes in the pinned (counted, never evicted) caches:
     /// registered schemas, characterizing graphs, bag enumerations, and the
     /// session atom table.
@@ -293,7 +291,8 @@ pub struct EngineStats {
     /// grows with the *union* of registered alphabets rather than with any
     /// single schema.
     pub atom_bytes: u64,
-    /// Cache entries dropped by eviction sweeps.
+    /// Cache entries (answers and whole unfolders) dropped by eviction
+    /// sweeps.
     pub evictions: u64,
     /// Accounted bytes freed by eviction sweeps.
     pub evicted_bytes: u64,
@@ -312,8 +311,6 @@ pub struct EngineStats {
     /// RBE₀ pairs whose fixpoint ran over its evaluation budget and fell
     /// through to the bounded counter-example search.
     pub fixpoint_over_budget: u64,
-    /// Checks answered from the memo of fixpoint outcomes.
-    pub fixpoint_memo_hits: u64,
     /// Presburger solver invocations (the RBE₀ fast paths never enter the
     /// solver and are not counted).
     pub solver_calls: u64,
@@ -327,11 +324,7 @@ impl EngineStats {
     /// Total accounted bytes in the evictable caches — the quantity the
     /// budget bounds.
     pub fn evictable_bytes(&self) -> u64 {
-        self.pool_bytes
-            + self.validate_bytes
-            + self.pair_bytes
-            + self.unfolder_bytes
-            + self.bag_bytes
+        self.pair_bytes + self.unfolder_bytes
     }
 
     /// Total accounted bytes resident, evictable and pinned.
@@ -354,40 +347,31 @@ impl fmt::Display for EngineStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{} schemas; validate memo {} hits / {} misses ({:.1}% hit); \
-             embed memo {} hits / {} misses ({:.1}% hit); \
-             pools {} hits / {} built ({:.1}% hit)",
+            "{} schemas; {} memo hits; {} embeddings; \
+             pools {} held / {} built ({:.1}% held); \
+             validations {} run / {} repeats; coalesced {} queries",
             self.schemas,
-            self.validate_hits,
-            self.validate_misses,
-            hit_rate(self.validate_hits, self.validate_misses),
-            self.embed_hits,
+            self.memo_hits,
             self.embed_misses,
-            hit_rate(self.embed_hits, self.embed_misses),
             self.pool_hits,
             self.pools_built,
             hit_rate(self.pool_hits, self.pools_built),
+            self.validate_misses,
+            self.validate_hits,
+            self.coalesced_queries,
         )?;
         write!(
             f,
-            "; coalesced {} queries + {} pools",
-            self.coalesced_queries, self.coalesced_pools,
+            "; fixpoint {} decided / {} over budget",
+            self.fixpoint_decided, self.fixpoint_over_budget,
         )?;
         write!(
             f,
-            "; fixpoint {} decided / {} over budget ({} memo hits)",
-            self.fixpoint_decided, self.fixpoint_over_budget, self.fixpoint_memo_hits,
-        )?;
-        write!(
-            f,
-            "; resident {} B evictable (pools {}, validate {}, pairs {}, unfolder {}, bags {}) \
+            "; resident {} B evictable (pairs {}, unfolder {}) \
              + {} B pinned ({} B atoms); budget {}; {} evictions freed {} B in {} sweeps",
             self.evictable_bytes(),
-            self.pool_bytes,
-            self.validate_bytes,
             self.pair_bytes,
             self.unfolder_bytes,
-            self.bag_bytes,
             self.pinned_bytes,
             self.atom_bytes,
             match self.cache_budget {
@@ -430,19 +414,17 @@ impl fmt::Display for EngineStats {
 /// carry no synchronisation duty.
 #[derive(Debug, Default)]
 struct EngineCounters {
+    memo_hits: AtomicU64,
     validate_hits: AtomicU64,
     validate_misses: AtomicU64,
-    embed_hits: AtomicU64,
     embed_misses: AtomicU64,
     pool_hits: AtomicU64,
     pools_built: AtomicU64,
     coalesced_queries: AtomicU64,
-    coalesced_pools: AtomicU64,
     deadline_exceeded: AtomicU64,
     cancelled_branches: AtomicU64,
     fixpoint_decided: AtomicU64,
     fixpoint_over_budget: AtomicU64,
-    fixpoint_memo_hits: AtomicU64,
 }
 
 impl EngineCounters {
@@ -453,27 +435,22 @@ impl EngineCounters {
     fn snapshot(&self, schemas: usize, budget: &CacheBudget) -> EngineStats {
         EngineStats {
             schemas,
+            memo_hits: self.memo_hits.load(Ordering::Relaxed),
             validate_hits: self.validate_hits.load(Ordering::Relaxed),
             validate_misses: self.validate_misses.load(Ordering::Relaxed),
-            embed_hits: self.embed_hits.load(Ordering::Relaxed),
             embed_misses: self.embed_misses.load(Ordering::Relaxed),
             pool_hits: self.pool_hits.load(Ordering::Relaxed),
             pools_built: self.pools_built.load(Ordering::Relaxed),
             coalesced_queries: self.coalesced_queries.load(Ordering::Relaxed),
-            coalesced_pools: self.coalesced_pools.load(Ordering::Relaxed),
             deadline_exceeded: self.deadline_exceeded.load(Ordering::Relaxed),
             cancelled_branches: self.cancelled_branches.load(Ordering::Relaxed),
             fixpoint_decided: self.fixpoint_decided.load(Ordering::Relaxed),
             fixpoint_over_budget: self.fixpoint_over_budget.load(Ordering::Relaxed),
-            fixpoint_memo_hits: self.fixpoint_memo_hits.load(Ordering::Relaxed),
             cache_budget: budget.limit(),
             max_entry_bytes: budget.max_entry_bytes(),
             admission_rejections: budget.admission_rejections(),
-            pool_bytes: budget.resident(CacheKind::Pools),
-            validate_bytes: budget.resident(CacheKind::Validate),
             pair_bytes: budget.resident(CacheKind::Pairs),
             unfolder_bytes: budget.resident(CacheKind::Unfolder),
-            bag_bytes: budget.resident(CacheKind::Bags),
             pinned_bytes: budget.resident(CacheKind::Pinned),
             atom_bytes: 0,
             evictions: budget.evictions(),
@@ -483,134 +460,6 @@ impl EngineCounters {
             solver_search_nodes: 0,
             solver_pruned_branches: 0,
         }
-    }
-}
-
-/// An immutable, shareable pool of candidate member graphs. The graphs
-/// themselves are `Arc`ed: the unfolder builds one graph per distinct
-/// candidate tree, and every pool (and every returned witness) shares those
-/// allocations instead of materialising its own copies.
-type Pool = Arc<Vec<Arc<Graph>>>;
-
-/// One cached enumerated pool: the pool itself plus its accounting — the
-/// bytes charged to the ledger at insertion (credited back verbatim on
-/// eviction) and the LRU stamp refreshed on every hit.
-#[derive(Debug)]
-struct PoolSlot {
-    pool: Pool,
-    bytes: u64,
-    stamp: AtomicU64,
-}
-
-/// The accounted weight of a pool: spine plus every member graph. Graphs
-/// are `Arc`-shared with the unfolder and overlapping pools, so summing
-/// full graph weights over-counts shared allocations — deliberately: the
-/// budget bounds a conservative upper estimate, never an under-estimate.
-fn pool_weight(pool: &[Arc<Graph>]) -> u64 {
-    let spine = std::mem::size_of::<Vec<Arc<Graph>>>() + std::mem::size_of_val(pool);
-    spine as u64 + pool.iter().map(|g| g.as_ref().weight_bytes()).sum::<u64>()
-}
-
-/// Per-schema memo of `validates(candidate, schema)` verdicts, keyed by a
-/// 64-bit structural hash of the candidate with full structural comparison
-/// on every bucket hit — lookups allocate nothing (the historical
-/// implementation rendered a `String` key per lookup), and a hash collision
-/// can only cost a comparison, never a wrong verdict. Each record carries
-/// its charged bytes and LRU stamp for the eviction sweep.
-#[derive(Debug, Default)]
-struct ValidateMemo {
-    buckets: HashMap<u64, Vec<ValidateRecord>>,
-}
-
-/// One memoised validation verdict plus its accounting.
-#[derive(Debug)]
-struct ValidateRecord {
-    key: CandidateKey,
-    verdict: bool,
-    bytes: u64,
-    stamp: AtomicU64,
-}
-
-/// The accounted weight of one validation record: the record itself, the
-/// key's edge vector, and an allowance for the hash-bucket entry.
-fn validate_record_weight(key: &CandidateKey) -> u64 {
-    (std::mem::size_of::<ValidateRecord>()
-        + key.edges.capacity() * std::mem::size_of::<(u32, Label, u32)>()
-        + 16) as u64
-}
-
-/// The exact structural identity of a memoised candidate: node count plus
-/// every edge as `(source, label, target)`. Node names are irrelevant to
-/// validation, so structurally identical candidates share one slot.
-#[derive(Debug)]
-struct CandidateKey {
-    nodes: u32,
-    edges: Vec<(u32, Label, u32)>,
-}
-
-impl CandidateKey {
-    fn of(graph: &Graph) -> CandidateKey {
-        CandidateKey {
-            nodes: graph.node_count() as u32,
-            edges: graph
-                .edges()
-                .map(|e| (graph.source(e).0, graph.label(e).clone(), graph.target(e).0))
-                .collect(),
-        }
-    }
-
-    fn matches(&self, graph: &Graph) -> bool {
-        self.nodes as usize == graph.node_count()
-            && self.edges.len() == graph.edge_count()
-            && graph.edges().zip(&self.edges).all(|(e, (s, label, t))| {
-                graph.source(e).0 == *s && graph.target(e).0 == *t && graph.label(e) == label
-            })
-    }
-}
-
-/// The structural hash behind [`ValidateMemo`] lookups.
-fn candidate_hash(graph: &Graph) -> u64 {
-    let mut hasher = DefaultHasher::new();
-    graph.node_count().hash(&mut hasher);
-    for e in graph.edges() {
-        graph.source(e).0.hash(&mut hasher);
-        graph.label(e).hash(&mut hasher);
-        graph.target(e).0.hash(&mut hasher);
-    }
-    hasher.finish()
-}
-
-impl ValidateMemo {
-    /// A memoised verdict, refreshing the record's LRU stamp on a hit.
-    fn get(&self, hash: u64, graph: &Graph, budget: &CacheBudget) -> Option<bool> {
-        let record = self
-            .buckets
-            .get(&hash)?
-            .iter()
-            .find(|record| record.key.matches(graph))?;
-        record.stamp.store(budget.touch(), Ordering::Relaxed);
-        Some(record.verdict)
-    }
-
-    /// Insert a verdict, charging the ledger only when the insertion wins
-    /// (a racing thread may have stored the same verdict first).
-    fn insert(&mut self, hash: u64, graph: &Graph, verdict: bool, budget: &CacheBudget) {
-        let bucket = self.buckets.entry(hash).or_default();
-        if bucket.iter().any(|record| record.key.matches(graph)) {
-            return; // a racing thread computed the same verdict first
-        }
-        let key = CandidateKey::of(graph);
-        let bytes = validate_record_weight(&key);
-        if !budget.admits(bytes) {
-            return; // oversized record: use the verdict, skip the memo
-        }
-        bucket.push(ValidateRecord {
-            key,
-            verdict,
-            bytes,
-            stamp: AtomicU64::new(budget.touch()),
-        });
-        budget.charge(CacheKind::Validate, bytes);
     }
 }
 
@@ -651,25 +500,20 @@ struct SchemaEntry {
     /// The characterizing graph of Lemma 4.2, built on first demand
     /// (`DetShEx₀⁻` schemas only) and shared by every answer it refutes.
     characterizing: OnceLock<Arc<Graph>>,
-    /// `validates(candidate, schema)` verdicts (read-mostly; see
-    /// [`validate_memoised`]).
-    validate_memo: RwLock<ValidateMemo>,
     /// The schema's arena-backed unfolding session: hash-consed trees,
     /// memoised `(type, depth)` enumerations, one shared graph per distinct
-    /// candidate. Pool builders hold this lock for the duration of one pool
-    /// construction; every other engine path stays off it.
+    /// candidate — the search's pools come straight from it. A search holds
+    /// this lock while it takes one pool; every other engine path stays off
+    /// it.
     unfolder: Mutex<Unfolder>,
-    /// The unfolder's accounted bytes as last charged to the ledger —
-    /// builders re-measure after every use and charge/credit the delta
+    /// The unfolder's accounted bytes as last charged to the ledger — the
+    /// search re-measures after every pool and charges/credits the delta
     /// (while holding the unfolder lock, so updates serialise).
     unfolder_bytes: AtomicU64,
-    /// `(root type, depth) → pool` of systematic unfoldings, stamped and
-    /// weighed for the eviction sweep.
-    enumerated: RwLock<BTreeMap<(TypeId, usize), PoolSlot>>,
-    /// In-flight `(root, depth)` pool builds: concurrent demanders of one
-    /// cold pool coalesce onto a single construction instead of queueing on
-    /// the unfolder lock to each rebuild (and race-adopt) the same pool.
-    pool_flights: SingleFlight<(TypeId, usize), Pool>,
+    /// The unfolder's LRU stamp, refreshed whenever a search takes a pool:
+    /// a sweep resets the whole unfolder once this stamp falls behind its
+    /// cutoff.
+    unfolder_stamp: AtomicU64,
     /// The exhaustive per-type bag enumeration (`None` = infinite).
     bags: OnceLock<CachedBags>,
 }
@@ -832,8 +676,8 @@ impl<V> Flight<V> {
 /// leader) computes; everyone else arriving while the flight is up blocks
 /// and shares the leader's value. The entry is removed at publish time, so
 /// the table never grows into a verdict memo: a caller arriving after the
-/// leader landed starts a fresh flight (and typically recomputes warm, off
-/// the underlying memos).
+/// leader landed starts a fresh flight (whose computation then finds the
+/// answer the first flight memoised).
 ///
 /// Correctness leans on determinism: every computation routed through one
 /// key must produce the same value, so handing a follower the leader's copy
@@ -864,7 +708,6 @@ impl<K: Eq + Hash + Copy, V: Clone> SingleFlight<K, V> {
     /// runs outside every flight lock and must not re-enter this table (a
     /// nested `run` on the same table could deadlock on its own flight).
     fn run(&self, key: K, compute: impl FnOnce() -> V, coalesced: &AtomicU64) -> V {
-        use std::collections::hash_map::Entry;
         let flight = {
             let mut shard = lock_or_recover(self.shard(&key));
             match shard.entry(key) {
@@ -979,36 +822,25 @@ pub struct ContainmentEngine {
     options: EngineOptions,
     labels: SharedLabelTable,
     registry: RwLock<Registry>,
-    /// `(h, k) → whether the shape graph of h embeds in the one of k`.
-    embeds_memo: ShardedPairMap<bool>,
-    /// `(h, k) → whether the general sufficient condition holds`.
-    sufficient_memo: ShardedPairMap<bool>,
-    /// `(h, k) → the type-set fixpoint's answer for an RBE₀ pair that
-    /// embedding and the DetShEx₀⁻ shortcut left open` (`None`: over the
-    /// fixpoint's budget, so the bounded search answers). A repeated check
-    /// of such a pair costs two memo lookups.
-    fixpoint_memo: ShardedPairMap<Option<Containment>>,
-    /// In-flight `(h, k)` verdict computations (single-flight coalescing,
-    /// see [`ContainmentEngine::check_ids`]): sharded like the pair memos so
-    /// concurrent queries for different pairs never contend. Verdicts the
-    /// bounded search reaches are not memoised — it re-runs per call over
-    /// warm memos — so coalescing duplicate concurrent checks is what keeps
-    /// a thundering herd of identical queries from multiplying that warm
-    /// re-walk, and what shares the cold work of a pair's first check.
+    /// `(h, k) → the completed answer to L(h) ⊆ L(k)`, whichever procedure
+    /// gave it (a deadline answer is never recorded).
+    answers: ShardedPairMap<Containment>,
+    /// In-flight `(h, k)` answer computations (single-flight coalescing,
+    /// see [`ContainmentEngine::check_ids`]): sharded like the answer memo
+    /// so concurrent queries for different pairs never contend. The memo
+    /// answers every check after a pair's first; the flight shares that
+    /// first check's cold work among the callers asking at the same time.
     query_flights: SingleFlight<(u32, u32), Containment>,
     counters: EngineCounters,
     /// The accounted-byte ledger and eviction bookkeeping behind
-    /// [`EngineOptionsBuilder::cache_budget`] — `Arc`ed because the session context
-    /// (and through it every unfolder's shared bag cache) charges the same
-    /// ledger.
-    budget: Arc<CacheBudget>,
+    /// [`EngineOptionsBuilder::cache_budget`].
+    budget: CacheBudget,
     /// The atom-table bytes last charged to [`CacheKind::Pinned`]; the
     /// delta-accounting swap point for [`ContainmentEngine::sync_atom_bytes`].
     atom_bytes: AtomicU64,
-    /// Cross-schema session state: the shared atom table, the candidate-bag
-    /// cache, and the solver telemetry. Cloned into every schema entry's
-    /// unfolder (and restored on eviction rebuilds), so interning survives
-    /// cache sweeps.
+    /// Cross-schema session state: the shared atom table and the solver
+    /// telemetry. Cloned into every schema entry's unfolder (and into the
+    /// fresh one a sweep leaves behind), so interning survives cache sweeps.
     session: SessionContext,
 }
 
@@ -1026,22 +858,16 @@ impl ContainmentEngine {
 
     /// An engine with the given options.
     pub fn with_options(options: EngineOptions) -> ContainmentEngine {
-        let budget = Arc::new(CacheBudget::with_admission(
-            options.cache_budget,
-            options.max_entry_bytes,
-        ));
+        let budget = CacheBudget::with_admission(options.cache_budget, options.max_entry_bytes);
         let session = SessionContext {
             telemetry: Some(Arc::new(SolverTelemetry::new())),
-            budget: Some(Arc::clone(&budget)),
             ..SessionContext::default()
         };
         ContainmentEngine {
             options,
             labels: SharedLabelTable::new(),
             registry: RwLock::new(Registry::default()),
-            embeds_memo: ShardedPairMap::new(),
-            sufficient_memo: ShardedPairMap::new(),
-            fixpoint_memo: ShardedPairMap::new(),
+            answers: ShardedPairMap::new(),
             query_flights: SingleFlight::new(PAIR_SHARDS),
             counters: EngineCounters::default(),
             budget,
@@ -1129,11 +955,9 @@ impl ContainmentEngine {
             class,
             shape_graph,
             characterizing: OnceLock::new(),
-            validate_memo: RwLock::new(ValidateMemo::default()),
             unfolder: Mutex::new(Unfolder::with_context(self.session.clone())),
             unfolder_bytes: AtomicU64::new(0),
-            enumerated: RwLock::new(BTreeMap::new()),
-            pool_flights: SingleFlight::new(1),
+            unfolder_stamp: AtomicU64::new(0),
             bags: OnceLock::new(),
         });
         // The registered schema (its cached shape graph included — derived
@@ -1188,64 +1012,83 @@ impl ContainmentEngine {
     /// Decide `L(H) ⊆ L(K)` for already-registered schemas, optionally
     /// under a [`CancelToken`].
     ///
-    /// Without a token, duplicate concurrent queries for the same ordered
-    /// pair coalesce onto one computation (single-flight): while one thread
-    /// computes the verdict, the others block on it and share it, and
-    /// [`EngineStats`] counts them in `coalesced_queries` (and cold pools
-    /// built once for several racers in `coalesced_pools`). Verdicts are
-    /// deterministic, so coalescing is observationally invisible. With a
-    /// token, the query threads
-    /// it through every long-running loop it reaches — pool enumeration,
-    /// per-candidate validation, the typing fixpoints, the Presburger
-    /// solver — and polls it at bounded checkpoint intervals. Once the token
-    /// fires (from another thread, or at its deadline) the search abandons
-    /// its current branch and returns
-    /// [`crate::UnknownReason::DeadlineExceeded`] instead of wedging a worker
-    /// for the rest of its budget; a counter-example certified before the
-    /// expiry was observed still stands.
+    /// A pair's completed answer is memoised, so every check after its
+    /// first costs one memo lookup ([`EngineStats::memo_hits`]). Without a
+    /// token, duplicate concurrent first checks of the same ordered pair
+    /// coalesce onto one computation (single-flight): while one thread
+    /// computes the answer, the others block on it and share it, and
+    /// [`EngineStats`] counts them in `coalesced_queries`. Answers are
+    /// deterministic, so memoising and coalescing are observationally
+    /// invisible. With a token, the query threads it through every
+    /// long-running loop it reaches — pool enumeration, per-candidate
+    /// validation, the typing fixpoints, the Presburger solver — and polls
+    /// it at bounded checkpoint intervals. Once the token fires (from
+    /// another thread, or at its deadline) the search abandons its current
+    /// branch and returns [`crate::UnknownReason::DeadlineExceeded`] instead
+    /// of wedging a worker for the rest of its budget; a counter-example
+    /// certified before the expiry was observed still stands.
     ///
     /// Queries with a token bypass coalescing: a follower must never inherit
     /// another caller's deadline verdict, and a leader's expiry must never
-    /// become a follower's answer. Caches only ever record completed
-    /// verdicts, so concurrent queries without a token are bit-identical to
-    /// an engine that never saw one.
+    /// become a follower's answer. The memo only ever records completed
+    /// answers, so queries without a token are bit-identical to an engine
+    /// that never saw one.
     pub fn check_ids(&self, h: SchemaId, k: SchemaId, cancel: Option<&CancelToken>) -> Containment {
         let entries = self.entries(&[h, k]);
         self.verdict(h, k, &entries[0], &entries[1], cancel)
     }
 
-    /// The one verdict route behind [`ContainmentEngine::check_ids`] and
-    /// every matrix cell — and the single-flight seam of every `(h, k)`
-    /// query. With a token, the dispatch chain runs directly (and the
-    /// deadline counter ticks on expiry). Without one, while a thread runs
-    /// the chain for an ordered pair, duplicate concurrent queries for the
-    /// same pair block on that computation and share its verdict
-    /// ([`EngineStats::coalesced_queries`] counts them). Sound because
-    /// verdicts are deterministic functions of the registered pair, and
-    /// every route enters the chain at
-    /// [`ContainmentEngine::general_entries`], so one flight key serves
-    /// them all.
+    /// The one verdict route behind [`ContainmentEngine::check_ids`],
+    /// [`ContainmentEngine::det_ids`] and every matrix cell — and the
+    /// single-flight seam of every `(h, k)` query. An already-expired token
+    /// answers at once; otherwise the pair's memoised answer, if any, is
+    /// returned. With a token, [`ContainmentEngine::answer`] runs directly
+    /// (and the deadline counter ticks on expiry). Without one, while a
+    /// thread computes the answer for an ordered pair, duplicate concurrent
+    /// queries for the same pair block on that computation and share it
+    /// ([`EngineStats::coalesced_queries`] counts them).
     fn verdict(
         &self,
         h: SchemaId,
         k: SchemaId,
-        h_entry: &Arc<SchemaEntry>,
-        k_entry: &Arc<SchemaEntry>,
+        h_entry: &SchemaEntry,
+        k_entry: &SchemaEntry,
         cancel: Option<&CancelToken>,
     ) -> Containment {
-        let run = || self.general_entries(h, k, h_entry, k_entry, cancel);
+        if let Some(token) = cancel.filter(|token| token.fired()) {
+            // An already-expired deadline skips even the memo: the caller
+            // asked for an answer by a time that has passed.
+            EngineCounters::tick(&self.counters.deadline_exceeded);
+            return Containment::deadline_exceeded(token.elapsed());
+        }
+        let key = (h.0, k.0);
+        if let Some(answer) = self.memoised(key) {
+            return answer;
+        }
         if cancel.is_some() {
-            let verdict = run();
-            if matches!(
-                verdict.unknown_reason(),
-                Some(crate::UnknownReason::DeadlineExceeded { .. })
-            ) {
+            let answer = self.answer(key, h_entry, k_entry, cancel);
+            if is_deadline(&answer) {
                 EngineCounters::tick(&self.counters.deadline_exceeded);
             }
-            return verdict;
+            return answer;
         }
-        self.query_flights
-            .run((h.0, k.0), run, &self.counters.coalesced_queries)
+        self.query_flights.run(
+            key,
+            // A flight that landed between the lookup above and this one's
+            // start has memoised the answer already.
+            || {
+                self.memoised(key)
+                    .unwrap_or_else(|| self.answer(key, h_entry, k_entry, None))
+            },
+            &self.counters.coalesced_queries,
+        )
+    }
+
+    /// The pair's memoised answer, counted in [`EngineStats::memo_hits`].
+    fn memoised(&self, key: (u32, u32)) -> Option<Containment> {
+        let answer = self.answers.get(key, &self.budget)?;
+        EngineCounters::tick(&self.counters.memo_hits);
+        Some(answer)
     }
 
     /// Batch pairwise containment: `matrix[i][j]` answers
@@ -1253,9 +1096,9 @@ impl ContainmentEngine {
     /// diagonal.
     ///
     /// This is the schema-evolution workload the session layer exists for:
-    /// each schema's shape graph, classification, unfolding pools, and
-    /// validation verdicts are built once and reused across all `N - 1`
-    /// partners, instead of once per pair as `N²` one-shot calls would. The
+    /// each schema's shape graph, classification, and unfolder are built
+    /// once and reused across all `N - 1` partners, instead of once per pair
+    /// as `N²` one-shot calls would, and every cell's answer is memoised. The
     /// answers are identical to the `N²` individual
     /// [`ContainmentEngine::check`] calls (and to the one-shot functions).
     pub fn check_matrix(&self, schemas: &[Schema]) -> ContainmentMatrix {
@@ -1294,34 +1137,19 @@ impl ContainmentEngine {
         self.det_ids(h, k)
     }
 
-    /// [`ContainmentEngine::det`] for already-registered schemas.
+    /// [`ContainmentEngine::det`] for already-registered schemas: the
+    /// [`ContainmentEngine::check_ids`] answer behind the `DetShEx₀⁻` class
+    /// gate.
     pub fn det_ids(&self, h: SchemaId, k: SchemaId) -> Result<Containment, NotDetShex0Minus> {
         let entries = self.entries(&[h, k]);
-        let (h_entry, k_entry) = (&entries[0], &entries[1]);
-        require_det_minus(h_entry)?;
-        require_det_minus(k_entry)?;
-        if self.embeds_cached(h, k, h_entry, k_entry) {
-            Ok(Containment::Contained)
-        } else {
-            let witness = self.characterizing(h_entry)?;
-            debug_assert!(
-                embeds(
-                    &witness,
-                    h_entry
-                        .shape_graph
-                        .as_ref()
-                        .expect("DetShEx0- schemas are RBE0")
-                )
-                .is_some(),
-                "characterizing graph must belong to L(H)"
-            );
-            Ok(Containment::NotContained(witness))
-        }
+        require_det_minus(&entries[0])?;
+        require_det_minus(&entries[1])?;
+        Ok(self.verdict(h, k, &entries[0], &entries[1], None))
     }
 
     /// Search for a certified counter-example to `L(H) ⊆ L(K)` — the
-    /// session equivalent of [`crate::unfold::search_counter_example`], with
-    /// pooled unfoldings and memoised validation.
+    /// session equivalent of [`crate::unfold::search_counter_example`],
+    /// over the schemas' shared unfolders.
     pub fn counter_example(&self, h: &Schema, k: &Schema) -> Option<Graph> {
         let h = self.register(h);
         let k = self.register(k);
@@ -1331,122 +1159,86 @@ impl ContainmentEngine {
             .map(|witness| Graph::clone(&witness))
     }
 
-    /// The `ShEx₀` procedure over registered RBE₀ schemas (Section 5
-    /// pipeline: embedding, the characterizing-graph shortcut, then the
-    /// type-set fixpoint, whose outcome is memoised per pair). Only a pair
-    /// over the fixpoint's budget runs the bounded search. The caller
-    /// supplies the already-fetched entries — the dispatch chain touches the
-    /// registry lock once per query, not once per hop.
-    fn shex0_entries(
+    /// Compute the answer for the pair `key` with the strongest procedure
+    /// for its class, and memoise it. A `ShEx₀` pair goes to embedding
+    /// (§3), then the characterizing graph when both sides are `DetShEx₀⁻`
+    /// (Lemma 4.2), then the type-set fixpoint (§5), and to the bounded
+    /// search only over the fixpoint's work bound. A pair with a full ShEx
+    /// side goes to the type-simulation sufficient check and then the
+    /// bounded search (§6). Every completed answer is memoised — a deadline
+    /// answer never is — and a witness is charged by its weight unless it
+    /// is the entry's characterizing graph, which is pinned already.
+    fn answer(
         &self,
-        h: SchemaId,
-        k: SchemaId,
-        h_entry: &Arc<SchemaEntry>,
-        k_entry: &Arc<SchemaEntry>,
+        key: (u32, u32),
+        h: &SchemaEntry,
+        k: &SchemaEntry,
         cancel: Option<&CancelToken>,
     ) -> Containment {
-        if self.embeds_cached(h, k, h_entry, k_entry) {
-            return Containment::Contained;
-        }
-        if h_entry.class == SchemaClass::DetShEx0Minus
-            && k_entry.class == SchemaClass::DetShEx0Minus
-        {
-            let witness = self.characterizing(h_entry).expect("checked DetShEx0-");
-            return Containment::NotContained(witness);
-        }
-        let key = (h.0, k.0);
-        let answer = match self.fixpoint_memo.get(key, &self.budget) {
-            Some(memoised) => {
-                EngineCounters::tick(&self.counters.fixpoint_memo_hits);
-                memoised
+        let rbe0 = h.class != SchemaClass::ShEx && k.class != SchemaClass::ShEx;
+        let answer = match (&h.shape_graph, &k.shape_graph) {
+            // Every RBE₀ schema has a shape graph (Proposition 3.2).
+            (Some(hg), Some(kg)) if rbe0 => {
+                EngineCounters::tick(&self.counters.embed_misses);
+                if embeds(hg, kg).is_some() {
+                    Containment::Contained
+                } else if h.class == SchemaClass::DetShEx0Minus
+                    && k.class == SchemaClass::DetShEx0Minus
+                {
+                    Containment::NotContained(self.characterizing(h).expect("checked DetShEx0-"))
+                } else {
+                    match fixpoint::decide(&h.schema, &k.schema, cancel) {
+                        FixpointOutcome::Contained => {
+                            EngineCounters::tick(&self.counters.fixpoint_decided);
+                            Containment::Contained
+                        }
+                        FixpointOutcome::NotContained(witness) => {
+                            EngineCounters::tick(&self.counters.fixpoint_decided);
+                            Containment::NotContained(witness)
+                        }
+                        FixpointOutcome::OverBudget => {
+                            EngineCounters::tick(&self.counters.fixpoint_over_budget);
+                            self.search(h, k, cancel).into_containment()
+                        }
+                        FixpointOutcome::Cancelled => {
+                            EngineCounters::tick(&self.counters.cancelled_branches);
+                            let token = cancel.expect("only a token cancels the fixpoint");
+                            Containment::deadline_exceeded(token.elapsed())
+                        }
+                    }
+                }
             }
-            None => {
-                let answer = match fixpoint::decide(&h_entry.schema, &k_entry.schema, cancel) {
-                    FixpointOutcome::Contained => Some(Containment::Contained),
-                    FixpointOutcome::NotContained(witness) => {
-                        Some(Containment::NotContained(witness))
-                    }
-                    FixpointOutcome::OverBudget => None,
-                    FixpointOutcome::Cancelled => {
-                        EngineCounters::tick(&self.counters.cancelled_branches);
-                        let token = cancel.expect("only a token cancels the fixpoint");
-                        return Containment::deadline_exceeded(token.elapsed());
-                    }
-                };
-                let witness_bytes = match &answer {
-                    Some(Containment::NotContained(witness)) => witness.weight_bytes(),
-                    _ => 0,
-                };
-                self.fixpoint_memo
-                    .insert(key, answer.clone(), witness_bytes, &self.budget);
-                EngineCounters::tick(match answer {
-                    Some(_) => &self.counters.fixpoint_decided,
-                    None => &self.counters.fixpoint_over_budget,
+            _ => {
+                let sufficient = self.exhaustive_bags_cached(h).is_some_and(|bags| {
+                    type_simulation_with_bags(
+                        &h.schema,
+                        &bags,
+                        &k.schema,
+                        self.session.telemetry.as_deref(),
+                    )
                 });
-                self.maybe_evict();
-                answer
+                if sufficient {
+                    Containment::Contained
+                } else {
+                    self.search(h, k, cancel).into_containment()
+                }
             }
         };
-        match answer {
-            Some(answer) => answer,
-            None => self.search(h_entry, k_entry, cancel).into_containment(),
+        if !is_deadline(&answer) {
+            let witness_bytes = match (&answer, h.characterizing.get()) {
+                (Containment::NotContained(witness), Some(pinned))
+                    if Arc::ptr_eq(witness, pinned) =>
+                {
+                    0
+                }
+                (Containment::NotContained(witness), _) => witness.weight_bytes(),
+                _ => 0,
+            };
+            self.answers
+                .insert(key, answer.clone(), witness_bytes, &self.budget);
+            self.maybe_evict();
         }
-    }
-
-    /// The general procedure over registered schemas (Section 6 pipeline:
-    /// delegation to ShEx₀, type-simulation sufficient check, bounded
-    /// search), over caller-fetched entries like
-    /// [`ContainmentEngine::shex0_entries`].
-    fn general_entries(
-        &self,
-        h: SchemaId,
-        k: SchemaId,
-        h_entry: &Arc<SchemaEntry>,
-        k_entry: &Arc<SchemaEntry>,
-        cancel: Option<&CancelToken>,
-    ) -> Containment {
-        if cancel.is_some_and(|t| t.fired()) {
-            // An already-expired deadline skips even the cheap pipeline
-            // stages: the caller asked for an answer by a time that has
-            // passed.
-            return Containment::deadline_exceeded(cancel.expect("checked above").elapsed());
-        }
-        let both_rbe0 = h_entry.class != SchemaClass::ShEx && k_entry.class != SchemaClass::ShEx;
-        if both_rbe0 {
-            return self.shex0_entries(h, k, h_entry, k_entry, cancel);
-        }
-        if self.sufficient_cached(h, k, h_entry, k_entry) {
-            return Containment::Contained;
-        }
-        self.search(h_entry, k_entry, cancel).into_containment()
-    }
-
-    /// Whether the shape graph of `h` embeds in the shape graph of `k`
-    /// (memoised). Both schemas must be RBE₀.
-    fn embeds_cached(
-        &self,
-        h: SchemaId,
-        k: SchemaId,
-        h_entry: &SchemaEntry,
-        k_entry: &SchemaEntry,
-    ) -> bool {
-        if let Some(v) = self.embeds_memo.get((h.0, k.0), &self.budget) {
-            EngineCounters::tick(&self.counters.embed_hits);
-            return v;
-        }
-        EngineCounters::tick(&self.counters.embed_misses);
-        let hg = h_entry
-            .shape_graph
-            .as_ref()
-            .expect("RBE0 schema has a shape graph");
-        let kg = k_entry
-            .shape_graph
-            .as_ref()
-            .expect("RBE0 schema has a shape graph");
-        let v = embeds(hg, kg).is_some();
-        self.embeds_memo.insert((h.0, k.0), v, 0, &self.budget);
-        self.maybe_evict();
-        v
+        answer
     }
 
     /// The characterizing graph of a registered `DetShEx₀⁻` schema, built
@@ -1464,33 +1256,8 @@ impl ContainmentEngine {
         Ok(graph.clone())
     }
 
-    /// Whether the general sufficient condition holds for `(h, k)`
-    /// (memoised), with the exhaustive bag enumeration of `h` cached across
-    /// partners.
-    fn sufficient_cached(
-        &self,
-        h: SchemaId,
-        k: SchemaId,
-        h_entry: &SchemaEntry,
-        k_entry: &SchemaEntry,
-    ) -> bool {
-        if let Some(v) = self.sufficient_memo.get((h.0, k.0), &self.budget) {
-            return v;
-        }
-        let v = match self.exhaustive_bags_cached(h_entry) {
-            None => false,
-            Some(bags) => type_simulation_with_bags(
-                &h_entry.schema,
-                &bags,
-                &k_entry.schema,
-                self.session.telemetry.as_deref(),
-            ),
-        };
-        self.sufficient_memo.insert((h.0, k.0), v, 0, &self.budget);
-        self.maybe_evict();
-        v
-    }
-
+    /// The exhaustive bag enumeration of `entry`'s schema for the general
+    /// sufficient check, built once and shared by every partner.
     fn exhaustive_bags_cached(&self, entry: &SchemaEntry) -> CachedBags {
         let mut built_here = false;
         let bags = entry
@@ -1508,26 +1275,33 @@ impl ContainmentEngine {
         bags
     }
 
-    /// The bounded counter-example search over registered schemas: the
-    /// enumerated pools of every root, depth by depth, under the shared
-    /// `max_candidates` budget.
+    /// The bounded counter-example search over registered schemas: the pools
+    /// of every root, depth by depth, under the shared `max_candidates`
+    /// budget. Each pool comes straight from `h`'s unfolder, and each
+    /// distinct candidate is validated against `k` once per search.
     ///
     /// Candidate order — and therefore the returned witness — is exactly
     /// that of [`crate::baseline::search_counter_example_baseline`].
     fn search(
         &self,
-        h: &Arc<SchemaEntry>,
-        k: &Arc<SchemaEntry>,
+        h: &SchemaEntry,
+        k: &SchemaEntry,
         cancel: Option<&CancelToken>,
     ) -> SearchOutcome {
         let opts = &self.options.search;
         let mut examined = 0usize;
         let mut checked = 0usize;
         let mut scratch = ValidateScratch::with_telemetry(self.session.telemetry.clone());
+        // The candidates this search has validated, by address. The
+        // depth-cumulative pools share their graphs, so most candidates
+        // come round again; holding each `Arc` keeps its address from being
+        // reused even if a sweep resets the unfolder mid-search. (An invalid
+        // candidate ends the search, so only valid ones are recorded.)
+        let mut valid: HashMap<*const Graph, Arc<Graph>> = HashMap::new();
         let outcome = 'search: {
             for root in h.schema.types() {
                 for depth in 1..=opts.max_depth {
-                    let Some(pool) = self.enumerated_pool(h, root, depth, opts, cancel) else {
+                    let Some(pool) = self.pool(h, root, depth, &mut scratch, cancel) else {
                         // The pool build itself observed the expired token.
                         break 'search self.expired(checked, cancel);
                     };
@@ -1535,7 +1309,7 @@ impl ContainmentEngine {
                     // abandons the pool once the count exceeds the budget,
                     // so at most this many candidates of the pool get
                     // validated:
-                    for graph in pool.iter() {
+                    for graph in &pool {
                         // The per-candidate cancellation checkpoint: one
                         // poll (and one armed fault site) per candidate
                         // bounds the interval between an expiry and its
@@ -1548,18 +1322,78 @@ impl ContainmentEngine {
                             break;
                         }
                         checked += 1;
-                        if !self.validate_one(k, graph, &mut scratch) {
-                            break 'search self.refuted(graph, checked);
+                        match valid.entry(Arc::as_ptr(graph)) {
+                            Entry::Occupied(_) => {
+                                EngineCounters::tick(&self.counters.validate_hits);
+                            }
+                            Entry::Vacant(slot) => {
+                                if !self.validate(graph, &k.schema, &mut scratch) {
+                                    break 'search self.refuted(graph, checked);
+                                }
+                                slot.insert(Arc::clone(graph));
+                            }
                         }
                     }
                 }
             }
             self.open(checked)
         };
-        // Whatever validation memos the search just grew, bring the
-        // evictable total back under budget before the query returns.
+        // Whatever the unfolder just grew, bring the evictable total back
+        // under budget before the query returns.
         self.maybe_evict();
         outcome
+    }
+
+    /// The pool of valid members of `h` unfolded from `root` up to `depth`,
+    /// taken straight from the entry's [`Unfolder`] under its lock. The
+    /// unfolder's `(type, depth)` tree memos make the depth-cumulative pools
+    /// share every subtree and every candidate graph; certified members (in
+    /// practice: all of them) skip validation entirely. `None` = the token
+    /// fired mid-enumeration (completed subtree memos inside the arena stay
+    /// — they are identical to an uncancelled prefix's).
+    fn pool(
+        &self,
+        h: &SchemaEntry,
+        root: TypeId,
+        depth: usize,
+        scratch: &mut ValidateScratch,
+        cancel: Option<&CancelToken>,
+    ) -> Option<Vec<Arc<Graph>>> {
+        let scoped = SearchOptions {
+            max_depth: depth,
+            ..self.options.search.clone()
+        };
+        let mut unfolder = lock_or_recover(&h.unfolder);
+        let held = unfolder.holds(root, depth);
+        EngineCounters::tick(if held {
+            &self.counters.pool_hits
+        } else {
+            &self.counters.pools_built
+        });
+        let pool = unfolder.members_with(
+            &h.schema,
+            root,
+            &scoped,
+            &mut |g| self.validate(g, &h.schema, scratch),
+            cancel,
+        );
+        h.unfolder_stamp
+            .store(self.budget.touch(), Ordering::Relaxed);
+        if !held {
+            self.sync_unfolder_bytes(h, &unfolder);
+        }
+        drop(unfolder);
+        if pool.is_none() {
+            EngineCounters::tick(&self.counters.cancelled_branches);
+        }
+        pool
+    }
+
+    /// One `validates(graph, schema)` run, counted in
+    /// [`EngineStats::validate_misses`].
+    fn validate(&self, graph: &Graph, schema: &Schema, scratch: &mut ValidateScratch) -> bool {
+        EngineCounters::tick(&self.counters.validate_misses);
+        validates_with(graph, schema, scratch)
     }
 
     /// The per-candidate checkpoint of the search: one armed fault site and
@@ -1604,122 +1438,6 @@ impl ContainmentEngine {
         }
     }
 
-    /// The pool of valid members of `h` unfolded from `root` up to `depth` —
-    /// the entry's arena-backed [`Unfolder`] with the fallback
-    /// member-validation step routed through the memo, cached per
-    /// `(root, depth)` in the entry. The unfolder's `(type, depth)` tree
-    /// memos make the depth-cumulative pool family share every subtree and
-    /// every candidate graph; certified members (in practice: all of them)
-    /// skip validation entirely. Concurrent builders of the same key
-    /// serialise on the unfolder lock; the first insertion wins and everyone
-    /// shares that pool.
-    fn enumerated_pool(
-        &self,
-        h: &Arc<SchemaEntry>,
-        root: TypeId,
-        depth: usize,
-        opts: &SearchOptions,
-        cancel: Option<&CancelToken>,
-    ) -> Option<Pool> {
-        if let Some(slot) = read_or_recover(&h.enumerated).get(&(root, depth)) {
-            EngineCounters::tick(&self.counters.pool_hits);
-            slot.stamp.store(self.budget.touch(), Ordering::Relaxed);
-            return Some(slot.pool.clone());
-        }
-        if cancel.is_some() {
-            // Cancellable builders skip the pool flight: a cancelled leader
-            // has no pool to hand its followers, and a follower must not
-            // block on a leader whose deadline differs from its own.
-            return self.build_enumerated_pool(h, root, depth, opts, cancel);
-        }
-        // Cold pool: coalesce concurrent demanders onto one construction.
-        // Without the flight they would all queue on the unfolder lock and
-        // each rebuild the pool only to race-adopt the first insertion.
-        Some(h.pool_flights.run(
-            (root, depth),
-            || {
-                // A flight that landed between our cache miss and our
-                // leadership may have filled the slot already.
-                if let Some(slot) = read_or_recover(&h.enumerated).get(&(root, depth)) {
-                    EngineCounters::tick(&self.counters.pool_hits);
-                    slot.stamp.store(self.budget.touch(), Ordering::Relaxed);
-                    return slot.pool.clone();
-                }
-                self.build_enumerated_pool(h, root, depth, opts, None)
-                    .expect("an uncancelled pool build cannot be cancelled")
-            },
-            &self.counters.coalesced_pools,
-        ))
-    }
-
-    /// Actually build (and cache, admission permitting) one enumerated
-    /// pool — the cold path behind [`ContainmentEngine::enumerated_pool`].
-    /// `None` = the cancellation token fired mid-enumeration; the partial
-    /// pool is discarded uncached (completed subtree memos inside the arena
-    /// stay — they are identical to an uncancelled prefix's).
-    fn build_enumerated_pool(
-        &self,
-        h: &Arc<SchemaEntry>,
-        root: TypeId,
-        depth: usize,
-        opts: &SearchOptions,
-        cancel: Option<&CancelToken>,
-    ) -> Option<Pool> {
-        EngineCounters::tick(&self.counters.pools_built);
-        let scoped = SearchOptions {
-            max_depth: depth,
-            ..opts.clone()
-        };
-        let graphs = {
-            let mut scratch = ValidateScratch::with_telemetry(self.session.telemetry.clone());
-            let mut unfolder = lock_or_recover(&h.unfolder);
-            let graphs = unfolder.members_with(
-                &h.schema,
-                root,
-                &scoped,
-                &mut |g| validate_memoised(h, &self.counters, &self.budget, g, &mut scratch),
-                cancel,
-            );
-            self.sync_unfolder_bytes(h, &unfolder);
-            graphs
-        };
-        let Some(graphs) = graphs else {
-            EngineCounters::tick(&self.counters.cancelled_branches);
-            return None;
-        };
-        let pool: Pool = Arc::new(graphs);
-        let bytes = pool_weight(&pool);
-        let shared = {
-            use std::collections::btree_map::Entry;
-            let mut pools = write_or_recover(&h.enumerated);
-            match pools.entry((root, depth)) {
-                // A racing builder won the slot; adopt its pool, charge
-                // nothing (the winner charged).
-                Entry::Occupied(slot) => slot.get().pool.clone(),
-                // Oversized pools are used but not cached (admission
-                // policy): refusing up front beats letting one giant pool
-                // evict the whole working set.
-                Entry::Vacant(_) if !self.budget.admits(bytes) => pool,
-                Entry::Vacant(slot) => {
-                    slot.insert(PoolSlot {
-                        pool: pool.clone(),
-                        bytes,
-                        stamp: AtomicU64::new(self.budget.touch()),
-                    });
-                    self.budget.charge(CacheKind::Pools, bytes);
-                    pool
-                }
-            }
-        };
-        self.maybe_evict();
-        Some(shared)
-    }
-
-    /// One memoised `validates(graph, k)` verdict.
-    fn validate_one(&self, k: &SchemaEntry, graph: &Graph, scratch: &mut ValidateScratch) -> bool {
-        validate_memoised(k, &self.counters, &self.budget, graph, scratch)
-    }
-
     /// Re-measure an entry's unfolder and charge/credit the ledger delta.
     /// Callers hold the entry's unfolder lock, so the swap serialises with
     /// other re-measurements and with the sweeper's reset.
@@ -1755,8 +1473,7 @@ impl ContainmentEngine {
     /// typically gone by the time they hold the lock).
     ///
     /// Never called while holding an unfolder lock — the sweep takes
-    /// unfolder locks to reset drained sessions, and the mutex is not
-    /// reentrant.
+    /// unfolder locks to reset stale ones, and the mutex is not reentrant.
     fn maybe_evict(&self) {
         if !self.budget.over_budget() {
             return;
@@ -1779,38 +1496,29 @@ impl ContainmentEngine {
         }
     }
 
-    /// One epoch-LRU sweep: collect `(stamp, bytes)` over every evictable
-    /// entry, pick the cutoff stamp that frees enough to reach the
-    /// low-water mark (half the limit), and drop everything at or below
-    /// it. Unfolder sessions whose enumerated pools all left are reset
-    /// wholesale — their arenas are memo state that rebuilds
-    /// deterministically (same node names, same pools), so the reset is
-    /// invisible to verdicts and witnesses.
+    /// One epoch-LRU sweep: collect `(stamp, bytes)` over every memoised
+    /// answer and every unfolder, pick the cutoff stamp that frees enough to
+    /// reach the low-water mark (half the limit), and drop everything at or
+    /// below it. A dropped unfolder is reset wholesale — its arena is memo
+    /// state that rebuilds deterministically (same node names, same pools),
+    /// so the reset is invisible to verdicts and witnesses.
     ///
     /// Locks are taken one cache at a time, never an unfolder lock while
-    /// holding a cache lock, so concurrent queries at worst block briefly
-    /// on one cache.
+    /// holding another cache lock, so concurrent queries at worst block
+    /// briefly on one cache.
     fn sweep_once(&self, limit: u64) {
-        let entries: Vec<Arc<SchemaEntry>> = {
-            let registry = read_or_recover(&self.registry);
-            registry.schemas.clone()
-        };
-        let mut stamped: Vec<(u64, u64)> = Vec::new();
-        for entry in &entries {
-            for slot in read_or_recover(&entry.enumerated).values() {
-                stamped.push((slot.stamp.load(Ordering::Relaxed), slot.bytes));
-            }
-            let memo = read_or_recover(&entry.validate_memo);
-            for bucket in memo.buckets.values() {
-                for record in bucket {
-                    stamped.push((record.stamp.load(Ordering::Relaxed), record.bytes));
-                }
-            }
-        }
-        self.embeds_memo.collect_stamps(&mut stamped);
-        self.sufficient_memo.collect_stamps(&mut stamped);
-        self.fixpoint_memo.collect_stamps(&mut stamped);
-        self.session.bags.collect_stamps(&mut stamped);
+        let entries = self.all_entries();
+        let mut stamped: Vec<(u64, u64)> = entries
+            .iter()
+            .map(|entry| {
+                (
+                    entry.unfolder_stamp.load(Ordering::Relaxed),
+                    entry.unfolder_bytes.load(Ordering::Relaxed),
+                )
+            })
+            .filter(|&(_, bytes)| bytes > 0)
+            .collect();
+        self.answers.collect_stamps(&mut stamped);
         stamped.sort_unstable();
         let low_water = limit / 2;
         let mut need = self.budget.evictable().saturating_sub(low_water);
@@ -1824,138 +1532,67 @@ impl ContainmentEngine {
         }
         if cutoff == 0 {
             // Everything stamped is younger than anything worth dropping
-            // (or there is nothing stamped — the overshoot is unfolder
-            // growth); fall through to the caller's next attempt.
+            // (or there is nothing stamped); fall through to the caller's
+            // next attempt.
             self.budget.record_sweep(0, 0);
             return;
         }
-        let mut evicted = 0u64;
-        let mut freed = 0u64;
+        let (mut evicted, mut freed) = self.answers.evict(cutoff, &self.budget);
         for entry in &entries {
-            let drained = {
-                let mut pools = write_or_recover(&entry.enumerated);
-                pools.retain(|_, slot| {
-                    if slot.stamp.load(Ordering::Relaxed) <= cutoff {
-                        evicted += 1;
-                        freed += slot.bytes;
-                        self.budget.credit(CacheKind::Pools, slot.bytes);
-                        false
-                    } else {
-                        true
-                    }
-                });
-                pools.is_empty()
-            };
-            if drained {
-                // No pool references this unfolder's trees any more: drop
-                // the whole session so its arena actually frees. (A racing
-                // builder may have inserted a fresh pool since the check —
-                // resetting then still only costs that builder's memos.)
-                let mut unfolder = lock_or_recover(&entry.unfolder);
-                let before = entry.unfolder_bytes.swap(0, Ordering::Relaxed);
-                if before > 0 {
-                    *unfolder = Unfolder::with_context(self.session.clone());
-                    self.budget.credit(CacheKind::Unfolder, before);
-                    evicted += 1;
-                    freed += before;
-                }
-            }
-            {
-                let mut memo = write_or_recover(&entry.validate_memo);
-                memo.buckets.retain(|_, bucket| {
-                    bucket.retain(|record| {
-                        if record.stamp.load(Ordering::Relaxed) <= cutoff {
-                            evicted += 1;
-                            freed += record.bytes;
-                            self.budget.credit(CacheKind::Validate, record.bytes);
-                            false
-                        } else {
-                            true
-                        }
-                    });
-                    !bucket.is_empty()
-                });
-            }
-        }
-        for (entries, bytes) in [
-            self.embeds_memo.evict(cutoff, &self.budget),
-            self.sufficient_memo.evict(cutoff, &self.budget),
-            self.fixpoint_memo.evict(cutoff, &self.budget),
-        ] {
+            let (entries, bytes) = self.reset_unfolder(entry, cutoff);
             evicted += entries;
             freed += bytes;
-        }
-        {
-            // Shared bag enumerations are pure memos too: per-unfolder
-            // adopters hold their own `Arc`s, so dropping the shared entry
-            // only costs the next cold unfolder a re-enumeration.
-            let (entries, bytes) = self.session.bags.evict_older_than(cutoff);
-            if entries > 0 {
-                self.budget.credit(CacheKind::Bags, bytes);
-                evicted += entries;
-                freed += bytes;
-            }
         }
         self.budget.record_sweep(evicted, freed);
     }
 
-    /// The sweep-of-last-resort: drop every evictable cache outright. Run
-    /// when two LRU sweeps could not get back under the limit (a budget
-    /// smaller than a single pool, say) — the invariant wins over cache
-    /// warmth.
+    /// The sweep-of-last-resort: drop every memoised answer and reset every
+    /// unfolder. Run when two LRU sweeps could not get back under the limit
+    /// (a budget smaller than one unfolder, say) — the invariant wins over
+    /// cache warmth.
     fn clear_evictable(&self) {
-        let entries: Vec<Arc<SchemaEntry>> = {
-            let registry = read_or_recover(&self.registry);
-            registry.schemas.clone()
-        };
-        let mut evicted = 0u64;
-        let mut freed = 0u64;
-        for entry in &entries {
-            {
-                let mut pools = write_or_recover(&entry.enumerated);
-                for (_, slot) in std::mem::take(&mut *pools) {
-                    evicted += 1;
-                    freed += slot.bytes;
-                    self.budget.credit(CacheKind::Pools, slot.bytes);
-                }
-            }
-            {
-                let mut unfolder = lock_or_recover(&entry.unfolder);
-                let before = entry.unfolder_bytes.swap(0, Ordering::Relaxed);
-                if before > 0 {
-                    *unfolder = Unfolder::with_context(self.session.clone());
-                    self.budget.credit(CacheKind::Unfolder, before);
-                    evicted += 1;
-                    freed += before;
-                }
-            }
-            {
-                let mut memo = write_or_recover(&entry.validate_memo);
-                for (_, bucket) in memo.buckets.drain() {
-                    for record in bucket {
-                        evicted += 1;
-                        freed += record.bytes;
-                        self.budget.credit(CacheKind::Validate, record.bytes);
-                    }
-                }
-            }
-        }
-        for (entries, bytes) in [
-            self.embeds_memo.evict(u64::MAX, &self.budget),
-            self.sufficient_memo.evict(u64::MAX, &self.budget),
-            self.fixpoint_memo.evict(u64::MAX, &self.budget),
-        ] {
-            evicted += entries;
-            freed += bytes;
-        }
-        {
-            let (entries, bytes) = self.session.bags.clear();
-            self.budget.credit(CacheKind::Bags, bytes);
+        let (mut evicted, mut freed) = self.answers.evict(u64::MAX, &self.budget);
+        for entry in &self.all_entries() {
+            let (entries, bytes) = self.reset_unfolder(entry, u64::MAX);
             evicted += entries;
             freed += bytes;
         }
         self.budget.record_sweep(evicted, freed);
     }
+
+    /// Every registered entry, cloned out of the registry lock.
+    fn all_entries(&self) -> Vec<Arc<SchemaEntry>> {
+        read_or_recover(&self.registry).schemas.clone()
+    }
+
+    /// Replace an entry's unfolder with a fresh one over the same session
+    /// context when its stamp is at or below `cutoff` (checked under the
+    /// lock, so a search that just used it keeps it), crediting its bytes.
+    /// Returns `(entries, bytes)` freed.
+    fn reset_unfolder(&self, entry: &SchemaEntry, cutoff: u64) -> (u64, u64) {
+        if entry.unfolder_stamp.load(Ordering::Relaxed) > cutoff {
+            return (0, 0);
+        }
+        let mut unfolder = lock_or_recover(&entry.unfolder);
+        if entry.unfolder_stamp.load(Ordering::Relaxed) > cutoff {
+            return (0, 0);
+        }
+        let before = entry.unfolder_bytes.swap(0, Ordering::Relaxed);
+        if before == 0 {
+            return (0, 0);
+        }
+        *unfolder = Unfolder::with_context(self.session.clone());
+        self.budget.credit(CacheKind::Unfolder, before);
+        (1, before)
+    }
+}
+
+/// Whether an answer is a deadline verdict — the one kind never memoised.
+fn is_deadline(answer: &Containment) -> bool {
+    matches!(
+        answer.unknown_reason(),
+        Some(crate::UnknownReason::DeadlineExceeded { .. })
+    )
 }
 
 /// The `DetShEx₀⁻` gate shared by the det pipeline and the characterizing
@@ -2026,29 +1663,6 @@ fn same_schema_structure(a: &Schema, b: &Schema) -> bool {
     a.type_count() == b.type_count()
         && a.types()
             .all(|t| a.type_name(t) == b.type_name(t) && a.def(t) == b.def(t))
-}
-
-/// The memoised validation verdict against `entry`'s schema: read-lock
-/// lookup, compute outside any lock, write-lock insert. Racing threads may
-/// compute the same (deterministic) verdict twice; both insertions agree.
-/// The caller supplies the [`ValidateScratch`] so a loop of verdicts reuses
-/// one set of flow buffers.
-fn validate_memoised(
-    entry: &SchemaEntry,
-    counters: &EngineCounters,
-    budget: &CacheBudget,
-    graph: &Graph,
-    scratch: &mut ValidateScratch,
-) -> bool {
-    let hash = candidate_hash(graph);
-    if let Some(v) = read_or_recover(&entry.validate_memo).get(hash, graph, budget) {
-        EngineCounters::tick(&counters.validate_hits);
-        return v;
-    }
-    EngineCounters::tick(&counters.validate_misses);
-    let v = validates_with(graph, &entry.schema, scratch);
-    write_or_recover(&entry.validate_memo).insert(hash, graph, v, budget);
-    v
 }
 
 #[cfg(test)]
@@ -2153,52 +1767,73 @@ mod tests {
     #[test]
     fn repeated_queries_hit_the_caches() {
         // A contained pair outside RBE₀ that the sufficient check cannot
-        // settle: the bounded search exhausts its budget without a witness,
-        // so the second identical query must be answered from warm pools
-        // and memos without a single fresh validation.
+        // settle: the bounded search exhausts its budget without a witness.
+        // The second identical query is answered from the memo — one memo
+        // hit, and not a single pool, lookup or validation more.
         let groups = choice_groups(4);
         let engine = quick_engine();
         let first = engine.check(&groups, &groups);
-        let after_first = engine.stats();
-        assert!(after_first.validate_misses > 0);
-        let second = engine.check(&groups, &groups);
-        let after_second = engine.stats();
-        assert_eq!(
-            after_second.validate_misses, after_first.validate_misses,
-            "warm session must not validate anything again"
+        let cold = engine.stats();
+        assert!(first.is_unknown(), "{first}");
+        assert!(cold.pools_built > 0, "{cold}");
+        assert!(cold.validate_misses > 0, "{cold}");
+        assert!(
+            cold.validate_hits > 0,
+            "the depth-cumulative pools repeat candidates within one search: {cold}"
         );
-        assert!(after_second.pool_hits > after_first.pool_hits);
+        assert_eq!(cold.memo_hits, 0, "{cold}");
+        let second = engine.check(&groups, &groups);
+        let warm = engine.stats();
+        assert_eq!(warm.memo_hits, 1, "{warm}");
+        assert_eq!(warm.pools_built, cold.pools_built, "{warm}");
+        assert_eq!(warm.pool_hits, cold.pool_hits, "{warm}");
+        assert_eq!(warm.validate_misses, cold.validate_misses, "{warm}");
         assert_eq!(format!("{first}"), format!("{second}"));
+        // A new partner of the same schema re-walks its unfolder: every pool
+        // is held, none is built again.
+        let five = choice_groups(5);
+        let _ = engine.check(&groups, &five);
+        let partner = engine.stats();
+        assert_eq!(partner.pools_built, cold.pools_built, "{partner}");
+        assert!(partner.pool_hits > cold.pool_hits, "{partner}");
     }
 
     #[test]
     fn stats_display_reports_ratios() {
         let stats = EngineStats {
             schemas: 2,
+            memo_hits: 9,
             validate_hits: 3,
             validate_misses: 1,
-            embed_hits: 0,
             embed_misses: 2,
-            pool_bytes: 100,
-            validate_bytes: 20,
-            pair_bytes: 3,
-            unfolder_bytes: 7,
+            pool_hits: 3,
+            pools_built: 1,
+            pair_bytes: 100,
+            unfolder_bytes: 30,
             pinned_bytes: 500,
             fixpoint_decided: 4,
             fixpoint_over_budget: 1,
-            fixpoint_memo_hits: 9,
             ..EngineStats::default()
         };
         assert_eq!(stats.evictable_bytes(), 130);
         assert_eq!(stats.resident_bytes(), 630);
         let text = format!("{stats}");
-        assert!(text.contains("2 schemas"), "{text}");
-        assert!(text.contains("3 hits / 1 misses (75.0% hit)"), "{text}");
-        assert!(text.contains("0 hits / 2 misses (0.0% hit)"), "{text}");
-        assert!(text.contains("130 B evictable"), "{text}");
+        assert!(
+            text.contains("2 schemas; 9 memo hits; 2 embeddings"),
+            "{text}"
+        );
+        assert!(
+            text.contains("pools 3 held / 1 built (75.0% held)"),
+            "{text}"
+        );
+        assert!(text.contains("validations 1 run / 3 repeats"), "{text}");
+        assert!(
+            text.contains("130 B evictable (pairs 100, unfolder 30)"),
+            "{text}"
+        );
         assert!(text.contains("budget unbounded"), "{text}");
         assert!(
-            text.contains("fixpoint 4 decided / 1 over budget (9 memo hits)"),
+            text.contains("fixpoint 4 decided / 1 over budget"),
             "{text}"
         );
     }
@@ -2223,8 +1858,9 @@ mod tests {
         assert!(engine.check(&original, &split).is_contained());
         let cold = engine.stats();
         assert_eq!(cold.fixpoint_decided, 1, "{cold}");
-        assert_eq!(cold.fixpoint_memo_hits, 0, "{cold}");
-        assert!(cold.pair_bytes > 0, "the outcome is accounted: {cold}");
+        assert_eq!(cold.memo_hits, 0, "{cold}");
+        assert_eq!(cold.embed_misses, 1, "{cold}");
+        assert!(cold.pair_bytes > 0, "the answer is accounted: {cold}");
         // The fixpoint is the whole procedure: the cold check unfolds no
         // pool and validates no candidate.
         assert_eq!(cold.pools_built, 0, "{cold}");
@@ -2232,10 +1868,12 @@ mod tests {
         assert_eq!(cold.validate_misses, 0, "{cold}");
         assert!(engine.check(&original, &split).is_contained());
         let warm = engine.stats();
-        assert_eq!(warm.fixpoint_memo_hits, 1, "{warm}");
+        assert_eq!(warm.memo_hits, 1, "{warm}");
         assert_eq!(warm.fixpoint_decided, 1, "{warm}");
-        assert_eq!(warm.pool_hits, cold.pool_hits, "{warm}");
-        assert_eq!(warm.validate_misses, cold.validate_misses, "{warm}");
+        assert_eq!(
+            warm.embed_misses, 1,
+            "the memo answers before embedding: {warm}"
+        );
 
         // A refutable pair outside DetShEx0- (`p` repeats): the fixpoint
         // finds the witness, and the repeat returns the memoised one.
@@ -2249,13 +1887,43 @@ mod tests {
         assert_eq!(after.pools_built, 0, "{after}");
         assert_eq!(after.validate_misses, 0, "{after}");
         let again = engine.check(&h, &k);
-        assert_eq!(engine.stats().fixpoint_memo_hits, 2);
+        assert_eq!(engine.stats().memo_hits, 2);
         match (&refuted, &again) {
             (Containment::NotContained(a), Containment::NotContained(b)) => {
                 assert!(Arc::ptr_eq(a, b), "the repeat shares the memoised witness")
             }
             _ => panic!("expected two refutations, got {refuted} and {again}"),
         }
+    }
+
+    #[test]
+    fn det_ids_is_the_memoised_check_behind_its_class_gate() {
+        let via_p = parse_schema("T -> p::L\nL -> EMPTY\n").unwrap();
+        let via_q = parse_schema("T -> q::L\nL -> EMPTY\n").unwrap();
+        let plus = parse_schema("T -> p::L+\nL -> EMPTY\n").unwrap();
+        let engine = quick_engine();
+        let (p, q, plus) = (
+            engine.register(&via_p),
+            engine.register(&via_q),
+            engine.register(&plus),
+        );
+        // `+` is outside DetShEx0-, so the gate refuses that pair.
+        assert!(engine.det_ids(p, plus).is_err());
+        let refuted = engine.det_ids(p, q).expect("both DetShEx0-");
+        let checked = engine.check_ids(p, q, None);
+        assert!(refuted.is_not_contained(), "{refuted}");
+        match (&refuted, &checked) {
+            (Containment::NotContained(a), Containment::NotContained(b)) => {
+                assert!(Arc::ptr_eq(a, b), "one memoised answer for both routes")
+            }
+            _ => panic!("expected two refutations, got {refuted} and {checked}"),
+        }
+        let stats = engine.stats();
+        assert_eq!(stats.memo_hits, 1, "{stats}");
+        assert_eq!(
+            stats.pair_bytes, PAIR_ENTRY_BYTES,
+            "the pinned characterizing graph is not charged twice: {stats}"
+        );
     }
 
     #[test]
@@ -2551,12 +2219,12 @@ mod tests {
     }
 
     #[test]
-    fn admission_ceiling_keeps_oversized_pools_out_of_the_cache() {
+    fn admission_ceiling_keeps_oversized_answers_out_of_the_memo() {
         let h = parse_schema("Root -> p::A, p::B\nA -> a::L?\nB -> b::L?\nL -> EMPTY\n").unwrap();
         let k = parse_schema("Root -> p::A, p::A\nA -> a::L?\nB -> b::L?\nL -> EMPTY\n").unwrap();
         let unbounded = quick_engine();
-        // A 32-byte ceiling refuses every pool, validation record, and even
-        // the 64-byte pair entries: nothing is cached, verdicts unchanged.
+        // A 32-byte ceiling refuses even the 64-byte answer entries: nothing
+        // is memoised, and the verdicts are unchanged.
         let strict = ContainmentEngine::with_options(
             EngineOptions::builder()
                 .search(SearchOptions::quick())
@@ -2574,18 +2242,11 @@ mod tests {
         let stats = strict.stats();
         assert!(stats.admission_rejections > 0, "{stats}");
         assert_eq!(stats.max_entry_bytes, Some(32));
-        // Every *entry* cache stays empty; only the unfolder arenas (delta
-        // accounted, not per-entry) may carry bytes.
-        assert_eq!(stats.pool_bytes, 0, "no pool admitted: {stats}");
-        assert_eq!(stats.validate_bytes, 0, "no record admitted: {stats}");
-        assert_eq!(stats.pair_bytes, 0, "no pair entry admitted: {stats}");
-        assert_eq!(stats.bag_bytes, 0, "no enumeration admitted: {stats}");
-        assert_eq!(
-            stats.validate_hits, 0,
-            "an empty memo can never answer a lookup"
-        );
+        assert_eq!(stats.pair_bytes, 0, "no answer admitted: {stats}");
+        assert_eq!(stats.memo_hits, 0, "an empty memo never answers: {stats}");
         let text = format!("{stats}");
         assert!(text.contains("admission ceiling 32 B"), "{text}");
         assert_eq!(unbounded.stats().admission_rejections, 0);
+        assert_eq!(unbounded.stats().memo_hits, 2);
     }
 }

@@ -40,7 +40,7 @@ pub type GeneralOptions = SearchOptions;
 /// [`crate::engine::ContainmentEngine`]; callers issuing many queries over
 /// the same schemas should hold an engine (or use
 /// [`crate::engine::ContainmentEngine::check_matrix`]) so shape graphs,
-/// unfolding pools, and validation verdicts are shared across queries.
+/// unfolded candidates, and answers are shared across queries.
 pub fn general_containment(h: &Schema, k: &Schema, options: &GeneralOptions) -> Containment {
     crate::engine::ContainmentEngine::with_search(options.clone()).check(h, k)
 }

@@ -25,11 +25,11 @@
 //!   validation; sound in both directions, bounded (the problem is
 //!   coNEXP-hard).
 //! * [`engine`] — the shared-state query session over all of the above:
-//!   `ContainmentEngine` registers schemas once and memoises shape graphs,
-//!   embedding verdicts, fixpoint outcomes, and the search's unfolding pools
-//!   and validation verdicts behind `&self`
-//!   concurrent caches, so one engine (typically in an `Arc`) serves
-//!   batch matrices and long-lived services, one query per caller thread.
+//!   `ContainmentEngine` registers schemas once, keeps each schema's shape
+//!   graph and unfolded candidates, and memoises one answer per ordered
+//!   pair behind `&self` concurrent caches, so one engine (typically in an
+//!   `Arc`) serves batch matrices and long-lived services, one query per
+//!   caller thread.
 //! * [`simulation`] — the maximal simulation behind [`embedding`]: the
 //!   bitset-row typing worklist of `shapex-shex`, run with `H`'s nodes as
 //!   the types (Proposition 3.2).

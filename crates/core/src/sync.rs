@@ -1,8 +1,8 @@
 //! Poison-recovering lock acquisition for the engine's evictable caches.
 //!
 //! Every `Mutex`/`RwLock` in this crate guards *memoised, recomputable*
-//! state: validation memos, enumeration pools, unfolder arenas, flight
-//! tables, eviction bookkeeping. A panic inside a critical section can at
+//! state: the answer memo, unfolder arenas, flight tables, eviction
+//! bookkeeping. A panic inside a critical section can at
 //! worst leave such state partially updated at an operation boundary — a
 //! `HashMap` insert or `Vec` push that never happened — which is
 //! indistinguishable from an eviction sweep having dropped the entry. By the

@@ -14,12 +14,14 @@
 //! [`TypeId`] plus a child range into one flat child table, and nodes are
 //! *hash-consed* — structurally identical subtrees (same type, same labelled
 //! children) get the same index no matter where the enumeration encounters
-//! them. An [`Unfolder`] drives enumeration over one arena and memoises everything by construction key: candidate bags per type,
-//! enumerated tree lists per `(type, depth)`, and one shared [`Graph`] per
-//! distinct tree. The depth-cumulative searches of the containment engine
-//! re-encounter the same subtrees at every depth and in every Cartesian
-//! combination; the arena makes each of them exist — and each candidate graph
-//! get built — exactly once.
+//! them. An [`Unfolder`] drives enumeration over one arena and memoises
+//! everything by construction key: candidate bags per type, enumerated tree
+//! lists per `(type, depth)`, and one shared [`Graph`] per distinct tree. The
+//! depth-cumulative searches of the containment engine re-encounter the same
+//! subtrees at every depth and in every Cartesian combination; the arena
+//! makes each of them exist — and each candidate graph get built — exactly
+//! once. The engine keeps one unfolder per registered schema and takes its
+//! search pools straight from it.
 //!
 //! The arena also certifies membership: every node records whether its own
 //! bag of `(label, child type)` atoms is accepted by its type's definition
@@ -34,17 +36,13 @@
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::Arc;
 
 use shapex_graph::{Graph, GraphBuilder, Label};
 use shapex_presburger::CancelToken;
 use shapex_rbe::{Bag, Interval, Rbe};
 use shapex_shex::typing::{neighbourhood_satisfies_with, validates, EdgeSummary, SolverTelemetry};
 use shapex_shex::{Atom, AtomId, AtomTable, Schema, TypeId};
-
-use crate::budget::{CacheBudget, CacheKind};
-use crate::sync::{read_or_recover, write_or_recover};
 
 /// Budget knobs for unfolding-based searches.
 #[derive(Debug, Clone)]
@@ -89,171 +87,16 @@ impl SearchOptions {
 /// Cross-schema state shared by every [`Unfolder`] of one containment
 /// session.
 ///
-/// The default context gives each `Unfolder` private tables — the behaviour
-/// of the historical per-schema design. An engine clones one context into
-/// every schema entry so that atoms are interned and candidate bags
-/// enumerated once per *session* rather than once per schema, and so that
+/// The default context gives each `Unfolder` a private atom table. An
+/// engine clones one context into every schema entry so that atoms are
+/// interned once per *session* rather than once per schema, and so that
 /// solver work is counted centrally.
 #[derive(Debug, Clone, Default)]
 pub struct SessionContext {
     /// Session-level interner over `Σ × Γ`; arena memo keys are ids in it.
     pub atoms: Arc<AtomTable>,
-    /// Session-level candidate-bag cache keyed by defining expression.
-    pub bags: Arc<SharedBagCache>,
     /// Cumulative solver counters (engine-owned; `None` drops the stats).
     pub telemetry: Option<Arc<SolverTelemetry>>,
-    /// The engine's cache ledger, when the session runs under one: bag-cache
-    /// inserts charge [`CacheKind::Bags`] and hits refresh LRU stamps, so
-    /// the shared enumerations participate in eviction sweeps. `None` (the
-    /// default, and every standalone `Unfolder`) accounts nothing.
-    pub budget: Option<Arc<CacheBudget>>,
-}
-
-/// A concurrent cache of candidate-bag enumerations keyed by the defining
-/// expression and the bag cap. Schemas registered in one session frequently
-/// share structurally equal definitions (evolution chains, matrix workloads);
-/// this table makes each distinct definition pay for enumeration once.
-///
-/// Buckets are keyed by structural hash with full expression equality
-/// verified on every hit, the same verify-on-collision scheme as the arena.
-#[derive(Debug, Default)]
-pub struct SharedBagCache {
-    buckets: RwLock<HashMap<u64, Vec<BagEntry>>>,
-    /// Accounted resident bytes across all entries (estimate; see
-    /// [`bag_entry_weight`]), so readers never take the bucket lock.
-    resident: AtomicU64,
-}
-
-/// One verified cache entry: the defining expression, the bag cap it was
-/// enumerated under, the shared enumeration, and the eviction accounting —
-/// the bytes charged at insertion and the LRU stamp refreshed on every hit.
-#[derive(Debug)]
-struct BagEntry {
-    expr: Rbe<Atom>,
-    cap: usize,
-    bags: Arc<Vec<Bag<Atom>>>,
-    bytes: u64,
-    stamp: AtomicU64,
-}
-
-/// The accounted weight of one cached enumeration: the entry shell, a
-/// hash-bucket allowance, a flat allowance for the key expression, and each
-/// bag's count map. `Arc`-shared with every per-unfolder memo that adopted
-/// the enumeration, so the total over-counts shared allocations — like every
-/// weight the ledger bounds, a conservative upper estimate.
-fn bag_entry_weight(bags: &[Bag<Atom>]) -> u64 {
-    use std::mem::size_of;
-    let per_bag: usize = bags
-        .iter()
-        .map(|bag| size_of::<Bag<Atom>>() + bag.distinct() * (size_of::<(Atom, u64)>() + 32))
-        .sum();
-    (size_of::<BagEntry>() + 48 + 64 + per_bag) as u64
-}
-
-impl SharedBagCache {
-    fn get(
-        &self,
-        expr: &Rbe<Atom>,
-        cap: usize,
-        budget: Option<&CacheBudget>,
-    ) -> Option<Arc<Vec<Bag<Atom>>>> {
-        let buckets = read_or_recover(&self.buckets);
-        let bucket = buckets.get(&hash_of((expr, cap)))?;
-        let entry = bucket.iter().find(|e| e.cap == cap && e.expr == *expr)?;
-        if let Some(budget) = budget {
-            entry.stamp.store(budget.touch(), Ordering::Relaxed);
-        }
-        Some(Arc::clone(&entry.bags))
-    }
-
-    fn insert(
-        &self,
-        expr: &Rbe<Atom>,
-        cap: usize,
-        bags: Arc<Vec<Bag<Atom>>>,
-        budget: Option<&CacheBudget>,
-    ) {
-        let mut buckets = write_or_recover(&self.buckets);
-        let bucket = buckets.entry(hash_of((expr, cap))).or_default();
-        if bucket.iter().any(|e| e.cap == cap && e.expr == *expr) {
-            return; // a racing enumerator won; keep its accounting
-        }
-        let bytes = bag_entry_weight(&bags);
-        if let Some(budget) = budget {
-            if !budget.admits(bytes) {
-                return; // oversized enumeration: used by the caller, not cached
-            }
-        }
-        bucket.push(BagEntry {
-            expr: expr.clone(),
-            cap,
-            bags,
-            bytes,
-            stamp: AtomicU64::new(budget.map(CacheBudget::touch).unwrap_or(0)),
-        });
-        self.resident.fetch_add(bytes, Ordering::Relaxed);
-        if let Some(budget) = budget {
-            budget.charge(CacheKind::Bags, bytes);
-        }
-    }
-
-    /// Number of distinct `(expression, cap)` enumerations cached.
-    pub fn len(&self) -> usize {
-        let buckets = read_or_recover(&self.buckets);
-        buckets.values().map(Vec::len).sum()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Accounted resident bytes across all cached enumerations.
-    pub fn resident_bytes(&self) -> u64 {
-        self.resident.load(Ordering::Relaxed)
-    }
-
-    /// Append every entry's `(LRU stamp, accounted bytes)` pair to `out` —
-    /// the engine's epoch sweep collects these next to the pool and memo
-    /// stamps to pick one global cutoff.
-    pub(crate) fn collect_stamps(&self, out: &mut Vec<(u64, u64)>) {
-        let buckets = read_or_recover(&self.buckets);
-        for bucket in buckets.values() {
-            for entry in bucket {
-                out.push((entry.stamp.load(Ordering::Relaxed), entry.bytes));
-            }
-        }
-    }
-
-    /// Drop every entry whose stamp is at or below `cutoff` (0 drops
-    /// entries never stamped under a budget), returning `(entries, bytes)`
-    /// removed. The caller credits the ledger.
-    pub(crate) fn evict_older_than(&self, cutoff: u64) -> (u64, u64) {
-        let mut buckets = write_or_recover(&self.buckets);
-        let mut entries = 0u64;
-        let mut bytes = 0u64;
-        buckets.retain(|_, bucket| {
-            bucket.retain(|entry| {
-                if entry.stamp.load(Ordering::Relaxed) <= cutoff {
-                    entries += 1;
-                    bytes += entry.bytes;
-                    false
-                } else {
-                    true
-                }
-            });
-            !bucket.is_empty()
-        });
-        self.resident.fetch_sub(bytes, Ordering::Relaxed);
-        (entries, bytes)
-    }
-
-    /// Drop every entry, returning `(entries, bytes)` removed — the
-    /// clear-everything fallback of the engine's eviction. The caller
-    /// credits the ledger.
-    pub(crate) fn clear(&self) -> (u64, u64) {
-        self.evict_older_than(u64::MAX)
-    }
 }
 
 /// A 64-bit structural hash via the std hasher (stable within a process,
@@ -539,13 +382,12 @@ pub struct Unfolder {
     /// `(root type, depth) → enumerated trees` (shared, capped at
     /// `max_trees`).
     enumerated: HashMap<(TypeId, usize), Arc<Vec<Tree>>>,
-    /// Candidate bags per type (depth-independent); a per-schema fast path
-    /// over the session-level [`SharedBagCache`].
+    /// Candidate bags per type (depth-independent).
     bags: HashMap<TypeId, Arc<Vec<Bag<Atom>>>>,
     /// One graph per distinct tree, built on first demand.
     graphs: Vec<Option<Arc<Graph>>>,
     builder: GraphBuilder,
-    /// Session-shared atom table, bag cache, and solver telemetry.
+    /// Session-shared atom table and solver telemetry.
     ctx: SessionContext,
 }
 
@@ -557,7 +399,7 @@ impl Unfolder {
 
     /// An empty session sharing the given cross-schema context. Evicting an
     /// unfolder and rebuilding it with the same context keeps the interned
-    /// atoms and cached bag enumerations — only the arena and pools drop.
+    /// atoms — only the arena, its memos and its graphs drop.
     pub fn with_context(ctx: SessionContext) -> Unfolder {
         Unfolder {
             ctx,
@@ -611,6 +453,12 @@ impl Unfolder {
         &self.arena
     }
 
+    /// Whether the trees of `(t, depth)` are already enumerated, so asking
+    /// for them again costs a lookup.
+    pub(crate) fn holds(&self, t: TypeId, depth: usize) -> bool {
+        self.enumerated.contains_key(&(t, depth))
+    }
+
     /// The memoised candidate bags of a type.
     fn type_bags(
         &mut self,
@@ -618,24 +466,10 @@ impl Unfolder {
         t: TypeId,
         options: &SearchOptions,
     ) -> Arc<Vec<Bag<Atom>>> {
-        if let Some(bags) = self.bags.get(&t) {
-            return bags.clone();
-        }
-        let def = schema.def(t);
-        let budget = self.ctx.budget.as_deref();
-        let bags = self
-            .ctx
-            .bags
-            .get(def, options.max_bags, budget)
-            .unwrap_or_else(|| {
-                let bags = Arc::new(candidate_bags(def, options));
-                self.ctx
-                    .bags
-                    .insert(def, options.max_bags, bags.clone(), budget);
-                bags
-            });
-        self.bags.insert(t, bags.clone());
-        bags
+        self.bags
+            .entry(t)
+            .or_insert_with(|| Arc::new(candidate_bags(schema.def(t), options)))
+            .clone()
     }
 
     /// Enumerate unfoldings of `t` up to `depth`, memoised per
@@ -744,10 +578,11 @@ impl Unfolder {
     }
 
     /// [`Unfolder::members`] with the fallback member-validation step
-    /// injected, so the engine can route the (rare) non-certified candidates
-    /// through its verdict memo while sharing this exact filter/cap logic —
-    /// the answer-equivalence with the baseline depends on there being only
-    /// one copy of it. Certified members skip the callback entirely.
+    /// injected, so the engine can run the (rare) non-certified candidates
+    /// through its own counted validation while sharing this exact
+    /// filter/cap logic — the answer-equivalence with the baseline depends
+    /// on there being only one copy of it. Certified members skip the
+    /// callback entirely.
     /// `cancel` is polled once per enumerated tree: a cancelled call returns
     /// `None` and the engine must not cache its (partial) pool. Every memo
     /// the call did complete — child enumerations, interned trees, built
@@ -1005,11 +840,12 @@ pub fn enumerate_members(schema: &Schema, root: TypeId, options: &SearchOptions)
 /// re-validation.
 ///
 /// This is the one-shot entry point: it runs through a throwaway
-/// [`crate::engine::ContainmentEngine`], so a single call already reuses
-/// unfolding pools and validation verdicts across the depth-cumulative
-/// enumeration. Callers issuing many queries over the same schemas should
-/// hold an engine instead — its query methods take `&self` over concurrent
-/// caches, so one engine can even be shared across threads. The candidate
+/// [`crate::engine::ContainmentEngine`], so a single call already shares
+/// unfolded trees and candidate graphs across the depth-cumulative pools
+/// and validates each distinct candidate once. Callers issuing many queries
+/// over the same schemas should hold an engine instead — its query methods
+/// take `&self` over concurrent caches, so one engine can even be shared
+/// across threads. The candidate
 /// order (and therefore the returned witness) is that of
 /// [`crate::baseline::search_counter_example_baseline`], the retained
 /// memo-free reference.

@@ -56,8 +56,8 @@ proptest! {
                     arena.is_some()
                 ),
             }
-            // A warm engine (second identical query over filled pools and
-            // memos) must return the same witness again.
+            // A warm engine (a second identical search over the unfolders
+            // the first one filled) must return the same witness again.
             let engine = ContainmentEngine::with_search(opts.clone());
             let cold = engine.counter_example(a, b);
             let warm = engine.counter_example(a, b);

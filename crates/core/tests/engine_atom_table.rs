@@ -1,7 +1,7 @@
 //! The cross-schema atom table must be invisible in the answers: a shared
-//! engine (one session-level interner and bag cache spanning every
-//! registered schema) answers exactly like a fresh engine per pair (each
-//! with its own private interner) — same verdicts, same witnesses. The
+//! engine (one session-level interner spanning every registered schema)
+//! answers exactly like a fresh engine per pair (each with its own private
+//! interner) — same verdicts, same witnesses. The
 //! suite also pins the interner's deduplication: re-registering a schema
 //! adds no atoms.
 
@@ -34,8 +34,8 @@ proptest! {
         let opts = tiny();
 
         // One shared session: every schema's alphabet lands in the same
-        // atom table, candidate bags are shared across schemas, and memo
-        // keys are interned ids.
+        // atom table, and the unfolders' acceptance memo keys are interned
+        // ids.
         let shared = ContainmentEngine::with_search(opts.clone());
         let matrix = shared.check_matrix(&family);
         prop_assert!(
@@ -44,7 +44,7 @@ proptest! {
         );
 
         // The oracle: a fresh engine per pair, whose session context (and
-        // therefore interner and bag cache) never sees any other schema.
+        // therefore interner) never sees any other schema.
         for (i, row) in matrix.iter().enumerate() {
             for (j, cell) in row.iter().enumerate() {
                 let fresh = ContainmentEngine::with_search(opts.clone())

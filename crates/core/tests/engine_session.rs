@@ -45,8 +45,8 @@ fn engines_agree(h: &Schema, k: &Schema) {
         ),
     }
 
-    // A shared session answering the query twice: the warm pass must reuse
-    // pools/memos and still answer identically.
+    // A shared session answering the query twice: the warm pass is a memo
+    // hit and must answer identically.
     let session = ContainmentEngine::with_search(opts.clone());
     let cold = session.check(h, k);
     let misses_after_cold = session.stats().validate_misses;
@@ -63,8 +63,7 @@ fn engines_agree(h: &Schema, k: &Schema) {
     );
 
     // The token route: a token that never fires makes a fresh engine skip
-    // coalescing and the pool flights, and it must still answer like the
-    // coalesced route.
+    // coalescing, and it must still answer like the coalesced route.
     let tokened = ContainmentEngine::with_search(opts);
     let (hid, kid) = (tokened.register(h), tokened.register(k));
     let via_token = tokened.check_ids(hid, kid, Some(&CancelToken::new()));
@@ -181,11 +180,12 @@ fn unknown_reasons_distinguish_exhaustion_from_unexplorable_inputs() {
 
 #[test]
 fn session_reuses_pools_across_partners() {
-    // The batch-workload claim behind check_matrix: h's unfolding pools are
-    // built for the first partner and only *hit* for the second. The pairs
-    // are outside RBE₀ and the sufficient check gives up on h's many bags,
-    // so both go to the bounded search. Against itself h exhausts the
-    // budget, walking every pool; the five-group schema refutes it.
+    // The batch-workload claim behind check_matrix: h's unfolder enumerates
+    // its pools for the first partner and already holds them for the
+    // second. The pairs are outside RBE₀ and the sufficient check gives up
+    // on h's many bags, so both go to the bounded search. Against itself h
+    // exhausts the budget, walking every pool; the five-group schema
+    // refutes it.
     let h = choice_groups(4);
     let k1 = choice_groups(4);
     let k2 = choice_groups(5);

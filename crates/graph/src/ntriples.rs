@@ -63,14 +63,23 @@ pub const DEFAULT_MAX_LINE_BYTES: usize = 64 * 1024;
 /// has no trailing newline. The parser retains only the current incomplete
 /// line between feeds ([`NTriplesParser::buffered_bytes`]), capped at the
 /// configured maximum — a line longer than the cap is an error, never an
-/// unbounded allocation. After an error the parser state is unspecified;
-/// start a fresh parser to re-ingest.
+/// unbounded allocation.
+///
+/// An error abandons the rest of the input it arrived with: the failed line
+/// and every line after it in that call are dropped (none of their triples
+/// count), and line numbering advances past all of them. If the abandoned
+/// input ends inside a line, the next call first drops input up to that
+/// line's newline. Feeding can therefore resume right after an error, with
+/// line numbers that stay those of the whole stream.
 #[derive(Debug)]
 pub struct NTriplesParser {
     /// The current incomplete line (input since the last newline).
     buf: Vec<u8>,
     /// 1-based number of the line currently being assembled.
     line: u64,
+    /// Whether input up to the next newline belongs to an abandoned line
+    /// and is to be dropped.
+    skipping: bool,
     /// Upper bound on `buf` and on any single line's byte length.
     max_line_bytes: usize,
     /// Total triples emitted so far.
@@ -89,6 +98,7 @@ impl NTriplesParser {
         NTriplesParser {
             buf: Vec::new(),
             line: 1,
+            skipping: false,
             max_line_bytes: DEFAULT_MAX_LINE_BYTES,
             triples: 0,
         }
@@ -115,32 +125,51 @@ impl NTriplesParser {
     /// Push one chunk of input, invoking `sink` once per complete triple.
     /// Returns the number of triples emitted by this call. Comments and
     /// blank lines are skipped; a line split across chunks is assembled in
-    /// the bounded internal buffer.
+    /// the bounded internal buffer. On an error, the triples this call
+    /// already emitted are void and the rest of the chunk is abandoned (see
+    /// the [type docs](NTriplesParser)).
     pub fn feed(
         &mut self,
         mut chunk: &[u8],
         mut sink: impl FnMut(Triple<'_>),
     ) -> Result<u64, NTriplesError> {
+        if self.skipping {
+            // The tail of a line abandoned by an earlier error.
+            let Some(nl) = chunk.iter().position(|&b| b == b'\n') else {
+                return Ok(0);
+            };
+            self.skipping = false;
+            self.line += 1;
+            chunk = &chunk[nl + 1..];
+        }
         let mut emitted = 0u64;
         while let Some(nl) = chunk.iter().position(|&b| b == b'\n') {
             let (head, rest) = chunk.split_at(nl);
-            if self.buf.is_empty() {
+            let rest = &rest[1..];
+            let parsed = if self.buf.is_empty() {
                 // Fast path: the whole line sits in the caller's chunk.
-                emitted += self.parse_line(head, &mut sink)?;
+                self.parse_line(head, &mut sink)
             } else {
-                self.reserve(head.len())?;
-                self.buf.extend_from_slice(head);
-                let buf = std::mem::take(&mut self.buf);
-                let result = self.parse_line(&buf, &mut sink);
-                self.buf = buf;
-                self.buf.clear();
-                emitted += result?;
+                self.parse_buffered(head, &mut sink)
+            };
+            match parsed {
+                Ok(count) => emitted += count,
+                Err(error) => {
+                    self.abandon(rest);
+                    return Err(error);
+                }
             }
             self.line += 1;
-            chunk = &rest[1..];
+            chunk = rest;
         }
         if !chunk.is_empty() {
-            self.reserve(chunk.len())?;
+            if let Err(error) = self.reserve(chunk.len()) {
+                // The over-long line has not ended: drop it up to its
+                // newline, wherever that arrives.
+                self.buf.clear();
+                self.skipping = true;
+                return Err(error);
+            }
             self.buf.extend_from_slice(chunk);
         }
         self.triples += emitted;
@@ -148,19 +177,48 @@ impl NTriplesParser {
     }
 
     /// Flush a final line that arrived without a trailing newline. Returns
-    /// the number of triples emitted (0 or 1).
+    /// the number of triples emitted (0 or 1). A failed final line is
+    /// dropped, like any other failed line.
     pub fn finish(&mut self, mut sink: impl FnMut(Triple<'_>)) -> Result<u64, NTriplesError> {
+        if self.skipping {
+            // The end of input ends the abandoned line.
+            self.skipping = false;
+            self.line += 1;
+            return Ok(0);
+        }
         if self.buf.is_empty() {
             return Ok(0);
         }
-        let buf = std::mem::take(&mut self.buf);
-        let result = self.parse_line(&buf, &mut sink);
-        self.buf = buf;
-        self.buf.clear();
-        let emitted = result?;
+        let result = self.parse_buffered(&[], &mut sink);
         self.line += 1;
+        let emitted = result?;
         self.triples += emitted;
         Ok(emitted)
+    }
+
+    /// Complete the buffered line with `tail` and parse it, leaving the
+    /// buffer empty once the line is parsed.
+    fn parse_buffered(
+        &mut self,
+        tail: &[u8],
+        sink: &mut impl FnMut(Triple<'_>),
+    ) -> Result<u64, NTriplesError> {
+        self.reserve(tail.len())?;
+        self.buf.extend_from_slice(tail);
+        let buf = std::mem::take(&mut self.buf);
+        let result = self.parse_line(&buf, sink);
+        self.buf = buf;
+        self.buf.clear();
+        result
+    }
+
+    /// The post-error state after a failed line that ended: count it and
+    /// every newline of the abandoned `rest` of the chunk, and drop input up
+    /// to the next newline if `rest` ends inside a line.
+    fn abandon(&mut self, rest: &[u8]) {
+        self.buf.clear();
+        self.line += 1 + rest.iter().filter(|&&b| b == b'\n').count() as u64;
+        self.skipping = rest.last().is_some_and(|&b| b != b'\n');
     }
 
     fn reserve(&mut self, incoming: usize) -> Result<(), NTriplesError> {
@@ -534,6 +592,49 @@ mod tests {
         }
         assert!(failed, "the oversized line must be rejected");
         assert_eq!(hits, 0);
+    }
+
+    #[test]
+    fn feeding_resumes_after_an_error_with_stream_line_numbers() {
+        let mut parser = NTriplesParser::new();
+        let mut feed = |chunk: &[u8]| {
+            let mut objects = Vec::new();
+            parser
+                .feed(chunk, |t| objects.push(t.object.to_string()))
+                .map(|_| objects)
+                .map_err(|e| e.line)
+        };
+        assert_eq!(
+            feed(b"<a> <p> <b> .\n<a> <p> <c> .\n"),
+            Ok(vec!["b".into(), "c".into()])
+        );
+        // The rest of a failed chunk is abandoned, its lines still counted.
+        assert_eq!(feed(b"bad\n<a> <p> <d> .\n"), Err(3));
+        assert_eq!(feed(b"<a> <p> <e> .\nbad again\n"), Err(6));
+        // An over-long line fails before its newline arrives; its tail is
+        // dropped when it does, and the statement after it parses.
+        let mut long = b"<a> <p> <".to_vec();
+        long.extend(std::iter::repeat(b'x').take(70_000));
+        assert_eq!(feed(&long), Err(7));
+        assert_eq!(feed(b"xxx"), Ok(vec![]), "still inside the failed line");
+        assert_eq!(feed(b"> .\n<x> <p> <y> .\n"), Ok(vec!["y".into()]));
+        // A chunk that fails mid-stream and ends inside a line drops that
+        // line's tail from the next chunk.
+        assert_eq!(feed(b"bad\n<a> <p> <f"), Err(9));
+        assert_eq!(feed(b"> .\n<u> <p> <v> .\nbad"), Ok(vec!["v".into()]));
+        assert_eq!(feed(b" tail\n<s> <p> <t> .\n"), Err(12));
+        assert_eq!(feed(b"<s> <p> <t> .\n"), Ok(vec!["t".into()]));
+        assert_eq!(parser.buffered_bytes(), 0);
+        assert_eq!(parser.triples(), 5, "failed chunks count no triples");
+        let mut parser = NTriplesParser::new();
+        assert_eq!(parser.finish(|_| {}), Ok(0));
+        parser.feed(b"<a> <p> <b> .\nbad", |_| {}).unwrap();
+        assert_eq!(parser.finish(|_| {}).map_err(|e| e.line), Err(2));
+        assert_eq!(
+            parser.finish(|_| {}),
+            Ok(0),
+            "the failed final line is gone"
+        );
     }
 
     #[test]

@@ -260,14 +260,16 @@ fn assert_adjacency_consistent(graph: &Graph) {
 }
 
 /// Stream `doc` at random chunk sizes into one graph, one delta per chunk,
-/// replacing the parser after an error as the service does (the failed
-/// chunk's triples are dropped with it). Returns the number of errors.
+/// through one parser kept across errors as the service keeps it (a failed
+/// chunk's triples are dropped with it). Every error must report a later
+/// line than the one before: a failed line is abandoned, never re-read.
+/// Returns the number of errors.
 fn stream_mutated(rng: &mut StdRng, doc: &[u8], max_line: usize) -> usize {
-    let fresh = || NTriplesParser::new().with_max_line_bytes(max_line);
-    let mut parser = fresh();
+    let mut parser = NTriplesParser::new().with_max_line_bytes(max_line);
     let mut graph = Graph::new();
     let mut errors = 0;
-    let mut check = |parser: &mut NTriplesParser, parsed: Result<u64, NTriplesError>| {
+    let mut last_line = 0;
+    let mut check = |parser: &NTriplesParser, parsed: Result<u64, NTriplesError>| {
         assert!(
             parser.buffered_bytes() <= max_line,
             "{} B buffered",
@@ -277,8 +279,13 @@ fn stream_mutated(rng: &mut StdRng, doc: &[u8], max_line: usize) -> usize {
             Ok(_) => true,
             Err(error) => {
                 assert!(error.line >= 1, "{error:?}");
+                assert!(
+                    error.line > last_line,
+                    "line {} reported after line {last_line}",
+                    error.line
+                );
                 assert!(!error.message.is_empty());
-                *parser = fresh();
+                last_line = error.line;
                 errors += 1;
                 false
             }
@@ -292,14 +299,14 @@ fn stream_mutated(rng: &mut StdRng, doc: &[u8], max_line: usize) -> usize {
         let parsed = parser.feed(chunk, |t: Triple<'_>| {
             delta.add_triple(t.subject, t.predicate, t.object)
         });
-        if check(&mut parser, parsed) {
+        if check(&parser, parsed) {
             graph.apply_delta(&delta);
             assert_adjacency_consistent(&graph);
         }
     }
     let mut delta = GraphDelta::new();
     let parsed = parser.finish(|t: Triple<'_>| delta.add_triple(t.subject, t.predicate, t.object));
-    if check(&mut parser, parsed) {
+    if check(&parser, parsed) {
         graph.apply_delta(&delta);
         assert_adjacency_consistent(&graph);
     }

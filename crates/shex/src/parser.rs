@@ -15,15 +15,25 @@
 //! * `EMPTY`, `ε`, or `.` denote the empty-bag expression.
 //! * Types referenced but never defined receive the definition `EMPTY`
 //!   (like `Literal` in Figure 1 of the paper).
+//! * An expression nests at most [`MAX_NESTING`] levels deep, counting
+//!   parentheses and stacked repeats (`?`, `*`, `[n;m]`, …) together.
 
 use shapex_rbe::{Interval, Rbe};
 
 use crate::schema::{render_expr, Atom, Schema, ShapeExpr};
 
+/// The deepest expression nesting [`parse_schema`] accepts: parentheses
+/// and stacked postfix repeats together, counted along any path from the
+/// rule's root to an atom. Every later pass over a schema (rendering,
+/// hashing, validation, the containment procedures) recurses over the
+/// expression tree, so the bound keeps text from any source off the
+/// stack's limit; real schemas nest a handful of levels.
+pub const MAX_NESTING: usize = 256;
+
 /// Parse a schema from the rule syntax.
 pub fn parse_schema(text: &str) -> Result<Schema, String> {
     let mut schema = Schema::new();
-    let mut rules: Vec<(String, Vec<Token>)> = Vec::new();
+    let mut rules: Vec<(String, Vec<Token>, usize)> = Vec::new();
     for (lineno, raw) in text.lines().enumerate() {
         let line = raw.trim();
         if line.is_empty() || line.starts_with('#') {
@@ -40,24 +50,27 @@ pub fn parse_schema(text: &str) -> Result<Schema, String> {
         // Declare the type now so rule order does not matter.
         if schema.find_type(name).is_none() {
             schema.add_type(name);
-        } else if rules.iter().any(|(n, _)| n == name) {
+        } else if rules.iter().any(|(n, ..)| n == name) {
             return Err(format!(
                 "line {}: duplicate rule for type `{name}`",
                 lineno + 1
             ));
         }
-        rules.push((name.to_owned(), tokens));
+        rules.push((name.to_owned(), tokens, lineno + 1));
     }
-    for (name, tokens) in rules {
+    for (name, tokens, line) in rules {
         let mut parser = Parser {
             tokens,
             pos: 0,
+            open: 0,
             schema: &mut schema,
         };
-        let expr = parser.parse_expr()?;
+        let (expr, _) = parser
+            .parse_expr()
+            .map_err(|e| format!("line {line}: {e}"))?;
         if parser.pos != parser.tokens.len() {
             return Err(format!(
-                "rule for `{name}`: unexpected trailing input near token {}",
+                "line {line}: rule for `{name}`: unexpected trailing input near token {}",
                 parser.pos + 1
             ));
         }
@@ -186,7 +199,15 @@ fn is_ident_char(c: char) -> bool {
 struct Parser<'s> {
     tokens: Vec<Token>,
     pos: usize,
+    /// Parentheses open at the current position — the parser's recursion
+    /// depth, bounded by [`MAX_NESTING`] before it can grow further.
+    open: usize,
     schema: &'s mut Schema,
+}
+
+/// The error for an expression nested deeper than [`MAX_NESTING`].
+fn too_deep() -> String {
+    format!("expression nested deeper than {MAX_NESTING} levels")
 }
 
 impl<'s> Parser<'s> {
@@ -202,29 +223,38 @@ impl<'s> Parser<'s> {
         t
     }
 
+    // Each parse function returns its expression with its nesting: the
+    // parentheses and repeats on the deepest path from it to an atom.
+
     /// expr := concat ( '|' concat )*
-    fn parse_expr(&mut self) -> Result<ShapeExpr, String> {
-        let mut parts = vec![self.parse_concat()?];
+    fn parse_expr(&mut self) -> Result<(ShapeExpr, usize), String> {
+        let (first, mut nesting) = self.parse_concat()?;
+        let mut parts = vec![first];
         while matches!(self.peek(), Some(Token::Pipe)) {
             self.bump();
-            parts.push(self.parse_concat()?);
+            let (part, depth) = self.parse_concat()?;
+            parts.push(part);
+            nesting = nesting.max(depth);
         }
-        Ok(Rbe::disj(parts))
+        Ok((Rbe::disj(parts), nesting))
     }
 
     /// concat := factor ( ',' factor )*
-    fn parse_concat(&mut self) -> Result<ShapeExpr, String> {
-        let mut parts = vec![self.parse_factor()?];
+    fn parse_concat(&mut self) -> Result<(ShapeExpr, usize), String> {
+        let (first, mut nesting) = self.parse_factor()?;
+        let mut parts = vec![first];
         while matches!(self.peek(), Some(Token::Comma)) {
             self.bump();
-            parts.push(self.parse_factor()?);
+            let (part, depth) = self.parse_factor()?;
+            parts.push(part);
+            nesting = nesting.max(depth);
         }
-        Ok(Rbe::concat(parts))
+        Ok((Rbe::concat(parts), nesting))
     }
 
     /// factor := primary repeat*
-    fn parse_factor(&mut self) -> Result<ShapeExpr, String> {
-        let mut expr = self.parse_primary()?;
+    fn parse_factor(&mut self) -> Result<(ShapeExpr, usize), String> {
+        let (mut expr, mut nesting) = self.parse_primary()?;
         loop {
             let interval = match self.peek() {
                 Some(Token::Question) => Interval::OPT,
@@ -234,19 +264,31 @@ impl<'s> Parser<'s> {
                 _ => break,
             };
             self.bump();
+            nesting += 1;
+            if nesting > MAX_NESTING {
+                return Err(too_deep());
+            }
             expr = Rbe::repeat(expr, interval);
         }
-        Ok(expr)
+        Ok((expr, nesting))
     }
 
     /// primary := EMPTY | label '::' type | '(' expr ')'
-    fn parse_primary(&mut self) -> Result<ShapeExpr, String> {
+    fn parse_primary(&mut self) -> Result<(ShapeExpr, usize), String> {
         match self.bump() {
-            Some(Token::Empty) => Ok(Rbe::Epsilon),
+            Some(Token::Empty) => Ok((Rbe::Epsilon, 0)),
             Some(Token::LParen) => {
-                let inner = self.parse_expr()?;
+                self.open += 1;
+                if self.open > MAX_NESTING {
+                    return Err(too_deep());
+                }
+                let (inner, nesting) = self.parse_expr()?;
+                self.open -= 1;
+                if nesting + 1 > MAX_NESTING {
+                    return Err(too_deep());
+                }
                 match self.bump() {
-                    Some(Token::RParen) => Ok(inner),
+                    Some(Token::RParen) => Ok((inner, nesting + 1)),
                     _ => Err("expected `)`".to_owned()),
                 }
             }
@@ -257,7 +299,7 @@ impl<'s> Parser<'s> {
                         // Intern through the schema's label table: one
                         // allocation per distinct predicate in the schema.
                         let label = self.schema.intern_label(&label);
-                        Ok(Rbe::symbol(Atom::new(label, t)))
+                        Ok((Rbe::symbol(Atom::new(label, t)), 0))
                     }
                     _ => Err(format!("expected a type name after `{label}::`")),
                 },
@@ -355,6 +397,62 @@ t3 -> EMPTY
             parse_schema("A -> p::B[3;").is_err(),
             "unterminated interval"
         );
+    }
+
+    #[test]
+    fn deep_parentheses_are_an_error_naming_the_line() {
+        let deep = format!("T -> {}p::L{}\n", "(".repeat(15_000), ")".repeat(15_000));
+        let err = parse_schema(&deep).unwrap_err();
+        assert!(err.starts_with("line 1:"), "{err}");
+        assert!(err.contains("nested deeper than"), "{err}");
+        // Unclosed ones are refused at the same depth, before recursing on.
+        let unclosed = format!("L -> EMPTY\nT -> {}\n", "(".repeat(15_000));
+        let err = parse_schema(&unclosed).unwrap_err();
+        assert!(err.starts_with("line 2:"), "{err}");
+    }
+
+    #[test]
+    fn stacked_repeats_count_toward_the_nesting_bound() {
+        let stacked = format!("L -> EMPTY\nT -> p::L{}\n", "?".repeat(100_000));
+        let err = parse_schema(&stacked).unwrap_err();
+        assert!(err.starts_with("line 2:"), "{err}");
+        assert!(err.contains("nested deeper than"), "{err}");
+        // Parentheses and repeats add up along one path.
+        let half = MAX_NESTING / 2;
+        let mixed = |extra: usize| {
+            format!(
+                "T -> {}p::L{}{}\n",
+                "(".repeat(half),
+                ")*".repeat(half),
+                "?".repeat(MAX_NESTING - 2 * half + extra)
+            )
+        };
+        assert!(parse_schema(&mixed(0)).is_ok());
+        assert!(parse_schema(&mixed(1)).is_err());
+    }
+
+    #[test]
+    fn expressions_at_the_nesting_bound_round_trip() {
+        let text = format!(
+            "T -> {}p::L{}, q::L\nL -> EMPTY\n",
+            "(".repeat(MAX_NESTING),
+            ")".repeat(MAX_NESTING)
+        );
+        let schema = parse_schema(&text).unwrap();
+        let stacked = format!("T -> p::L{}\nL -> EMPTY\n", "*".repeat(MAX_NESTING));
+        let repeated = parse_schema(&stacked).unwrap();
+        for s in [schema, repeated] {
+            let written = write_schema(&s);
+            assert_eq!(write_schema(&parse_schema(&written).unwrap()), written);
+        }
+    }
+
+    #[test]
+    fn exact_one_repeats_render_apart_from_the_type_name() {
+        let s = parse_schema("T -> p::L[1;1]\nL -> EMPTY\n").unwrap();
+        let written = write_schema(&s);
+        assert_eq!(written, "T -> p::L[1;1]\nL -> EMPTY\n");
+        assert_eq!(write_schema(&parse_schema(&written).unwrap()), written);
     }
 
     #[test]

@@ -589,7 +589,12 @@ pub(crate) fn render_expr(schema: &Schema, expr: &ShapeExpr) -> String {
             }
             Rbe::Repeat(inner, interval) => {
                 let body = go(schema, inner, false);
-                format!("{body}{interval}")
+                if *interval == Interval::ONE {
+                    // `1` would run into the name before it (`p::L1`).
+                    format!("{body}[1;1]")
+                } else {
+                    format!("{body}{interval}")
+                }
             }
         }
     }

@@ -51,7 +51,7 @@ fn main() {
     // Production shape: a byte budget on the evictable caches — a long-lived
     // service must not grow without bound.
     let options = EngineOptions::builder()
-        .cache_budget(8 << 20) // 8 MiB across pools, memos, and arenas
+        .cache_budget(8 << 20) // 8 MiB across the answer memo and the unfolders
         .build();
     let service = ContainmentService::with_options(options);
 

@@ -6,8 +6,7 @@
 //! against every other (and against the deployed version), which is the
 //! batch workload [`ContainmentEngine::check_matrix`] serves — one engine
 //! session computes the full N×N containment matrix, building each schema's
-//! shape graph, unfolding pools, and validation verdicts once instead of
-//! once per pair.
+//! shape graph and unfolded candidates once instead of once per pair.
 //!
 //! Run with `cargo run --example schema_evolution`.
 

@@ -3,8 +3,8 @@
 //!
 //! The engine is the seam a service wraps: every query method takes `&self`
 //! over concurrent caches, so one engine behind an [`Arc`] serves any number
-//! of clients, amortizing shape graphs, unfolding pools, and validation
-//! verdicts across all of their queries. [`ContainmentService`] packages
+//! of clients, amortizing shape graphs, unfolded candidates, and answers
+//! across all of their queries. [`ContainmentService`] packages
 //! that seam as a production-shaped request/response protocol:
 //!
 //! * **Tenant-scoped registries over one shared engine.** Every request
@@ -302,14 +302,17 @@ pub enum ServiceError {
     /// deliberately indistinguishable so tenants cannot probe which graph
     /// handles exist.
     UnknownGraph(GraphId),
-    /// A [`ServiceRequest::LoadTriples`] chunk failed to parse. The graph
-    /// keeps its state from before the bad statement and the parser is
-    /// reset, so the tenant can resume streaming from a clean line
-    /// boundary.
+    /// A [`ServiceRequest::LoadTriples`] chunk failed to parse. None of the
+    /// chunk's statements are applied: the graph and its dirty log keep
+    /// their state from before the chunk. The graph's parser abandons the
+    /// rest of the chunk (and, if the chunk ended inside a line, that
+    /// line's tail in the next chunk), so the tenant resumes streaming with
+    /// the next chunk; line numbers keep counting the whole stream.
     Parse {
         /// The graph the chunk was destined for.
         graph: GraphId,
-        /// 1-based line number of the offending statement.
+        /// 1-based line number of the offending statement in the graph's
+        /// whole stream.
         line: u64,
         /// Human-readable description of the failure.
         message: String,
@@ -778,12 +781,11 @@ impl ContainmentService {
                         entry.parser.feed(&chunk, &mut sink)
                     };
                     if let Err(error) = parsed {
-                        // After an error the parser state is unspecified:
-                        // reset it so the tenant resumes from a clean line
-                        // boundary. Triples before the bad statement in
-                        // this chunk are dropped with it — the graph only
-                        // ever reflects fully accepted chunks.
-                        entry.parser = NTriplesParser::new();
+                        // The parser has abandoned the rest of the chunk and
+                        // keeps numbering the stream's lines. Triples before
+                        // the bad statement in this chunk are dropped with
+                        // it — the graph only ever reflects fully accepted
+                        // chunks.
                         return Err(ServiceError::Parse {
                             graph: id,
                             line: error.line,
@@ -1526,12 +1528,59 @@ mod tests {
             }
             other => panic!("expected Parse, got {other:?}"),
         }
-        // The parser was reset: streaming resumes on a clean line boundary
-        // and the graph still holds everything accepted before the error.
+        // Streaming resumes with the next chunk, and the graph still holds
+        // everything accepted before the error.
         let (_, _, report) =
             load(&service, TenantId::DEFAULT, Some(graph), b"<a> <q> <c> .\n").unwrap();
         assert_eq!(report.added_edges, 1);
         assert_eq!(report.added_nodes, 1, "a and b survived the bad chunk");
+    }
+
+    #[test]
+    fn parse_errors_keep_stream_line_numbers_and_resync_at_the_next_line() {
+        let service = ContainmentService::new();
+        let tenant = TenantId::DEFAULT;
+        let schema = user_schema_id(&service, tenant);
+        // A retained typing makes the graph keep a dirty log.
+        let (graph, ..) = load(&service, tenant, None, b"").unwrap();
+        let _ = revalidate(&service, tenant, graph, schema);
+        let (_, triples, _) = load(
+            &service,
+            tenant,
+            Some(graph),
+            b"<a> <p> <b> .\n<a> <p> <c> .\n",
+        )
+        .unwrap();
+        assert_eq!(triples, 2);
+        let before = view(&service, graph);
+        assert!(!before.2.is_empty(), "the dirty log is kept");
+        let mut long = b"<a> <p> <".to_vec();
+        long.extend(std::iter::repeat(b'x').take(70_000));
+        let failing: [&[u8]; 3] = [
+            b"bad\n<a> <p> <d> .\n",
+            b"<a> <p> <e> .\nbad again\n",
+            &long,
+        ];
+        for (chunk, expected) in failing.into_iter().zip([3, 6, 7]) {
+            match load(&service, tenant, Some(graph), chunk) {
+                Err(ServiceError::Parse { line, .. }) => assert_eq!(line, expected),
+                other => panic!("expected Parse at line {expected}, got {other:?}"),
+            }
+            assert_eq!(
+                view(&service, graph),
+                before,
+                "a failed chunk leaves the graph and its dirty log untouched"
+            );
+        }
+        // The tail of the over-long line is dropped; the statement after it
+        // is the only one loaded.
+        let (_, triples, report) =
+            load(&service, tenant, Some(graph), b"xxx> .\n<x> <p> <y> .\n").unwrap();
+        assert_eq!(report.added_edges, 1);
+        assert_eq!(triples, 3, "two earlier triples plus <x> <p> <y>");
+        let edges = view(&service, graph).3;
+        assert_eq!(edges.len(), 3);
+        assert!(edges.contains(&("x".into(), "p".into(), "y".into())));
     }
 
     /// A hand-wired one-queue client whose queue nothing drains: the test
