@@ -507,7 +507,8 @@ struct SchemaEntry {
     /// it.
     unfolder: Mutex<Unfolder>,
     /// The unfolder's accounted bytes as last charged to the ledger — the
-    /// search re-measures after every pool and charges/credits the delta
+    /// search re-measures after every pool that grew the unfolder and
+    /// charges/credits the delta
     /// (while holding the unfolder lock, so updates serialise).
     unfolder_bytes: AtomicU64,
     /// The unfolder's LRU stamp, refreshed whenever a search takes a pool:
@@ -1364,6 +1365,7 @@ impl ContainmentEngine {
             ..self.options.search.clone()
         };
         let mut unfolder = lock_or_recover(&h.unfolder);
+        let extent = unfolder.extent();
         let held = unfolder.holds(root, depth);
         EngineCounters::tick(if held {
             &self.counters.pool_hits
@@ -1379,7 +1381,9 @@ impl ContainmentEngine {
         );
         h.unfolder_stamp
             .store(self.budget.touch(), Ordering::Relaxed);
-        if !held {
+        // A held pool may still build graphs: its trees were enumerated as
+        // children of another root's, whose graphs alone were built.
+        if unfolder.extent() != extent {
             self.sync_unfolder_bytes(h, &unfolder);
         }
         drop(unfolder);
@@ -1796,6 +1800,30 @@ mod tests {
         let partner = engine.stats();
         assert_eq!(partner.pools_built, cold.pools_built, "{partner}");
         assert!(partner.pool_hits > cold.pool_hits, "{partner}");
+    }
+
+    #[test]
+    fn graphs_built_for_a_held_pool_are_charged() {
+        // `(Root, 2)` enumerates `(A, 1)` as a child but builds only Root's
+        // graphs (its three-node tree is over the size cap). The `(A, 1)`
+        // pool is then held, yet its graphs are built now, and `A -a-> L`
+        // refutes: the search ends on a pool that grew the unfolder without
+        // enumerating anything, and the ledger must still match it.
+        let h = parse_schema("Root -> p::A\nA -> a::L?\nL -> EMPTY\n").unwrap();
+        let k = parse_schema("S -> p::E\nE -> EMPTY\n").unwrap();
+        let engine = ContainmentEngine::with_search(SearchOptions {
+            max_depth: 2,
+            max_graph_nodes: 2,
+            ..SearchOptions::quick()
+        });
+        let witness = engine.counter_example(&h, &k).expect("A -a-> L refutes");
+        assert!(validates(&witness, &h) && !validates(&witness, &k));
+        let stats = engine.stats();
+        assert!(stats.pool_hits > 0, "the refuting pool was held: {stats}");
+        let entry = engine.entry(engine.register(&h));
+        let resident = lock_or_recover(&entry.unfolder).approx_heap_bytes() as u64;
+        assert_eq!(entry.unfolder_bytes.load(Ordering::Relaxed), resident);
+        assert_eq!(stats.unfolder_bytes, resident, "{stats}");
     }
 
     #[test]

@@ -386,6 +386,8 @@ pub struct Unfolder {
     bags: HashMap<TypeId, Arc<Vec<Bag<Atom>>>>,
     /// One graph per distinct tree, built on first demand.
     graphs: Vec<Option<Arc<Graph>>>,
+    /// How many of `graphs` are built.
+    built: usize,
     builder: GraphBuilder,
     /// Session-shared atom table and solver telemetry.
     ctx: SessionContext,
@@ -451,6 +453,14 @@ impl Unfolder {
     /// The underlying tree arena.
     pub fn arena(&self) -> &TreeArena {
         &self.arena
+    }
+
+    /// A count that grows whenever a memo of this session grows — a tree
+    /// interned, a `(type, depth)` enumeration or a type's bags memoised, a
+    /// graph built — so an unchanged count means an unchanged
+    /// [`Unfolder::approx_heap_bytes`].
+    pub(crate) fn extent(&self) -> usize {
+        self.arena.len() + self.enumerated.len() + self.bags.len() + self.graphs.len() + self.built
     }
 
     /// Whether the trees of `(t, depth)` are already enumerated, so asking
@@ -562,6 +572,7 @@ impl Unfolder {
         }
         let graph = Arc::new(self.arena.to_graph(tree, schema, &mut self.builder));
         self.graphs[tree.index()] = Some(graph.clone());
+        self.built += 1;
         graph
     }
 
