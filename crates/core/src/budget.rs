@@ -45,8 +45,7 @@ pub enum CacheKind {
     /// The per-schema unfolding sessions (tree arenas + built graphs);
     /// reset wholesale when their LRU stamp falls behind a sweep's cutoff.
     Unfolder,
-    /// One-shot caches, registered schemas, and the session atom table:
-    /// counted, never evicted.
+    /// One-shot caches and registered schemas: counted, never evicted.
     Pinned,
 }
 

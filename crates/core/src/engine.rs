@@ -12,7 +12,7 @@
 //! * **Schema registry.** [`ContainmentEngine::register`] interns a schema by
 //!   a structural fingerprint and computes its [`SchemaClass`] and shape
 //!   graph once; the registered copy's atom labels are re-interned through
-//!   the engine's [`shapex_graph::SharedLabelTable`], so every registered
+//!   the engine's one [`shapex_graph::LabelTable`], so every registered
 //!   schema (and every candidate graph unfolded from one) shares one
 //!   allocation per distinct predicate label.
 //! * **Per-schema caches.** The characterizing graph (Lemma 4.2), the
@@ -55,12 +55,13 @@
 //! `&self`: the registry is an `RwLock`-guarded append-only vector of
 //! [`Arc`]ed entries, per-schema caches sit behind `OnceLock`s and the
 //! unfolder's `Mutex` inside each entry, the answer memo lives in sharded
-//! `RwLock` maps, the label table is a lock-free-read interner, and the
-//! [`EngineStats`] counters are atomics. A `ContainmentEngine` is therefore
-//! `Send + Sync` (compile-time asserted): wrap it in an `Arc` and query it
-//! from as many threads as you like — verdicts are deterministic, caches
-//! only ever fill in with deterministic values, and a race at worst computes
-//! a verdict twice before one copy wins the cache slot.
+//! `RwLock` maps, the label table sits behind a `Mutex` that only
+//! registration takes, and the [`EngineStats`] counters are atomics. A
+//! `ContainmentEngine` is therefore `Send + Sync` (compile-time asserted):
+//! wrap it in an `Arc` and query it from as many threads as you like —
+//! verdicts are deterministic, caches only ever fill in with deterministic
+//! values, and a race at worst computes a verdict twice before one copy
+//! wins the cache slot.
 //!
 //! A query runs on its caller's thread: the engine spawns no threads of its
 //! own. Concurrency comes from sharing one engine — the service pool's
@@ -118,7 +119,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError, RwLock};
 use std::time::Duration;
 
-use shapex_graph::{Graph, SharedLabelTable};
+use shapex_graph::{Graph, LabelTable};
 use shapex_rbe::{Bag, Rbe};
 use shapex_shex::typing::{validates_with, SolverTelemetry, ValidateScratch};
 use shapex_shex::{Atom, Schema, SchemaClass, TypeId};
@@ -130,7 +131,7 @@ use crate::faults;
 use crate::fixpoint::{self, FixpointOutcome};
 use crate::general::{exhaustive_bags, type_simulation_with_bags};
 use crate::sync::{lock_or_recover, read_or_recover, write_or_recover};
-use crate::unfold::{SearchOptions, SessionContext, Unfolder};
+use crate::unfold::{SearchOptions, Unfolder};
 use crate::{CancelToken, Containment};
 
 pub use crate::matrix::ContainmentMatrix;
@@ -283,14 +284,8 @@ pub struct EngineStats {
     /// Accounted bytes resident in the per-schema unfolders.
     pub unfolder_bytes: u64,
     /// Accounted bytes in the pinned (counted, never evicted) caches:
-    /// registered schemas, characterizing graphs, bag enumerations, and the
-    /// session atom table.
+    /// registered schemas, characterizing graphs and bag enumerations.
     pub pinned_bytes: u64,
-    /// Accounted bytes of the session-wide atom table — a subset of
-    /// `pinned_bytes`, broken out because it is the one pinned cache that
-    /// grows with the *union* of registered alphabets rather than with any
-    /// single schema.
-    pub atom_bytes: u64,
     /// Cache entries (answers and whole unfolders) dropped by eviction
     /// sweeps.
     pub evictions: u64,
@@ -368,12 +363,11 @@ impl fmt::Display for EngineStats {
         write!(
             f,
             "; resident {} B evictable (pairs {}, unfolder {}) \
-             + {} B pinned ({} B atoms); budget {}; {} evictions freed {} B in {} sweeps",
+             + {} B pinned; budget {}; {} evictions freed {} B in {} sweeps",
             self.evictable_bytes(),
             self.pair_bytes,
             self.unfolder_bytes,
             self.pinned_bytes,
-            self.atom_bytes,
             match self.cache_budget {
                 Some(limit) => format!("{limit} B"),
                 None => "unbounded".to_string(),
@@ -452,7 +446,6 @@ impl EngineCounters {
             pair_bytes: budget.resident(CacheKind::Pairs),
             unfolder_bytes: budget.resident(CacheKind::Unfolder),
             pinned_bytes: budget.resident(CacheKind::Pinned),
-            atom_bytes: 0,
             evictions: budget.evictions(),
             evicted_bytes: budget.evicted_bytes(),
             sweeps: budget.sweeps(),
@@ -821,7 +814,9 @@ impl SearchOutcome {
 #[derive(Debug)]
 pub struct ContainmentEngine {
     options: EngineOptions,
-    labels: SharedLabelTable,
+    /// One allocation per distinct predicate label across every registered
+    /// schema; only [`ContainmentEngine::register`] takes the lock.
+    labels: Mutex<LabelTable>,
     registry: RwLock<Registry>,
     /// `(h, k) → the completed answer to L(h) ⊆ L(k)`, whichever procedure
     /// gave it (a deadline answer is never recorded).
@@ -836,13 +831,9 @@ pub struct ContainmentEngine {
     /// The accounted-byte ledger and eviction bookkeeping behind
     /// [`EngineOptionsBuilder::cache_budget`].
     budget: CacheBudget,
-    /// The atom-table bytes last charged to [`CacheKind::Pinned`]; the
-    /// delta-accounting swap point for [`ContainmentEngine::sync_atom_bytes`].
-    atom_bytes: AtomicU64,
-    /// Cross-schema session state: the shared atom table and the solver
-    /// telemetry. Cloned into every schema entry's unfolder (and into the
-    /// fresh one a sweep leaves behind), so interning survives cache sweeps.
-    session: SessionContext,
+    /// The solver counters every query and every schema's unfolder (the
+    /// fresh one a sweep leaves behind included) report to.
+    telemetry: Arc<SolverTelemetry>,
 }
 
 impl Default for ContainmentEngine {
@@ -860,20 +851,15 @@ impl ContainmentEngine {
     /// An engine with the given options.
     pub fn with_options(options: EngineOptions) -> ContainmentEngine {
         let budget = CacheBudget::with_admission(options.cache_budget, options.max_entry_bytes);
-        let session = SessionContext {
-            telemetry: Some(Arc::new(SolverTelemetry::new())),
-            ..SessionContext::default()
-        };
         ContainmentEngine {
             options,
-            labels: SharedLabelTable::new(),
+            labels: Mutex::new(LabelTable::new()),
             registry: RwLock::new(Registry::default()),
             answers: ShardedPairMap::new(),
             query_flights: SingleFlight::new(PAIR_SHARDS),
             counters: EngineCounters::default(),
             budget,
-            atom_bytes: AtomicU64::new(0),
-            session,
+            telemetry: Arc::new(SolverTelemetry::new()),
         }
     }
 
@@ -888,25 +874,11 @@ impl ContainmentEngine {
     pub fn stats(&self) -> EngineStats {
         let schemas = read_or_recover(&self.registry).schemas.len();
         let mut stats = self.counters.snapshot(schemas, &self.budget);
-        stats.atom_bytes = self.session.atoms.approx_heap_bytes() as u64;
-        if let Some(telemetry) = &self.session.telemetry {
-            let solver = telemetry.snapshot();
-            stats.solver_calls = telemetry.calls();
-            stats.solver_search_nodes = solver.search_nodes;
-            stats.solver_pruned_branches = solver.pruned_branches;
-        }
+        let solver = self.telemetry.snapshot();
+        stats.solver_calls = self.telemetry.calls();
+        stats.solver_search_nodes = solver.search_nodes;
+        stats.solver_pruned_branches = solver.pruned_branches;
         stats
-    }
-
-    /// The cross-schema atom table shared by every registered schema.
-    pub fn atom_table(&self) -> &Arc<shapex_shex::AtomTable> {
-        &self.session.atoms
-    }
-
-    /// The shared predicate-label table (one allocation per distinct label
-    /// across every registered schema; reads are lock-free).
-    pub fn label_table(&self) -> &SharedLabelTable {
-        &self.labels
     }
 
     /// Number of schemas registered so far.
@@ -927,8 +899,8 @@ impl ContainmentEngine {
     /// alike stay distinct): registering an identical schema again (even a
     /// different instance, even from another thread) returns the same handle
     /// and shares every cache. Registration clones the schema — the caller
-    /// keeps ownership — adopts the clone's atom labels into the session's
-    /// shared table, and computes the classification and shape graph, once.
+    /// keeps ownership — adopts the clone's atom labels into the engine's
+    /// label table, and computes the classification and shape graph, once.
     /// The derivation runs outside the registry lock; concurrent racing
     /// registrations of the same schema agree on the winner's entry.
     pub fn register(&self, schema: &Schema) -> SchemaId {
@@ -939,24 +911,15 @@ impl ContainmentEngine {
         // Derive everything outside the write lock; a racing thread may do
         // the same work, but only the first insertion wins the slot.
         let mut owned = schema.clone();
-        owned.adopt_labels_shared(&self.labels);
+        owned.adopt_labels(&mut lock_or_recover(&self.labels));
         let class = owned.classify_cached();
         let shape_graph = owned.shape_graph_cached().cloned();
-        // Intern the schema's alphabet in the session-wide atom table once,
-        // at registration, so every later memo lookup (in any schema entry)
-        // finds its ids already present.
-        for t in owned.types() {
-            for atom in owned.def(t).alphabet() {
-                self.session.atoms.intern(&atom);
-            }
-        }
-        self.sync_atom_bytes();
         let entry = Arc::new(SchemaEntry {
             schema: Arc::new(owned),
             class,
             shape_graph,
             characterizing: OnceLock::new(),
-            unfolder: Mutex::new(Unfolder::with_context(self.session.clone())),
+            unfolder: Mutex::new(Unfolder::with_telemetry(self.telemetry.clone())),
             unfolder_bytes: AtomicU64::new(0),
             unfolder_stamp: AtomicU64::new(0),
             bags: OnceLock::new(),
@@ -1211,12 +1174,7 @@ impl ContainmentEngine {
             }
             _ => {
                 let sufficient = self.exhaustive_bags_cached(h).is_some_and(|bags| {
-                    type_simulation_with_bags(
-                        &h.schema,
-                        &bags,
-                        &k.schema,
-                        self.session.telemetry.as_deref(),
-                    )
+                    type_simulation_with_bags(&h.schema, &bags, &k.schema, Some(&*self.telemetry))
                 });
                 if sufficient {
                     Containment::Contained
@@ -1292,7 +1250,7 @@ impl ContainmentEngine {
         let opts = &self.options.search;
         let mut examined = 0usize;
         let mut checked = 0usize;
-        let mut scratch = ValidateScratch::with_telemetry(self.session.telemetry.clone());
+        let mut scratch = ValidateScratch::with_telemetry(Some(self.telemetry.clone()));
         // The candidates this search has validated, by address. The
         // depth-cumulative pools share their graphs, so most candidates
         // come round again; holding each `Arc` keeps its address from being
@@ -1455,17 +1413,6 @@ impl ContainmentEngine {
         }
     }
 
-    /// Re-measure the session atom table and charge the pinned-ledger delta.
-    /// The table only grows, so the delta is always a charge; the swap makes
-    /// racing registrations each charge exactly their own growth.
-    fn sync_atom_bytes(&self) {
-        let now = self.session.atoms.approx_heap_bytes() as u64;
-        let before = self.atom_bytes.swap(now, Ordering::Relaxed);
-        if now > before {
-            self.budget.charge(CacheKind::Pinned, now - before);
-        }
-    }
-
     /// Enforce the cache budget: when the evictable total exceeds the
     /// limit, run epoch-LRU sweeps until it is back under (targeting half
     /// the limit, so queries do not re-trigger a sweep immediately), with a
@@ -1569,8 +1516,8 @@ impl ContainmentEngine {
         read_or_recover(&self.registry).schemas.clone()
     }
 
-    /// Replace an entry's unfolder with a fresh one over the same session
-    /// context when its stamp is at or below `cutoff` (checked under the
+    /// Replace an entry's unfolder with a fresh one reporting to the same
+    /// telemetry when its stamp is at or below `cutoff` (checked under the
     /// lock, so a search that just used it keeps it), crediting its bytes.
     /// Returns `(entries, bytes)` freed.
     fn reset_unfolder(&self, entry: &SchemaEntry, cutoff: u64) -> (u64, u64) {
@@ -1585,7 +1532,7 @@ impl ContainmentEngine {
         if before == 0 {
             return (0, 0);
         }
-        *unfolder = Unfolder::with_context(self.session.clone());
+        *unfolder = Unfolder::with_telemetry(self.telemetry.clone());
         self.budget.credit(CacheKind::Unfolder, before);
         (1, before)
     }

@@ -25,9 +25,10 @@
 //!
 //! The arena also certifies membership: every node records whether its own
 //! bag of `(label, child type)` atoms is accepted by its type's definition
-//! (memoised per distinct `(type, bag)`), and a tree whose nodes all pass is
-//! a member of `L(schema)` by construction — the typing that assigns every
-//! node its construction type is valid, so the maximal typing is total.
+//! (memoised in the arena per distinct `(type, bag)`, keyed by the atoms),
+//! and a tree whose nodes all pass is a member of `L(schema)` by
+//! construction — the typing that assigns every node its construction type
+//! is valid, so the maximal typing is total.
 //! Candidate filtering skips the full validation fixpoint for such trees and
 //! only falls back to [`validates`] for the (in practice empty) remainder,
 //! which keeps the produced candidate pools bit-identical to the historical
@@ -42,7 +43,7 @@ use shapex_graph::{Graph, GraphBuilder, Label};
 use shapex_presburger::CancelToken;
 use shapex_rbe::{Bag, Interval, Rbe};
 use shapex_shex::typing::{neighbourhood_satisfies_with, validates, EdgeSummary, SolverTelemetry};
-use shapex_shex::{Atom, AtomId, AtomTable, Schema, TypeId};
+use shapex_shex::{Atom, Schema, TypeId};
 
 /// Budget knobs for unfolding-based searches.
 #[derive(Debug, Clone)]
@@ -84,21 +85,6 @@ impl SearchOptions {
     }
 }
 
-/// Cross-schema state shared by every [`Unfolder`] of one containment
-/// session.
-///
-/// The default context gives each `Unfolder` a private atom table. An
-/// engine clones one context into every schema entry so that atoms are
-/// interned once per *session* rather than once per schema, and so that
-/// solver work is counted centrally.
-#[derive(Debug, Clone, Default)]
-pub struct SessionContext {
-    /// Session-level interner over `Σ × Γ`; arena memo keys are ids in it.
-    pub atoms: Arc<AtomTable>,
-    /// Cumulative solver counters (engine-owned; `None` drops the stats).
-    pub telemetry: Option<Arc<SolverTelemetry>>,
-}
-
 /// A 64-bit structural hash via the std hasher (stable within a process,
 /// which is all the arena's verify-on-collision lookups need).
 fn hash_of(value: impl Hash) -> u64 {
@@ -130,14 +116,12 @@ struct TreeNode {
 }
 
 /// A memoised `(type, bag of (label, child type))` acceptance verdict; the
-/// profile — the children's atoms as session-interned [`AtomId`]s — is kept
-/// for exact (collision-proof) key comparison. Interned ids shrink the key
-/// from a `(Label, TypeId)` pair per child to a `u32`, and because the table
-/// is session-wide the ids agree across every schema of the session.
+/// profile — the children's atoms — is kept for exact (collision-proof) key
+/// comparison.
 #[derive(Debug)]
 struct LocalVerdict {
     type_id: TypeId,
-    profile: Vec<AtomId>,
+    profile: Vec<Atom>,
     ok: bool,
 }
 
@@ -202,7 +186,7 @@ impl TreeArena {
                     + bucket.capacity() * size_of::<LocalVerdict>()
                     + bucket
                         .iter()
-                        .map(|v| v.profile.capacity() * size_of::<AtomId>())
+                        .map(|v| v.profile.capacity() * size_of::<Atom>())
                         .sum::<usize>()
             })
             .sum::<usize>();
@@ -235,18 +219,17 @@ impl TreeArena {
 
     /// Intern a tree with the given root type and labelled children
     /// (children must already live in this arena). Structurally identical
-    /// trees share one index. The session context supplies the atom table
-    /// for the acceptance memo and the telemetry the check's solver calls
-    /// report to. The acceptance check's Presburger fallback polls `cancel`,
-    /// and a fired token returns `None` *before* anything is interned — the
-    /// arena, its memos, and the dedup tables are exactly as if the call
-    /// never happened.
+    /// trees share one index. The acceptance check's solver calls report to
+    /// `telemetry`, and its Presburger fallback polls `cancel`: a fired
+    /// token returns `None` *before* anything is interned — the arena, its
+    /// memos, and the dedup tables are exactly as if the call never
+    /// happened.
     pub fn node(
         &mut self,
         schema: &Schema,
         t: TypeId,
         children: &[(Label, Tree)],
-        ctx: &SessionContext,
+        telemetry: Option<&SolverTelemetry>,
         cancel: Option<&CancelToken>,
     ) -> Option<Tree> {
         let mut hasher = DefaultHasher::new();
@@ -267,7 +250,7 @@ impl TreeArena {
                 }
             }
         }
-        let local_ok = self.try_local_accepted(schema, t, children, ctx, cancel)?;
+        let local_ok = self.try_local_accepted(schema, t, children, telemetry, cancel)?;
         let member = local_ok && children.iter().all(|&(_, c)| self.member[c.index()]);
         let size = 1 + children
             .iter()
@@ -290,24 +273,19 @@ impl TreeArena {
     }
 
     /// Whether the bag `{(label, type_of(child))}` is accepted by `def(t)` —
-    /// computed once per distinct `(type, bag)` across the whole arena. The
-    /// memo is keyed by the children's session-interned atom ids, so the
-    /// lookup compares `u32`s rather than labels. A cancelled check returns
-    /// `None` without memoising anything.
+    /// computed once per distinct `(type, bag)` across the whole arena. A
+    /// cancelled check returns `None` without memoising anything.
     fn try_local_accepted(
         &mut self,
         schema: &Schema,
         t: TypeId,
         children: &[(Label, Tree)],
-        ctx: &SessionContext,
+        telemetry: Option<&SolverTelemetry>,
         cancel: Option<&CancelToken>,
     ) -> Option<bool> {
-        let profile: Vec<AtomId> = children
+        let profile: Vec<Atom> = children
             .iter()
-            .map(|(label, child)| {
-                ctx.atoms
-                    .intern(&Atom::new(label.clone(), self.nodes[child.index()].type_id))
-            })
+            .map(|(label, child)| Atom::new(label.clone(), self.nodes[child.index()].type_id))
             .collect();
         let key = hash_of((t, &profile));
         if let Some(bucket) = self.local.get(&key) {
@@ -325,8 +303,7 @@ impl TreeArena {
                 multiplicity: 1,
             })
             .collect();
-        let ok =
-            neighbourhood_satisfies_with(&edges, schema.def(t), ctx.telemetry.as_deref(), cancel)?;
+        let ok = neighbourhood_satisfies_with(&edges, schema.def(t), telemetry, cancel)?;
         self.local.entry(key).or_default().push(LocalVerdict {
             type_id: t,
             profile,
@@ -389,29 +366,25 @@ pub struct Unfolder {
     /// How many of `graphs` are built.
     built: usize,
     builder: GraphBuilder,
-    /// Session-shared atom table and solver telemetry.
-    ctx: SessionContext,
+    /// Where the acceptance checks' solver calls are counted (`None` drops
+    /// the counts).
+    telemetry: Option<Arc<SolverTelemetry>>,
 }
 
 impl Unfolder {
-    /// An empty session with private tables.
+    /// An empty session that counts no solver calls.
     pub fn new() -> Unfolder {
         Unfolder::default()
     }
 
-    /// An empty session sharing the given cross-schema context. Evicting an
-    /// unfolder and rebuilding it with the same context keeps the interned
-    /// atoms — only the arena, its memos and its graphs drop.
-    pub fn with_context(ctx: SessionContext) -> Unfolder {
+    /// An empty session whose acceptance checks count their solver calls in
+    /// `telemetry` — the engine passes its own, so every schema's unfolder
+    /// reports to one set of counters.
+    pub fn with_telemetry(telemetry: Arc<SolverTelemetry>) -> Unfolder {
         Unfolder {
-            ctx,
+            telemetry: Some(telemetry),
             ..Unfolder::default()
         }
-    }
-
-    /// The session context this unfolder shares.
-    pub fn context(&self) -> &SessionContext {
-        &self.ctx
     }
 
     /// Approximate heap footprint of the whole unfolding session in bytes:
@@ -550,8 +523,9 @@ impl Unfolder {
             if dead {
                 continue;
             }
+            let telemetry = self.telemetry.as_deref();
             for children in combos {
-                out.push(self.arena.node(schema, t, &children, &self.ctx, cancel)?);
+                out.push(self.arena.node(schema, t, &children, telemetry, cancel)?);
                 if out.len() >= options.max_trees {
                     break 'bags;
                 }

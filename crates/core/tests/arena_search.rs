@@ -12,19 +12,11 @@ use rand::SeedableRng;
 use shapex_core::baseline::search_counter_example_baseline;
 use shapex_core::engine::ContainmentEngine;
 use shapex_core::unfold::{enumerate_members, search_counter_example, SearchOptions, Unfolder};
-use shapex_graph::generate::GraphGen;
+use shapex_shex::parse_schema;
 use shapex_shex::typing::validates;
-use shapex_shex::{parse_schema, Schema};
 
 mod common;
-use common::{graph_key, tiny};
-
-/// Random RBE₀ schemas via random shape graphs (Proposition 3.2), the same
-/// generator the session-equivalence suite uses.
-fn random_schema(rng: &mut StdRng, nodes: usize, labels: usize) -> Schema {
-    let shape = GraphGen::new(nodes, labels).out_degree(2.0).shape(rng);
-    Schema::from_shape_graph(&shape)
-}
+use common::{graph_key, random_schema, tiny};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]

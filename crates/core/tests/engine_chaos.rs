@@ -27,17 +27,14 @@ use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
 use proptest::prelude::*;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 use shapex_core::engine::{ContainmentEngine, EngineOptions};
 use shapex_core::faults::{self, FaultPlan};
 use shapex_core::{CancelToken, Containment, UnknownReason};
-use shapex_graph::generate::GraphGen;
 use shapex_shex::Schema;
 
 mod common;
-use common::{same_answer, tiny};
+use common::{random_family, same_answer, tiny};
 
 /// The fault registry is process-global; every test here serialises on it.
 static GATE: Mutex<()> = Mutex::new(());
@@ -66,19 +63,6 @@ fn chaos_options() -> EngineOptions {
         .search(tiny())
         .cache_budget(4096)
         .build()
-}
-
-/// Random RBE₀ schemas via random shape graphs — the same generator the
-/// eviction suite uses, giving a mix of contained / not-contained /
-/// budget-exhausted pairs per seed.
-fn random_family(seed: u64, count: usize) -> Vec<Schema> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    (0..count)
-        .map(|_| {
-            let shape = GraphGen::new(4, 3).out_degree(2.0).shape(&mut rng);
-            Schema::from_shape_graph(&shape)
-        })
-        .collect()
 }
 
 /// Fault-free per-pair verdicts from fresh engines: no cache carries over

@@ -10,17 +10,13 @@
 use std::sync::{Arc, Barrier};
 
 use proptest::prelude::*;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 use shapex_core::engine::ContainmentEngine;
 use shapex_core::unfold::SearchOptions;
 use shapex_core::Containment;
-use shapex_graph::generate::GraphGen;
-use shapex_shex::Schema;
 
 mod common;
-use common::{choice_groups, same_answer, shex0_oracle, tiny};
+use common::{choice_groups, random_family, same_answer, shex0_oracle, tiny};
 
 /// A search budget big enough that checking a choice-group schema against
 /// itself exhausts it over tens of milliseconds (it budget-exhausts at any
@@ -100,15 +96,6 @@ fn eight_identical_checks_run_one_search() {
     );
 }
 
-/// Random ShEx₀ pairs via the shape-graph round-trip, as in the concurrency
-/// suite: the full basic-interval mix, many outside `DetShEx₀⁻`.
-fn random_pair(seed: u64) -> (Schema, Schema) {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let h = Schema::from_shape_graph(&GraphGen::new(4, 3).out_degree(2.0).shape(&mut rng));
-    let k = Schema::from_shape_graph(&GraphGen::new(4, 3).out_degree(2.0).shape(&mut rng));
-    (h, k)
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -118,12 +105,13 @@ proptest! {
     /// does not model engine-side budget accounting).
     #[test]
     fn coalesced_verdicts_equal_fresh_engine_verdicts(seed in 0u64..100_000) {
-        let (h, k) = random_pair(seed);
+        let family = random_family(seed, 2);
+        let (h, k) = (&family[0], &family[1]);
         let opts = tiny();
-        let fresh = ContainmentEngine::with_search(opts.clone()).check(&h, &k);
+        let fresh = ContainmentEngine::with_search(opts.clone()).check(h, k);
 
         let engine = Arc::new(ContainmentEngine::with_search(opts.clone()));
-        let ids = (engine.register(&h), engine.register(&k));
+        let ids = (engine.register(h), engine.register(k));
         let barrier = Barrier::new(4);
         let verdicts: Vec<Containment> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..4)
@@ -149,7 +137,7 @@ proptest! {
                 seed, verdict, fresh
             );
         }
-        let oracle = shex0_oracle(&h, &k, &opts);
+        let oracle = shex0_oracle(h, k, &opts);
         match (&fresh, &oracle) {
             (Containment::Unknown(_), Containment::Unknown(_)) => {}
             _ => prop_assert!(

@@ -19,58 +19,14 @@ use rand::{Rng, SeedableRng};
 
 use shapex_core::engine::{ContainmentEngine, EngineOptions};
 use shapex_core::Containment;
-use shapex_graph::generate::GraphGen;
-use shapex_shex::typing::validates;
 use shapex_shex::{parse_schema, Schema};
 
 mod common;
-use common::{choice_groups, same_answer, shex0_oracle, tiny};
+use common::{certified, mixed_family, same_answer, shex0_oracle, tiny};
 
 /// A budget far below what even one warm pair needs, so sweeps fire on
 /// nearly every query.
 const TINY_BUDGET: u64 = 512;
-
-/// A schema outside ShEx₀: choice groups `(aᵢ::L | bᵢ::L)[1;2]` over one to
-/// four groups, an atom-only root with a non-basic interval (ShEx₀ allows
-/// only `1 ? * +`), or a repeated concatenation.
-fn beyond_shex0(rng: &mut StdRng) -> Schema {
-    match rng.gen_range(0..3) {
-        0 => choice_groups(rng.gen_range(1..=4)),
-        1 => parse_schema("Root -> p::A[2;3], q::L?\nA -> a::L?\nL -> EMPTY\n").unwrap(),
-        _ => parse_schema("Root -> (a::L, b::L)*\nL -> EMPTY\n").unwrap(),
-    }
-}
-
-/// Random RBE₀ schemas via random shape graphs (Proposition 3.2): the full
-/// basic-interval mix (`1 ? * +`), many outside `DetShEx₀⁻`, so the budget
-/// squeezes memoised fixpoint and characterizing-graph answers.
-fn random_family(rng: &mut StdRng, count: usize) -> Vec<Schema> {
-    (0..count)
-        .map(|_| {
-            let shape = GraphGen::new(4, 3).out_degree(2.0).shape(rng);
-            Schema::from_shape_graph(&shape)
-        })
-        .collect()
-}
-
-/// Three random RBE₀ schemas followed by two schemas outside ShEx₀, so the
-/// RBE₀ cross pairs still meet the memo-free oracle while the others reach
-/// the bounded search and the budget squeezes the unfolders too.
-fn mixed_family(seed: u64) -> Vec<Schema> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut family = random_family(&mut rng, 3);
-    family.push(beyond_shex0(&mut rng));
-    family.push(beyond_shex0(&mut rng));
-    family
-}
-
-/// Certify a `NotContained` witness: it belongs to `L(h)` and not to `L(k)`.
-fn certified(answer: &Containment, h: &Schema, k: &Schema) -> bool {
-    match answer {
-        Containment::NotContained(witness) => validates(witness, h) && !validates(witness, k),
-        _ => true,
-    }
-}
 
 fn budgeted(budget: u64) -> ContainmentEngine {
     ContainmentEngine::with_options(
@@ -92,7 +48,7 @@ fn tiny_budget_is_observationally_invisible() {
     let mut pools_built = 0;
     for _case in 0..16 {
         let seed = seeds.gen_range(0u64..100_000);
-        let family = mixed_family(seed);
+        let family = mixed_family(seed, 3);
         let opts = tiny();
         let unbounded = ContainmentEngine::with_search(opts.clone());
         let squeezed = budgeted(TINY_BUDGET);
@@ -197,7 +153,7 @@ fn eviction_counters_report_real_sweeps() {
 fn zero_budget_still_answers_correctly() {
     let mut pools_built = 0;
     for seed in [0xD1CE, 0xD1CF, 0xD1D0, 0xD1D1] {
-        let family = mixed_family(seed);
+        let family = mixed_family(seed, 3);
         let unbounded = ContainmentEngine::with_search(tiny());
         let stateless = budgeted(0);
         for h in &family {

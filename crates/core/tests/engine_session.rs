@@ -21,11 +21,10 @@ use shapex_core::general::general_containment;
 use shapex_core::shex0::shex0_containment;
 use shapex_core::UnknownReason;
 use shapex_core::{CancelToken, Containment};
-use shapex_graph::generate::GraphGen;
 use shapex_shex::{parse_schema, Schema};
 
 mod common;
-use common::{choice_groups, graph_key, same_answer, shex0_oracle, tiny};
+use common::{choice_groups, graph_key, random_schema, same_answer, shex0_oracle, tiny};
 
 /// Assert every engine configuration agrees with the oracle on a pair.
 fn engines_agree(h: &Schema, k: &Schema) {
@@ -71,14 +70,6 @@ fn engines_agree(h: &Schema, k: &Schema) {
         same_answer(&cold, &via_token),
         "the token route disagrees with the coalesced route"
     );
-}
-
-/// Random RBE₀ schemas via random shape graphs (Proposition 3.2): the
-/// round-trip gives schemas with the full basic-interval mix (`1 ? * +`),
-/// many outside `DetShEx₀⁻`, so all three pipeline stages get exercised.
-fn random_schema(rng: &mut StdRng, nodes: usize, labels: usize) -> Schema {
-    let shape = GraphGen::new(nodes, labels).out_degree(2.0).shape(rng);
-    Schema::from_shape_graph(&shape)
 }
 
 proptest! {

@@ -25,7 +25,7 @@ pub mod text;
 
 pub use model::{
     DeltaReport, EdgeId, Graph, GraphBuilder, GraphDelta, GraphKind, Label, LabelId, LabelTable,
-    NodeId, SharedLabelTable, UnpackError,
+    NodeId, UnpackError,
 };
 pub use ntriples::{NTriplesError, NTriplesParser, Triple};
 pub use text::{parse_graph, write_graph};
@@ -67,13 +67,12 @@ macro_rules! assert_send_sync {
     };
 }
 
-// The thread-safety contract of the graph layer: graphs, labels, and both
-// interners are shared by reference across every thread that queries a
+// The thread-safety contract of the graph layer: graphs, labels, and the
+// label interner are shared by reference across every thread that queries a
 // `ContainmentEngine` (service workers and other callers), so they must all
-// be `Send + Sync`. `Label` is a content-compared `Arc<str>`;
-// `Graph` holds no interior mutability and only mutates through `&mut self`;
-// `SharedLabelTable` is the concurrent interner engineered for exactly this
-// sharing.
+// be `Send + Sync`. `Label` is a content-compared `Arc<str>`; `Graph` and
+// `LabelTable` hold no interior mutability and only mutate through
+// `&mut self`, so the engine's one interner sits behind a `Mutex`.
 assert_send_sync!(
     Graph,
     GraphDelta,
@@ -82,7 +81,6 @@ assert_send_sync!(
     Label,
     LabelId,
     LabelTable,
-    SharedLabelTable,
     NodeId,
     EdgeId
 );

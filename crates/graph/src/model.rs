@@ -3,10 +3,7 @@
 use std::borrow::Borrow;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::sync::Mutex;
-use std::sync::OnceLock;
 
 use shapex_rbe::{Bag, Interval};
 
@@ -86,7 +83,9 @@ impl fmt::Display for LabelId {
 /// An optional interner that deduplicates the backing storage of labels.
 ///
 /// Not required for correctness — labels compare by content — but convenient
-/// when building large graphs with a small predicate alphabet.
+/// when building large graphs with a small predicate alphabet. A containment
+/// engine keeps one, so every schema registered with it shares one
+/// allocation per predicate.
 #[derive(Debug, Default, Clone)]
 pub struct LabelTable {
     known: BTreeMap<String, Label>,
@@ -133,133 +132,6 @@ impl LabelTable {
     pub fn iter(&self) -> impl Iterator<Item = (&String, &Label)> {
         self.known.iter()
     }
-}
-
-/// A concurrent label interner whose reads are lock-free.
-///
-/// A long-lived containment session shares one label table across every
-/// registered schema and every thread that queries it, so the interner is
-/// engineered for the read-mostly case: the
-/// predicate alphabet is small and stable after warm-up, and nearly every
-/// call re-interns a label that is already present. Labels live in a
-/// fixed-capacity open-addressed table of [`OnceLock`] slots, each written at
-/// most once, so a lookup probes slots without taking any lock. Writers race
-/// through [`OnceLock::get_or_init`]; the loser of a race simply adopts the
-/// winner's allocation and keeps probing. Alphabets larger than the slot
-/// capacity spill into a mutex-protected overflow [`LabelTable`], trading the
-/// (rare) tail of the alphabet for a lock instead of failing.
-///
-/// Unlike [`LabelTable`], every method takes `&self`, so a
-/// `SharedLabelTable` can sit behind an `Arc` (or a `&self` engine) and be
-/// hit from many threads at once. Interning is idempotent across threads:
-/// all callers asking for the same name get clones of one allocation, no
-/// matter how the races resolve.
-#[derive(Debug)]
-pub struct SharedLabelTable {
-    /// Open-addressed probe table; a slot is written at most once.
-    slots: Box<[OnceLock<Label>]>,
-    /// Spill-over for alphabets larger than `slots` (rare; locked).
-    overflow: Mutex<LabelTable>,
-    /// Distinct labels interned across `slots` and `overflow`.
-    len: AtomicUsize,
-}
-
-impl Default for SharedLabelTable {
-    fn default() -> Self {
-        SharedLabelTable::new()
-    }
-}
-
-impl SharedLabelTable {
-    /// Slot count of [`SharedLabelTable::new`]; holds every realistic
-    /// predicate alphabet without touching the overflow lock.
-    const DEFAULT_CAPACITY: usize = 1024;
-
-    /// An empty table with the default lock-free capacity.
-    pub fn new() -> SharedLabelTable {
-        SharedLabelTable::with_capacity(Self::DEFAULT_CAPACITY)
-    }
-
-    /// An empty table with at least `capacity` lock-free slots (rounded up
-    /// to a power of two; labels beyond the capacity fall back to a locked
-    /// overflow map rather than failing).
-    pub fn with_capacity(capacity: usize) -> SharedLabelTable {
-        let slots = capacity.next_power_of_two().max(8);
-        SharedLabelTable {
-            slots: (0..slots).map(|_| OnceLock::new()).collect(),
-            overflow: Mutex::new(LabelTable::new()),
-            len: AtomicUsize::new(0),
-        }
-    }
-
-    /// Intern a label by name, reusing the existing allocation if present.
-    pub fn intern(&self, name: &str) -> Label {
-        self.intern_with(name, &|| Label::new(name))
-    }
-
-    /// Register an already-allocated label, reusing the table's existing
-    /// allocation when one is present and adopting `label`'s otherwise
-    /// (the `&self` counterpart of [`LabelTable::adopt`]).
-    pub fn adopt(&self, label: &Label) -> Label {
-        self.intern_with(label.as_str(), &|| label.clone())
-    }
-
-    /// The shared probe-or-claim loop: find `name` in the probe chain, or
-    /// claim the first empty slot with `make()`. Linear probing never
-    /// removes entries, so an empty slot proves the name is absent from the
-    /// chain; claiming it through `get_or_init` is race-free (a loser of the
-    /// race observes the winner's label and either returns it or probes on).
-    fn intern_with(&self, name: &str, make: &dyn Fn() -> Label) -> Label {
-        let mask = self.slots.len() - 1;
-        let mut index = fnv1a(name) as usize & mask;
-        for _ in 0..self.slots.len() {
-            let slot = &self.slots[index];
-            let stored = slot.get_or_init(|| {
-                self.len.fetch_add(1, Ordering::Relaxed);
-                make()
-            });
-            if stored.as_str() == name {
-                return stored.clone();
-            }
-            index = (index + 1) & mask;
-        }
-        // Every slot holds some other label: spill into the locked overflow.
-        // The overflow map is append-only interning state: if a panicking
-        // thread poisoned the lock, taking over the guard observes either a
-        // completed insert or none at all — recover rather than wedge.
-        let mut overflow = self
-            .overflow
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let before = overflow.len();
-        let label = overflow.adopt(&make());
-        if overflow.len() > before {
-            self.len.fetch_add(1, Ordering::Relaxed);
-        }
-        label
-    }
-
-    /// The number of distinct labels interned (racy under concurrent
-    /// writers, exact once they quiesce).
-    pub fn len(&self) -> usize {
-        self.len.load(Ordering::Relaxed)
-    }
-
-    /// Whether no label has been interned yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-/// FNV-1a over the label text — cheap, dependency-free, and good enough to
-/// spread a predicate alphabet across the probe table.
-fn fnv1a(name: &str) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for byte in name.as_bytes() {
-        hash ^= u64::from(*byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 /// A node identifier, valid for the graph that created it.
@@ -1156,65 +1028,22 @@ mod tests {
     }
 
     #[test]
-    fn label_table_interns() {
+    fn interning_reuses_one_label_per_name() {
         let mut table = LabelTable::new();
         let a1 = table.intern("a");
         let a2 = table.intern("a");
         let b = table.intern("b");
-        assert_eq!(a1, a2);
+        assert!(a1.ptr_eq(&a2), "same name, one allocation");
         assert_ne!(a1, b);
         assert_eq!(table.len(), 2);
         // Labels created outside the table still compare equal by content.
         assert_eq!(a1, Label::new("a"));
-    }
-
-    #[test]
-    fn shared_label_table_interns_and_adopts() {
-        let table = SharedLabelTable::new();
-        let a1 = table.intern("a");
-        let a2 = table.intern("a");
-        assert!(a1.ptr_eq(&a2), "same name, one allocation");
-        let b = Label::new("b");
-        let adopted = table.adopt(&b);
-        assert!(adopted.ptr_eq(&b), "first adoption keeps the caller's arc");
-        assert!(table.intern("b").ptr_eq(&b), "later interns reuse it");
-        assert_eq!(table.len(), 2);
-        assert!(!table.is_empty());
-    }
-
-    #[test]
-    fn shared_label_table_spills_into_overflow() {
-        // Capacity 8: the ninth distinct label must take the overflow path
-        // and still intern correctly.
-        let table = SharedLabelTable::with_capacity(8);
-        let labels: Vec<Label> = (0..12).map(|i| table.intern(&format!("l{i}"))).collect();
-        assert_eq!(table.len(), 12);
-        for (i, label) in labels.iter().enumerate() {
-            let again = table.intern(&format!("l{i}"));
-            assert!(again.ptr_eq(label), "l{i} must reuse its allocation");
-        }
-        assert_eq!(table.len(), 12, "re-interning adds nothing");
-    }
-
-    #[test]
-    fn shared_label_table_is_consistent_across_threads() {
-        let table = SharedLabelTable::with_capacity(8);
-        let names: Vec<String> = (0..16).map(|i| format!("p{i}")).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..4 {
-                scope.spawn(|| {
-                    for name in &names {
-                        let _ = table.intern(name);
-                    }
-                });
-            }
-        });
-        assert_eq!(table.len(), names.len());
-        for name in &names {
-            // Two fresh interns agree with each other — whoever won the
-            // original race, there is exactly one allocation per name now.
-            assert!(table.intern(name).ptr_eq(&table.intern(name)));
-        }
+        // Adopting keeps the caller's allocation for a new name, and later
+        // interns hand that allocation out.
+        let c = Label::new("c");
+        assert!(table.adopt(&c).ptr_eq(&c));
+        assert!(table.intern("c").ptr_eq(&c));
+        assert!(table.adopt(&Label::new("a")).ptr_eq(&a1));
     }
 
     #[test]

@@ -28,12 +28,10 @@
 pub mod bag;
 pub mod expr;
 pub mod flow;
-pub mod intern;
 pub mod interval;
 pub mod membership;
 
 pub use bag::Bag;
 pub use expr::{Rbe, Rbe0};
 pub use flow::FlowScratch;
-pub use intern::{SymbolId, SymbolTable};
 pub use interval::{Interval, IntervalSet};

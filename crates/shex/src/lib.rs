@@ -24,7 +24,7 @@ pub mod schema;
 pub mod typing;
 
 pub use parser::{parse_schema, write_schema};
-pub use schema::{Atom, AtomId, AtomTable, Schema, SchemaClass, TypeId};
+pub use schema::{Atom, Schema, SchemaClass, TypeId};
 pub use typing::{
     maximal_typing, maximal_typing_with, validates, validates_with, IncrementalTyping, TypeRow,
     Typing, ValidateScratch,

@@ -4,7 +4,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::OnceLock;
 
-use shapex_graph::{Graph, Label, LabelTable, NodeId, SharedLabelTable};
+use shapex_graph::{Graph, Label, LabelTable, NodeId};
 use shapex_rbe::{Interval, Rbe, Rbe0};
 
 // Thread-safety contract: registered schemas are shared read-only by every
@@ -58,16 +58,6 @@ impl fmt::Display for Atom {
 
 /// A shape expression: a regular bag expression over `Σ × Γ`.
 pub type ShapeExpr = Rbe<Atom>;
-
-/// A session-level interner over the composite alphabet `Σ × Γ`.
-///
-/// A containment session registers many schemas whose definitions draw on the
-/// same atoms; interning them once in a shared table gives every schema's
-/// memo structures compact `u32` [`AtomId`] keys that agree across schemas.
-pub type AtomTable = shapex_rbe::SymbolTable<Atom>;
-
-/// Dense id of an atom interned in an [`AtomTable`].
-pub type AtomId = shapex_rbe::SymbolId;
 
 #[derive(Debug, Clone)]
 struct TypeDef {
@@ -210,45 +200,27 @@ impl Schema {
     /// registration. The definitions are unchanged content-wise (labels
     /// compare by content), so the derived-fact caches stay valid.
     pub fn adopt_labels(&mut self, table: &mut LabelTable) {
-        self.adopt_labels_with(&mut |label| table.adopt(label));
-    }
-
-    /// [`Schema::adopt_labels`] against a concurrent [`SharedLabelTable`]:
-    /// the adopting side takes `&self` on the table, so a session can
-    /// re-intern schemas through one shared interner from many threads at
-    /// once (each schema is still mutated exclusively, via `&mut self`).
-    pub fn adopt_labels_shared(&mut self, table: &SharedLabelTable) {
-        self.adopt_labels_with(&mut |label| table.adopt(label));
-    }
-
-    /// The shared adoption walk, parameterised over the canonicalising
-    /// interner.
-    fn adopt_labels_with(&mut self, adopt: &mut dyn FnMut(&Label) -> Label) {
-        fn walk(
-            expr: &mut ShapeExpr,
-            adopt: &mut dyn FnMut(&Label) -> Label,
-            own: &mut LabelTable,
-        ) {
+        fn walk(expr: &mut ShapeExpr, table: &mut LabelTable, own: &mut LabelTable) {
             match expr {
                 Rbe::Epsilon => {}
                 Rbe::Symbol(atom) => {
-                    let canonical = adopt(&atom.label);
+                    let canonical = table.adopt(&atom.label);
                     own.adopt(&canonical);
                     atom.label = canonical;
                 }
                 Rbe::Disj(parts) | Rbe::Concat(parts) => {
                     for p in parts {
-                        walk(p, adopt, own);
+                        walk(p, table, own);
                     }
                 }
-                Rbe::Repeat(inner, _) => walk(inner, adopt, own),
+                Rbe::Repeat(inner, _) => walk(inner, table, own),
             }
         }
         // The schema's own table re-adopts the canonical allocations so
         // later `intern_label` calls hand them out too.
         let mut own = LabelTable::new();
         for def in &mut self.types {
-            walk(&mut def.expr, adopt, &mut own);
+            walk(&mut def.expr, table, &mut own);
         }
         self.labels = own;
     }
@@ -809,12 +781,12 @@ mod tests {
     }
 
     #[test]
-    fn adopt_labels_shared_canonicalises_across_schemas() {
-        let table = SharedLabelTable::new();
+    fn adopt_labels_canonicalises_across_schemas() {
+        let mut table = LabelTable::new();
         let mut a = bug_tracker();
         let mut b = bug_tracker();
-        a.adopt_labels_shared(&table);
-        b.adopt_labels_shared(&table);
+        a.adopt_labels(&mut table);
+        b.adopt_labels(&mut table);
         let name_of = |s: &Schema, ty: &str| {
             let t = s.find_type(ty).unwrap();
             s.def(t).to_rbe0().unwrap().atoms()[0].0.label.clone()

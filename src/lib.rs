@@ -58,7 +58,7 @@ pub mod prelude {
     pub use shapex_gadgets::figures;
     pub use shapex_graph::{
         DeltaReport, Graph, GraphDelta, GraphKind, Label, LabelId, LabelTable, NTriplesParser,
-        NodeId, SharedLabelTable,
+        NodeId,
     };
     pub use shapex_rbe::{Bag, Interval, Rbe, Rbe0};
     pub use shapex_shex::{parse_schema, IncrementalTyping, Schema, SchemaClass, TypeId};

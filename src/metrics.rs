@@ -24,7 +24,6 @@ const BUCKETS: usize = 28;
 #[derive(Debug)]
 pub struct LatencyHistogram {
     buckets: [AtomicU64; BUCKETS],
-    count: AtomicU64,
     sum_nanos: AtomicU64,
 }
 
@@ -39,7 +38,6 @@ impl LatencyHistogram {
     pub fn new() -> LatencyHistogram {
         LatencyHistogram {
             buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            count: AtomicU64::new(0),
             sum_nanos: AtomicU64::new(0),
         }
     }
@@ -67,18 +65,20 @@ impl LatencyHistogram {
     /// Record one request latency.
     pub fn record(&self, latency: Duration) {
         self.buckets[Self::bucket_of(latency)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
         let nanos = latency.as_nanos().min(u128::from(u64::MAX)) as u64;
         self.sum_nanos.fetch_add(nanos, Ordering::Relaxed);
     }
 
     /// An immutable copy of the current counts. Buckets are read one by one
-    /// (relaxed), so a snapshot racing a recording may be off by that one
-    /// sample — fine for metrics.
+    /// (relaxed), so a snapshot racing a recording may miss that one sample
+    /// or count it in the latency sum only — fine for metrics. The count is
+    /// the sum of the buckets read, so the quantiles always find their rank.
     pub fn snapshot(&self) -> LatencySnapshot {
+        let buckets: [u64; BUCKETS] =
+            std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed));
         LatencySnapshot {
-            buckets: std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed)),
-            count: self.count.load(Ordering::Relaxed),
+            buckets,
+            count: buckets.iter().sum(),
             sum_nanos: self.sum_nanos.load(Ordering::Relaxed),
         }
     }
@@ -243,5 +243,47 @@ mod tests {
             }
         });
         assert_eq!(histogram.snapshot().count(), 1_000);
+    }
+
+    #[test]
+    fn snapshots_taken_while_recording_stay_consistent() {
+        use std::sync::atomic::AtomicBool;
+
+        /// Stops the recorder even when an assertion below unwinds, so the
+        /// scope joins it and reports the failure instead of hanging.
+        struct StopOnDrop<'a>(&'a AtomicBool);
+        impl Drop for StopOnDrop<'_> {
+            fn drop(&mut self) {
+                self.0.store(true, Ordering::Relaxed);
+            }
+        }
+
+        let histogram = LatencyHistogram::new();
+        let stop = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                for micros in 0.. {
+                    if stop.load(Ordering::Relaxed) {
+                        break;
+                    }
+                    histogram.record(Duration::from_micros(micros % 4_096));
+                }
+            });
+            let _stop = StopOnDrop(&stop);
+            // Count only the snapshots that saw the recorder move, so a host
+            // that parks it cannot make the race vacuous.
+            let (mut raced, mut last) = (0, 0);
+            while raced < 20_000 {
+                let snapshot = histogram.snapshot();
+                let in_buckets: u64 = snapshot.buckets().map(|(_, n)| n).sum();
+                assert_eq!(snapshot.count(), in_buckets, "a torn snapshot");
+                if snapshot.count() != last {
+                    assert!(snapshot.quantile(1.0).is_some());
+                    assert!(format!("{snapshot}").contains("p99"));
+                    raced += 1;
+                    last = snapshot.count();
+                }
+            }
+        });
     }
 }
