@@ -1,5 +1,5 @@
 //! Corpus-scale service throughput: closed-loop client fleets hammering a
-//! `ServicePool` of sharded workers over one shared engine, on the
+//! `ServicePool` of workers over one shared engine, on the
 //! duplicate-heavy request mix of `shapex_bench::throughput` (three in four
 //! requests hit one hot check that the bounded search answers: single-flight
 //! coalescing absorbs the concurrent duplicates of its cold first check,

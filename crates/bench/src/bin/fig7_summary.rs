@@ -477,8 +477,8 @@ fn main() {
         );
     }
 
-    // --- Service throughput: sharded workers + single-flight coalescing ----
-    println!("\n[service] corpus throughput: closed-loop clients over the sharded worker pool");
+    // --- Service throughput: pooled workers + single-flight coalescing -----
+    println!("\n[service] corpus throughput: closed-loop clients over the worker pool");
     println!(
         "{:>10} {:>10} {:>10} {:>10} {:>10} {:>10}",
         "clients", "req/s", "p50", "p90", "p99", "coalesced"

@@ -29,7 +29,8 @@ pub struct DriveOptions {
     pub clients: usize,
     /// Requests each client issues.
     pub requests_per_client: usize,
-    /// Per-worker queue capacity.
+    /// Queue slots per worker: the pool's one shared queue holds
+    /// `workers × queue_capacity` requests.
     pub queue_capacity: usize,
     /// Corpus seed (same seed ⇒ identical corpus and plan).
     pub seed: u64,

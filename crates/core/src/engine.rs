@@ -55,7 +55,8 @@
 //! `&self`: the registry is an `RwLock`-guarded append-only vector of
 //! [`Arc`]ed entries, per-schema caches sit behind `OnceLock`s and the
 //! unfolder's `Mutex` inside each entry, the answer memo lives in sharded
-//! `RwLock` maps, the label table sits behind a `Mutex` that only
+//! `RwLock` maps whose per-pair `OnceLock` slots are also the single flight
+//! of a pair's first check, the label table sits behind a `Mutex` that only
 //! registration takes, and the [`EngineStats`] counters are atomics. A
 //! `ContainmentEngine` is therefore `Send + Sync` (compile-time asserted):
 //! wrap it in an `Arc` and query it from as many threads as you like —
@@ -116,11 +117,11 @@ use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError, RwLock};
+use std::sync::{Arc, Mutex, OnceLock, RwLock};
 use std::time::Duration;
 
 use shapex_graph::{Graph, LabelTable};
-use shapex_rbe::{Bag, Rbe};
+use shapex_rbe::Bag;
 use shapex_shex::typing::{validates_with, SolverTelemetry, ValidateScratch};
 use shapex_shex::{Atom, Schema, SchemaClass, TypeId};
 
@@ -270,7 +271,7 @@ pub struct EngineStats {
     pub pools_built: u64,
     /// Duplicate concurrent queries answered by waiting on another thread's
     /// in-flight computation of the same ordered pair instead of re-running
-    /// it (single-flight coalescing wins).
+    /// it (coalescing wins: the pair's memo slot is the single flight).
     pub coalesced_queries: u64,
     /// The configured evictable-cache budget (`None` = unbounded).
     pub cache_budget: Option<u64>,
@@ -535,94 +536,73 @@ impl Registry {
     }
 }
 
-/// Shard count of [`ShardedPairMap`]; a power of two, sized so threads
-/// sharing one engine rarely contend on the same shard.
+/// Shard count of [`PairMemo`]; a power of two, sized so threads sharing
+/// one engine rarely contend on the same shard.
 const PAIR_SHARDS: usize = 16;
-
-/// One memoised pair value plus its accounting: the bytes charged at
-/// insertion (credited back verbatim on eviction) and the LRU stamp.
-#[derive(Debug)]
-struct PairSlot<V> {
-    value: V,
-    bytes: u64,
-    stamp: AtomicU64,
-}
 
 /// Accounted bytes per pair-memo entry: key + slot + `BTreeMap` node
 /// allowance. A flat approximation — pair entries are tiny and uniform; a
 /// memoised witness adds its own weight on top.
 const PAIR_ENTRY_BYTES: u64 = 64;
 
-/// A `(SchemaId, SchemaId) → V` memo sharded across independently locked
-/// maps, so concurrent queries for different pairs proceed without
-/// contending on one lock. Entries are charged to [`CacheKind::Pairs`] and
-/// evicted by the engine's sweeps.
-#[derive(Debug)]
-struct ShardedPairMap<V> {
-    shards: [PairShard<V>; PAIR_SHARDS],
+/// One ordered pair's memo slot, and the single flight of its first check:
+/// the check whose `get_or_init` closure runs computes the answer, and
+/// every check without a token that finds the slot meanwhile waits on the
+/// cell and shares it. If that closure panics, the cell passes to one of
+/// the waiting checks, which computes the answer itself.
+#[derive(Debug, Default)]
+struct PairSlot {
+    answer: OnceLock<Containment>,
+    /// The bytes charged for the answer, credited back verbatim on
+    /// eviction; 0 while the answer is in flight or not yet charged, and
+    /// sweeps leave such slots alone. Read and written only under the
+    /// shard's lock, which orders it.
+    bytes: AtomicU64,
+    stamp: AtomicU64,
 }
 
-/// One independently locked shard of a [`ShardedPairMap`].
-type PairShard<V> = RwLock<BTreeMap<(u32, u32), PairSlot<V>>>;
+/// One independently locked shard of a [`PairMemo`].
+type PairShard = RwLock<BTreeMap<(u32, u32), Arc<PairSlot>>>;
 
-impl<V: Clone> ShardedPairMap<V> {
-    fn new() -> ShardedPairMap<V> {
-        ShardedPairMap {
-            shards: std::array::from_fn(|_| RwLock::new(BTreeMap::new())),
-        }
-    }
+/// The `(SchemaId, SchemaId) → slot` answer memo, sharded across
+/// independently locked maps so concurrent queries for different pairs
+/// proceed without contending on one lock. Answers are charged to
+/// [`CacheKind::Pairs`] and evicted by the engine's sweeps.
+#[derive(Debug, Default)]
+struct PairMemo {
+    shards: [PairShard; PAIR_SHARDS],
+}
 
-    fn shard(&self, key: (u32, u32)) -> &PairShard<V> {
+impl PairMemo {
+    fn shard(&self, key: (u32, u32)) -> &PairShard {
         let spread = key.0.wrapping_mul(31).wrapping_add(key.1) as usize;
         &self.shards[spread % PAIR_SHARDS]
     }
 
-    fn get(&self, key: (u32, u32), budget: &CacheBudget) -> Option<V> {
-        let shard = read_or_recover(self.shard(key));
-        let slot = shard.get(&key)?;
-        slot.stamp.store(budget.touch(), Ordering::Relaxed);
-        Some(slot.value.clone())
-    }
-
-    /// Memoise `value`, charging [`PAIR_ENTRY_BYTES`] plus `extra` bytes
-    /// when the insertion wins (a racing thread may have stored the same
-    /// value first).
-    fn insert(&self, key: (u32, u32), value: V, extra: u64, budget: &CacheBudget) {
-        use std::collections::btree_map::Entry;
-        let bytes = PAIR_ENTRY_BYTES + extra;
-        if !budget.admits(bytes) {
-            return; // a small admission ceiling refuses even these
-        }
-        let mut shard = write_or_recover(self.shard(key));
-        if let Entry::Vacant(slot) = shard.entry(key) {
-            slot.insert(PairSlot {
-                value,
-                bytes,
-                stamp: AtomicU64::new(budget.touch()),
-            });
-            budget.charge(CacheKind::Pairs, bytes);
-        }
-    }
-
-    /// Every entry's `(stamp, bytes)`, for the sweep's cutoff.
+    /// Every charged slot's `(stamp, bytes)`, for the sweep's cutoff.
     fn collect_stamps(&self, stamped: &mut Vec<(u64, u64)>) {
         for shard in &self.shards {
             for slot in read_or_recover(shard).values() {
-                stamped.push((slot.stamp.load(Ordering::Relaxed), slot.bytes));
+                let bytes = slot.bytes.load(Ordering::Relaxed);
+                if bytes > 0 {
+                    stamped.push((slot.stamp.load(Ordering::Relaxed), bytes));
+                }
             }
         }
     }
 
-    /// Drop every entry stamped at or before `cutoff` (every entry for
-    /// `u64::MAX`), crediting the ledger. Returns `(entries, bytes)` freed.
+    /// Drop every charged slot stamped at or before `cutoff` (every charged
+    /// slot for `u64::MAX`), crediting the ledger. Returns `(entries,
+    /// bytes)` freed.
     fn evict(&self, cutoff: u64, budget: &CacheBudget) -> (u64, u64) {
         let (mut entries, mut bytes) = (0, 0);
         for shard in &self.shards {
             write_or_recover(shard).retain(|_, slot| {
-                if slot.stamp.load(Ordering::Relaxed) <= cutoff {
+                let charged = slot.bytes.load(Ordering::Relaxed);
+                if charged > 0 && slot.stamp.load(Ordering::Relaxed) <= cutoff {
                     entries += 1;
-                    bytes += slot.bytes;
-                    budget.credit(CacheKind::Pairs, slot.bytes);
+                    bytes += charged;
+                    budget.credit(CacheKind::Pairs, charged);
                     false
                 } else {
                     true
@@ -630,154 +610,6 @@ impl<V: Clone> ShardedPairMap<V> {
             });
         }
         (entries, bytes)
-    }
-}
-
-/// The lifecycle of one in-flight computation: the leader flips
-/// `Running → Done` on success; the panic guard flips `Running → Abandoned`
-/// if the leader unwinds, so followers retry instead of waiting forever.
-#[derive(Debug)]
-enum FlightState<V> {
-    Running,
-    Done(V),
-    Abandoned,
-}
-
-/// One in-flight computation that followers can block on.
-#[derive(Debug)]
-struct Flight<V> {
-    state: Mutex<FlightState<V>>,
-    ready: Condvar,
-}
-
-impl<V> Flight<V> {
-    fn new() -> Flight<V> {
-        Flight {
-            state: Mutex::new(FlightState::Running),
-            ready: Condvar::new(),
-        }
-    }
-
-    /// Publish the terminal state and wake every follower.
-    fn publish(&self, state: FlightState<V>) {
-        *lock_or_recover(&self.state) = state;
-        self.ready.notify_all();
-    }
-}
-
-/// A sharded single-flight table: [`SingleFlight::run`] executes `compute`
-/// at most once per key among *concurrent* callers — the first caller (the
-/// leader) computes; everyone else arriving while the flight is up blocks
-/// and shares the leader's value. The entry is removed at publish time, so
-/// the table never grows into a verdict memo: a caller arriving after the
-/// leader landed starts a fresh flight (whose computation then finds the
-/// answer the first flight memoised).
-///
-/// Correctness leans on determinism: every computation routed through one
-/// key must produce the same value, so handing a follower the leader's copy
-/// is observationally invisible.
-#[derive(Debug)]
-struct SingleFlight<K, V> {
-    shards: Vec<Mutex<HashMap<K, Arc<Flight<V>>>>>,
-}
-
-impl<K: Eq + Hash + Copy, V: Clone> SingleFlight<K, V> {
-    fn new(shards: usize) -> SingleFlight<K, V> {
-        SingleFlight {
-            shards: (0..shards.max(1))
-                .map(|_| Mutex::new(HashMap::new()))
-                .collect(),
-        }
-    }
-
-    fn shard(&self, key: &K) -> &Mutex<HashMap<K, Arc<Flight<V>>>> {
-        let mut hasher = DefaultHasher::new();
-        key.hash(&mut hasher);
-        &self.shards[hasher.finish() as usize % self.shards.len()]
-    }
-
-    /// Run `compute` for `key`, coalescing with any concurrent caller of the
-    /// same key: the leader computes, followers wait and receive a clone of
-    /// the leader's value (ticking `coalesced` once per follower). `compute`
-    /// runs outside every flight lock and must not re-enter this table (a
-    /// nested `run` on the same table could deadlock on its own flight).
-    fn run(&self, key: K, compute: impl FnOnce() -> V, coalesced: &AtomicU64) -> V {
-        let flight = {
-            let mut shard = lock_or_recover(self.shard(&key));
-            match shard.entry(key) {
-                Entry::Occupied(slot) => Some(Arc::clone(slot.get())),
-                Entry::Vacant(slot) => {
-                    slot.insert(Arc::new(Flight::new()));
-                    None
-                }
-            }
-        };
-        match flight {
-            Some(flight) => {
-                // Follower: block until the leader publishes.
-                let mut state = lock_or_recover(&flight.state);
-                loop {
-                    match &*state {
-                        FlightState::Running => {
-                            state = flight
-                                .ready
-                                .wait(state)
-                                .unwrap_or_else(PoisonError::into_inner);
-                        }
-                        FlightState::Done(value) => {
-                            EngineCounters::tick(coalesced);
-                            return value.clone();
-                        }
-                        // The leader unwound without a value; compute
-                        // directly rather than racing to lead a new flight.
-                        FlightState::Abandoned => break,
-                    }
-                }
-                drop(state);
-                compute()
-            }
-            None => {
-                // Leader: compute outside the locks, then publish. The
-                // guard abandons the flight if `compute` unwinds.
-                let mut guard = FlightGuard {
-                    table: self,
-                    key,
-                    armed: true,
-                };
-                let value = compute();
-                // Retire the entry first so late arrivals start a fresh
-                // flight instead of adopting a finished one, then wake the
-                // followers already holding the Arc.
-                if let Some(flight) = lock_or_recover(self.shard(&key)).remove(&key) {
-                    flight.publish(FlightState::Done(value.clone()));
-                }
-                guard.armed = false;
-                value
-            }
-        }
-    }
-}
-
-/// Panic guard of a single-flight leader: if `compute` unwinds, retire the
-/// table entry and mark the flight `Abandoned` so followers stop waiting.
-struct FlightGuard<'a, K: Eq + Hash + Copy, V: Clone> {
-    table: &'a SingleFlight<K, V>,
-    key: K,
-    /// Disarmed by the success path once the flight has been published.
-    armed: bool,
-}
-
-impl<K: Eq + Hash + Copy, V: Clone> Drop for FlightGuard<'_, K, V> {
-    fn drop(&mut self) {
-        if !self.armed {
-            return;
-        }
-        // Recover even a poisoned shard: an abandoned flight must always be
-        // retired, or followers would wait on it forever.
-        let mut shard = lock_or_recover(self.table.shard(&self.key));
-        if let Some(flight) = shard.remove(&self.key) {
-            flight.publish(FlightState::Abandoned);
-        }
     }
 }
 
@@ -818,15 +650,11 @@ pub struct ContainmentEngine {
     /// schema; only [`ContainmentEngine::register`] takes the lock.
     labels: Mutex<LabelTable>,
     registry: RwLock<Registry>,
-    /// `(h, k) → the completed answer to L(h) ⊆ L(k)`, whichever procedure
-    /// gave it (a deadline answer is never recorded).
-    answers: ShardedPairMap<Containment>,
-    /// In-flight `(h, k)` answer computations (single-flight coalescing,
-    /// see [`ContainmentEngine::check_ids`]): sharded like the answer memo
-    /// so concurrent queries for different pairs never contend. The memo
-    /// answers every check after a pair's first; the flight shares that
-    /// first check's cold work among the callers asking at the same time.
-    query_flights: SingleFlight<(u32, u32), Containment>,
+    /// `(h, k) → the slot of the answer to L(h) ⊆ L(k)`, whichever
+    /// procedure gave it (a deadline answer is never recorded). A slot
+    /// whose answer is still being computed is the flight that concurrent
+    /// first checks without a token wait on.
+    answers: PairMemo,
     counters: EngineCounters,
     /// The accounted-byte ledger and eviction bookkeeping behind
     /// [`EngineOptionsBuilder::cache_budget`].
@@ -855,8 +683,7 @@ impl ContainmentEngine {
             options,
             labels: Mutex::new(LabelTable::new()),
             registry: RwLock::new(Registry::default()),
-            answers: ShardedPairMap::new(),
-            query_flights: SingleFlight::new(PAIR_SHARDS),
+            answers: PairMemo::default(),
             counters: EngineCounters::default(),
             budget,
             telemetry: Arc::new(SolverTelemetry::new()),
@@ -979,8 +806,8 @@ impl ContainmentEngine {
     /// A pair's completed answer is memoised, so every check after its
     /// first costs one memo lookup ([`EngineStats::memo_hits`]). Without a
     /// token, duplicate concurrent first checks of the same ordered pair
-    /// coalesce onto one computation (single-flight): while one thread
-    /// computes the answer, the others block on it and share it, and
+    /// coalesce onto one computation: while one thread computes the answer,
+    /// the others wait on the pair's memo slot and share it, and
     /// [`EngineStats`] counts them in `coalesced_queries`. Answers are
     /// deterministic, so memoising and coalescing are observationally
     /// invisible. With a token, the query threads it through every
@@ -992,24 +819,24 @@ impl ContainmentEngine {
     /// of wedging a worker for the rest of its budget; a counter-example
     /// certified before the expiry was observed still stands.
     ///
-    /// Queries with a token bypass coalescing: a follower must never inherit
-    /// another caller's deadline verdict, and a leader's expiry must never
-    /// become a follower's answer. The memo only ever records completed
-    /// answers, so queries without a token are bit-identical to an engine
-    /// that never saw one.
+    /// Queries with a token bypass coalescing: they never wait on another
+    /// caller's computation past their own deadline, and their expiry never
+    /// becomes another caller's answer. The memo only ever records
+    /// completed answers, so queries without a token are bit-identical to
+    /// an engine that never saw one.
     pub fn check_ids(&self, h: SchemaId, k: SchemaId, cancel: Option<&CancelToken>) -> Containment {
         let entries = self.entries(&[h, k]);
         self.verdict(h, k, &entries[0], &entries[1], cancel)
     }
 
     /// The one verdict route behind [`ContainmentEngine::check_ids`],
-    /// [`ContainmentEngine::det_ids`] and every matrix cell — and the
-    /// single-flight seam of every `(h, k)` query. An already-expired token
-    /// answers at once; otherwise the pair's memoised answer, if any, is
-    /// returned. With a token, [`ContainmentEngine::answer`] runs directly
-    /// (and the deadline counter ticks on expiry). Without one, while a
-    /// thread computes the answer for an ordered pair, duplicate concurrent
-    /// queries for the same pair block on that computation and share it
+    /// [`ContainmentEngine::det_ids`] and every matrix cell. An
+    /// already-expired token answers at once; otherwise the pair's memoised
+    /// answer, if any, is returned. With a token,
+    /// [`ContainmentEngine::answer`] runs directly (and the deadline counter
+    /// ticks on expiry). Without one, the pair's memo slot is the single
+    /// flight: the first check computes the answer inside the slot's
+    /// `OnceLock`, and duplicate concurrent checks wait on it and share it
     /// ([`EngineStats::coalesced_queries`] counts them).
     fn verdict(
         &self,
@@ -1030,29 +857,90 @@ impl ContainmentEngine {
             return answer;
         }
         if cancel.is_some() {
-            let answer = self.answer(key, h_entry, k_entry, cancel);
+            // Never `get_or_init` or `set` here: both wait while another
+            // thread computes the pair, past this query's deadline.
+            let answer = self.answer(h_entry, k_entry, cancel);
             if is_deadline(&answer) {
                 EngineCounters::tick(&self.counters.deadline_exceeded);
+            } else {
+                self.memoise(key, h_entry, &answer);
             }
             return answer;
         }
-        self.query_flights.run(
-            key,
-            // A flight that landed between the lookup above and this one's
-            // start has memoised the answer already.
-            || {
-                self.memoised(key)
-                    .unwrap_or_else(|| self.answer(key, h_entry, k_entry, None))
-            },
-            &self.counters.coalesced_queries,
-        )
+        let slot = Arc::clone(
+            write_or_recover(self.answers.shard(key))
+                .entry(key)
+                .or_default(),
+        );
+        let mut computed = false;
+        let answer = slot
+            .answer
+            .get_or_init(|| {
+                computed = true;
+                self.answer(h_entry, k_entry, None)
+            })
+            .clone();
+        if computed {
+            self.charge(key, &slot, h_entry, &answer);
+        } else {
+            EngineCounters::tick(&self.counters.coalesced_queries);
+        }
+        answer
     }
 
     /// The pair's memoised answer, counted in [`EngineStats::memo_hits`].
     fn memoised(&self, key: (u32, u32)) -> Option<Containment> {
-        let answer = self.answers.get(key, &self.budget)?;
+        let shard = read_or_recover(self.answers.shard(key));
+        let slot = shard.get(&key)?;
+        let answer = slot.answer.get()?.clone();
+        slot.stamp.store(self.budget.touch(), Ordering::Relaxed);
         EngineCounters::tick(&self.counters.memo_hits);
         Some(answer)
+    }
+
+    /// Charge the answer a first check just computed in `slot`, while the
+    /// memo still holds that slot (a check with a token may have replaced
+    /// it). An answer the admission ceiling refuses takes its slot out.
+    fn charge(&self, key: (u32, u32), slot: &Arc<PairSlot>, h: &SchemaEntry, answer: &Containment) {
+        let bytes = entry_bytes(h, answer);
+        let mut shard = write_or_recover(self.answers.shard(key));
+        if !shard.get(&key).is_some_and(|held| Arc::ptr_eq(held, slot)) {
+            return;
+        }
+        if self.budget.admits(bytes) {
+            slot.stamp.store(self.budget.touch(), Ordering::Relaxed);
+            slot.bytes.store(bytes, Ordering::Relaxed);
+            self.budget.charge(CacheKind::Pairs, bytes);
+        } else {
+            shard.remove(&key);
+        }
+        drop(shard);
+        self.maybe_evict();
+    }
+
+    /// Memoise an answer a check with a token completed, without waiting
+    /// on anything but the shard lock: a pair that has an answer keeps it,
+    /// and an empty slot is replaced. The first check running in that slot
+    /// still answers the checks waiting on it, but is not charged.
+    fn memoise(&self, key: (u32, u32), h: &SchemaEntry, answer: &Containment) {
+        let bytes = entry_bytes(h, answer);
+        let mut shard = write_or_recover(self.answers.shard(key));
+        if shard
+            .get(&key)
+            .is_some_and(|slot| slot.answer.get().is_some())
+            || !self.budget.admits(bytes)
+        {
+            return;
+        }
+        let slot = PairSlot {
+            answer: OnceLock::from(answer.clone()),
+            bytes: AtomicU64::new(bytes),
+            stamp: AtomicU64::new(self.budget.touch()),
+        };
+        shard.insert(key, Arc::new(slot));
+        self.budget.charge(CacheKind::Pairs, bytes);
+        drop(shard);
+        self.maybe_evict();
     }
 
     /// Batch pairwise containment: `matrix[i][j]` answers
@@ -1123,24 +1011,21 @@ impl ContainmentEngine {
             .map(|witness| Graph::clone(&witness))
     }
 
-    /// Compute the answer for the pair `key` with the strongest procedure
-    /// for its class, and memoise it. A `ShEx₀` pair goes to embedding
+    /// Compute the answer for the pair `(h, k)` with the strongest procedure
+    /// for its class. A `ShEx₀` pair goes to embedding
     /// (§3), then the characterizing graph when both sides are `DetShEx₀⁻`
     /// (Lemma 4.2), then the type-set fixpoint (§5), and to the bounded
     /// search only over the fixpoint's work bound. A pair with a full ShEx
     /// side goes to the type-simulation sufficient check and then the
-    /// bounded search (§6). Every completed answer is memoised — a deadline
-    /// answer never is — and a witness is charged by its weight unless it
-    /// is the entry's characterizing graph, which is pinned already.
+    /// bounded search (§6).
     fn answer(
         &self,
-        key: (u32, u32),
         h: &SchemaEntry,
         k: &SchemaEntry,
         cancel: Option<&CancelToken>,
     ) -> Containment {
         let rbe0 = h.class != SchemaClass::ShEx && k.class != SchemaClass::ShEx;
-        let answer = match (&h.shape_graph, &k.shape_graph) {
+        match (&h.shape_graph, &k.shape_graph) {
             // Every RBE₀ schema has a shape graph (Proposition 3.2).
             (Some(hg), Some(kg)) if rbe0 => {
                 EngineCounters::tick(&self.counters.embed_misses);
@@ -1182,22 +1067,7 @@ impl ContainmentEngine {
                     self.search(h, k, cancel).into_containment()
                 }
             }
-        };
-        if !is_deadline(&answer) {
-            let witness_bytes = match (&answer, h.characterizing.get()) {
-                (Containment::NotContained(witness), Some(pinned))
-                    if Arc::ptr_eq(witness, pinned) =>
-                {
-                    0
-                }
-                (Containment::NotContained(witness), _) => witness.weight_bytes(),
-                _ => 0,
-            };
-            self.answers
-                .insert(key, answer.clone(), witness_bytes, &self.budget);
-            self.maybe_evict();
         }
-        answer
     }
 
     /// The characterizing graph of a registered `DetShEx₀⁻` schema, built
@@ -1546,6 +1416,18 @@ fn is_deadline(answer: &Containment) -> bool {
     )
 }
 
+/// The accounted weight of `answer` as a memo entry of `h`'s pair: the
+/// entry's fixed cost plus its witness, unless the witness is `h`'s
+/// characterizing graph, which is pinned already.
+fn entry_bytes(h: &SchemaEntry, answer: &Containment) -> u64 {
+    let witness = match (answer, h.characterizing.get()) {
+        (Containment::NotContained(witness), Some(pinned)) if Arc::ptr_eq(witness, pinned) => 0,
+        (Containment::NotContained(witness), _) => witness.weight_bytes(),
+        _ => 0,
+    };
+    PAIR_ENTRY_BYTES + witness
+}
+
 /// The `DetShEx₀⁻` gate shared by the det pipeline and the characterizing
 /// cache.
 fn require_det_minus(entry: &SchemaEntry) -> Result<(), NotDetShex0Minus> {
@@ -1559,51 +1441,19 @@ fn require_det_minus(entry: &SchemaEntry) -> Result<(), NotDetShex0Minus> {
 }
 
 /// A structural hash of a schema: type count, every type's name, and its
-/// full expression tree walked constructor by constructor. Registration
-/// verifies bucket hits with [`same_schema_structure`], so the hash only
-/// routes lookups — unlike the historical `String` fingerprint (type names
-/// plus `Debug` renderings), computing it allocates nothing.
+/// full expression tree through the derived `Hash`, which writes each
+/// constructor's variant first, so degenerate wrappers stay distinct —
+/// `Disj([e])` hashes differently from plain `e`. Registration verifies
+/// bucket hits with [`same_schema_structure`], so the hash only routes
+/// lookups; computing it allocates nothing.
 fn schema_hash(schema: &Schema) -> u64 {
     let mut hasher = DefaultHasher::new();
     schema.type_count().hash(&mut hasher);
     for t in schema.types() {
         schema.type_name(t).hash(&mut hasher);
-        hash_rbe(schema.def(t), &mut hasher);
+        schema.def(t).hash(&mut hasher);
     }
     hasher.finish()
-}
-
-/// Constructor-tagged structural hash of an expression tree. Degenerate
-/// wrappers stay distinct — `Disj([e])` hashes differently from plain `e` —
-/// matching the exact-equality verification below.
-fn hash_rbe(expr: &Rbe<Atom>, hasher: &mut DefaultHasher) {
-    match expr {
-        Rbe::Epsilon => 0u8.hash(hasher),
-        Rbe::Symbol(atom) => {
-            1u8.hash(hasher);
-            atom.hash(hasher);
-        }
-        Rbe::Disj(parts) => {
-            2u8.hash(hasher);
-            parts.len().hash(hasher);
-            for p in parts {
-                hash_rbe(p, hasher);
-            }
-        }
-        Rbe::Concat(parts) => {
-            3u8.hash(hasher);
-            parts.len().hash(hasher);
-            for p in parts {
-                hash_rbe(p, hasher);
-            }
-        }
-        Rbe::Repeat(inner, interval) => {
-            4u8.hash(hasher);
-            interval.lo().hash(hasher);
-            interval.hi().hash(hasher);
-            hash_rbe(inner, hasher);
-        }
-    }
 }
 
 /// Exact structural identity of two schemas: same type names in the same
@@ -2123,74 +1973,6 @@ mod tests {
             }
         }
         assert!(engine.stats().deadline_exceeded >= 9);
-    }
-
-    #[test]
-    fn single_flight_coalesces_concurrent_callers() {
-        use std::sync::atomic::AtomicUsize;
-        use std::sync::Barrier;
-        let table: SingleFlight<(u32, u32), u64> = SingleFlight::new(4);
-        let computed = AtomicUsize::new(0);
-        let coalesced = AtomicU64::new(0);
-        let barrier = Barrier::new(4);
-        let values: Vec<u64> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..4)
-                .map(|_| {
-                    scope.spawn(|| {
-                        barrier.wait();
-                        table.run(
-                            (7, 9),
-                            || {
-                                computed.fetch_add(1, Ordering::Relaxed);
-                                // Outlast the followers' walk to the wait.
-                                std::thread::sleep(std::time::Duration::from_millis(100));
-                                42
-                            },
-                            &coalesced,
-                        )
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        assert!(values.iter().all(|&v| v == 42));
-        let runs = computed.load(Ordering::Relaxed) as u64;
-        assert_eq!(
-            runs + coalesced.load(Ordering::Relaxed),
-            4,
-            "every caller either computed or coalesced"
-        );
-        assert_eq!(runs, 1, "one 100ms flight absorbs all barrier racers");
-        assert!(
-            table.shards.iter().all(|s| s.lock().unwrap().is_empty()),
-            "flights retire their table entries"
-        );
-    }
-
-    #[test]
-    fn single_flight_abandons_on_leader_panic() {
-        let table: Arc<SingleFlight<(u32, u32), u64>> = Arc::new(SingleFlight::new(1));
-        let coalesced = Arc::new(AtomicU64::new(0));
-        let leader = {
-            let table = Arc::clone(&table);
-            let coalesced = Arc::clone(&coalesced);
-            std::thread::spawn(move || {
-                table.run(
-                    (1, 2),
-                    || {
-                        std::thread::sleep(std::time::Duration::from_millis(50));
-                        panic!("leader dies mid-flight")
-                    },
-                    &coalesced,
-                )
-            })
-        };
-        // Give the leader time to take the flight, then follow it.
-        std::thread::sleep(std::time::Duration::from_millis(10));
-        let follower = table.run((1, 2), || 7, &coalesced);
-        assert_eq!(follower, 7, "follower recomputes after an abandoned flight");
-        assert!(leader.join().is_err(), "leader panicked");
-        assert!(table.shards[0].lock().unwrap().is_empty());
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Poison-recovering lock acquisition for the engine's evictable caches.
 //!
 //! Every `Mutex`/`RwLock` in this crate guards *memoised, recomputable*
-//! state: the answer memo, unfolder arenas, flight tables, eviction
+//! state: the answer memo, unfolder arenas, eviction
 //! bookkeeping. A panic inside a critical section can at
 //! worst leave such state partially updated at an operation boundary — a
 //! `HashMap` insert or `Vec` push that never happened — which is

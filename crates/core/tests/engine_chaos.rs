@@ -24,17 +24,17 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex, PoisonError};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
 
 use shapex_core::engine::{ContainmentEngine, EngineOptions};
-use shapex_core::faults::{self, FaultPlan};
+use shapex_core::faults::{self, site, FaultAction, FaultPlan};
 use shapex_core::{CancelToken, Containment, UnknownReason};
 use shapex_shex::Schema;
 
 mod common;
-use common::{random_family, same_answer, tiny};
+use common::{choice_groups, random_family, same_answer, tiny};
 
 /// The fault registry is process-global; every test here serialises on it.
 static GATE: Mutex<()> = Mutex::new(());
@@ -185,5 +185,87 @@ fn deadlines_under_armed_faults_stay_typed() {
     assert!(
         same_answer(&generous, &reference),
         "a generous deadline answers identically, got {generous:?}"
+    );
+}
+
+/// Spin until the armed `solver-branch` site has been reached: the check
+/// that reached it is inside its search, computing its pair.
+fn await_first_checkpoint() {
+    while faults::hits(site::SOLVER_BRANCH) == 0 {
+        std::thread::yield_now();
+    }
+}
+
+#[test]
+fn a_panicking_first_check_hands_the_pair_to_a_waiting_one() {
+    let _gate = GATE.lock().unwrap_or_else(PoisonError::into_inner);
+    let groups = choice_groups(4);
+    let fresh = ContainmentEngine::with_search(tiny());
+    let reference = fresh.check(&groups, &groups);
+    let engine = ContainmentEngine::with_search(tiny());
+    let id = engine.register(&groups);
+    // Hit 0 holds the first check at its first candidate while the second
+    // arrives and waits on it; hit 1 then kills the first check.
+    let _armed = Armed::install(
+        FaultPlan::new()
+            .inject(
+                site::SOLVER_BRANCH,
+                0,
+                FaultAction::Delay(Duration::from_millis(300)),
+            )
+            .inject(site::SOLVER_BRANCH, 1, FaultAction::Panic),
+    );
+    std::thread::scope(|scope| {
+        let first = scope.spawn(|| engine.check_ids(id, id, None));
+        await_first_checkpoint();
+        let second = engine.check_ids(id, id, None);
+        assert!(first.join().is_err(), "the first check dies at hit 1");
+        assert!(
+            same_answer(&second, &reference),
+            "the waiting check answers the pair itself: {second} vs {reference}"
+        );
+    });
+    assert_eq!(
+        engine.stats().pair_bytes,
+        fresh.stats().pair_bytes,
+        "the waiting check's answer is memoised once"
+    );
+}
+
+#[test]
+fn a_check_with_a_token_never_waits_on_a_running_first_check() {
+    let _gate = GATE.lock().unwrap_or_else(PoisonError::into_inner);
+    let groups = choice_groups(4);
+    let fresh = ContainmentEngine::with_search(tiny());
+    let reference = fresh.check(&groups, &groups);
+    let engine = ContainmentEngine::with_search(tiny());
+    let id = engine.register(&groups);
+    let _armed = Armed::install(FaultPlan::new().inject(
+        site::SOLVER_BRANCH,
+        0,
+        FaultAction::Delay(Duration::from_secs(2)),
+    ));
+    std::thread::scope(|scope| {
+        let first = scope.spawn(|| engine.check_ids(id, id, None));
+        await_first_checkpoint();
+        let started = Instant::now();
+        let token = CancelToken::with_timeout(Duration::from_secs(1));
+        let bounded = engine.check_ids(id, id, Some(&token));
+        let waited = started.elapsed();
+        assert!(
+            waited < Duration::from_secs(1),
+            "the check with a token waited {waited:?} on the stalled first check"
+        );
+        assert!(
+            same_answer(&bounded, &reference),
+            "{bounded} vs {reference}"
+        );
+        let first = first.join().expect("the stalled first check completes");
+        assert!(same_answer(&first, &reference), "{first} vs {reference}");
+    });
+    assert_eq!(
+        engine.stats().pair_bytes,
+        fresh.stats().pair_bytes,
+        "the pair is charged once"
     );
 }

@@ -753,7 +753,7 @@ impl IncrementalTyping {
     }
 
     /// The retained typing, always equal to `maximal_typing(graph, schema)`
-    /// for the graph state of the last `new`/`apply`/`rebuild` call.
+    /// for the graph state of the last `new`/`apply` call.
     pub fn typing(&self) -> &Typing {
         &self.typing
     }
@@ -761,14 +761,6 @@ impl IncrementalTyping {
     /// Whether the retained typing is total (the graph validates).
     pub fn is_total(&self) -> bool {
         self.typing.is_total()
-    }
-
-    /// Throw the retained typing away and recompute from scratch (the
-    /// fallback when the caller lost track of which nodes are dirty).
-    pub fn rebuild(&mut self, graph: &Graph, schema: &Schema) {
-        self.typing = maximal_typing_with(graph, schema, &mut self.scratch);
-        self.type_count = schema.type_count();
-        self.poisoned = false;
     }
 
     /// Revalidate after a delta. `graph` is the post-delta graph and `dirty`

@@ -1,19 +1,20 @@
 //! A long-lived, multi-tenant containment service: one shared
-//! bounded-memory engine behind a pool of sharded workers, several tenants,
-//! and the metrics line.
+//! bounded-memory engine behind a pool of workers, several tenants, and
+//! the metrics line.
 //!
-//! [`ContainmentService::pool`] spawns the serve loops — one bounded queue
-//! per worker, so a slow request delays only its own queue while a
-//! [`PoolClient`] rotates fresh requests past it. Three tenant threads
+//! [`ContainmentService::pool`] spawns the serve loops over one shared
+//! bounded queue, so a slow request occupies one worker while the others
+//! take the next requests. Three tenant threads
 //! register the bug-tracker schema family (the upload endpoint — identical
 //! submissions intern onto one engine entry across tenants, but each tenant
 //! can only query handles it registered itself), then check their own
 //! upgrade paths; the main thread fetches the full matrix through the pool
 //! and prints the service stats: engine cache/memory counters (the engine
 //! runs under a cache budget, so evictions and resident bytes are live
-//! numbers), tenants, rejections, and the request-latency histogram. A full
-//! pool answers [`PoolClient::call`](shapex::service::PoolClient::call) with
-//! [`ServiceError::Overloaded`](shapex::service::ServiceError::Overloaded)
+//! numbers), tenants, rejections, and the request-latency histogram. A pool
+//! whose queue stays full answers
+//! [`PoolClient::call_timeout`](shapex::service::PoolClient::call_timeout)
+//! with [`ServiceError::Overloaded`](shapex::service::ServiceError::Overloaded)
 //! instead of queuing unboundedly.
 //!
 //! Run with `cargo run --example containment_service`.
@@ -59,9 +60,9 @@ fn main() {
     // default tenant.
     let tenants: Vec<TenantId> = (0..3).map(|_| service.create_tenant()).collect();
 
-    // The servers: a pool of sharded serve loops over the shared engine —
-    // one bounded queue per worker, so one slow request cannot
-    // head-of-line-block every tenant.
+    // The servers: a pool of serve loops over the shared engine, draining
+    // one bounded queue, so one slow request cannot head-of-line-block
+    // every tenant while another worker is idle.
     let pool = service.pool(2, 64);
     let client = pool.client(TenantId::DEFAULT);
 

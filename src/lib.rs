@@ -15,10 +15,10 @@
 //!   workload generators.
 //! * [`service`] — a long-lived, multi-tenant containment service:
 //!   tenant-scoped schema registration, streaming N-Triples ingestion with
-//!   incremental revalidation of evolving graphs, typed errors, bounded
-//!   request queues with explicit backpressure in front of a supervised
-//!   `ServicePool` of workers, deadlines, and a stats surface (engine cache +
-//!   memory counters, latency histogram), all over one shared
+//!   incremental revalidation of evolving graphs, typed errors, a bounded
+//!   request queue with explicit backpressure in front of a `ServicePool`
+//!   of workers, deadlines, and a stats surface (engine cache + memory
+//!   counters, latency histogram), all over one shared
 //!   `ContainmentEngine` — bounded-memory when configured with a
 //!   `cache_budget`, duplicate-proof under concurrency via single-flight
 //!   query coalescing.

@@ -45,19 +45,18 @@
 //!   the tenant count, the rejected count, and a log-spaced latency histogram
 //!   ([`crate::metrics::LatencySnapshot`]) of every request this service
 //!   answered. Its `Display` rendering is the line to log or scrape.
-//! * **Supervised workers behind bounded queues.**
+//! * **Workers behind one bounded queue.**
 //!   [`ContainmentService::pool`] spawns a [`ServicePool`] of N worker
-//!   threads, each behind its own bounded queue; a [`PoolClient`]
-//!   round-robins requests across the workers and rotates past full queues,
-//!   so one slow [`ServiceRequest::Matrix`] does not head-of-line-block
-//!   every tenant. A single-queue deployment is `pool(1, capacity)`.
-//!   Backpressure is explicit: [`PoolClient::call`] fails fast with
-//!   [`ServiceError::Overloaded`] (counted) only when every queue is full,
-//!   and [`PoolClient::call_blocking`] parks instead. Every worker runs
-//!   under a supervisor: a panic while handling a request still answers
-//!   that caller (with [`ServiceError::Internal`]), the worker is respawned
-//!   onto the same queue, and the restart is counted in
-//!   [`ServiceStats::worker_restarts`].
+//!   threads draining one shared bounded queue: whichever worker is idle
+//!   takes the next request, so one slow [`ServiceRequest::Matrix`] does not
+//!   head-of-line-block every tenant while another worker is free. A
+//!   single-worker deployment is `pool(1, capacity)`. Backpressure is
+//!   explicit: [`PoolClient::call_blocking`] parks while the queue is full,
+//!   and [`PoolClient::call_timeout`] backs off, then fails with
+//!   [`ServiceError::Overloaded`] (counted). A panic while handling a
+//!   request still answers that caller (with [`ServiceError::Internal`]),
+//!   is counted in [`ServiceStats::worker_restarts`], and the worker goes
+//!   on serving.
 //! * **Deadlines and bounded retries.** [`PoolClient::call_timeout`] stamps
 //!   the request with an absolute deadline. The worker refuses an
 //!   already-expired request with [`ServiceError::DeadlineExceeded`] and
@@ -77,7 +76,7 @@
 //!
 //! The protocol stays transport-agnostic: `handle` maps one request to one
 //! response and is safe from any number of threads; the pool runs it behind
-//! bounded queues — the shape `examples/containment_service.rs` demonstrates
+//! a bounded queue — the shape `examples/containment_service.rs` demonstrates
 //! with several tenants sharing one engine. Because the service is
 //! [`Clone`] (it clones the inner [`Arc`]s), local code can keep calling
 //! `handle` on the same engine while the pool serves.
@@ -86,8 +85,8 @@ use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::error::Error;
 use std::fmt;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
@@ -317,8 +316,9 @@ pub enum ServiceError {
         /// Human-readable description of the failure.
         message: String,
     },
-    /// The bounded request queue is full; retry later or shed load. The
-    /// rejection is counted in [`ServiceStats::rejected`].
+    /// The bounded request queue stayed full through
+    /// [`PoolClient::call_timeout`]'s retries; retry later or shed load.
+    /// The rejection is counted in [`ServiceStats::rejected`].
     Overloaded,
     /// The serve loop (or the reply channel) hung up before answering.
     Disconnected,
@@ -333,9 +333,9 @@ pub enum ServiceError {
     /// [`ServiceStats::timeouts`] histogram.
     DeadlineExceeded,
     /// The worker handling the request panicked. The caller was still
-    /// answered (with this error), the worker was respawned by its
-    /// supervisor — counted in [`ServiceStats::worker_restarts`] — and the
-    /// service keeps serving, so the request is safe to retry.
+    /// answered (with this error), the panic was counted in
+    /// [`ServiceStats::worker_restarts`], and the worker keeps serving, so
+    /// the request is safe to retry.
     Internal,
 }
 
@@ -372,7 +372,7 @@ impl fmt::Display for ServiceError {
             }
             ServiceError::Internal => write!(
                 f,
-                "the worker panicked handling the request (it was respawned; safe to retry)"
+                "the worker panicked handling the request (it keeps serving; safe to retry)"
             ),
         }
     }
@@ -462,7 +462,8 @@ pub struct ServiceStats {
     /// Retry loops that exhausted their backoff budget and surfaced
     /// [`ServiceError::Overloaded`] to the caller anyway.
     pub retry_gave_up: u64,
-    /// Pool workers respawned by their supervisor after a panic.
+    /// Requests whose pool worker panicked while handling them (each
+    /// answered [`ServiceError::Internal`]); the worker then carried on.
     pub worker_restarts: u64,
     /// The latency distribution over every request this service answered
     /// within its deadline (or that had none).
@@ -511,7 +512,7 @@ struct ServiceState {
     retries: AtomicU64,
     /// Retry loops that gave up and surfaced `Overloaded` anyway.
     retry_gave_up: AtomicU64,
-    /// Pool worker incarnations respawned after a panic.
+    /// Requests whose pool worker panicked while handling them.
     worker_restarts: AtomicU64,
     /// Latency of every request answered within its deadline.
     latency: LatencyHistogram,
@@ -929,102 +930,73 @@ impl ContainmentService {
     }
 }
 
-/// A pool of supervised serve-loop workers over one shared service, from
-/// [`ContainmentService::pool`]: `N` dedicated threads, each draining its
-/// own bounded queue, all dispatching onto the same engine and caches —
-/// every deployment, a single-queue `pool(1, capacity)` included.
+/// A pool of serve-loop workers over one shared service, from
+/// [`ContainmentService::pool`]: `N` dedicated threads draining one shared
+/// bounded queue, all dispatching onto the same engine and caches — every
+/// deployment, a single-worker `pool(1, capacity)` included.
 ///
 /// One serve loop head-of-line-blocks every tenant behind whichever request
 /// is currently executing — one slow [`ServiceRequest::Matrix`] stalls the
-/// cheapest `Stats` probe. Several workers shard the queues instead: a [`PoolClient`] round-robins fresh requests
-/// across the workers and rotates past full queues, so a slow request delays
-/// only the (bounded) queue behind its own worker. Backpressure stays
-/// per-worker and explicit: [`PoolClient::call`] returns
-/// [`ServiceError::Overloaded`] only when *every* worker queue is full.
+/// cheapest `Stats` probe. With several workers, whichever worker is idle
+/// takes the next queued request, so a request waits behind a slow one only
+/// while every worker is busy. Backpressure is explicit: once the queue is
+/// full, [`PoolClient::call_timeout`] backs off and finally answers
+/// [`ServiceError::Overloaded`].
 ///
-/// Duplicate concurrent queries landing on different workers coalesce inside
-/// the engine
-/// ([single-flight](shapex_core::engine::ContainmentEngine::check_ids)), so
-/// sharding the loop never multiplies the work of a thundering herd.
+/// Duplicate concurrent queries handled by different workers coalesce
+/// inside the engine
+/// ([`check_ids`](shapex_core::engine::ContainmentEngine::check_ids)), so
+/// several workers never multiply the work of a thundering herd.
 #[derive(Debug)]
 pub struct ServicePool {
     service: ContainmentService,
-    /// One bounded queue per worker; the `Arc` is shared with every client.
-    senders: Arc<Vec<mpsc::SyncSender<ServiceEnvelope>>>,
-    /// Round-robin placement cursor, shared with every client.
-    cursor: Arc<AtomicUsize>,
+    /// The sending side of the shared queue; every client holds a clone.
+    sender: mpsc::SyncSender<ServiceEnvelope>,
     workers: Vec<std::thread::JoinHandle<()>>,
 }
 
 impl ContainmentService {
-    /// Spawn a [`ServicePool`] of `workers` supervised serve-loop threads
-    /// (min 1), each behind its own bounded queue of `capacity` in-flight
-    /// requests (min 1). The workers share this service (and through it the
-    /// engine and all caches); they exit when every queue sender — the
+    /// Spawn a [`ServicePool`] of `workers` serve-loop threads (min 1) over
+    /// one shared bounded queue of `workers × capacity` in-flight requests
+    /// (`capacity` min 1). The workers share this service (and through it
+    /// the engine and all caches); they exit when every queue sender — the
     /// pool's plus every [`PoolClient`]'s — is dropped.
     ///
-    /// Each worker runs under a supervisor: a panic while handling a
-    /// request — injected or real — still answers that caller with
-    /// [`ServiceError::Internal`], then the worker incarnation is respawned
-    /// onto the same queue and the restart counted in
-    /// [`ServiceStats::worker_restarts`]. A panicking request can poison
-    /// locks it held; every service and engine lock recovers (see
-    /// [`shapex_core::sync`]), so the respawned worker keeps serving.
+    /// A panic while handling a request — injected or real — answers that
+    /// caller with [`ServiceError::Internal`], is counted in
+    /// [`ServiceStats::worker_restarts`], and the worker goes on to the
+    /// next request. A panicking request can poison locks it held; every
+    /// service and engine lock recovers (see [`shapex_core::sync`]), so the
+    /// worker keeps serving.
     pub fn pool(&self, workers: usize, capacity: usize) -> ServicePool {
-        let mut senders = Vec::new();
-        let mut handles = Vec::new();
-        for worker in 0..workers.max(1) {
-            let (sender, receiver) = mpsc::sync_channel(capacity.max(1));
-            let receiver = Arc::new(Mutex::new(receiver));
-            let service = self.clone();
-            handles.push(
+        let workers = workers.max(1);
+        let (sender, receiver) = mpsc::sync_channel(workers.saturating_mul(capacity.max(1)));
+        let receiver = Arc::new(Mutex::new(receiver));
+        let handles = (0..workers)
+            .map(|worker| {
+                let service = self.clone();
+                let queue = Arc::clone(&receiver);
                 std::thread::Builder::new()
                     .name(format!("shapex-service-{worker}"))
-                    .spawn(move || service.supervise(worker, receiver))
-                    .expect("spawn service supervisor"),
-            );
-            senders.push(sender);
-        }
+                    .spawn(move || service.serve(&queue))
+                    .expect("spawn service worker")
+            })
+            .collect();
         ServicePool {
             service: self.clone(),
-            senders: Arc::new(senders),
-            cursor: Arc::new(AtomicUsize::new(0)),
+            sender,
             workers: handles,
         }
     }
 
-    /// Supervisor body for one pool worker slot: spawn serve-loop
-    /// incarnations over the slot's shared queue until one exits cleanly
-    /// (every sender dropped), respawning — and counting — each one that
-    /// panics. No request is lost across a restart:
-    /// [`serve_shared`](ContainmentService::serve_shared) answers the
-    /// in-flight caller with [`ServiceError::Internal`] before its panic
-    /// propagates here, and queued envelopes survive in the shared
-    /// receiver.
-    fn supervise(&self, slot: usize, receiver: Arc<Mutex<mpsc::Receiver<ServiceEnvelope>>>) {
-        for incarnation in 0u64.. {
-            let service = self.clone();
-            let queue = Arc::clone(&receiver);
-            let worker = std::thread::Builder::new()
-                .name(format!("shapex-service-{slot}-r{incarnation}"))
-                .spawn(move || service.serve_shared(&queue))
-                .expect("spawn service worker");
-            if worker.join().is_ok() {
-                return;
-            }
-            self.state.worker_restarts.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// One worker incarnation: drain the shared queue until it closes.
-    /// Each request runs inside `catch_unwind`, so a panic still answers
-    /// the caller (with [`ServiceError::Internal`]) before the unwind
-    /// resumes and the supervisor respawns the incarnation.
+    /// One worker: drain the shared queue until it closes. Each request
+    /// runs inside `catch_unwind`, so a panic still answers the caller
+    /// (with [`ServiceError::Internal`]) and the worker carries on.
     /// `AssertUnwindSafe` is justified the same way poison recovery is:
     /// everything the closure can leave mid-update is memoised or
     /// append-only state behind recovering locks (see
     /// [`shapex_core::sync`]).
-    fn serve_shared(&self, receiver: &Mutex<mpsc::Receiver<ServiceEnvelope>>) {
+    fn serve(&self, receiver: &Mutex<mpsc::Receiver<ServiceEnvelope>>) {
         loop {
             // Hold the queue lock only to receive, so a panicking request
             // can never poison it mid-dispatch.
@@ -1041,33 +1013,26 @@ impl ContainmentService {
                 reply,
                 deadline,
             } = envelope;
-            let outcome = catch_unwind(AssertUnwindSafe(|| {
+            let response = catch_unwind(AssertUnwindSafe(|| {
                 faults::trigger(faults::site::WORKER_DISPATCH);
                 self.handle_with_deadline(tenant, request, deadline)
-            }));
-            match outcome {
-                Ok(response) => {
-                    let _ = reply.send(response);
-                }
-                Err(payload) => {
-                    // Answer the caller first, then let the supervisor see
-                    // the panic and respawn this incarnation.
-                    let _ = reply.send(Err(ServiceError::Internal));
-                    resume_unwind(payload);
-                }
-            }
+            }))
+            .unwrap_or_else(|_| {
+                self.state.worker_restarts.fetch_add(1, Ordering::Relaxed);
+                Err(ServiceError::Internal)
+            });
+            let _ = reply.send(response);
         }
     }
 }
 
 impl ServicePool {
     /// A client requesting as `tenant`. Clients are cheap to clone and
-    /// outlive the pool value itself (they hold the queues alive); drop
+    /// outlive the pool value itself (they hold the queue alive); drop
     /// them all to let the workers exit.
     pub fn client(&self, tenant: TenantId) -> PoolClient {
         PoolClient {
-            senders: Arc::clone(&self.senders),
-            cursor: Arc::clone(&self.cursor),
+            sender: self.sender.clone(),
             tenant,
             state: Arc::clone(&self.service.state),
         }
@@ -1083,41 +1048,26 @@ impl ServicePool {
         self.workers.len()
     }
 
-    /// Drop the pool's queue senders and block until every worker exits —
+    /// Drop the pool's queue sender and block until every worker exits —
     /// which happens once all [`PoolClient`]s are dropped too, since clients
-    /// keep the queues alive.
+    /// keep the queue alive.
     pub fn join(self) {
-        drop(self.senders);
+        drop(self.sender);
         for worker in self.workers {
             worker.join().expect("service worker panicked");
         }
     }
 }
 
-/// A tenant's handle onto a [`ServicePool`]: requests are placed
-/// round-robin across the pool's worker queues, rotating past full ones.
-/// [`PoolClient::call`] rejects with [`ServiceError::Overloaded`] only when
-/// every queue is full; [`PoolClient::call_blocking`] parks on a queue
-/// instead, and [`PoolClient::call_timeout`] backs off and retries within
-/// its budget.
+/// A tenant's handle onto a [`ServicePool`]'s shared queue.
+/// [`PoolClient::call_blocking`] parks while the queue is full;
+/// [`PoolClient::call_timeout`] backs off and retries within its budget,
+/// then rejects with [`ServiceError::Overloaded`].
 #[derive(Debug, Clone)]
 pub struct PoolClient {
-    senders: Arc<Vec<mpsc::SyncSender<ServiceEnvelope>>>,
-    cursor: Arc<AtomicUsize>,
+    sender: mpsc::SyncSender<ServiceEnvelope>,
     tenant: TenantId,
     state: Arc<ServiceState>,
-}
-
-/// What a [`PoolClient`] send does once a rotation found every queue full.
-#[derive(Debug, Clone, Copy)]
-enum WhenFull {
-    /// Reject with [`ServiceError::Overloaded`] ([`PoolClient::call`]).
-    Reject,
-    /// Park on the round-robin pick ([`PoolClient::call_blocking`]).
-    Park,
-    /// Back off and rotate again, within the envelope's deadline
-    /// ([`PoolClient::call_timeout`]).
-    Retry,
 }
 
 impl PoolClient {
@@ -1126,32 +1076,36 @@ impl PoolClient {
         self.tenant
     }
 
-    /// Send one request to the least-loaded-by-rotation worker and wait for
-    /// its response. Fails fast with [`ServiceError::Overloaded`] (counted
-    /// in the stats) when every worker queue is full, and with
-    /// [`ServiceError::Disconnected`] when every worker has exited.
-    pub fn call(&self, request: ServiceRequest) -> Result<ServiceResponse, ServiceError> {
-        self.round_trip(request, None, WhenFull::Reject)
-    }
-
-    /// Like [`PoolClient::call`], but when every queue is full, park on the
-    /// round-robin pick instead of rejecting — for closed-loop producers
-    /// that prefer waiting over shedding.
+    /// Send one request and wait for its response, parking while the queue
+    /// is full — for closed-loop producers that prefer waiting over
+    /// shedding. Fails with [`ServiceError::Disconnected`] when every worker
+    /// has exited.
     ///
     /// **Hazard:** the park is *unbounded*, as is the wait for the reply —
     /// a wedged worker holds the caller forever. Interactive callers
     /// should use [`PoolClient::call_timeout`], which bounds both.
     pub fn call_blocking(&self, request: ServiceRequest) -> Result<ServiceResponse, ServiceError> {
-        self.round_trip(request, None, WhenFull::Park)
+        let (reply, responses) = mpsc::channel();
+        let envelope = ServiceEnvelope {
+            tenant: self.tenant,
+            request,
+            reply,
+            deadline: None,
+        };
+        self.sender
+            .send(envelope)
+            .map_err(|_| ServiceError::Disconnected)?;
+        Self::receive(&responses, None)
     }
 
     /// Send one request under a wall-clock budget. The request carries an
     /// absolute deadline `timeout` from now (a deadline the clock cannot
-    /// represent, such as `Duration::MAX`, means none). When every worker
-    /// queue is full the call backs off (bounded attempts, deterministic
-    /// jitter, counted in [`ServiceStats::retries`] /
-    /// [`ServiceStats::retry_gave_up`]) before rotating again, and a reply
-    /// that misses the budget comes back as
+    /// represent, such as `Duration::MAX`, means none). While the queue is
+    /// full the call backs off (bounded attempts, deterministic jitter,
+    /// counted in [`ServiceStats::retries`] /
+    /// [`ServiceStats::retry_gave_up`]) and then rejects with
+    /// [`ServiceError::Overloaded`] (counted in [`ServiceStats::rejected`]),
+    /// and a reply that misses the budget comes back as
     /// [`ServiceError::DeadlineExceeded`] — this call never parks past its
     /// deadline. Engine-level expiries that answer in time arrive as
     /// [`ServiceResponse::Answer`] with an
@@ -1164,23 +1118,7 @@ impl PoolClient {
         request: ServiceRequest,
         timeout: Duration,
     ) -> Result<ServiceResponse, ServiceError> {
-        self.round_trip(
-            request,
-            Instant::now().checked_add(timeout),
-            WhenFull::Retry,
-        )
-    }
-
-    /// The queue rotation behind every call: offer the envelope to each
-    /// worker queue in turn, starting at the next round-robin pick, until
-    /// one accepts it; once a rotation finds every queue full, act as
-    /// `when_full` says. Then wait for the reply, until `deadline` if any.
-    fn round_trip(
-        &self,
-        request: ServiceRequest,
-        deadline: Option<Instant>,
-        when_full: WhenFull,
-    ) -> Result<ServiceResponse, ServiceError> {
+        let deadline = Instant::now().checked_add(timeout);
         let (reply, responses) = mpsc::channel();
         let mut envelope = ServiceEnvelope {
             tenant: self.tenant,
@@ -1190,45 +1128,21 @@ impl PoolClient {
         };
         let mut attempt = 0;
         loop {
-            let start = self.cursor.fetch_add(1, Ordering::Relaxed);
-            let mut disconnected = 0;
-            for offset in 0..self.senders.len() {
-                match self.senders[(start + offset) % self.senders.len()].try_send(envelope) {
-                    Ok(()) => return Self::receive(&responses, deadline),
-                    // Rotate to the next queue, reclaiming the envelope the
-                    // failed send handed back.
-                    Err(mpsc::TrySendError::Full(back)) => envelope = back,
-                    Err(mpsc::TrySendError::Disconnected(back)) => {
-                        envelope = back;
-                        disconnected += 1;
-                    }
-                }
-            }
-            if disconnected == self.senders.len() {
-                return Err(ServiceError::Disconnected);
-            }
-            match when_full {
-                WhenFull::Reject => {}
-                WhenFull::Park => {
-                    self.senders[start % self.senders.len()]
-                        .send(envelope)
-                        .map_err(|_| ServiceError::Disconnected)?;
-                    return Self::receive(&responses, deadline);
-                }
-                WhenFull::Retry => {
-                    let seed = (u64::from(self.tenant.0) << 32)
-                        ^ self.state.retries.load(Ordering::Relaxed);
-                    if let Some(pause) = retry_backoff(seed, attempt, deadline) {
-                        self.state.retries.fetch_add(1, Ordering::Relaxed);
-                        std::thread::sleep(pause);
-                        attempt += 1;
-                        continue;
-                    }
-                    self.state.retry_gave_up.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            self.state.rejected.fetch_add(1, Ordering::Relaxed);
-            return Err(ServiceError::Overloaded);
+            envelope = match self.sender.try_send(envelope) {
+                Ok(()) => return Self::receive(&responses, deadline),
+                Err(mpsc::TrySendError::Full(back)) => back,
+                Err(mpsc::TrySendError::Disconnected(_)) => return Err(ServiceError::Disconnected),
+            };
+            let seed =
+                (u64::from(self.tenant.0) << 32) ^ self.state.retries.load(Ordering::Relaxed);
+            let Some(pause) = retry_backoff(seed, attempt, deadline) else {
+                self.state.retry_gave_up.fetch_add(1, Ordering::Relaxed);
+                self.state.rejected.fetch_add(1, Ordering::Relaxed);
+                return Err(ServiceError::Overloaded);
+            };
+            self.state.retries.fetch_add(1, Ordering::Relaxed);
+            std::thread::sleep(pause);
+            attempt += 1;
         }
     }
 
@@ -1583,50 +1497,19 @@ mod tests {
         assert!(edges.contains(&("x".into(), "p".into(), "y".into())));
     }
 
-    /// A hand-wired one-queue client whose queue nothing drains: the test
-    /// holds the receiving end, so fullness is deterministic.
+    /// A hand-wired client whose queue nothing drains: the test holds the
+    /// receiving end, so fullness is deterministic.
     fn one_queue_client(
         service: &ContainmentService,
         capacity: usize,
     ) -> (PoolClient, mpsc::Receiver<ServiceEnvelope>) {
         let (sender, requests) = mpsc::sync_channel(capacity);
         let client = PoolClient {
-            senders: Arc::new(vec![sender]),
-            cursor: Arc::new(AtomicUsize::new(0)),
+            sender,
             tenant: TenantId::DEFAULT,
             state: Arc::clone(&service.state),
         };
         (client, requests)
-    }
-
-    #[test]
-    fn full_queue_rejects_with_overloaded() {
-        let service = ContainmentService::new();
-        // Capacity-1 queue with no server draining it: the first request
-        // parks in the queue, the second must be rejected, not queued.
-        let (client, _requests) = one_queue_client(&service, 1);
-        let fire = || {
-            let (reply, _responses) = mpsc::channel();
-            ServiceEnvelope {
-                tenant: TenantId::DEFAULT,
-                request: ServiceRequest::Stats,
-                reply,
-                deadline: None,
-            }
-        };
-        // Fill the queue directly (client.call would block on recv).
-        client.senders[0].try_send(fire()).unwrap();
-        match client.call(ServiceRequest::Stats) {
-            Err(ServiceError::Overloaded) => {}
-            other => panic!("expected Overloaded, got {other:?}"),
-        }
-        assert_eq!(service.stats().rejected, 1, "rejections are counted");
-        // Dropping the receiver turns sends into Disconnected, not hangs.
-        drop(_requests);
-        match client.call(ServiceRequest::Stats) {
-            Err(ServiceError::Disconnected) => {}
-            other => panic!("expected Disconnected, got {other:?}"),
-        }
     }
 
     #[test]
@@ -1669,70 +1552,6 @@ mod tests {
         assert!(service.stats().latency.count() >= 12);
         // All clients hung up at scope end; join drains the workers.
         pool.join();
-    }
-
-    #[test]
-    fn pool_client_rotates_past_full_queues_and_rejects_only_when_all_full() {
-        let service = ContainmentService::new();
-        // A hand-wired two-worker pool client whose queues (capacity 1) we
-        // hold the receiving ends of, so fullness is deterministic.
-        let (sender_a, receiver_a) = mpsc::sync_channel(1);
-        let (sender_b, receiver_b) = mpsc::sync_channel(1);
-        let client = PoolClient {
-            senders: Arc::new(vec![sender_a, sender_b]),
-            cursor: Arc::new(AtomicUsize::new(0)),
-            tenant: TenantId::DEFAULT,
-            state: Arc::clone(&service.state),
-        };
-        let fire = || {
-            let (reply, _responses) = mpsc::channel();
-            ServiceEnvelope {
-                tenant: TenantId::DEFAULT,
-                request: ServiceRequest::Stats,
-                reply,
-                deadline: None,
-            }
-        };
-        // Fill queue A. The client's round-robin pick (cursor 0) is full,
-        // so the request must rotate onto B — serve that one envelope.
-        client.senders[0].try_send(fire()).unwrap();
-        std::thread::scope(|scope| {
-            let server = {
-                let service = service.clone();
-                scope.spawn(move || {
-                    let envelope = receiver_b.recv().unwrap();
-                    let response = service.handle(envelope.tenant, envelope.request);
-                    envelope.reply.send(response).unwrap();
-                    receiver_b // keep B's queue alive past this one answer
-                })
-            };
-            match client.call(ServiceRequest::Stats) {
-                Ok(ServiceResponse::Stats(_)) => {}
-                other => panic!("expected Stats via worker B, got {other:?}"),
-            }
-            let receiver_b = server.join().unwrap();
-            // Now fill B as well: with every queue full the client rejects
-            // fast, and the rejection is counted once.
-            client.senders[1].try_send(fire()).unwrap();
-            match client.call(ServiceRequest::Stats) {
-                Err(ServiceError::Overloaded) => {}
-                other => panic!("expected Overloaded, got {other:?}"),
-            }
-            assert_eq!(service.stats().rejected, 1, "one rejection counted");
-            // Workers gone (receivers dropped): Disconnected, not Overloaded,
-            // and no extra rejection tick.
-            drop(receiver_a);
-            drop(receiver_b);
-            match client.call(ServiceRequest::Stats) {
-                Err(ServiceError::Disconnected) => {}
-                other => panic!("expected Disconnected, got {other:?}"),
-            }
-            assert_eq!(
-                service.stats().rejected,
-                1,
-                "disconnects are not rejections"
-            );
-        });
     }
 
     /// The Figure-1 anchor pair: no embedding, no counter-example — the
@@ -1788,7 +1607,7 @@ mod tests {
         let service = ContainmentService::new();
         // Capacity-1 queue, nothing draining it: every retry finds it still
         // full and the loop gives up with a typed rejection.
-        let (client, _requests) = one_queue_client(&service, 1);
+        let (client, requests) = one_queue_client(&service, 1);
         let fire = || {
             let (reply, _responses) = mpsc::channel();
             ServiceEnvelope {
@@ -1798,7 +1617,7 @@ mod tests {
                 deadline: None,
             }
         };
-        client.senders[0].try_send(fire()).unwrap();
+        client.sender.try_send(fire()).unwrap();
         match client.call_timeout(ServiceRequest::Stats, Duration::from_millis(250)) {
             Err(ServiceError::Overloaded) => {}
             other => panic!("expected Overloaded, got {other:?}"),
@@ -1811,6 +1630,18 @@ mod tests {
         );
         assert_eq!(stats.retry_gave_up, 1);
         assert_eq!(stats.rejected, 1);
+        // Workers gone (receiver dropped): Disconnected at once, not
+        // Overloaded, and no extra rejection tick.
+        drop(requests);
+        match client.call_timeout(ServiceRequest::Stats, Duration::from_millis(250)) {
+            Err(ServiceError::Disconnected) => {}
+            other => panic!("expected Disconnected, got {other:?}"),
+        }
+        assert_eq!(
+            service.stats().rejected,
+            1,
+            "disconnects are not rejections"
+        );
         // A free slot but still no server: the bounded reply wait expires
         // typed instead of parking forever.
         let (client, _requests) = one_queue_client(&service, 4);
@@ -2126,7 +1957,7 @@ mod tests {
         static GATE: Mutex<()> = Mutex::new(());
 
         #[test]
-        fn panicking_worker_answers_internal_and_is_respawned() {
+        fn panicking_worker_answers_internal_and_keeps_serving() {
             let _gate = GATE.lock().unwrap_or_else(PoisonError::into_inner);
             let service = ContainmentService::new();
             let pool = service.pool(1, 4);
@@ -2137,7 +1968,7 @@ mod tests {
                 other => panic!("expected Internal, got {other:?}"),
             }
             faults::clear();
-            // The respawned incarnation keeps draining the same queue.
+            // The same worker goes on draining the queue.
             match client.call_blocking(ServiceRequest::Stats) {
                 Ok(ServiceResponse::Stats(stats)) => {
                     assert_eq!(stats.worker_restarts, 1);
@@ -2173,6 +2004,39 @@ mod tests {
                 Ok(ServiceResponse::Stats(stats)) => assert_eq!(stats.worker_restarts, 1),
                 other => panic!("expected Stats, got {other:?}"),
             }
+            drop(client);
+            pool.join();
+        }
+
+        #[test]
+        fn an_idle_worker_takes_requests_queued_behind_a_stalled_one() {
+            let _gate = GATE.lock().unwrap_or_else(PoisonError::into_inner);
+            let service = ContainmentService::new();
+            let pool = service.pool(2, 4);
+            let client = pool.client(TenantId::DEFAULT);
+            faults::install(FaultPlan::new().inject(
+                site::WORKER_DISPATCH,
+                0,
+                FaultAction::Delay(Duration::from_secs(2)),
+            ));
+            std::thread::scope(|scope| {
+                let stalled = scope.spawn(|| client.call_blocking(ServiceRequest::Stats));
+                // One worker now holds the stalled request.
+                while faults::hits(site::WORKER_DISPATCH) == 0 {
+                    std::thread::yield_now();
+                }
+                for call in 0..4 {
+                    match client.call_timeout(ServiceRequest::Stats, Duration::from_secs(1)) {
+                        Ok(ServiceResponse::Stats(_)) => {}
+                        other => panic!("call {call} waited on the stalled worker: {other:?}"),
+                    }
+                }
+                match stalled.join().expect("the stalled caller returns") {
+                    Ok(ServiceResponse::Stats(_)) => {}
+                    other => panic!("expected Stats, got {other:?}"),
+                }
+            });
+            faults::clear();
             drop(client);
             pool.join();
         }
