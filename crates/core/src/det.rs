@@ -162,12 +162,12 @@ pub fn characterizing_graph(h: &Schema) -> Result<Graph, NotDetShex0Minus> {
             }
         }
         for key in &keys {
-            let suffix = match key.variant {
-                None => format!("full{}", key.copy),
-                Some(q) => format!("omit{q}"),
+            let name = h.type_name(t);
+            let id = match key.variant {
+                None => graph.add_named_node(format_args!("{name}@full{}", key.copy)),
+                Some(q) => graph.add_named_node(format_args!("{name}@omit{q}")),
             };
-            let name = format!("{}@{}", h.type_name(t), suffix);
-            ids.insert(*key, graph.add_named_node(name));
+            ids.insert(*key, id);
         }
         keys_per_type.insert(t, keys);
     }

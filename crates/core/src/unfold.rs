@@ -39,7 +39,7 @@ use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
-use shapex_graph::{Graph, GraphBuilder, Label};
+use shapex_graph::{Graph, Label};
 use shapex_presburger::CancelToken;
 use shapex_rbe::{Bag, Interval, Rbe};
 use shapex_shex::typing::{neighbourhood_satisfies_with, validates, EdgeSummary, SolverTelemetry};
@@ -314,12 +314,13 @@ impl TreeArena {
 
     /// Materialise the tree as a simple graph rooted at a node of its type
     /// (node names are `Type_counter` in preorder, the historical layout the
-    /// oracle suites compare witnesses by).
-    pub fn to_graph(&self, tree: Tree, schema: &Schema, builder: &mut GraphBuilder) -> Graph {
+    /// oracle suites compare witnesses by), each name rendered straight into
+    /// the graph's name arena.
+    pub fn to_graph(&self, tree: Tree, schema: &Schema) -> Graph {
         let size = self.size(tree);
-        let mut graph = builder.start(size, size.saturating_sub(1));
+        let mut graph = Graph::with_capacity(size, size.saturating_sub(1));
         let mut counter = 0usize;
-        self.add_to(tree, &mut graph, schema, &mut counter, builder);
+        self.add_to(tree, &mut graph, schema, &mut counter);
         graph
     }
 
@@ -329,17 +330,17 @@ impl TreeArena {
         graph: &mut Graph,
         schema: &Schema,
         counter: &mut usize,
-        builder: &mut GraphBuilder,
     ) -> shapex_graph::NodeId {
-        let id = builder.named_node(
-            graph,
-            format_args!("{}_{}", schema.type_name(self.type_of(tree)), *counter),
-        );
+        let id = graph.add_named_node(format_args!(
+            "{}_{}",
+            schema.type_name(self.type_of(tree)),
+            *counter
+        ));
         *counter += 1;
         let node = self.nodes[tree.index()];
         for child_slot in node.child_start..node.child_end {
             let (label, child) = self.children[child_slot as usize].clone();
-            let child_id = self.add_to(child, graph, schema, counter, builder);
+            let child_id = self.add_to(child, graph, schema, counter);
             graph.add_edge(id, label, child_id);
         }
         id
@@ -365,7 +366,6 @@ pub struct Unfolder {
     graphs: Vec<Option<Arc<Graph>>>,
     /// How many of `graphs` are built.
     built: usize,
-    builder: GraphBuilder,
     /// Where the acceptance checks' solver calls are counted (`None` drops
     /// the counts).
     telemetry: Option<Arc<SolverTelemetry>>,
@@ -544,7 +544,7 @@ impl Unfolder {
         if let Some(graph) = &self.graphs[tree.index()] {
             return graph.clone();
         }
-        let graph = Arc::new(self.arena.to_graph(tree, schema, &mut self.builder));
+        let graph = Arc::new(self.arena.to_graph(tree, schema));
         self.graphs[tree.index()] = Some(graph.clone());
         self.built += 1;
         graph

@@ -24,8 +24,8 @@ pub mod ntriples;
 pub mod text;
 
 pub use model::{
-    DeltaReport, EdgeId, Graph, GraphBuilder, GraphDelta, GraphKind, Label, LabelId, LabelTable,
-    NodeId, UnpackError,
+    DeltaReport, EdgeId, Graph, GraphDelta, GraphKind, Label, LabelId, LabelTable, NodeId,
+    UnpackError,
 };
 pub use ntriples::{NTriplesError, NTriplesParser, Triple};
 pub use text::{parse_graph, write_graph};

@@ -1,8 +1,10 @@
 //! The graph data structure and its subclasses.
 
 use std::borrow::Borrow;
+use std::collections::hash_map::RandomState;
 use std::collections::{BTreeMap, BTreeSet};
-use std::fmt;
+use std::fmt::{self, Write as _};
+use std::hash::BuildHasher;
 use std::sync::Arc;
 
 use shapex_rbe::{Bag, Interval};
@@ -49,6 +51,12 @@ impl From<String> for Label {
 impl fmt::Display for Label {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}", self.0)
+    }
+}
+
+impl AsRef<str> for Label {
+    fn as_ref(&self) -> &str {
+        &self.0
     }
 }
 
@@ -162,12 +170,252 @@ impl EdgeId {
     }
 }
 
-#[derive(Debug, Clone)]
+/// An edge. The interval is a code into the graph's interval table, so an
+/// edge is 16 bytes.
+#[derive(Debug, Clone, Copy)]
 struct EdgeData {
     source: NodeId,
     target: NodeId,
     label: LabelId,
-    occur: Interval,
+    /// The interval's position in the graph's `intervals` table, where
+    /// `1` is code 0.
+    occur: u32,
+}
+
+/// One node's out- or in-edge ids, in insertion order: `len` ids in use of
+/// the `cap` slots reserved from `start` in the graph's edge-list arena.
+#[derive(Debug, Clone, Copy, Default)]
+struct EdgeList {
+    start: u32,
+    len: u32,
+    cap: u32,
+}
+
+/// A node: where its name ends in the name arena (it starts where the
+/// previous node's ends), and its out- and in-edge lists.
+#[derive(Debug, Clone, Copy, Default)]
+struct NodeData {
+    name_end: u32,
+    out: EdgeList,
+    ins: EdgeList,
+}
+
+// The layout `Graph::approx_heap_bytes` counts: an edge is 16 bytes, and a
+// node's name offset and two list windows take 28, less than the two `Vec`
+// headers a node's lists would take.
+const _: () = assert!(std::mem::size_of::<EdgeData>() == 16);
+const _: () = assert!(std::mem::size_of::<NodeData>() == 28);
+
+impl EdgeList {
+    #[inline]
+    fn get<'a>(&self, lists: &'a [EdgeId]) -> &'a [EdgeId] {
+        let start = self.start as usize;
+        &lists[start..start + self.len as usize]
+    }
+
+    fn get_mut<'a>(&self, lists: &'a mut [EdgeId]) -> &'a mut [EdgeId] {
+        let start = self.start as usize;
+        &mut lists[start..start + self.len as usize]
+    }
+
+    /// Append `id`. A full list doubles its room: in place when it ends the
+    /// arena, otherwise by moving to the arena's end, leaving its old
+    /// window unused.
+    ///
+    /// # Panics
+    /// Panics, with the list unchanged, if the arena would outgrow its
+    /// `u32` offsets.
+    fn push(&mut self, id: EdgeId, lists: &mut Vec<EdgeId>) {
+        let len = self.len as usize;
+        if self.len == self.cap {
+            let mut start = self.start as usize;
+            if start + len != lists.len() {
+                lists.extend_from_within(start..start + len);
+                start = lists.len() - len;
+            }
+            let cap = (2 * len).max(1);
+            assert!(
+                start + cap <= u32::MAX as usize,
+                "edge lists exceed the graph's 2^32-slot arena"
+            );
+            lists.resize(start + cap, EdgeId(0));
+            self.start = start as u32;
+            self.cap = cap as u32;
+        }
+        lists[self.start as usize + len] = id;
+        self.len += 1;
+    }
+
+    /// Remove `id`, keeping the order of the others.
+    fn remove(&mut self, id: EdgeId, lists: &mut [EdgeId]) {
+        let list = self.get_mut(lists);
+        if let Some(at) = list.iter().position(|&e| e == id) {
+            list.copy_within(at + 1.., at);
+            self.len -= 1;
+        }
+    }
+}
+
+/// The graph's nodes: their names back to back in one string, and one
+/// record per node, both in id order.
+#[derive(Debug, Clone, Default)]
+struct Nodes {
+    /// The names. Bytes past the last node's `name_end` are a *pending*
+    /// name, written before the index is asked whether it is new.
+    names: String,
+    data: Vec<NodeData>,
+}
+
+impl Nodes {
+    fn len(&self) -> usize {
+        self.data.len()
+    }
+
+    /// Where the pending name starts.
+    fn committed(&self) -> usize {
+        self.data.last().map_or(0, |node| node.name_end as usize)
+    }
+
+    #[inline]
+    fn name(&self, node: usize) -> &str {
+        let start = match node {
+            0 => 0,
+            _ => self.data[node - 1].name_end as usize,
+        };
+        &self.names[start..self.data[node].name_end as usize]
+    }
+
+    fn pending(&self) -> &str {
+        &self.names[self.committed()..]
+    }
+
+    fn discard_pending(&mut self) {
+        let end = self.committed();
+        self.names.truncate(end);
+    }
+
+    /// Make the pending name a new node's.
+    ///
+    /// # Panics
+    /// Panics, with the pending name discarded, if the arena would outgrow
+    /// its `u32` offsets.
+    fn commit(&mut self) -> NodeId {
+        let Ok(name_end) = u32::try_from(self.names.len()) else {
+            self.discard_pending();
+            panic!("node names exceed the graph's 4 GiB name arena");
+        };
+        let id = NodeId(self.data.len() as u32);
+        self.data.push(NodeData {
+            name_end,
+            ..NodeData::default()
+        });
+        id
+    }
+}
+
+/// A free slot of a [`NameIndex`].
+const FREE: u32 = u32::MAX;
+
+/// An open-addressing hash index from node names to node ids. A slot holds
+/// a node id or `FREE`; a name's probe starts at its hash under the graph's
+/// own random key (tenants choose node names, so the hash is keyed) and
+/// walks forward, comparing candidates against the name arena, so no name
+/// is stored twice. The table is a power of two long and at most half
+/// full. Nothing iterates it, so no order depends on the key.
+#[derive(Debug, Clone, Default)]
+struct NameIndex {
+    slots: Vec<u32>,
+    hasher: RandomState,
+}
+
+impl NameIndex {
+    /// The node named `name`, or the free slot where it belongs. The table
+    /// must not be empty.
+    fn probe(&self, nodes: &Nodes, name: &str) -> Result<NodeId, usize> {
+        let mask = self.slots.len() - 1;
+        let mut slot = self.hasher.hash_one(name) as usize & mask;
+        loop {
+            match self.slots[slot] {
+                FREE => return Err(slot),
+                id if nodes.name(id as usize) == name => return Ok(NodeId(id)),
+                _ => slot = (slot + 1) & mask,
+            }
+        }
+    }
+
+    fn find(&self, nodes: &Nodes, name: &str) -> Option<NodeId> {
+        if self.slots.is_empty() {
+            return None;
+        }
+        self.probe(nodes, name).ok()
+    }
+
+    /// Room for `count` names at most half full: grow the table to the
+    /// next fitting power of two (a doubling, one node at a time; 16 slots
+    /// at least) and place every node's name again.
+    fn reserve(&mut self, nodes: &Nodes, count: usize) {
+        if 2 * count <= self.slots.len() {
+            return;
+        }
+        self.slots = vec![FREE; (2 * count).next_power_of_two().max(16)];
+        for node in 0..nodes.len() {
+            if let Err(slot) = self.probe(nodes, nodes.name(node)) {
+                self.slots[slot] = node as u32;
+            }
+        }
+    }
+}
+
+/// Interned labels with dense ids in order of first use: the label table of
+/// a [`Graph`] and of a [`GraphDelta`]. Each distinct label is held once,
+/// by the allocation of its first occurrence.
+#[derive(Debug, Clone, Default)]
+struct Labels {
+    names: Vec<Label>,
+    ids: BTreeMap<Label, LabelId>,
+}
+
+impl Labels {
+    fn len(&self) -> usize {
+        self.names.len()
+    }
+
+    fn get(&self, id: LabelId) -> &Label {
+        &self.names[id.index()]
+    }
+
+    fn find(&self, name: &str) -> Option<LabelId> {
+        self.ids.get(name).copied()
+    }
+
+    /// The id of a label, added if new. Taking the label by value lets a
+    /// caller holding only its text look it up before allocating one.
+    fn intern(&mut self, name: impl AsRef<str> + Into<Label>) -> LabelId {
+        if let Some(id) = self.find(name.as_ref()) {
+            return id;
+        }
+        let label = name.into();
+        let id = LabelId(self.names.len() as u32);
+        self.ids.insert(label.clone(), id);
+        self.names.push(label);
+        id
+    }
+
+    /// The labels in sorted order.
+    fn sorted(&self) -> Vec<Label> {
+        self.ids.keys().cloned().collect()
+    }
+
+    /// The table's heap bytes, at a flat per-entry estimate for the
+    /// B-tree's nodes. A label counts as its `Arc` handle: the string
+    /// belongs to whichever table interned it.
+    fn approx_heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        // Amortised B-tree node overhead per map entry (key/value inline).
+        const MAP_ENTRY: usize = 32;
+        self.ids.len() * (size_of::<Label>() + size_of::<LabelId>() + MAP_ENTRY)
+            + self.names.capacity() * size_of::<Label>()
+    }
 }
 
 /// Classification of a graph into the paper's subclasses.
@@ -217,59 +465,73 @@ impl std::error::Error for UnpackError {}
 /// A directed multigraph with labelled edges carrying occurrence intervals
 /// (Definition 2.1 of the paper).
 ///
-/// Each fact is stored once. Labels are interned on construction: an edge
-/// carries only a dense [`LabelId`] into the graph's label table, which
-/// holds each distinct [`Label`] once. A node name is one allocation,
-/// shared by the id-ordered name table and the name index. Forward and
-/// reverse adjacency lists are kept in step by every mutation.
+/// Each fact is stored once, and a node allocates nothing of its own:
+/// - node names sit back to back in one string arena, found through an
+///   open-addressing index of node ids probed with a keyed hash;
+/// - an edge is 16 bytes: its two endpoints, a dense [`LabelId`] into the
+///   graph's label table, which holds each distinct [`Label`] once, and a
+///   code into the graph's small table of distinct intervals;
+/// - a node's out- and in-edge lists are windows of one shared arena of
+///   edge ids; a full list doubles its window at the arena's end.
+///
+/// Forward and reverse adjacency are kept in step by every mutation, each
+/// list in insertion order.
 #[derive(Debug, Clone, Default)]
 pub struct Graph {
-    /// Node names in id order; each shares its allocation with its
-    /// `by_name` key.
-    names: Vec<Arc<str>>,
+    nodes: Nodes,
+    index: NameIndex,
     edges: Vec<EdgeData>,
-    out: Vec<Vec<EdgeId>>,
-    ins: Vec<Vec<EdgeId>>,
-    by_name: BTreeMap<Arc<str>, NodeId>,
-    label_ids: BTreeMap<Label, LabelId>,
-    label_names: Vec<Label>,
+    /// The distinct intervals edges carry: `1` first, once there is an
+    /// edge, then the others in order of first use.
+    intervals: Vec<Interval>,
+    /// Every node's out- and in-edge lists, each a window of it.
+    lists: Vec<EdgeId>,
+    labels: Labels,
 }
 
 impl Graph {
-    /// An empty graph.
+    /// An empty graph. It allocates nothing before its first node.
     pub fn new() -> Graph {
         Graph::default()
     }
 
-    /// An empty graph whose node and edge arenas are allocated up front.
+    /// An empty graph whose node and edge arenas (the name index and room
+    /// for every edge in two lists included, but not the name text) are
+    /// allocated up front.
     ///
     /// Bulk constructions that know their final size (the candidate unfolder
     /// in `shapex-core` builds one graph per deduplicated tree, with the node
     /// count known from the tree's cached size) pay one exact allocation per
     /// arena instead of a geometric growth sequence.
     pub fn with_capacity(nodes: usize, edges: usize) -> Graph {
-        Graph {
-            names: Vec::with_capacity(nodes),
+        let mut graph = Graph {
+            nodes: Nodes {
+                names: String::new(),
+                data: Vec::with_capacity(nodes),
+            },
             edges: Vec::with_capacity(edges),
-            out: Vec::with_capacity(nodes),
-            ins: Vec::with_capacity(nodes),
+            lists: Vec::with_capacity(2 * edges),
             ..Graph::default()
-        }
+        };
+        graph.index.reserve(&graph.nodes, nodes);
+        graph
     }
 
     /// Number of nodes.
+    #[inline]
     pub fn node_count(&self) -> usize {
-        self.names.len()
+        self.nodes.len()
     }
 
     /// Number of edges.
+    #[inline]
     pub fn edge_count(&self) -> usize {
         self.edges.len()
     }
 
     /// Iterate over all node identifiers.
     pub fn nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
-        (0..self.names.len() as u32).map(NodeId)
+        (0..self.nodes.len() as u32).map(NodeId)
     }
 
     /// Iterate over all edge identifiers.
@@ -277,50 +539,73 @@ impl Graph {
         (0..self.edges.len() as u32).map(EdgeId)
     }
 
-    /// Add a node with a fresh automatically generated name.
+    /// Add a node with a fresh automatically generated name: `n{k}` for the
+    /// graph's `k`-th node, or, when a named node already took `n{k}`, the
+    /// first free `n{k}_{i}`.
     pub fn add_node(&mut self) -> NodeId {
-        let name = format!("n{}", self.names.len());
-        self.add_named_node(name)
+        let k = self.node_count();
+        let _ = write!(self.nodes.names, "n{k}");
+        let mut i = 0usize;
+        loop {
+            match self.commit_name() {
+                Ok(id) => return id,
+                Err(_) => {
+                    let _ = write!(self.nodes.names, "n{k}_{i}");
+                    i += 1;
+                }
+            }
+        }
     }
 
-    /// Add a node with an explicit name.
+    /// Add a node with an explicit name, rendered straight into the graph's
+    /// name arena (pass `format_args!(..)` to build a name without a
+    /// `String`).
     ///
     /// # Panics
     /// Panics if a node with the same name already exists.
-    pub fn add_named_node(&mut self, name: impl Into<String>) -> NodeId {
-        self.insert_node(Arc::from(name.into()))
+    pub fn add_named_node(&mut self, name: impl fmt::Display) -> NodeId {
+        let _ = write!(self.nodes.names, "{name}");
+        match self.commit_name() {
+            Ok(id) => id,
+            Err(_) => panic!("node `{name}` already exists"),
+        }
     }
 
-    /// Add a node under `name`, the one allocation of its name.
-    fn insert_node(&mut self, name: Arc<str>) -> NodeId {
-        assert!(
-            !self.by_name.contains_key(&name),
-            "node `{name}` already exists"
-        );
-        let id = NodeId(self.names.len() as u32);
-        self.by_name.insert(Arc::clone(&name), id);
-        self.names.push(name);
-        self.out.push(Vec::new());
-        self.ins.push(Vec::new());
-        id
+    /// Give the name pending at the end of the arena to a new node, or, if a
+    /// node already has that name, discard the pending copy and return that
+    /// node as the error.
+    fn commit_name(&mut self) -> Result<NodeId, NodeId> {
+        self.index.reserve(&self.nodes, self.nodes.len() + 1);
+        match self.index.probe(&self.nodes, self.nodes.pending()) {
+            Ok(existing) => {
+                self.nodes.discard_pending();
+                Err(existing)
+            }
+            Err(slot) => {
+                let id = self.nodes.commit();
+                self.index.slots[slot] = id.0;
+                Ok(id)
+            }
+        }
     }
 
     /// Look up a node by name, creating it if missing.
     pub fn node(&mut self, name: &str) -> NodeId {
-        match self.by_name.get(name) {
-            Some(id) => *id,
-            None => self.insert_node(Arc::from(name)),
+        self.nodes.names.push_str(name);
+        match self.commit_name() {
+            Ok(id) | Err(id) => id,
         }
     }
 
     /// Look up an existing node by name.
     pub fn find_node(&self, name: &str) -> Option<NodeId> {
-        self.by_name.get(name).copied()
+        self.index.find(&self.nodes, name)
     }
 
     /// The display name of a node.
+    #[inline]
     pub fn node_name(&self, node: NodeId) -> &str {
-        &self.names[node.index()]
+        self.nodes.name(node.index())
     }
 
     /// Add an edge with an explicit occurrence interval. The label is
@@ -330,21 +615,16 @@ impl Graph {
     pub fn add_edge_with(
         &mut self,
         source: NodeId,
-        label: impl Into<Label>,
+        label: impl Into<Label> + AsRef<str>,
         occur: Interval,
         target: NodeId,
     ) -> EdgeId {
-        let label = self.intern_label(&label.into());
+        let label = self.labels.intern(label);
+        let occur = self.interval_code(occur);
         self.push_edge(source, label, occur, target)
     }
 
-    fn push_edge(
-        &mut self,
-        source: NodeId,
-        label: LabelId,
-        occur: Interval,
-        target: NodeId,
-    ) -> EdgeId {
+    fn push_edge(&mut self, source: NodeId, label: LabelId, occur: u32, target: NodeId) -> EdgeId {
         let id = EdgeId(self.edges.len() as u32);
         self.edges.push(EdgeData {
             source,
@@ -352,27 +632,59 @@ impl Graph {
             label,
             occur,
         });
-        self.out[source.index()].push(id);
-        self.ins[target.index()].push(id);
+        self.nodes.data[source.index()]
+            .out
+            .push(id, &mut self.lists);
+        self.nodes.data[target.index()]
+            .ins
+            .push(id, &mut self.lists);
         id
+    }
+
+    /// The code an edge stores for `occur`: its position in the interval
+    /// table, which starts with `1` (code 0) and takes every other interval
+    /// on first use.
+    fn interval_code(&mut self, occur: Interval) -> u32 {
+        if self.intervals.is_empty() {
+            self.intervals.push(Interval::ONE);
+        }
+        match self.intervals.iter().position(|&i| i == occur) {
+            Some(at) => at as u32,
+            None => {
+                self.intervals.push(occur);
+                (self.intervals.len() - 1) as u32
+            }
+        }
+    }
+
+    /// One load, no branch: a shape graph mixes intervals edge by edge, so
+    /// a branch on the code mispredicts in the typing kernels' edge loops.
+    #[inline]
+    fn interval(&self, code: u32) -> Interval {
+        self.intervals[code as usize]
     }
 
     /// Remove an edge. The edge arena stays dense: the *last* edge is swapped
     /// into the freed slot, so that edge's id is remapped to `edge` while all
     /// other edge ids stay valid. Forward and reverse adjacency are repaired
-    /// in place. Returns the removed edge's `(source, target)`.
+    /// in place, keeping their order. Returns the removed edge's
+    /// `(source, target)`.
     pub fn remove_edge(&mut self, edge: EdgeId) -> (NodeId, NodeId) {
         let EdgeData { source, target, .. } = self.edges.swap_remove(edge.index());
-        self.out[source.index()].retain(|&e| e != edge);
-        self.ins[target.index()].retain(|&e| e != edge);
+        let data = &mut self.nodes.data;
+        data[source.index()].out.remove(edge, &mut self.lists);
+        data[target.index()].ins.remove(edge, &mut self.lists);
         if let Some(moved) = self.edges.get(edge.index()) {
             let last = EdgeId(self.edges.len() as u32);
-            let out = self.out[moved.source.index()].iter_mut();
-            for slot in out.chain(self.ins[moved.target.index()].iter_mut()) {
-                if *slot == last {
-                    *slot = edge;
+            let rename = |list: &EdgeList, lists: &mut [EdgeId]| {
+                for slot in list.get_mut(lists) {
+                    if *slot == last {
+                        *slot = edge;
+                    }
                 }
-            }
+            };
+            rename(&data[moved.source.index()].out, &mut self.lists);
+            rename(&data[moved.target.index()].ins, &mut self.lists);
         }
         (source, target)
     }
@@ -382,34 +694,52 @@ impl Graph {
     /// node whose outbound neighbourhood changed (sources of added and
     /// removed edges) plus every newly created node. The dirty set is what
     /// an incremental validator must re-examine; it is collected as the
-    /// operations apply, then sorted and deduplicated once.
+    /// operations apply, then sorted and deduplicated once. Each of the
+    /// delta's labels is mapped to the graph's label id once, on first use.
+    ///
+    /// # Panics
+    /// Panics before changing anything if the delta's names could outgrow
+    /// the graph's name arena (4 GiB of name bytes).
     pub fn apply_delta(&mut self, delta: &GraphDelta) -> DeltaReport {
+        assert!(
+            self.nodes.names.len() + delta.terms.len() <= u32::MAX as usize,
+            "the delta's names could exceed the graph's 4 GiB name arena"
+        );
         let mut report = DeltaReport::default();
-        for op in &delta.ops {
+        // The graph's id of each delta label: interned by an addition,
+        // looked up (and not interned) by a removal.
+        let mut labels: Vec<Option<LabelId>> = vec![None; delta.labels.len()];
+        for (op, source, target) in delta.ops() {
+            let label = &mut labels[op.label.index()];
             if op.add {
-                let source = self.delta_node(&op.source, &mut report);
-                let target = self.delta_node(&op.target, &mut report);
-                let label = self.intern_label(&op.label);
-                self.push_edge(source, label, Interval::ONE, target);
+                let source = self.delta_node(source, &mut report);
+                let target = self.delta_node(target, &mut report);
+                let label = *label
+                    .get_or_insert_with(|| self.labels.intern(delta.labels.get(op.label).clone()));
+                let one = self.interval_code(Interval::ONE);
+                self.push_edge(source, label, one, target);
                 report.added_edges += 1;
                 report.dirty.push(source);
-            } else {
-                let found = self.find_node(&op.source).and_then(|s| {
-                    let t = self.find_node(&op.target)?;
-                    let label = self.find_label(op.label.as_str())?;
-                    self.out[s.index()].iter().copied().find(|&e| {
-                        let data = &self.edges[e.index()];
-                        data.label == label && data.target == t
-                    })
-                });
-                match found {
-                    Some(edge) => {
-                        let (source, _) = self.remove_edge(edge);
-                        report.removed_edges += 1;
-                        report.dirty.push(source);
-                    }
-                    None => report.missing_removals += 1,
+                continue;
+            }
+            if label.is_none() {
+                *label = self.labels.find(delta.labels.get(op.label).as_str());
+            }
+            let found = label.and_then(|label| {
+                let s = self.find_node(source)?;
+                let t = self.find_node(target)?;
+                self.out(s).iter().copied().find(|&e| {
+                    let data = &self.edges[e.index()];
+                    data.label == label && data.target == t
+                })
+            });
+            match found {
+                Some(edge) => {
+                    let (source, _) = self.remove_edge(edge);
+                    report.removed_edges += 1;
+                    report.dirty.push(source);
                 }
+                None => report.missing_removals += 1,
             }
         }
         report.dirty.sort_unstable();
@@ -418,28 +748,25 @@ impl Graph {
     }
 
     fn delta_node(&mut self, name: &str, report: &mut DeltaReport) -> NodeId {
-        if let Some(&id) = self.by_name.get(name) {
-            return id;
+        self.nodes.names.push_str(name);
+        match self.commit_name() {
+            Ok(id) => {
+                report.added_nodes += 1;
+                report.dirty.push(id);
+                id
+            }
+            Err(existing) => existing,
         }
-        let id = self.insert_node(Arc::from(name));
-        report.added_nodes += 1;
-        report.dirty.push(id);
-        id
-    }
-
-    fn intern_label(&mut self, label: &Label) -> LabelId {
-        if let Some(&id) = self.label_ids.get(label) {
-            return id;
-        }
-        let id = LabelId(self.label_names.len() as u32);
-        self.label_ids.insert(label.clone(), id);
-        self.label_names.push(label.clone());
-        id
     }
 
     /// Add a plain edge with interval `1` (the only kind allowed in simple
     /// graphs).
-    pub fn add_edge(&mut self, source: NodeId, label: impl Into<Label>, target: NodeId) -> EdgeId {
+    pub fn add_edge(
+        &mut self,
+        source: NodeId,
+        label: impl Into<Label> + AsRef<str>,
+        target: NodeId,
+    ) -> EdgeId {
         self.add_edge_with(source, label, Interval::ONE, target)
     }
 
@@ -448,7 +775,7 @@ impl Graph {
     pub fn edge_by_name(
         &mut self,
         source: &str,
-        label: impl Into<Label>,
+        label: impl Into<Label> + AsRef<str>,
         occur: Interval,
         target: &str,
     ) -> EdgeId {
@@ -458,68 +785,78 @@ impl Graph {
     }
 
     /// The origin node of an edge.
+    #[inline]
     pub fn source(&self, edge: EdgeId) -> NodeId {
         self.edges[edge.index()].source
     }
 
     /// The end point node of an edge.
+    #[inline]
     pub fn target(&self, edge: EdgeId) -> NodeId {
         self.edges[edge.index()].target
     }
 
     /// The predicate label of an edge.
+    #[inline]
     pub fn label(&self, edge: EdgeId) -> &Label {
         self.label_of(self.label_id(edge))
     }
 
     /// The interned label id of an edge.
+    #[inline]
     pub fn label_id(&self, edge: EdgeId) -> LabelId {
         self.edges[edge.index()].label
     }
 
     /// The label behind an interned id.
+    #[inline]
     pub fn label_of(&self, id: LabelId) -> &Label {
-        &self.label_names[id.index()]
+        self.labels.get(id)
     }
 
     /// Look up the interned id of a label by name.
     pub fn find_label(&self, name: &str) -> Option<LabelId> {
-        self.label_ids.get(name).copied()
+        self.labels.find(name)
     }
 
     /// Number of distinct labels used by the graph's edges.
     pub fn label_count(&self) -> usize {
-        self.label_names.len()
+        self.labels.len()
     }
 
     /// Iterate over all interned label ids, in order of first use.
     pub fn label_ids(&self) -> impl Iterator<Item = LabelId> + '_ {
-        (0..self.label_names.len() as u32).map(LabelId)
+        (0..self.labels.len() as u32).map(LabelId)
     }
 
     /// The occurrence interval of an edge.
+    #[inline]
     pub fn occur(&self, edge: EdgeId) -> Interval {
-        self.edges[edge.index()].occur
+        self.interval(self.edges[edge.index()].occur)
     }
 
     /// The outgoing edges of a node (`out_G(n)` in the paper).
+    #[inline]
     pub fn out(&self, node: NodeId) -> &[EdgeId] {
-        &self.out[node.index()]
+        self.nodes.data[node.index()].out.get(&self.lists)
     }
 
     /// The out-degree of a node.
+    #[inline]
     pub fn out_degree(&self, node: NodeId) -> usize {
-        self.out[node.index()].len()
+        self.out(node).len()
     }
 
     /// The incoming edges of a node (reverse adjacency).
+    #[inline]
     pub fn ins(&self, node: NodeId) -> &[EdgeId] {
-        &self.ins[node.index()]
+        self.nodes.data[node.index()].ins.get(&self.lists)
     }
 
     /// The in-degree of a node.
+    #[inline]
     pub fn in_degree(&self, node: NodeId) -> usize {
-        self.ins[node.index()].len()
+        self.ins(node).len()
     }
 
     /// The outbound neighbourhood of a node as a bag over `(label, target)`
@@ -536,62 +873,48 @@ impl Graph {
 
     /// The distinct labels used by the graph, in sorted order.
     pub fn labels(&self) -> Vec<Label> {
-        self.label_ids.keys().cloned().collect()
+        self.labels.sorted()
     }
 
-    /// Approximate heap footprint of the graph in bytes: arena capacities
-    /// times element sizes, each node name once (its bytes plus the `Arc`
-    /// header), and the name/label indexes (at a flat per-entry estimate
-    /// for the tree overhead). Interned [`Label`]s are counted as their
-    /// `Arc` handle only — the string allocation belongs to whichever table
-    /// interned it. This feeds the cache accounting of the containment
-    /// engine; it is a conservative estimate, not allocator truth.
+    /// Approximate heap footprint of the graph in bytes: every arena's
+    /// capacity times its element size (the name text, the node records,
+    /// the name index, the edges, the interval table and the edge-list
+    /// arena, unused windows included), plus the label table at a flat
+    /// per-entry estimate for its B-tree. Interned [`Label`]s are counted as
+    /// their `Arc` handle only: the string belongs to whichever table
+    /// interned it. Allocator overhead is not counted. This feeds the
+    /// containment engine's cache accounting as an estimate, not allocator
+    /// truth.
     pub fn approx_heap_bytes(&self) -> usize {
         use std::mem::size_of;
-        // Amortised B-tree node overhead per map entry (key/value inline).
-        const MAP_ENTRY: usize = 32;
-        // The strong and weak counts in front of every `Arc` allocation.
-        const ARC_HEADER: usize = 2 * size_of::<usize>();
-        let mut bytes = self.names.capacity() * size_of::<Arc<str>>()
+        self.nodes.names.capacity()
+            + self.nodes.data.capacity() * size_of::<NodeData>()
+            + self.index.slots.capacity() * size_of::<u32>()
             + self.edges.capacity() * size_of::<EdgeData>()
-            + self.out.capacity() * size_of::<Vec<EdgeId>>()
-            + self.ins.capacity() * size_of::<Vec<EdgeId>>();
-        bytes += self
-            .out
-            .iter()
-            .chain(self.ins.iter())
-            .map(|v| v.capacity() * size_of::<EdgeId>())
-            .sum::<usize>();
-        bytes += self
-            .names
-            .iter()
-            .map(|name| ARC_HEADER + name.len())
-            .sum::<usize>();
-        bytes += self.by_name.len() * (size_of::<Arc<str>>() + size_of::<NodeId>() + MAP_ENTRY);
-        bytes += self.label_ids.len() * (size_of::<Label>() + size_of::<LabelId>() + MAP_ENTRY);
-        bytes += self.label_names.capacity() * size_of::<Label>();
-        bytes
+            + self.intervals.capacity() * size_of::<Interval>()
+            + self.lists.capacity() * size_of::<EdgeId>()
+            + self.labels.approx_heap_bytes()
     }
 
     /// Whether the graph is a *simple graph* (class `G₀`): every edge has
     /// interval `1` and no two edges share source, label, and target.
     pub fn is_simple(&self) -> bool {
-        if !self.edges.iter().all(|e| e.occur == Interval::ONE) {
-            return false;
-        }
-        self.no_parallel_duplicates()
+        self.edges.iter().all(|e| e.occur == 0) && self.no_parallel_duplicates()
     }
 
     /// Whether the graph is a *shape graph* (class `ShEx₀`): every edge uses a
     /// basic interval.
     pub fn is_shape_graph(&self) -> bool {
-        self.edges.iter().all(|e| e.occur.is_basic())
+        self.edges.iter().all(|e| self.interval(e.occur).is_basic())
     }
 
     /// Whether the graph is a *compressed graph*: every edge uses a singleton
     /// interval `[k;k]` and no two edges share source, label, and target.
     pub fn is_compressed(&self) -> bool {
-        self.edges.iter().all(|e| e.occur.singleton().is_some()) && self.no_parallel_duplicates()
+        self.edges
+            .iter()
+            .all(|e| self.interval(e.occur).singleton().is_some())
+            && self.no_parallel_duplicates()
     }
 
     fn no_parallel_duplicates(&self) -> bool {
@@ -678,7 +1001,7 @@ impl Graph {
         for v in self.nodes() {
             let mut ids = Vec::new();
             for i in 0..copies[v.index()].max(1) {
-                ids.push(out.add_named_node(format!("{}#{}", self.node_name(v), i)));
+                ids.push(out.add_named_node(format_args!("{}#{}", self.node_name(v), i)));
             }
             copy_ids.push(ids);
         }
@@ -705,14 +1028,21 @@ impl Graph {
     }
 }
 
-/// One queued change in a [`GraphDelta`].
-#[derive(Debug, Clone)]
+/// One queued change in a [`GraphDelta`]: 16 bytes, its names kept in the
+/// delta's text.
+#[derive(Debug, Clone, Copy)]
 struct DeltaOp {
+    /// Where the source name ends in the delta's text; it starts where the
+    /// previous operation's target ends.
+    source_end: u32,
+    /// Where the target name ends; it starts at `source_end`.
+    target_end: u32,
+    /// The label's id in the delta's own label table.
+    label: LabelId,
     add: bool,
-    source: String,
-    label: Label,
-    target: String,
 }
+
+const _: () = assert!(std::mem::size_of::<DeltaOp>() == 16);
 
 /// A batch of triple-level changes to apply atomically to a [`Graph`] via
 /// [`Graph::apply_delta`].
@@ -722,13 +1052,20 @@ struct DeltaOp {
 /// graph's ids — missing nodes are created on application. Added edges carry
 /// interval `1` (deltas target simple graphs, the class validation is
 /// defined on); removals match one `(source, label, target)` edge and are
-/// counted as misses when no such edge exists. Labels are interned inside
-/// the delta, so a 100k-triple batch over a small predicate alphabet
-/// allocates each label once.
+/// counted as misses when no such edge exists.
+///
+/// A delta holds no string per operation. Every operation's two names are
+/// appended to one text arena (a parser's borrowed [`Triple`](crate::Triple)
+/// terms are copied there directly), and its label is an id into the
+/// delta's own label table, which allocates each distinct label once, so
+/// an operation is 16 bytes. [`Graph::apply_delta`] maps the delta's labels
+/// to the graph's once per delta.
 #[derive(Debug, Clone, Default)]
 pub struct GraphDelta {
+    /// Every operation's source and target names back to back, in order.
+    terms: String,
     ops: Vec<DeltaOp>,
-    labels: LabelTable,
+    labels: Labels,
 }
 
 impl GraphDelta {
@@ -739,36 +1076,66 @@ impl GraphDelta {
 
     /// Queue the addition of a `source -label-> target` edge with interval
     /// `1`, creating the endpoint nodes if they do not exist yet.
-    pub fn add_edge(&mut self, source: impl Into<String>, label: &str, target: impl Into<String>) {
-        let label = self.labels.intern(label);
-        self.ops.push(DeltaOp {
-            add: true,
-            source: source.into(),
-            label,
-            target: target.into(),
-        });
+    pub fn add_edge(
+        &mut self,
+        source: impl AsRef<str>,
+        label: impl AsRef<str>,
+        target: impl AsRef<str>,
+    ) {
+        self.push(true, source.as_ref(), label.as_ref(), target.as_ref());
     }
 
     /// Queue the removal of one `(source, label, target)` edge.
     pub fn remove_edge(
         &mut self,
-        source: impl Into<String>,
-        label: &str,
-        target: impl Into<String>,
+        source: impl AsRef<str>,
+        label: impl AsRef<str>,
+        target: impl AsRef<str>,
     ) {
-        let label = self.labels.intern(label);
-        self.ops.push(DeltaOp {
-            add: false,
-            source: source.into(),
-            label,
-            target: target.into(),
-        });
+        self.push(false, source.as_ref(), label.as_ref(), target.as_ref());
     }
 
     /// Queue an RDF triple as an edge addition — the glue between the
     /// N-Triples stream and the graph.
-    pub fn add_triple(&mut self, subject: &str, predicate: &str, object: &str) {
+    pub fn add_triple(
+        &mut self,
+        subject: impl AsRef<str>,
+        predicate: impl AsRef<str>,
+        object: impl AsRef<str>,
+    ) {
         self.add_edge(subject, predicate, object);
+    }
+
+    /// # Panics
+    /// Panics, with the delta unchanged, if its text would outgrow its
+    /// `u32` offsets (4 GiB of names).
+    fn push(&mut self, add: bool, source: &str, label: &str, target: &str) {
+        assert!(
+            self.terms.len() + source.len() + target.len() <= u32::MAX as usize,
+            "the delta's names exceed its 4 GiB text arena"
+        );
+        let label = self.labels.intern(label);
+        self.terms.push_str(source);
+        let source_end = self.terms.len() as u32;
+        self.terms.push_str(target);
+        self.ops.push(DeltaOp {
+            source_end,
+            target_end: self.terms.len() as u32,
+            label,
+            add,
+        });
+    }
+
+    /// The queued operations in order, each with its source and target
+    /// names.
+    fn ops(&self) -> impl Iterator<Item = (&DeltaOp, &str, &str)> + '_ {
+        let mut start = 0;
+        self.ops.iter().map(move |op| {
+            let (source_end, target_end) = (op.source_end as usize, op.target_end as usize);
+            let source = &self.terms[start..source_end];
+            start = target_end;
+            (op, source, &self.terms[source_end..target_end])
+        })
     }
 
     /// Number of queued operations.
@@ -781,9 +1148,11 @@ impl GraphDelta {
         self.ops.is_empty()
     }
 
-    /// Drop all queued operations, keeping the label interner warm.
+    /// Drop all queued operations, keeping the label table and the
+    /// allocations warm.
     pub fn clear(&mut self) {
         self.ops.clear();
+        self.terms.clear();
     }
 }
 
@@ -802,44 +1171,6 @@ pub struct DeltaReport {
     pub removed_edges: usize,
     /// Removal requests that matched no edge (applied as no-ops).
     pub missing_removals: usize,
-}
-
-/// A reusable scratch for constructing many graphs in a row.
-///
-/// The builder owns the buffers that are *not* part of the produced graph —
-/// currently the node-name rendering buffer — so a loop that materialises one
-/// graph per candidate (the unfolding search of `shapex-core`) renders every
-/// name into one reused allocation and starts each graph with exact-capacity
-/// arenas via [`GraphBuilder::start`]. The produced [`Graph`] is fully owned
-/// by the caller; the builder can immediately start the next one.
-#[derive(Debug, Default)]
-pub struct GraphBuilder {
-    name: String,
-}
-
-impl GraphBuilder {
-    /// A builder with an empty scratch.
-    pub fn new() -> GraphBuilder {
-        GraphBuilder::default()
-    }
-
-    /// Begin a graph with exact-capacity node and edge arenas.
-    pub fn start(&self, nodes: usize, edges: usize) -> Graph {
-        Graph::with_capacity(nodes, edges)
-    }
-
-    /// Add a named node, rendering the name through the builder's reused
-    /// buffer (the graph stores it as one exactly sized allocation).
-    ///
-    /// # Panics
-    /// Panics if a node with the same name already exists (see
-    /// [`Graph::add_named_node`]).
-    pub fn named_node(&mut self, graph: &mut Graph, name: fmt::Arguments<'_>) -> NodeId {
-        use fmt::Write as _;
-        self.name.clear();
-        let _ = self.name.write_fmt(name);
-        graph.insert_node(Arc::from(self.name.as_str()))
-    }
 }
 
 impl fmt::Display for Graph {
@@ -1063,6 +1394,17 @@ mod tests {
         // The stored labels share one allocation per distinct predicate.
         assert!(Arc::ptr_eq(&g.label(e1).0, &g.label(e3).0));
         assert_eq!(g.label_ids().count(), 2);
+        // Ids stay dense and findable, and `labels` sorts, past a handful.
+        for i in (0..20).rev() {
+            g.add_edge(a, format!("x{i:02}"), b);
+        }
+        assert_eq!(g.label_count(), 22);
+        for id in g.label_ids() {
+            assert_eq!(g.find_label(g.label_of(id).as_str()), Some(id));
+        }
+        let sorted = g.labels();
+        assert!(sorted.windows(2).all(|w| w[0] < w[1]), "{sorted:?}");
+        assert_eq!(g.find_label("x20"), None);
     }
 
     #[test]
@@ -1084,37 +1426,47 @@ mod tests {
     }
 
     #[test]
-    fn node_names_are_allocated_once() {
+    fn add_node_skips_generated_names_that_are_taken() {
         let mut g = Graph::new();
-        let a = g.node("a");
-        let b = g.add_named_node("b");
-        let mut delta = GraphDelta::new();
-        delta.add_edge("c", "p", "a");
-        g.apply_delta(&delta);
-        let c = g.find_node("c").unwrap();
-        for v in [a, b, c] {
-            let (key, &id) = g.by_name.get_key_value(g.node_name(v)).unwrap();
-            assert_eq!(id, v);
-            assert!(Arc::ptr_eq(key, &g.names[v.index()]), "{v}");
-        }
+        let named = g.add_named_node("n1");
+        let first = g.add_node();
+        assert_eq!(g.node_name(first), "n1_0", "n1 is taken by the named node");
+        let mut h = Graph::new();
+        h.add_named_node("n2");
+        h.add_named_node("n2_0");
+        let second = h.add_node();
+        assert_eq!(h.node_name(second), "n2_1");
+        let third = h.add_node();
+        assert_eq!(h.node_name(third), "n3", "free generated names are kept");
+        assert_eq!(g.find_node("n1"), Some(named));
+        assert_eq!(g.find_node("n1_0"), Some(first));
+        assert_eq!(h.find_node("n2_1"), Some(second));
     }
 
     #[test]
-    fn builder_reuses_its_name_buffer_across_graphs() {
-        let mut builder = GraphBuilder::new();
-        for round in 0..3 {
-            let mut g = builder.start(2, 1);
-            let a = builder.named_node(&mut g, format_args!("a_{round}"));
-            let b = builder.named_node(&mut g, format_args!("b_{round}"));
-            g.add_edge(a, "p", b);
-            assert_eq!(g.node_name(a), format!("a_{round}"));
-            assert_eq!(g.find_node(&format!("b_{round}")), Some(b));
-            assert_eq!(g.edge_count(), 1);
+    fn the_name_index_finds_every_name_across_doublings() {
+        let mut g = Graph::new();
+        assert_eq!(g.approx_heap_bytes(), 0, "nothing allocated before a node");
+        let mut sizes = BTreeSet::new();
+        for i in 0..10_000u32 {
+            assert_eq!(g.add_named_node(format_args!("v{i}")), NodeId(i));
+            assert!(2 * g.node_count() <= g.index.slots.len(), "over half full");
+            sizes.insert(g.index.slots.len());
         }
-        // with_capacity graphs behave exactly like fresh ones.
-        let g = Graph::with_capacity(4, 4);
-        assert_eq!(g.node_count(), 0);
-        assert_eq!(g.edge_count(), 0);
+        assert!(sizes.len() >= 10, "{} index sizes", sizes.len());
+        for v in g.nodes() {
+            let name = format!("v{}", v.0);
+            assert_eq!(g.node_name(v), name);
+            assert_eq!(g.find_node(&name), Some(v));
+        }
+        for absent in ["v", "v10000", "v01", "", "V1"] {
+            assert_eq!(g.find_node(absent), None, "{absent}");
+        }
+        // A preallocated graph holds its names the same way.
+        let mut sized = Graph::with_capacity(3, 2);
+        let a = sized.add_named_node("a");
+        assert_eq!(sized.node("a"), a);
+        assert_eq!(sized.node("b"), NodeId(1));
     }
 
     #[test]
@@ -1203,6 +1555,28 @@ mod tests {
         assert_eq!(g.out(c), &[e0]);
         assert_eq!(g.ins(a), &[e0]);
         assert!(g.out(a).is_empty());
+        assert_adjacency_consistent(&g);
+    }
+
+    #[test]
+    fn edit_churn_refills_list_windows_without_growing_the_graph() {
+        // A hub whose edges are removed and added again, as a stream of
+        // edits does: each list refills the room its removals freed.
+        let mut g = Graph::new();
+        let hub = g.node("hub");
+        let leaves: Vec<NodeId> = (0..10).map(|_| g.add_node()).collect();
+        for &leaf in &leaves {
+            g.add_edge(hub, "p", leaf);
+        }
+        let settled = g.approx_heap_bytes();
+        for round in 0..100 {
+            let leaf = leaves[round % leaves.len()];
+            let edge = g.ins(leaf)[0];
+            g.remove_edge(edge);
+            g.add_edge(hub, "p", leaf);
+            assert_eq!(g.approx_heap_bytes(), settled, "round {round}");
+        }
+        assert_eq!(g.out_degree(hub), leaves.len());
         assert_adjacency_consistent(&g);
     }
 }

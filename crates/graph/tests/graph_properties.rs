@@ -9,16 +9,26 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use shapex_graph::generate::{sample_from_shape, GraphGen};
-use shapex_graph::{parse_graph, write_graph, DeltaReport, Graph, GraphDelta, GraphKind, NodeId};
+use shapex_graph::{
+    parse_graph, write_graph, DeltaReport, EdgeId, Graph, GraphDelta, GraphKind, NodeId,
+};
 use shapex_rbe::Interval;
 
-/// One delta operation `(add, source, label, target)` over pools of six
-/// names and three labels, so duplicate adds, self-loops, removals of
-/// present and absent edges, and removals that swap the last edge into the
-/// freed slot all occur.
+/// One delta operation `(add, source, label, target)` over [`NAMES`] and
+/// three labels, so duplicate adds, self-loops, removals of present and
+/// absent edges, and removals that swap the last edge into the freed slot
+/// all occur.
 fn arb_op() -> impl Strategy<Value = (bool, usize, usize, usize)> {
     (0u8..5, 0usize..6, 0usize..3, 0usize..6).prop_map(|(kind, s, p, t)| (kind < 3, s, p, t))
 }
+
+/// Node names that share prefixes, carry quotes and leave ASCII, so the
+/// name index must compare whole names, byte for byte.
+const NAMES: [&str; 6] = ["n", "n0", "n0\"", "\"n0\"@en", "né", "日本語"];
+
+/// Names no delta ever adds: prefixes, extensions and near misses of
+/// [`NAMES`].
+const ABSENT: [&str; 7] = ["", "n00", "\"n0", "ne", "n\u{e9}0", "日本", "N0"];
 
 /// What a graph must hold after a sequence of deltas, kept without any of
 /// the graph's code: node names in creation order and the edges as a
@@ -148,7 +158,9 @@ proptest! {
         for batch in batches {
             let ops: Vec<(bool, String, String, String)> = batch
                 .iter()
-                .map(|&(add, s, p, t)| (add, format!("n{s}"), format!("p{p}"), format!("n{t}")))
+                .map(|&(add, s, p, t)| {
+                    (add, NAMES[s].to_string(), format!("p{p}"), NAMES[t].to_string())
+                })
                 .collect();
             let mut delta = GraphDelta::new();
             for (add, s, p, t) in &ops {
@@ -186,6 +198,50 @@ proptest! {
             }
             for e in graph.edges() {
                 prop_assert_eq!(graph.label(e), graph.label_of(graph.label_id(e)));
+            }
+            for name in NAMES.iter().chain(&ABSENT) {
+                prop_assert_eq!(graph.find_node(name), model.id(name), "{}", name);
+            }
+        }
+    }
+
+    #[test]
+    fn edge_lists_follow_a_model_through_swapping_removals(
+        ops in proptest::collection::vec((0u8..3, 0usize..4, 0usize..4, 0usize..64), 0..80)
+    ) {
+        // Four nodes and up to 80 edits: full lists double in place at the
+        // end of the shared arena or move there, removals shrink them, and
+        // later additions refill the room removals freed.
+        let mut graph = Graph::new();
+        let nodes: Vec<NodeId> = (0..4).map(|_| graph.add_node()).collect();
+        let mut out: Vec<Vec<EdgeId>> = vec![Vec::new(); 4];
+        let mut ins = out.clone();
+        let mut ends: Vec<(usize, usize)> = Vec::new();
+        for (kind, s, t, pick) in ops {
+            if kind < 2 || ends.is_empty() {
+                let e = graph.add_edge(nodes[s], "p", nodes[t]);
+                prop_assert_eq!(e.index(), ends.len());
+                out[s].push(e);
+                ins[t].push(e);
+                ends.push((s, t));
+            } else {
+                // The model of `remove_edge`: drop the edge from its two
+                // lists, then rename the last edge to the freed id.
+                let e = EdgeId((pick % ends.len()) as u32);
+                let (s, t) = ends.swap_remove(e.index());
+                out[s].retain(|&x| x != e);
+                ins[t].retain(|&x| x != e);
+                let last = EdgeId(ends.len() as u32);
+                for x in out.iter_mut().chain(ins.iter_mut()).flatten() {
+                    if *x == last {
+                        *x = e;
+                    }
+                }
+                prop_assert_eq!(graph.remove_edge(e), (nodes[s], nodes[t]));
+            }
+            for v in 0..4 {
+                prop_assert_eq!(graph.out(nodes[v]), out[v].as_slice());
+                prop_assert_eq!(graph.ins(nodes[v]), ins[v].as_slice());
             }
         }
     }

@@ -174,6 +174,64 @@ fn hundred_thousand_triples_stream_within_the_line_budget() {
     assert_eq!(graph.node_count(), 1_000 + TRIPLES, "subjects + objects");
 }
 
+/// `graph_from_ntriples` and a chunked parser feeding one delta per chunk,
+/// the way the service's `LoadTriples` streams, build the same graph: the
+/// same node names under the same ids and the same edges under the same
+/// ids, whether a chunk splits every byte, every seventh, or holds 64 KiB.
+#[test]
+fn one_shot_and_chunked_ingest_build_identical_graphs() {
+    let mut doc = String::new();
+    for i in 0..1_500 {
+        let s = i % 97;
+        doc.push_str(&format!("<http://e.org/s{s}> <http://e.org/p{}> ", i % 5));
+        match i % 4 {
+            0 => doc.push_str(&format!("<http://e.org/s{}> .\n", (i * 7) % 97)),
+            1 => doc.push_str(&format!("\"v{i} \\\"quoted\\\" \\u00e9t\u{e9}\"@fr .\n")),
+            2 => doc.push_str(&format!("_:b{} .\n", i % 13)),
+            _ => doc.push_str(&format!("\"{}\"^^<http://e.org/n> .\n", i % 31)),
+        }
+    }
+    assert!(doc.len() > 64 << 10, "several 64 KiB chunks");
+    let whole = graph_from_ntriples(doc.as_bytes()).unwrap();
+    for chunk_len in [1, 7, 64 << 10] {
+        let mut parser = NTriplesParser::new();
+        let mut graph = Graph::new();
+        for chunk in doc.as_bytes().chunks(chunk_len) {
+            let mut delta = GraphDelta::new();
+            let mut sink = |t: Triple<'_>| delta.add_triple(t.subject, t.predicate, t.object);
+            parser.feed(chunk, &mut sink).unwrap();
+            graph.apply_delta(&delta);
+        }
+        parser
+            .finish(|_| panic!("the document ends on a newline"))
+            .unwrap();
+        assert_eq!(
+            graph.node_count(),
+            whole.node_count(),
+            "chunks of {chunk_len}"
+        );
+        for v in whole.nodes() {
+            assert_eq!(
+                graph.node_name(v),
+                whole.node_name(v),
+                "chunks of {chunk_len}"
+            );
+        }
+        assert_eq!(
+            graph.edge_count(),
+            whole.edge_count(),
+            "chunks of {chunk_len}"
+        );
+        for e in whole.edges() {
+            assert_eq!(
+                (graph.source(e), graph.label(e), graph.target(e)),
+                (whole.source(e), whole.label(e), whole.target(e)),
+                "chunks of {chunk_len}"
+            );
+        }
+    }
+}
+
 /// Valid documents the fuzzer mutates: every term kind, string and numeric
 /// escapes, comments, blank lines, self-loops and a last line without a
 /// newline.

@@ -120,6 +120,21 @@ impl<S> Rbe<S> {
         }
     }
 
+    /// Drop expressions without recursion, however deeply they nest. The
+    /// derived drop recurses once per level, so an expression built in code
+    /// thousands of levels deep would overflow the stack; this takes them
+    /// apart from one worklist on the heap.
+    pub fn dismantle(exprs: impl IntoIterator<Item = Rbe<S>>) {
+        let mut stack: Vec<Rbe<S>> = exprs.into_iter().collect();
+        while let Some(expr) = stack.pop() {
+            match expr {
+                Rbe::Disj(parts) | Rbe::Concat(parts) => stack.extend(parts),
+                Rbe::Repeat(inner, _) => stack.push(*inner),
+                Rbe::Epsilon | Rbe::Symbol(_) => {}
+            }
+        }
+    }
+
     /// Whether the expression syntactically contains a disjunction.
     pub fn has_disjunction(&self) -> bool {
         match self {

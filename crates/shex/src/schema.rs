@@ -184,6 +184,35 @@ impl Schema {
         &self.types[t.index()].expr
     }
 
+    /// How deeply the definitions nest, counted the way the rule syntax
+    /// writes them: stacked repeats plus the parentheses a group needs (a
+    /// repeated group, a disjunction inside a concatenation, a group inside
+    /// one of its own kind), along the deepest path of any definition. This
+    /// is the measure [`parse_schema`](crate::parse_schema) bounds by
+    /// [`MAX_NESTING`](crate::parser::MAX_NESTING), so a parsed schema never
+    /// measures more. A schema built in code may nest arbitrarily deep; the
+    /// walk keeps its own stack, so measuring it cannot overflow.
+    pub fn nesting(&self) -> usize {
+        let group = |e: &ShapeExpr| usize::from(matches!(e, Rbe::Disj(_) | Rbe::Concat(_)));
+        let mut stack: Vec<(&ShapeExpr, usize)> =
+            self.types.iter().map(|def| (&def.expr, 0)).collect();
+        let mut deepest = 0;
+        while let Some((expr, depth)) = stack.pop() {
+            deepest = deepest.max(depth);
+            match expr {
+                Rbe::Epsilon | Rbe::Symbol(_) => {}
+                Rbe::Repeat(inner, _) => stack.push((inner, depth + 1 + group(inner))),
+                Rbe::Concat(parts) => stack.extend(parts.iter().map(|p| (p, depth + group(p)))),
+                Rbe::Disj(parts) => stack.extend(
+                    parts
+                        .iter()
+                        .map(|p| (p, depth + usize::from(matches!(p, Rbe::Disj(_))))),
+                ),
+            }
+        }
+        deepest
+    }
+
     /// Intern a predicate label in the schema's label table, so all atoms of
     /// the schema share one allocation per distinct predicate.
     pub fn intern_label(&mut self, name: &str) -> Label {
@@ -471,7 +500,7 @@ impl Schema {
         let mut graph = Graph::new();
         let nodes: Vec<NodeId> = self
             .types()
-            .map(|t| graph.add_named_node(self.type_name(t).to_owned()))
+            .map(|t| graph.add_named_node(self.type_name(t)))
             .collect();
         for t in self.types() {
             let rbe0: Rbe0<Atom> = self.def(t).to_rbe0()?;
@@ -519,6 +548,16 @@ impl Schema {
             schema.define(t, Rbe::concat(parts));
         }
         schema
+    }
+}
+
+/// A schema's definitions are taken apart without recursion (see
+/// [`Rbe::dismantle`]), so a schema built in code drops safely however
+/// deeply it nests.
+impl Drop for Schema {
+    fn drop(&mut self) {
+        let defs = self.types.iter_mut();
+        Rbe::dismantle(defs.map(|def| std::mem::replace(&mut def.expr, Rbe::Epsilon)));
     }
 }
 
@@ -609,6 +648,21 @@ mod tests {
         );
         s.define(literal, Rbe::Epsilon);
         s
+    }
+
+    #[test]
+    fn nesting_counts_repeats_and_the_parentheses_a_group_needs() {
+        for (text, nesting) in [
+            ("A -> EMPTY\n", 0),
+            ("A -> a::A, b::A*\n", 1),
+            ("A -> (a::A, b::A)*\n", 2),
+            ("A -> a::A | b::A, c::A\n", 0),
+            ("A -> a::A, (b::A | c::A)\n", 1),
+            ("A -> (a::A, (b::A | c::A)*)?\nB -> b::A?\n", 4),
+        ] {
+            let schema = crate::parse_schema(text).unwrap();
+            assert_eq!(schema.nesting(), nesting, "{text}");
+        }
     }
 
     #[test]

@@ -108,7 +108,7 @@ proptest! {
         let mut graph = Graph::new();
         let mut seed = GraphDelta::new();
         for &(_, s, p, t) in &initial {
-            seed.add_edge(format!("n{s}"), &format!("p{p}"), format!("n{t}"));
+            seed.add_edge(format!("n{s}"), format!("p{p}"), format!("n{t}"));
         }
         graph.apply_delta(&seed);
         let mut typing = IncrementalTyping::new(&graph, &schema);
@@ -150,7 +150,7 @@ proptest! {
         let mut graph = Graph::new();
         let mut seed = GraphDelta::new();
         for &(_, s, p, t) in &ops {
-            seed.add_edge(format!("n{s}"), &format!("p{p}"), format!("n{t}"));
+            seed.add_edge(format!("n{s}"), format!("p{p}"), format!("n{t}"));
         }
         graph.apply_delta(&seed);
         let mut typing = IncrementalTyping::new(&graph, &schema);

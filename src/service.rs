@@ -96,6 +96,7 @@ use shapex_core::engine::{
 use shapex_core::sync::{lock_or_recover, read_or_recover, write_or_recover};
 use shapex_core::{faults, CancelToken, Containment, UnknownReason};
 use shapex_graph::{DeltaReport, Graph, GraphDelta, NTriplesParser, NodeId, Triple};
+use shapex_shex::parser::MAX_NESTING;
 use shapex_shex::{IncrementalTyping, Schema};
 
 use crate::metrics::{LatencyHistogram, LatencySnapshot};
@@ -316,6 +317,19 @@ pub enum ServiceError {
         /// Human-readable description of the failure.
         message: String,
     },
+    /// A [`ServiceRequest::Register`] schema nests deeper than the service
+    /// accepts. [`parse_schema`](shapex_shex::parse_schema) bounds text at
+    /// the same limit, but a schema built in code skips the parser, and
+    /// every pass over a schema recurses over its definitions, so the
+    /// service measures the depth (by [`Schema::nesting`]) before anything
+    /// else and refuses such a schema.
+    TooDeep {
+        /// How deeply the schema nests.
+        depth: usize,
+        /// The deepest nesting the service accepts,
+        /// [`MAX_NESTING`].
+        limit: usize,
+    },
     /// The bounded request queue stayed full through
     /// [`PoolClient::call_timeout`]'s retries; retry later or shed load.
     /// The rejection is counted in [`ServiceStats::rejected`].
@@ -365,6 +379,10 @@ impl fmt::Display for ServiceError {
                     "cannot parse N-Triples for {graph}: line {line}: {message}"
                 )
             }
+            ServiceError::TooDeep { depth, limit } => write!(
+                f,
+                "schema nests {depth} levels deep; the service accepts at most {limit}"
+            ),
             ServiceError::Overloaded => write!(f, "request queue is full; retry later"),
             ServiceError::Disconnected => write!(f, "service hung up before answering"),
             ServiceError::DeadlineExceeded => {
@@ -741,6 +759,15 @@ impl ContainmentService {
     ) -> Result<ServiceResponse, ServiceError> {
         match request {
             ServiceRequest::Register(schema) => {
+                // Measured without recursion before anything else walks the
+                // definitions; a refused schema drops without recursion too.
+                let depth = schema.nesting();
+                if depth > MAX_NESTING {
+                    return Err(ServiceError::TooDeep {
+                        depth,
+                        limit: MAX_NESTING,
+                    });
+                }
                 // Existence check before the engine mutates anything.
                 if tenant.index() >= self.tenant_count() {
                     return Err(ServiceError::UnknownTenant(tenant));
@@ -1166,7 +1193,8 @@ impl PoolClient {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use shapex_shex::parse_schema;
+    use shapex_rbe::{Interval, Rbe};
+    use shapex_shex::{parse_schema, Atom};
 
     fn ids_of(service: &ContainmentService, tenant: TenantId, texts: &[&str]) -> Vec<SchemaId> {
         texts
@@ -1944,6 +1972,43 @@ mod tests {
         );
         // An imminent deadline suppresses the pause entirely.
         assert_eq!(retry_backoff(7, 0, Some(Instant::now())), None);
+    }
+
+    #[test]
+    fn a_schema_nested_past_the_limit_is_refused_and_the_worker_survives() {
+        // 200,000 stacked repeats built in code, past the parser's bound.
+        let mut schema = Schema::new();
+        let t = schema.add_type("T");
+        let mut expr = Rbe::symbol(Atom::new("p", t));
+        for _ in 0..200_000 {
+            expr = Rbe::repeat(expr, Interval::OPT);
+        }
+        schema.define(t, expr);
+        let service = ContainmentService::new();
+        let pool = service.pool(1, 4);
+        let client = pool.client(TenantId::DEFAULT);
+        match client.call_blocking(ServiceRequest::Register(Box::new(schema))) {
+            Err(ServiceError::TooDeep { depth, limit }) => {
+                assert_eq!((depth, limit), (200_000, MAX_NESTING));
+            }
+            other => panic!("expected TooDeep, got {other:?}"),
+        }
+        // The one worker measured and dropped the schema without
+        // overflowing its stack, and answers the next request.
+        match client.call_blocking(ServiceRequest::Stats) {
+            Ok(ServiceResponse::Stats(stats)) => assert_eq!(stats.worker_restarts, 0),
+            other => panic!("expected Stats, got {other:?}"),
+        }
+        // The deepest schema the parser accepts still registers.
+        let deepest = format!("T -> p::T{}\n", "?".repeat(MAX_NESTING));
+        let deepest = parse_schema(&deepest).unwrap();
+        assert_eq!(deepest.nesting(), MAX_NESTING);
+        match client.call_blocking(ServiceRequest::Register(Box::new(deepest))) {
+            Ok(ServiceResponse::Registered(_)) => {}
+            other => panic!("expected Registered, got {other:?}"),
+        }
+        drop(client);
+        pool.join();
     }
 
     /// Chaos tests arm the process-global fault registry; they exist only
