@@ -259,8 +259,9 @@ pub struct EngineStats {
     /// Candidates a search met again after validating them earlier in the
     /// same search (each distinct candidate is validated once per search).
     pub validate_hits: u64,
-    /// Candidate validations run (against the right-hand schema, plus the
-    /// rare pool member that is not certified by construction).
+    /// Candidate validations run against the right-hand schema (pool
+    /// members of the left-hand schema are members by construction and are
+    /// never validated against it).
     pub validate_misses: u64,
     /// Shape-graph embeddings computed.
     pub embed_misses: u64,
@@ -739,8 +740,13 @@ impl ContainmentEngine {
         // the same work, but only the first insertion wins the slot.
         let mut owned = schema.clone();
         owned.adopt_labels(&mut lock_or_recover(&self.labels));
-        let class = owned.classify_cached();
-        let shape_graph = owned.shape_graph_cached().cloned();
+        let class = owned.classify();
+        let shape_graph = owned.to_shape_graph();
+        // The registered schema, its shape graph and the entry shell are
+        // pinned footprint: counted, never evicted.
+        let pinned = std::mem::size_of::<SchemaEntry>() as u64
+            + owned.weight_bytes()
+            + shape_graph.as_ref().map_or(0, Weigh::weight_bytes);
         let entry = Arc::new(SchemaEntry {
             schema: Arc::new(owned),
             class,
@@ -751,10 +757,6 @@ impl ContainmentEngine {
             unfolder_stamp: AtomicU64::new(0),
             bags: OnceLock::new(),
         });
-        // The registered schema (its cached shape graph included — derived
-        // above, so `approx_heap_bytes` sees it) plus the entry shell is
-        // pinned footprint: counted, never evicted.
-        let pinned = std::mem::size_of::<SchemaEntry>() as u64 + entry.schema.weight_bytes();
         let mut registry = write_or_recover(&self.registry);
         if let Some(id) = registry.find(fingerprint, schema) {
             return id; // lost the race; adopt the winner's entry
@@ -1130,7 +1132,7 @@ impl ContainmentEngine {
         let outcome = 'search: {
             for root in h.schema.types() {
                 for depth in 1..=opts.max_depth {
-                    let Some(pool) = self.pool(h, root, depth, &mut scratch, cancel) else {
+                    let Some(pool) = self.pool(h, root, depth, cancel) else {
                         // The pool build itself observed the expired token.
                         break 'search self.expired(checked, cancel);
                     };
@@ -1156,7 +1158,8 @@ impl ContainmentEngine {
                                 EngineCounters::tick(&self.counters.validate_hits);
                             }
                             Entry::Vacant(slot) => {
-                                if !self.validate(graph, &k.schema, &mut scratch) {
+                                EngineCounters::tick(&self.counters.validate_misses);
+                                if !validates_with(graph, &k.schema, &mut scratch) {
                                     break 'search self.refuted(graph, checked);
                                 }
                                 slot.insert(Arc::clone(graph));
@@ -1173,11 +1176,10 @@ impl ContainmentEngine {
         outcome
     }
 
-    /// The pool of valid members of `h` unfolded from `root` up to `depth`,
+    /// The pool of members of `h` unfolded from `root` up to `depth`,
     /// taken straight from the entry's [`Unfolder`] under its lock. The
     /// unfolder's `(type, depth)` tree memos make the depth-cumulative pools
-    /// share every subtree and every candidate graph; certified members (in
-    /// practice: all of them) skip validation entirely. `None` = the token
+    /// share every subtree and every candidate graph. `None` = the token
     /// fired mid-enumeration (completed subtree memos inside the arena stay
     /// — they are identical to an uncancelled prefix's).
     fn pool(
@@ -1185,7 +1187,6 @@ impl ContainmentEngine {
         h: &SchemaEntry,
         root: TypeId,
         depth: usize,
-        scratch: &mut ValidateScratch,
         cancel: Option<&CancelToken>,
     ) -> Option<Vec<Arc<Graph>>> {
         let scoped = SearchOptions {
@@ -1200,13 +1201,7 @@ impl ContainmentEngine {
         } else {
             &self.counters.pools_built
         });
-        let pool = unfolder.members_with(
-            &h.schema,
-            root,
-            &scoped,
-            &mut |g| self.validate(g, &h.schema, scratch),
-            cancel,
-        );
+        let pool = unfolder.members(&h.schema, root, &scoped, cancel);
         h.unfolder_stamp
             .store(self.budget.touch(), Ordering::Relaxed);
         // A held pool may still build graphs: its trees were enumerated as
@@ -1219,13 +1214,6 @@ impl ContainmentEngine {
             EngineCounters::tick(&self.counters.cancelled_branches);
         }
         pool
-    }
-
-    /// One `validates(graph, schema)` run, counted in
-    /// [`EngineStats::validate_misses`].
-    fn validate(&self, graph: &Graph, schema: &Schema, scratch: &mut ValidateScratch) -> bool {
-        EngineCounters::tick(&self.counters.validate_misses);
-        validates_with(graph, schema, scratch)
     }
 
     /// The per-candidate checkpoint of the search: one armed fault site and

@@ -23,16 +23,13 @@
 //! once. The engine keeps one unfolder per registered schema and takes its
 //! search pools straight from it.
 //!
-//! The arena also certifies membership: every node records whether its own
-//! bag of `(label, child type)` atoms is accepted by its type's definition
-//! (memoised in the arena per distinct `(type, bag)`, keyed by the atoms),
-//! and a tree whose nodes all pass is a member of `L(schema)` by
-//! construction — the typing that assigns every node its construction type
-//! is valid, so the maximal typing is total.
-//! Candidate filtering skips the full validation fixpoint for such trees and
-//! only falls back to [`validates`] for the (in practice empty) remainder,
-//! which keeps the produced candidate pools bit-identical to the historical
-//! materialise-everything pipeline.
+//! Every tree is a member of `L(schema)` by construction. The unfolder
+//! keeps only the candidate bags its type's definition accepts (each bag is
+//! checked once, when the type's bags are memoised), so every node's bag of
+//! `(label, child type)` atoms is accepted by its type's definition: the
+//! typing that assigns every node its construction type is valid, and the
+//! maximal typing is total. The pools therefore need no validation against
+//! the schema they are unfolded from.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
@@ -42,7 +39,7 @@ use std::sync::Arc;
 use shapex_graph::{Graph, Label};
 use shapex_presburger::CancelToken;
 use shapex_rbe::{Bag, Interval, Rbe};
-use shapex_shex::typing::{neighbourhood_satisfies_with, validates, EdgeSummary, SolverTelemetry};
+use shapex_shex::typing::{neighbourhood_satisfies_with, EdgeSummary, SolverTelemetry};
 use shapex_shex::{Atom, Schema, TypeId};
 
 /// Budget knobs for unfolding-based searches.
@@ -86,7 +83,7 @@ impl SearchOptions {
 }
 
 /// A 64-bit structural hash via the std hasher (stable within a process,
-/// which is all the arena's verify-on-collision lookups need).
+/// which is all the bag deduplication's verify-on-collision lookups need).
 fn hash_of(value: impl Hash) -> u64 {
     let mut hasher = DefaultHasher::new();
     value.hash(&mut hasher);
@@ -115,16 +112,6 @@ struct TreeNode {
     child_end: u32,
 }
 
-/// A memoised `(type, bag of (label, child type))` acceptance verdict; the
-/// profile — the children's atoms — is kept for exact (collision-proof) key
-/// comparison.
-#[derive(Debug)]
-struct LocalVerdict {
-    type_id: TypeId,
-    profile: Vec<Atom>,
-    ok: bool,
-}
-
 /// The hash-consing tree store behind [`Unfolder`]; see the
 /// [module docs](self) for the design.
 #[derive(Debug, Default)]
@@ -135,13 +122,9 @@ pub struct TreeArena {
     hashes: Vec<u64>,
     /// Subtree node count per node, cached at construction.
     sizes: Vec<u64>,
-    /// Whether the subtree is a certified member of the schema's language.
-    member: Vec<bool>,
     /// Hash-consing buckets: structural hash → node indices (verified by
     /// full comparison, so a collision can never conflate distinct trees).
     dedup: HashMap<u64, Vec<u32>>,
-    /// `(type, bag)` acceptance memo, same verify-on-collision scheme.
-    local: HashMap<u64, Vec<LocalVerdict>>,
 }
 
 impl TreeArena {
@@ -161,36 +144,22 @@ impl TreeArena {
     }
 
     /// Approximate heap footprint of the arena in bytes: the flat node and
-    /// child tables, the per-node caches, and the hash-consing/acceptance
-    /// buckets. Labels count as their `Arc` handle only. An estimate for
-    /// the engine's cache accounting, not allocator truth.
+    /// child tables, the per-node caches, and the hash-consing buckets.
+    /// Labels count as their `Arc` handle only. An estimate for the
+    /// engine's cache accounting, not allocator truth.
     pub fn approx_heap_bytes(&self) -> usize {
         use std::mem::size_of;
         // Amortised hash-map bucket overhead per entry.
         const MAP_ENTRY: usize = 48;
-        let mut bytes = self.nodes.capacity() * size_of::<TreeNode>()
+        self.nodes.capacity() * size_of::<TreeNode>()
             + self.children.capacity() * size_of::<(Label, Tree)>()
             + self.hashes.capacity() * size_of::<u64>()
             + self.sizes.capacity() * size_of::<u64>()
-            + self.member.capacity() * size_of::<bool>();
-        bytes += self
-            .dedup
-            .values()
-            .map(|bucket| MAP_ENTRY + bucket.capacity() * size_of::<u32>())
-            .sum::<usize>();
-        bytes += self
-            .local
-            .values()
-            .map(|bucket| {
-                MAP_ENTRY
-                    + bucket.capacity() * size_of::<LocalVerdict>()
-                    + bucket
-                        .iter()
-                        .map(|v| v.profile.capacity() * size_of::<Atom>())
-                        .sum::<usize>()
-            })
-            .sum::<usize>();
-        bytes
+            + self
+                .dedup
+                .values()
+                .map(|bucket| MAP_ENTRY + bucket.capacity() * size_of::<u32>())
+                .sum::<usize>()
     }
 
     /// The type a tree's root instantiates.
@@ -209,29 +178,10 @@ impl TreeArena {
         self.sizes[tree.index()] as usize
     }
 
-    /// Whether the tree is a member of `L(schema)` by construction: every
-    /// node's bag of `(label, child type)` atoms is accepted by its type's
-    /// definition, so the typing assigning each node its construction type
-    /// is valid and validation cannot fail.
-    pub fn certified_member(&self, tree: Tree) -> bool {
-        self.member[tree.index()]
-    }
-
     /// Intern a tree with the given root type and labelled children
     /// (children must already live in this arena). Structurally identical
-    /// trees share one index. The acceptance check's solver calls report to
-    /// `telemetry`, and its Presburger fallback polls `cancel`: a fired
-    /// token returns `None` *before* anything is interned — the arena, its
-    /// memos, and the dedup tables are exactly as if the call never
-    /// happened.
-    pub fn node(
-        &mut self,
-        schema: &Schema,
-        t: TypeId,
-        children: &[(Label, Tree)],
-        telemetry: Option<&SolverTelemetry>,
-        cancel: Option<&CancelToken>,
-    ) -> Option<Tree> {
+    /// trees share one index.
+    pub fn node(&mut self, t: TypeId, children: &[(Label, Tree)]) -> Tree {
         let mut hasher = DefaultHasher::new();
         t.hash(&mut hasher);
         for (label, child) in children {
@@ -246,12 +196,10 @@ impl TreeArena {
                     && &self.children[node.child_start as usize..node.child_end as usize]
                         == children
                 {
-                    return Some(Tree(index));
+                    return Tree(index);
                 }
             }
         }
-        let local_ok = self.try_local_accepted(schema, t, children, telemetry, cancel)?;
-        let member = local_ok && children.iter().all(|&(_, c)| self.member[c.index()]);
         let size = 1 + children
             .iter()
             .map(|&(_, c)| self.sizes[c.index()])
@@ -267,49 +215,8 @@ impl TreeArena {
         });
         self.hashes.push(hash);
         self.sizes.push(size);
-        self.member.push(member);
         self.dedup.entry(hash).or_default().push(index);
-        Some(Tree(index))
-    }
-
-    /// Whether the bag `{(label, type_of(child))}` is accepted by `def(t)` —
-    /// computed once per distinct `(type, bag)` across the whole arena. A
-    /// cancelled check returns `None` without memoising anything.
-    fn try_local_accepted(
-        &mut self,
-        schema: &Schema,
-        t: TypeId,
-        children: &[(Label, Tree)],
-        telemetry: Option<&SolverTelemetry>,
-        cancel: Option<&CancelToken>,
-    ) -> Option<bool> {
-        let profile: Vec<Atom> = children
-            .iter()
-            .map(|(label, child)| Atom::new(label.clone(), self.nodes[child.index()].type_id))
-            .collect();
-        let key = hash_of((t, &profile));
-        if let Some(bucket) = self.local.get(&key) {
-            for verdict in bucket {
-                if verdict.type_id == t && verdict.profile == profile {
-                    return Some(verdict.ok);
-                }
-            }
-        }
-        let edges: Vec<EdgeSummary> = children
-            .iter()
-            .map(|(label, child)| EdgeSummary {
-                label: label.clone(),
-                target_types: std::iter::once(self.nodes[child.index()].type_id).collect(),
-                multiplicity: 1,
-            })
-            .collect();
-        let ok = neighbourhood_satisfies_with(&edges, schema.def(t), telemetry, cancel)?;
-        self.local.entry(key).or_default().push(LocalVerdict {
-            type_id: t,
-            profile,
-            ok,
-        });
-        Some(ok)
+        Tree(index)
     }
 
     /// Materialise the tree as a simple graph rooted at a node of its type
@@ -360,14 +267,14 @@ pub struct Unfolder {
     /// `(root type, depth) → enumerated trees` (shared, capped at
     /// `max_trees`).
     enumerated: HashMap<(TypeId, usize), Arc<Vec<Tree>>>,
-    /// Candidate bags per type (depth-independent).
+    /// Accepted candidate bags per type (depth-independent).
     bags: HashMap<TypeId, Arc<Vec<Bag<Atom>>>>,
     /// One graph per distinct tree, built on first demand.
     graphs: Vec<Option<Arc<Graph>>>,
     /// How many of `graphs` are built.
     built: usize,
-    /// Where the acceptance checks' solver calls are counted (`None` drops
-    /// the counts).
+    /// Where the bag checks' solver calls are counted (`None` drops the
+    /// counts).
     telemetry: Option<Arc<SolverTelemetry>>,
 }
 
@@ -377,7 +284,7 @@ impl Unfolder {
         Unfolder::default()
     }
 
-    /// An empty session whose acceptance checks count their solver calls in
+    /// An empty session whose bag checks count their solver calls in
     /// `telemetry` — the engine passes its own, so every schema's unfolder
     /// reports to one set of counters.
     pub fn with_telemetry(telemetry: Arc<SolverTelemetry>) -> Unfolder {
@@ -442,24 +349,50 @@ impl Unfolder {
         self.enumerated.contains_key(&(t, depth))
     }
 
-    /// The memoised candidate bags of a type.
+    /// The candidate bags of a type that its definition accepts, in
+    /// [`candidate_bags`] order, memoised per type. Each bag is checked
+    /// once, here, so every tree built from these bags is a member of
+    /// `L(schema)`. The checks count their solver calls in the session's
+    /// telemetry. `cancel` is polled before each check and inside it: a
+    /// token that fires returns `None` and memoises nothing for the type.
     fn type_bags(
         &mut self,
         schema: &Schema,
         t: TypeId,
         options: &SearchOptions,
-    ) -> Arc<Vec<Bag<Atom>>> {
-        self.bags
-            .entry(t)
-            .or_insert_with(|| Arc::new(candidate_bags(schema.def(t), options)))
-            .clone()
+        cancel: Option<&CancelToken>,
+    ) -> Option<Arc<Vec<Bag<Atom>>>> {
+        if let Some(bags) = self.bags.get(&t) {
+            return Some(bags.clone());
+        }
+        let def = schema.def(t);
+        let mut accepted = Vec::new();
+        for bag in candidate_bags(def, options) {
+            if cancel.is_some_and(|c| c.fired()) {
+                return None;
+            }
+            let edges: Vec<EdgeSummary> = bag
+                .iter()
+                .map(|(atom, count)| EdgeSummary {
+                    label: atom.label.clone(),
+                    target_types: std::iter::once(atom.target).collect(),
+                    multiplicity: count,
+                })
+                .collect();
+            if neighbourhood_satisfies_with(&edges, def, self.telemetry.as_deref(), cancel)? {
+                accepted.push(bag);
+            }
+        }
+        let accepted = Arc::new(accepted);
+        self.bags.insert(t, accepted.clone());
+        Some(accepted)
     }
 
     /// Enumerate unfoldings of `t` up to `depth`, memoised per
     /// `(type, depth)`. Order and caps are exactly those of the historical
     /// enumeration: bags in [`candidate_bags`] order, Cartesian child
     /// combinations (at most 4 subtree choices per slot), `max_trees` total.
-    /// `cancel` is polled once per candidate bag and inside every acceptance
+    /// `cancel` is polled once per candidate bag and inside every bag
     /// check: a cancelled call returns `None` and memoises nothing for the
     /// interrupted `(type, depth)` pairs — already-completed child
     /// enumerations stay cached, so a later call resumes without redundant
@@ -475,7 +408,7 @@ impl Unfolder {
         if let Some(trees) = self.enumerated.get(&(t, depth)) {
             return Some(trees.clone());
         }
-        let bags = self.type_bags(schema, t, options);
+        let bags = self.type_bags(schema, t, options, cancel)?;
         let mut out: Vec<Tree> = Vec::new();
         'bags: for bag in bags.iter() {
             if cancel.is_some_and(|c| c.fired()) {
@@ -523,9 +456,8 @@ impl Unfolder {
             if dead {
                 continue;
             }
-            let telemetry = self.telemetry.as_deref();
             for children in combos {
-                out.push(self.arena.node(schema, t, &children, telemetry, cancel)?);
+                out.push(self.arena.node(t, &children));
                 if out.len() >= options.max_trees {
                     break 'bags;
                 }
@@ -551,34 +483,16 @@ impl Unfolder {
     }
 
     /// Enumerate member graphs of `root` up to `options.max_depth`; see
-    /// [`enumerate_members`] for the contract.
+    /// [`enumerate_members`] for the contract. `cancel` is polled once per
+    /// enumerated tree: a cancelled call returns `None`, and a caller must
+    /// not cache its (partial) pool. Every memo the call did complete —
+    /// child enumerations, interned trees, built graphs — is identical to
+    /// what an uncancelled prefix would have left behind.
     pub fn members(
         &mut self,
         schema: &Schema,
         root: TypeId,
         options: &SearchOptions,
-    ) -> Vec<Arc<Graph>> {
-        self.members_with(schema, root, options, &mut |g| validates(g, schema), None)
-            .expect("an uncancelled enumeration cannot be cancelled")
-    }
-
-    /// [`Unfolder::members`] with the fallback member-validation step
-    /// injected, so the engine can run the (rare) non-certified candidates
-    /// through its own counted validation while sharing this exact
-    /// filter/cap logic — the answer-equivalence with the baseline depends
-    /// on there being only one copy of it. Certified members skip the
-    /// callback entirely.
-    /// `cancel` is polled once per enumerated tree: a cancelled call returns
-    /// `None` and the engine must not cache its (partial) pool. Every memo
-    /// the call did complete — child enumerations, interned trees, built
-    /// graphs — is identical to what an uncancelled prefix would have left
-    /// behind.
-    pub(crate) fn members_with(
-        &mut self,
-        schema: &Schema,
-        root: TypeId,
-        options: &SearchOptions,
-        is_member: &mut dyn FnMut(&Graph) -> bool,
         cancel: Option<&CancelToken>,
     ) -> Option<Vec<Arc<Graph>>> {
         let trees = self.trees(schema, root, options.max_depth, options, cancel)?;
@@ -590,10 +504,7 @@ impl Unfolder {
             if self.arena.size(tree) > options.max_graph_nodes {
                 continue;
             }
-            let graph = self.graph(tree, schema);
-            if self.arena.certified_member(tree) || is_member(&graph) {
-                graphs.push(graph);
-            }
+            graphs.push(self.graph(tree, schema));
             if graphs.len() >= options.max_candidates {
                 break;
             }
@@ -808,12 +719,14 @@ fn repetition_counts(interval: Interval) -> Vec<u64> {
     }
 }
 
-/// Enumerate unfoldings of `root` up to the configured depth. Only trees whose
-/// leaves are "closed" (every type at the frontier admits the empty bag) are
-/// produced, so every returned tree's graph belongs to `L(schema)`.
+/// Enumerate unfoldings of `root` up to the configured depth. Every node's
+/// bag is one its type's definition accepts, and only trees whose leaves are
+/// "closed" (every type at the frontier admits the empty bag) are produced,
+/// so every returned tree's graph belongs to `L(schema)`.
 pub fn enumerate_members(schema: &Schema, root: TypeId, options: &SearchOptions) -> Vec<Graph> {
     Unfolder::new()
-        .members(schema, root, options)
+        .members(schema, root, options, None)
+        .expect("an uncancelled enumeration cannot be cancelled")
         .into_iter()
         .map(|graph| Graph::clone(&graph))
         .collect()
@@ -841,7 +754,12 @@ pub fn search_counter_example(h: &Schema, k: &Schema, options: &SearchOptions) -
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use shapex_rbe::membership::naive_member;
     use shapex_shex::parse_schema;
+    use shapex_shex::typing::validates;
 
     #[test]
     fn candidate_bags_cover_interval_choices() {
@@ -905,11 +823,11 @@ mod tests {
             arena_after_deep,
             "depth-2 item trees were all interned during the depth-3 root pass"
         );
-        // Every enumerated tree is a certified member, and its cached graph
-        // is shared: asking twice returns the same allocation.
+        // Every enumerated tree is a member, and its cached graph is
+        // shared: asking twice returns the same allocation.
         for &tree in deep.iter().chain(shallow.iter()) {
-            assert!(unfolder.arena().certified_member(tree));
             let g1 = unfolder.graph(tree, &schema);
+            assert!(validates(&g1, &schema));
             let g2 = unfolder.graph(tree, &schema);
             assert!(Arc::ptr_eq(&g1, &g2), "one graph per distinct tree");
             assert_eq!(g1.node_count(), unfolder.arena().size(tree));
@@ -972,5 +890,109 @@ mod tests {
         assert!(!validates(&witness, &k));
         // The converse containment holds, so no counter-example is found.
         assert!(search_counter_example(&k, &h, &SearchOptions::quick()).is_none());
+    }
+
+    #[test]
+    fn a_fired_token_stops_the_bag_checks_and_memoises_nothing() {
+        // Choice groups are outside RBE₀, so each bag check of `T` runs the
+        // Presburger encoding, the check the token bounds.
+        let schema =
+            parse_schema("T -> (a::L | b::L)[1;2], (c::L | d::L)[1;2]\nL -> EMPTY\n").unwrap();
+        let t = schema.find_type("T").unwrap();
+        let options = SearchOptions::quick();
+        let fired = CancelToken::new();
+        fired.cancel();
+        let mut unfolder = Unfolder::new();
+        assert!(unfolder
+            .trees(&schema, t, 2, &options, Some(&fired))
+            .is_none());
+        assert_eq!(unfolder.extent(), 0, "a cancelled check memoises nothing");
+        let resumed = unfolder.trees(&schema, t, 2, &options, None).unwrap();
+        let mut fresh = Unfolder::new();
+        let expected = fresh.trees(&schema, t, 2, &options, None).unwrap();
+        assert!(!expected.is_empty());
+        assert_eq!(resumed, expected);
+        for (&a, &b) in resumed.iter().zip(expected.iter()) {
+            let (got, want) = (unfolder.graph(a, &schema), fresh.graph(b, &schema));
+            assert_eq!(got.to_string(), want.to_string());
+        }
+        assert_eq!(unfolder.extent(), fresh.extent());
+    }
+
+    /// A random shape expression of at most `depth` levels over `atoms`,
+    /// with disjunctions, nested concatenations and repeated groups. The
+    /// intervals include two where `repetition_counts` picks the upper bound
+    /// (`[0;2]`, `[2;6]`) and two where it does not (`[1;2]`, `[2;3]`).
+    fn random_expr(rng: &mut StdRng, depth: u32, atoms: &[Atom]) -> Rbe<Atom> {
+        let kind = if depth == 0 { 0 } else { rng.gen_range(0..4) };
+        let mut parts = || -> Vec<Rbe<Atom>> {
+            (0..rng.gen_range(2..=3))
+                .map(|_| random_expr(rng, depth - 1, atoms))
+                .collect()
+        };
+        match kind {
+            // One pick in `atoms.len() + 1` is the empty expression.
+            0 => atoms
+                .get(rng.gen_range(0..=atoms.len()))
+                .map_or(Rbe::Epsilon, |atom| Rbe::Symbol(atom.clone())),
+            1 => Rbe::Disj(parts()),
+            2 => Rbe::Concat(parts()),
+            _ => {
+                let intervals = [
+                    Interval::bounded(0, 2),
+                    Interval::bounded(1, 2),
+                    Interval::bounded(2, 3),
+                    Interval::bounded(2, 6),
+                    Interval::STAR,
+                    Interval::PLUS,
+                ];
+                let interval = intervals[rng.gen_range(0..intervals.len())];
+                Rbe::repeat(random_expr(rng, depth - 1, atoms), interval)
+            }
+        }
+    }
+
+    /// The largest bag total the enumerators pick from `expr` (an unbounded
+    /// repetition is unfolded at most twice).
+    fn widest(expr: &Rbe<Atom>) -> u64 {
+        match expr {
+            Rbe::Epsilon => 0,
+            Rbe::Symbol(_) => 1,
+            Rbe::Disj(parts) => parts.iter().map(widest).max().unwrap_or(0),
+            Rbe::Concat(parts) => parts.iter().map(widest).sum(),
+            Rbe::Repeat(inner, interval) => widest(inner) * interval.hi().unwrap_or(2),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Every bag the enumerators pick is a member of its expression, by
+        /// the exhaustive oracle, which shares no code with them. The bag
+        /// check of `Unfolder` would otherwise drop a bag silently.
+        #[test]
+        fn candidate_bags_are_members_of_their_expression(seed in 0u64..100_000) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let atoms = [
+                Atom::new("a", TypeId(0)),
+                Atom::new("b", TypeId(0)),
+                Atom::new("a", TypeId(1)),
+            ];
+            // Small bags keep the oracle fast.
+            let expr = loop {
+                let expr = random_expr(&mut rng, 3, &atoms);
+                if widest(&expr) <= 8 {
+                    break expr;
+                }
+            };
+            for options in [SearchOptions::default(), SearchOptions::quick()] {
+                for bag in candidate_bags(&expr, &options) {
+                    prop_assert!(naive_member(&bag, &expr), "{bag} from {expr:?}");
+                }
+            }
+            for bag in all_bags(&expr, 64).into_iter().flatten() {
+                prop_assert!(naive_member(&bag, &expr), "{bag} from {expr:?}");
+            }
+        }
     }
 }

@@ -137,7 +137,8 @@ fn shared_unfolder_is_transparent_across_depths() {
             ..SearchOptions::quick()
         };
         let from_shared: Vec<String> = shared
-            .members(&schema, root, &opts)
+            .members(&schema, root, &opts, None)
+            .expect("no token")
             .iter()
             .map(|g| graph_key(g))
             .collect();
@@ -153,6 +154,6 @@ fn shared_unfolder_is_transparent_across_depths() {
         max_depth: 3,
         ..SearchOptions::quick()
     };
-    let _ = shared.members(&schema, root, &opts);
+    let _ = shared.members(&schema, root, &opts, None);
     assert_eq!(shared.arena().len(), after_enumeration);
 }

@@ -96,7 +96,8 @@ impl fmt::Display for LabelId {
 /// allocation per predicate.
 #[derive(Debug, Default, Clone)]
 pub struct LabelTable {
-    known: BTreeMap<String, Label>,
+    /// Each label once, looked up by its text through `Borrow<str>`.
+    known: BTreeSet<Label>,
 }
 
 impl LabelTable {
@@ -111,7 +112,7 @@ impl LabelTable {
             return existing.clone();
         }
         let label = Label::new(name);
-        self.known.insert(name.to_owned(), label.clone());
+        self.known.insert(label.clone());
         label
     }
 
@@ -122,7 +123,7 @@ impl LabelTable {
         if let Some(existing) = self.known.get(label.as_str()) {
             return existing.clone();
         }
-        self.known.insert(label.as_str().to_owned(), label.clone());
+        self.known.insert(label.clone());
         label.clone()
     }
 
@@ -136,8 +137,8 @@ impl LabelTable {
         self.known.is_empty()
     }
 
-    /// Iterate over the interned `(name, label)` pairs.
-    pub fn iter(&self) -> impl Iterator<Item = (&String, &Label)> {
+    /// Iterate over the interned labels, in text order.
+    pub fn iter(&self) -> impl Iterator<Item = &Label> {
         self.known.iter()
     }
 }

@@ -2,15 +2,13 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
-use std::sync::OnceLock;
 
 use shapex_graph::{Graph, Label, LabelTable, NodeId};
 use shapex_rbe::{Interval, Rbe, Rbe0};
 
 // Thread-safety contract: registered schemas are shared read-only by every
-// thread that queries a `ContainmentEngine` (all interior caches are `OnceLock`s,
-// all labels content-compared `Arc<str>`s), so `Schema` and its pieces must
-// stay `Send + Sync`.
+// thread that queries a `ContainmentEngine` (all labels are content-compared
+// `Arc<str>`s), so `Schema` and its pieces must stay `Send + Sync`.
 shapex_graph::assert_send_sync!(Schema, Atom, TypeId, SchemaClass, ShapeExpr);
 
 /// A type name identifier, valid for the [`Schema`] that created it.
@@ -65,16 +63,6 @@ struct TypeDef {
     expr: ShapeExpr,
 }
 
-/// Lazily computed, structure-derived facts about a schema. Every mutating
-/// method resets the whole struct, so a populated cell is always consistent
-/// with the current definitions. Cloning a schema carries warm caches along
-/// (they describe the same definitions).
-#[derive(Debug, Clone, Default)]
-struct SchemaCaches {
-    class: OnceLock<SchemaClass>,
-    shape_graph: OnceLock<Option<Graph>>,
-}
-
 /// Classification of a schema into the fragments studied in the paper,
 /// ordered from most to least restrictive.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -115,7 +103,6 @@ pub struct Schema {
     types: Vec<TypeDef>,
     by_name: BTreeMap<String, TypeId>,
     labels: LabelTable,
-    caches: SchemaCaches,
 }
 
 impl Schema {
@@ -151,7 +138,6 @@ impl Schema {
             name,
             expr: Rbe::Epsilon,
         });
-        self.caches = SchemaCaches::default();
         id
     }
 
@@ -176,7 +162,6 @@ impl Schema {
     /// Set the definition of a type.
     pub fn define(&mut self, t: TypeId, expr: ShapeExpr) {
         self.types[t.index()].expr = expr;
-        self.caches = SchemaCaches::default();
     }
 
     /// The definition `δ_S(t)` of a type.
@@ -227,7 +212,7 @@ impl Schema {
     /// other schema adopted into the same table — the session-wide label
     /// sharing `shapex_core::engine::ContainmentEngine` performs at
     /// registration. The definitions are unchanged content-wise (labels
-    /// compare by content), so the derived-fact caches stay valid.
+    /// compare by content).
     pub fn adopt_labels(&mut self, table: &mut LabelTable) {
         fn walk(expr: &mut ShapeExpr, table: &mut LabelTable, own: &mut LabelTable) {
             match expr {
@@ -441,22 +426,11 @@ impl Schema {
         }
     }
 
-    /// [`Schema::classify`] computed once and cached until the next mutation.
-    ///
-    /// Classification walks every definition (determinism, `+` usage, the
-    /// `*`-closure fixpoint of Definition 4.1), so query-session layers such
-    /// as `shapex_core::engine::ContainmentEngine` that dispatch on the class
-    /// for every pair should use this accessor instead of re-deriving it.
-    pub fn classify_cached(&self) -> SchemaClass {
-        *self.caches.class.get_or_init(|| self.classify())
-    }
-
     /// Approximate heap footprint of the schema in bytes: type names,
-    /// expression trees, the name index, the label table (one `Arc` handle
-    /// plus the string per distinct predicate), and the cached shape graph
-    /// if it has been built. Feeds the cache accounting of
-    /// `shapex_core::engine::ContainmentEngine`; an estimate, not allocator
-    /// truth.
+    /// expression trees, the name index, and the label table (each distinct
+    /// predicate's text once, plus its entry). Feeds the cache accounting of
+    /// `shapex_core::engine::ContainmentEngine`, which counts a registered
+    /// schema's shape graph beside it; an estimate, not allocator truth.
     pub fn approx_heap_bytes(&self) -> usize {
         use std::mem::size_of;
         // Amortised B-tree node overhead per map entry.
@@ -473,22 +447,9 @@ impl Schema {
         bytes += self
             .labels
             .iter()
-            .map(|(name, label)| name.capacity() + label.as_str().len() + MAP_ENTRY)
+            .map(|label| label.as_str().len() + MAP_ENTRY)
             .sum::<usize>();
-        if let Some(Some(graph)) = self.caches.shape_graph.get() {
-            bytes += graph.approx_heap_bytes();
-        }
         bytes
-    }
-
-    /// [`Schema::to_shape_graph`] computed once and cached until the next
-    /// mutation. `None` is cached too: a schema that is not RBE₀ stays that
-    /// way until redefined.
-    pub fn shape_graph_cached(&self) -> Option<&Graph> {
-        self.caches
-            .shape_graph
-            .get_or_init(|| self.to_shape_graph())
-            .as_ref()
     }
 
     /// Convert a `ShEx(RBE0)` schema to its shape graph (Proposition 3.2):
@@ -854,37 +815,8 @@ mod tests {
         );
         // The schema's own interner hands the canonical allocation out too.
         assert!(a.intern_label("name").ptr_eq(&from_a));
-        // Content unchanged: derived facts stay valid.
-        assert_eq!(a.classify_cached(), SchemaClass::DetShEx0Minus);
-    }
-
-    #[test]
-    fn cached_accessors_track_mutations() {
-        let mut s = bug_tracker();
-        assert_eq!(s.classify_cached(), SchemaClass::DetShEx0Minus);
-        assert_eq!(s.classify_cached(), s.classify());
-        let g = s.shape_graph_cached().expect("RBE0 schema").clone();
-        assert_eq!(g.edge_count(), 8);
-        // A clone carries the warm cache but stays independently mutable.
-        let cloned = s.clone();
-        assert_eq!(cloned.classify_cached(), SchemaClass::DetShEx0Minus);
-        // Redefining a type invalidates both caches.
-        let bug = s.find_type("Bug").unwrap();
-        let user = s.find_type("User").unwrap();
-        s.define(
-            bug,
-            Rbe::disj(vec![
-                Rbe::symbol(Atom::new("descr", user)),
-                Rbe::symbol(Atom::new("summary", user)),
-            ]),
-        );
-        assert_eq!(s.classify_cached(), SchemaClass::ShEx);
-        assert!(s.shape_graph_cached().is_none());
-        // Adding a type also resets (the type table changed).
-        let mut s2 = bug_tracker();
-        assert_eq!(s2.shape_graph_cached().unwrap().node_count(), 4);
-        s2.add_type("Extra");
-        assert_eq!(s2.shape_graph_cached().unwrap().node_count(), 5);
+        // Content unchanged: the class is the same.
+        assert_eq!(a.classify(), SchemaClass::DetShEx0Minus);
     }
 
     #[test]

@@ -21,6 +21,7 @@ use std::time::Duration;
 use shapex::service::{
     ContainmentService, ServiceError, ServiceRequest, ServiceResponse, TenantId,
 };
+use shapex_core::engine::EngineOptions;
 use shapex_core::faults::{self, site, FaultAction, FaultPlan};
 use shapex_shex::parse_schema;
 
@@ -33,7 +34,10 @@ const CALLS_PER_CLIENT: usize = 20;
 
 #[test]
 fn worker_kills_yield_typed_errors_correct_verdicts_and_counted_restarts() {
-    let service = ContainmentService::new();
+    // A tiny cache budget, as in `engine_chaos`, so eviction sweeps race
+    // the injected kills too.
+    let service =
+        ContainmentService::with_options(EngineOptions::builder().cache_budget(4096).build());
     let pool = service.pool(4, 8);
 
     // Register the pair and take the fault-free verdict before arming.
