@@ -1,5 +1,5 @@
-//! Cache accounting and eviction for the [`crate::engine`]: the
-//! `CacheBudget`/[`Weigh`] seam.
+//! Cache accounting and eviction for the [`crate::engine`]: its private
+//! ledger.
 //!
 //! Both evictable caches of the engine — the sharded memo of completed
 //! answers and the per-schema [`crate::unfold::Unfolder`] arenas — are pure
@@ -7,13 +7,17 @@
 //! recomputation. That makes bounded memory a pure accounting problem, and
 //! this module is the ledger:
 //!
-//! * [`Weigh`] assigns every cached value an **accounted byte weight** — a
-//!   deliberate *approximation* of its heap footprint (capacities times
-//!   element sizes plus fixed per-container overheads). Structurally shared
-//!   allocations (an `Arc`ed candidate graph can be a memoised witness *and*
-//!   live in the unfolder that built it) are counted by every holder, so the
-//!   accounted total over-estimates the true resident set; the budget
-//!   therefore bounds a conservative upper bound, never an undercount.
+//! * Every cached value is charged an **accounted byte weight**: its
+//!   `approx_heap_bytes`, a deliberate *approximation* of its heap footprint
+//!   (capacities times element sizes plus fixed per-container overheads).
+//!   Exact sizes are unobservable without allocator hooks, and a weight may
+//!   drift as lazy structures fill in, so the engine records the weight it
+//!   charged next to each cache entry and credits exactly that amount on
+//!   eviction — the ledger always balances. Structurally shared allocations
+//!   (an `Arc`ed candidate graph can be a memoised witness *and* live in the
+//!   unfolder that built it) are counted by every holder, so the accounted
+//!   total over-estimates the true resident set; the budget therefore bounds
+//!   a conservative upper bound, never an undercount.
 //! * [`CacheBudget`] holds the knobs ([`CacheBudget::limit`], `None` =
 //!   unbounded — the default, and the zero-overhead path; plus the
 //!   per-entry admission ceiling [`CacheBudget::max_entry_bytes`] that
@@ -38,7 +42,7 @@ use std::sync::Mutex;
 /// The accounting category of a cached value. Every kind except
 /// [`CacheKind::Pinned`] is evictable and counts against the budget.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CacheKind {
+pub(crate) enum CacheKind {
     /// The sharded `(schema, schema)` memo of completed answers, witnesses
     /// included.
     Pairs,
@@ -52,37 +56,12 @@ pub enum CacheKind {
 /// The evictable categories, in stats-reporting order.
 const EVICTABLE: [CacheKind; 2] = [CacheKind::Pairs, CacheKind::Unfolder];
 
-/// Approximate heap footprint of a cached value, in bytes.
-///
-/// Implementations estimate: exact sizes are unobservable without allocator
-/// hooks, and the budget only needs a consistent, conservative measure. A
-/// weight may drift as lazy structures fill in, so the engine records the
-/// weight it charged next to each cache entry and credits exactly that
-/// recorded amount on eviction — the ledger always balances.
-pub trait Weigh {
-    /// The accounted byte weight (heap allocations only; the inline `self`
-    /// is the container's business).
-    fn weight_bytes(&self) -> u64;
-}
-
-impl Weigh for shapex_graph::Graph {
-    fn weight_bytes(&self) -> u64 {
-        self.approx_heap_bytes() as u64
-    }
-}
-
-impl Weigh for shapex_shex::Schema {
-    fn weight_bytes(&self) -> u64 {
-        self.approx_heap_bytes() as u64
-    }
-}
-
 /// The engine's cache ledger: budget knob, resident-byte accounting, LRU
 /// clock, and eviction telemetry. All counters are atomics — charging,
 /// crediting, and stamping happen on `&self` from any thread; only the
 /// sweep itself is serialised (through [`CacheBudget::sweeper`]).
 #[derive(Debug)]
-pub struct CacheBudget {
+pub(crate) struct CacheBudget {
     /// Accounted-byte ceiling for the evictable caches; `None` disables
     /// eviction entirely (charges still accumulate, so stats stay honest).
     limit: Option<u64>,
@@ -112,15 +91,9 @@ pub struct CacheBudget {
 }
 
 impl CacheBudget {
-    /// A ledger with the given evictable-byte ceiling (`None` = unbounded)
-    /// and no per-entry admission ceiling.
-    pub fn new(limit: Option<u64>) -> CacheBudget {
-        CacheBudget::with_admission(limit, None)
-    }
-
     /// A ledger with both knobs: the evictable-byte ceiling and the
     /// per-entry admission ceiling (each `None` = unbounded).
-    pub fn with_admission(limit: Option<u64>, max_entry_bytes: Option<u64>) -> CacheBudget {
+    pub(crate) fn new(limit: Option<u64>, max_entry_bytes: Option<u64>) -> CacheBudget {
         CacheBudget {
             limit,
             max_entry_bytes,
@@ -135,19 +108,19 @@ impl CacheBudget {
     }
 
     /// The configured ceiling, if any.
-    pub fn limit(&self) -> Option<u64> {
+    pub(crate) fn limit(&self) -> Option<u64> {
         self.limit
     }
 
     /// The configured per-entry admission ceiling, if any.
-    pub fn max_entry_bytes(&self) -> Option<u64> {
+    pub(crate) fn max_entry_bytes(&self) -> Option<u64> {
         self.max_entry_bytes
     }
 
     /// Whether an entry weighing `bytes` may be cached at all. `false`
     /// (counted in [`CacheBudget::admission_rejections`]) means the caller
     /// must still *use* the computed value — only the caching is refused.
-    pub fn admits(&self, bytes: u64) -> bool {
+    pub(crate) fn admits(&self, bytes: u64) -> bool {
         match self.max_entry_bytes {
             Some(ceiling) if bytes > ceiling => {
                 self.admission_rejections.fetch_add(1, Ordering::Relaxed);
@@ -159,17 +132,17 @@ impl CacheBudget {
 
     /// Advance the LRU clock and return the new stamp (always ≥ 1, so a
     /// zero cutoff means "evict nothing").
-    pub fn touch(&self) -> u64 {
+    pub(crate) fn touch(&self) -> u64 {
         self.clock.fetch_add(1, Ordering::Relaxed) + 1
     }
 
     /// Account `bytes` of freshly cached data under `kind`.
-    pub fn charge(&self, kind: CacheKind, bytes: u64) {
+    pub(crate) fn charge(&self, kind: CacheKind, bytes: u64) {
         self.resident[kind as usize].fetch_add(bytes, Ordering::Relaxed);
     }
 
     /// Return `bytes` of removed cached data under `kind` to the ledger.
-    pub fn credit(&self, kind: CacheKind, bytes: u64) {
+    pub(crate) fn credit(&self, kind: CacheKind, bytes: u64) {
         // Saturating: a racing snapshot may observe a transient imbalance,
         // but the ledger itself only moves by paired charge/credit amounts.
         let _ =
@@ -179,18 +152,18 @@ impl CacheBudget {
     }
 
     /// Resident accounted bytes of one category.
-    pub fn resident(&self, kind: CacheKind) -> u64 {
+    pub(crate) fn resident(&self, kind: CacheKind) -> u64 {
         self.resident[kind as usize].load(Ordering::Relaxed)
     }
 
     /// Resident accounted bytes across every evictable category — the
     /// number the budget bounds.
-    pub fn evictable(&self) -> u64 {
+    pub(crate) fn evictable(&self) -> u64 {
         EVICTABLE.iter().map(|&k| self.resident(k)).sum()
     }
 
     /// Whether the evictable total currently exceeds the limit.
-    pub fn over_budget(&self) -> bool {
+    pub(crate) fn over_budget(&self) -> bool {
         match self.limit {
             Some(limit) => self.evictable() > limit,
             None => false,
@@ -199,36 +172,36 @@ impl CacheBudget {
 
     /// The sweep serialisation lock (the engine's eviction path holds it for
     /// the duration of one sweep).
-    pub fn sweeper(&self) -> &Mutex<()> {
+    pub(crate) fn sweeper(&self) -> &Mutex<()> {
         &self.sweeper
     }
 
     /// Record the outcome of one sweep: `entries` cache records freed,
     /// `bytes` accounted bytes returned. (The per-kind `credit`s happen at
     /// the removal sites; this only feeds the telemetry counters.)
-    pub fn record_sweep(&self, entries: u64, bytes: u64) {
+    pub(crate) fn record_sweep(&self, entries: u64, bytes: u64) {
         self.sweeps.fetch_add(1, Ordering::Relaxed);
         self.evictions.fetch_add(entries, Ordering::Relaxed);
         self.evicted_bytes.fetch_add(bytes, Ordering::Relaxed);
     }
 
     /// Entries evicted so far.
-    pub fn evictions(&self) -> u64 {
+    pub(crate) fn evictions(&self) -> u64 {
         self.evictions.load(Ordering::Relaxed)
     }
 
     /// Accounted bytes freed by eviction so far.
-    pub fn evicted_bytes(&self) -> u64 {
+    pub(crate) fn evicted_bytes(&self) -> u64 {
         self.evicted_bytes.load(Ordering::Relaxed)
     }
 
     /// Sweeps run so far.
-    pub fn sweeps(&self) -> u64 {
+    pub(crate) fn sweeps(&self) -> u64 {
         self.sweeps.load(Ordering::Relaxed)
     }
 
     /// Entries refused by the admission policy so far.
-    pub fn admission_rejections(&self) -> u64 {
+    pub(crate) fn admission_rejections(&self) -> u64 {
         self.admission_rejections.load(Ordering::Relaxed)
     }
 }
@@ -239,7 +212,7 @@ mod tests {
 
     #[test]
     fn ledger_balances_charges_and_credits() {
-        let budget = CacheBudget::new(Some(100));
+        let budget = CacheBudget::new(Some(100), None);
         budget.charge(CacheKind::Pairs, 60);
         budget.charge(CacheKind::Unfolder, 50);
         budget.charge(CacheKind::Pinned, 1_000);
@@ -254,7 +227,7 @@ mod tests {
 
     #[test]
     fn unbounded_ledger_is_never_over_budget() {
-        let budget = CacheBudget::new(None);
+        let budget = CacheBudget::new(None, None);
         budget.charge(CacheKind::Pairs, u64::MAX / 2);
         assert!(!budget.over_budget());
         assert_eq!(budget.limit(), None);
@@ -262,7 +235,7 @@ mod tests {
 
     #[test]
     fn clock_stamps_are_strictly_increasing_and_nonzero() {
-        let budget = CacheBudget::new(Some(1));
+        let budget = CacheBudget::new(Some(1), None);
         let a = budget.touch();
         let b = budget.touch();
         assert!(a >= 1);
@@ -271,7 +244,7 @@ mod tests {
 
     #[test]
     fn admission_refuses_only_oversized_entries() {
-        let budget = CacheBudget::with_admission(Some(1_000), Some(64));
+        let budget = CacheBudget::new(Some(1_000), Some(64));
         assert!(budget.admits(64), "at the ceiling is still admitted");
         assert!(!budget.admits(65));
         assert!(budget.admits(1));
@@ -281,7 +254,7 @@ mod tests {
 
     #[test]
     fn default_admission_is_unbounded() {
-        let budget = CacheBudget::new(Some(8));
+        let budget = CacheBudget::new(Some(8), None);
         assert!(budget.admits(u64::MAX));
         assert_eq!(budget.admission_rejections(), 0);
         assert_eq!(budget.max_entry_bytes(), None);
@@ -289,7 +262,7 @@ mod tests {
 
     #[test]
     fn credits_saturate_instead_of_wrapping() {
-        let budget = CacheBudget::new(Some(10));
+        let budget = CacheBudget::new(Some(10), None);
         budget.charge(CacheKind::Pairs, 5);
         budget.credit(CacheKind::Pairs, 50);
         assert_eq!(budget.resident(CacheKind::Pairs), 0);

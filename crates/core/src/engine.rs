@@ -9,12 +9,13 @@
 //! and re-validates thousands of candidate graphs from scratch. The engine
 //! is the session layer that keeps all of that:
 //!
-//! * **Schema registry.** [`ContainmentEngine::register`] interns a schema by
-//!   a structural fingerprint and computes its [`SchemaClass`] and shape
-//!   graph once; the registered copy's atom labels are re-interned through
-//!   the engine's one [`shapex_graph::LabelTable`], so every registered
-//!   schema (and every candidate graph unfolded from one) shares one
-//!   allocation per distinct predicate label.
+//! * **Schema registry.** [`ContainmentEngine::register`] interns a schema
+//!   by a structural fingerprint and computes its [`SchemaClass`] once, and
+//!   its shape graph once if it is RBE₀ (any class but `ShEx`); the
+//!   registered copy's atom labels are re-interned through the engine's one
+//!   [`shapex_graph::LabelTable`], so every registered schema (and every
+//!   candidate graph unfolded from one) shares one allocation per distinct
+//!   predicate label.
 //! * **Per-schema caches.** The characterizing graph (Lemma 4.2), the
 //!   exhaustive per-type bag enumeration of the general sufficient check,
 //!   and the schema's [`Unfolder`] — hash-consed candidate trees per
@@ -32,16 +33,18 @@
 //! # One query path
 //!
 //! Every verdict goes through one dispatch chain that picks the strongest
-//! procedure for the pair's class. A `ShEx₀` pair goes to embedding (§3),
-//! then the characterizing graph for `DetShEx₀⁻` (Lemma 4.2), then the
-//! exact type-set fixpoint ([`crate::fixpoint`], §5); only a pair over the
-//! fixpoint's work bound reaches the bounded counter-example search. A pair
-//! with a full ShEx side goes to the type-simulation check and then the
-//! bounded search (§6). Four methods reach it:
-//! [`ContainmentEngine::check`] and [`ContainmentEngine::check_matrix`]
-//! register schemas and ask; [`ContainmentEngine::check_ids`] and
+//! procedure by the pair's shape graphs, and every procedure in it answers a
+//! [`Containment`]. A pair whose two schemas have shape graphs (`ShEx₀`)
+//! goes to embedding (§3), then the characterizing graph for `DetShEx₀⁻`
+//! (Lemma 4.2), then the exact type-set fixpoint ([`crate::fixpoint`], §5);
+//! only a pair over the fixpoint's work bound reaches the bounded
+//! counter-example search. A pair with a full ShEx side goes to the
+//! type-simulation check and then the bounded search (§6). Four methods
+//! reach it: [`ContainmentEngine::check`] and
+//! [`ContainmentEngine::check_matrix`] register schemas and ask;
+//! [`ContainmentEngine::check_ids`] and
 //! [`ContainmentEngine::check_matrix_ids`] take handles plus an optional
-//! [`CancelToken`] (and [`ContainmentEngine::det_ids`] is the same answer
+//! [`CancelToken`] (and [`ContainmentEngine::det`] is the same answer
 //! behind a `DetShEx₀⁻` class gate). Each consults the pair's memoised
 //! answer first. Without a token, concurrent first checks of one pair
 //! coalesce onto one computation; with one, the query polls it at bounded
@@ -73,25 +76,24 @@
 //!
 //! Left alone, every cache above grows for the engine's lifetime — fine for
 //! a batch job, fatal for a long-lived multi-tenant service. With
-//! [`EngineOptionsBuilder::cache_budget`] set, the engine keeps an
-//! accounted-byte ledger (the
-//! [`crate::budget::CacheBudget`]/[`crate::budget::Weigh`] seam): the
-//! answer memo (witnesses included) and the per-schema unfolders are
-//! size-accounted and stamped with an LRU clock on every use — one stamp
-//! per answer, one per unfolder — and whenever the evictable total exceeds
-//! the budget an epoch-LRU sweep drops the least-recently-used answers and
-//! resets the least-recently-used unfolders until the total is back under
-//! half the budget. Eviction is **observationally invisible** — both are
-//! pure memos of deterministic functions, so a dropped entry costs a
-//! recomputation, never a different verdict or witness (the
-//! `engine_eviction` suite pins this against the unbounded engine and the
-//! memo-free baseline). One-shot `OnceLock` caches (characterizing graphs,
-//! exhaustive bag enumerations) and the registered schemas are exempt but
-//! counted, so [`EngineStats`] reports the full footprint: per-cache
-//! resident bytes, evictions, and bytes freed, next to the hit counters —
-//! the capacity-planning surface of a service deployment. The default
-//! budget is `None` (unbounded): existing workloads pay only a few atomic
-//! increments.
+//! [`EngineOptionsBuilder::cache_budget`] set, the engine keeps a private
+//! accounted-byte ledger, which charges every cached value its
+//! `approx_heap_bytes`: the answer memo (witnesses included) and the
+//! per-schema unfolders are size-accounted and stamped with an LRU clock on
+//! every use — one stamp per answer, one per unfolder — and whenever the
+//! evictable total exceeds the budget an epoch-LRU sweep drops the
+//! least-recently-used answers and resets the least-recently-used unfolders
+//! until the total is back under half the budget. Eviction is
+//! **observationally invisible** — both are pure memos of deterministic
+//! functions, so a dropped entry costs a recomputation, never a different
+//! verdict or witness (the `engine_eviction` suite pins this against the
+//! unbounded engine and the memo-free baseline). One-shot `OnceLock` caches
+//! (characterizing graphs, exhaustive bag enumerations) and the registered
+//! schemas are exempt but counted, so [`EngineStats`] reports the full
+//! footprint: per-cache resident bytes, evictions, and bytes freed, next to
+//! the hit counters — the capacity-planning surface of a service deployment.
+//! The default budget is `None` (unbounded): existing workloads pay only a
+//! few atomic increments.
 //!
 //! The one-shot functions still exist and behave identically — they
 //! construct a throwaway engine. Witnesses are reproducible: a `ShEx₀`
@@ -118,18 +120,17 @@ use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
-use std::time::Duration;
 
 use shapex_graph::{Graph, LabelTable};
 use shapex_rbe::Bag;
 use shapex_shex::typing::{validates_with, SolverTelemetry, ValidateScratch};
 use shapex_shex::{Atom, Schema, SchemaClass, TypeId};
 
-use crate::budget::{CacheBudget, CacheKind, Weigh};
+use crate::budget::{CacheBudget, CacheKind};
 use crate::det::{characterizing_graph, NotDetShex0Minus};
 use crate::embedding::embeds;
 use crate::faults;
-use crate::fixpoint::{self, FixpointOutcome};
+use crate::fixpoint;
 use crate::general::{exhaustive_bags, type_simulation_with_bags};
 use crate::sync::{lock_or_recover, read_or_recover, write_or_recover};
 use crate::unfold::{SearchOptions, Unfolder};
@@ -490,7 +491,8 @@ fn bags_weight(bags: &[Vec<Bag<Atom>>]) -> u64 {
 struct SchemaEntry {
     schema: Arc<Schema>,
     class: SchemaClass,
-    /// Present iff the schema is RBE₀ (Proposition 3.2).
+    /// Present iff the schema is RBE₀, i.e. its class is not `ShEx`
+    /// (Proposition 3.2); the dispatch picks the `ShEx₀` chain by it.
     shape_graph: Option<Graph>,
     /// The characterizing graph of Lemma 4.2, built on first demand
     /// (`DetShEx₀⁻` schemas only) and shared by every answer it refutes.
@@ -614,32 +616,6 @@ impl PairMemo {
     }
 }
 
-/// What the bounded search learned about a pair.
-struct SearchOutcome {
-    /// A certified counter-example: the pool member itself, shared.
-    witness: Option<Arc<Graph>>,
-    /// Candidate graphs actually validated against the right-hand schema.
-    candidates: usize,
-    depth: usize,
-    /// How long the query had run when its cancellation token fired, if it
-    /// did. A found witness still stands (it was certified before the
-    /// expiry was observed); otherwise the answer is
-    /// [`crate::UnknownReason::DeadlineExceeded`] rather than a claim about
-    /// the exhausted budget.
-    cancelled: Option<Duration>,
-}
-
-impl SearchOutcome {
-    fn into_containment(self) -> Containment {
-        match (self.witness, self.cancelled) {
-            (Some(witness), _) => Containment::NotContained(witness),
-            (None, Some(elapsed)) => Containment::deadline_exceeded(elapsed),
-            (None, None) if self.candidates == 0 => Containment::not_supported(),
-            (None, None) => Containment::budget_exhausted(self.candidates, self.depth),
-        }
-    }
-}
-
 /// A reusable, shareable containment query session; see the
 /// [module docs](self) for what is cached and the concurrency contract.
 /// Every query method takes `&self`, so one engine (typically behind an
@@ -679,7 +655,7 @@ impl ContainmentEngine {
 
     /// An engine with the given options.
     pub fn with_options(options: EngineOptions) -> ContainmentEngine {
-        let budget = CacheBudget::with_admission(options.cache_budget, options.max_entry_bytes);
+        let budget = CacheBudget::new(options.cache_budget, options.max_entry_bytes);
         ContainmentEngine {
             options,
             labels: Mutex::new(LabelTable::new()),
@@ -741,12 +717,15 @@ impl ContainmentEngine {
         let mut owned = schema.clone();
         owned.adopt_labels(&mut lock_or_recover(&self.labels));
         let class = owned.classify();
-        let shape_graph = owned.to_shape_graph();
+        let shape_graph = match class {
+            SchemaClass::ShEx => None,
+            _ => owned.to_shape_graph(),
+        };
         // The registered schema, its shape graph and the entry shell are
         // pinned footprint: counted, never evicted.
-        let pinned = std::mem::size_of::<SchemaEntry>() as u64
-            + owned.weight_bytes()
-            + shape_graph.as_ref().map_or(0, Weigh::weight_bytes);
+        let pinned = (std::mem::size_of::<SchemaEntry>()
+            + owned.approx_heap_bytes()
+            + shape_graph.as_ref().map_or(0, Graph::approx_heap_bytes)) as u64;
         let entry = Arc::new(SchemaEntry {
             schema: Arc::new(owned),
             class,
@@ -832,7 +811,7 @@ impl ContainmentEngine {
     }
 
     /// The one verdict route behind [`ContainmentEngine::check_ids`],
-    /// [`ContainmentEngine::det_ids`] and every matrix cell. An
+    /// [`ContainmentEngine::det`] and every matrix cell. An
     /// already-expired token answers at once; otherwise the pair's memoised
     /// answer, if any, is returned. With a token,
     /// [`ContainmentEngine::answer`] runs directly (and the deadline counter
@@ -984,17 +963,10 @@ impl ContainmentEngine {
     }
 
     /// The session equivalent of [`crate::det::det_containment`]: polynomial
-    /// containment for `DetShEx₀⁻` (Corollary 4.4).
+    /// containment for `DetShEx₀⁻` (Corollary 4.4), which is the
+    /// [`ContainmentEngine::check`] answer behind the `DetShEx₀⁻` class gate.
     pub fn det(&self, h: &Schema, k: &Schema) -> Result<Containment, NotDetShex0Minus> {
-        let h = self.register(h);
-        let k = self.register(k);
-        self.det_ids(h, k)
-    }
-
-    /// [`ContainmentEngine::det`] for already-registered schemas: the
-    /// [`ContainmentEngine::check_ids`] answer behind the `DetShEx₀⁻` class
-    /// gate.
-    pub fn det_ids(&self, h: SchemaId, k: SchemaId) -> Result<Containment, NotDetShex0Minus> {
+        let (h, k) = (self.register(h), self.register(k));
         let entries = self.entries(&[h, k]);
         require_det_minus(&entries[0])?;
         require_det_minus(&entries[1])?;
@@ -1009,67 +981,54 @@ impl ContainmentEngine {
         let k = self.register(k);
         let entries = self.entries(&[h, k]);
         self.search(&entries[0], &entries[1], None)
-            .witness
-            .map(|witness| Graph::clone(&witness))
+            .counter_example()
+            .cloned()
     }
 
     /// Compute the answer for the pair `(h, k)` with the strongest procedure
-    /// for its class. A `ShEx₀` pair goes to embedding
-    /// (§3), then the characterizing graph when both sides are `DetShEx₀⁻`
-    /// (Lemma 4.2), then the type-set fixpoint (§5), and to the bounded
-    /// search only over the fixpoint's work bound. A pair with a full ShEx
-    /// side goes to the type-simulation sufficient check and then the
-    /// bounded search (§6).
+    /// for its class. A pair whose entries both hold a shape graph (`ShEx₀`)
+    /// goes to embedding (§3), then the characterizing graph when both sides
+    /// are `DetShEx₀⁻` (Lemma 4.2), then the type-set fixpoint (§5), and to
+    /// the bounded search only over the fixpoint's work bound. A pair with a
+    /// full ShEx side goes to the type-simulation sufficient check and then
+    /// the bounded search (§6).
     fn answer(
         &self,
         h: &SchemaEntry,
         k: &SchemaEntry,
         cancel: Option<&CancelToken>,
     ) -> Containment {
-        let rbe0 = h.class != SchemaClass::ShEx && k.class != SchemaClass::ShEx;
         match (&h.shape_graph, &k.shape_graph) {
-            // Every RBE₀ schema has a shape graph (Proposition 3.2).
-            (Some(hg), Some(kg)) if rbe0 => {
+            (Some(hg), Some(kg)) => {
                 EngineCounters::tick(&self.counters.embed_misses);
                 if embeds(hg, kg).is_some() {
-                    Containment::Contained
-                } else if h.class == SchemaClass::DetShEx0Minus
-                    && k.class == SchemaClass::DetShEx0Minus
-                {
-                    Containment::NotContained(self.characterizing(h).expect("checked DetShEx0-"))
-                } else {
-                    match fixpoint::decide(&h.schema, &k.schema, cancel) {
-                        FixpointOutcome::Contained => {
-                            EngineCounters::tick(&self.counters.fixpoint_decided);
-                            Containment::Contained
-                        }
-                        FixpointOutcome::NotContained(witness) => {
-                            EngineCounters::tick(&self.counters.fixpoint_decided);
-                            Containment::NotContained(witness)
-                        }
-                        FixpointOutcome::OverBudget => {
-                            EngineCounters::tick(&self.counters.fixpoint_over_budget);
-                            self.search(h, k, cancel).into_containment()
-                        }
-                        FixpointOutcome::Cancelled => {
-                            EngineCounters::tick(&self.counters.cancelled_branches);
-                            let token = cancel.expect("only a token cancels the fixpoint");
-                            Containment::deadline_exceeded(token.elapsed())
-                        }
-                    }
+                    return Containment::Contained;
                 }
+                if h.class == SchemaClass::DetShEx0Minus && k.class == SchemaClass::DetShEx0Minus {
+                    return Containment::NotContained(
+                        self.characterizing(h).expect("checked DetShEx0-"),
+                    );
+                }
+                if let Some(answer) = fixpoint::decide(&h.schema, &k.schema, cancel) {
+                    EngineCounters::tick(if is_deadline(&answer) {
+                        &self.counters.cancelled_branches
+                    } else {
+                        &self.counters.fixpoint_decided
+                    });
+                    return answer;
+                }
+                EngineCounters::tick(&self.counters.fixpoint_over_budget);
             }
             _ => {
                 let sufficient = self.exhaustive_bags_cached(h).is_some_and(|bags| {
                     type_simulation_with_bags(&h.schema, &bags, &k.schema, Some(&*self.telemetry))
                 });
                 if sufficient {
-                    Containment::Contained
-                } else {
-                    self.search(h, k, cancel).into_containment()
+                    return Containment::Contained;
                 }
             }
         }
+        self.search(h, k, cancel)
     }
 
     /// The characterizing graph of a registered `DetShEx₀⁻` schema, built
@@ -1082,7 +1041,8 @@ impl ContainmentEngine {
             Arc::new(characterizing_graph(&entry.schema).expect("class-checked DetShEx0- schema"))
         });
         if built_here {
-            self.budget.charge(CacheKind::Pinned, graph.weight_bytes());
+            self.budget
+                .charge(CacheKind::Pinned, graph.approx_heap_bytes() as u64);
         }
         Ok(graph.clone())
     }
@@ -1118,7 +1078,7 @@ impl ContainmentEngine {
         h: &SchemaEntry,
         k: &SchemaEntry,
         cancel: Option<&CancelToken>,
-    ) -> SearchOutcome {
+    ) -> Containment {
         let opts = &self.options.search;
         let mut examined = 0usize;
         let mut checked = 0usize;
@@ -1129,12 +1089,13 @@ impl ContainmentEngine {
         // reused even if a sweep resets the unfolder mid-search. (An invalid
         // candidate ends the search, so only valid ones are recorded.)
         let mut valid: HashMap<*const Graph, Arc<Graph>> = HashMap::new();
-        let outcome = 'search: {
+        let answer = 'search: {
             for root in h.schema.types() {
                 for depth in 1..=opts.max_depth {
                     let Some(pool) = self.pool(h, root, depth, cancel) else {
                         // The pool build itself observed the expired token.
-                        break 'search self.expired(checked, cancel);
+                        let token = cancel.expect("only a token cancels a pool");
+                        break 'search Containment::deadline_exceeded(token.elapsed());
                     };
                     // The baseline increments `examined` per candidate and
                     // abandons the pool once the count exceeds the budget,
@@ -1145,8 +1106,10 @@ impl ContainmentEngine {
                         // poll (and one armed fault site) per candidate
                         // bounds the interval between an expiry and its
                         // observation by one validation.
-                        if let Some(expired) = self.checkpoint(checked, cancel) {
-                            break 'search expired;
+                        faults::trigger(faults::site::SOLVER_BRANCH);
+                        if let Some(token) = cancel.filter(|token| token.fired()) {
+                            EngineCounters::tick(&self.counters.cancelled_branches);
+                            break 'search Containment::deadline_exceeded(token.elapsed());
                         }
                         examined += 1;
                         if examined > opts.max_candidates {
@@ -1160,7 +1123,9 @@ impl ContainmentEngine {
                             Entry::Vacant(slot) => {
                                 EngineCounters::tick(&self.counters.validate_misses);
                                 if !validates_with(graph, &k.schema, &mut scratch) {
-                                    break 'search self.refuted(graph, checked);
+                                    // A certified counter-example: the pool
+                                    // member itself, shared.
+                                    break 'search Containment::NotContained(Arc::clone(graph));
                                 }
                                 slot.insert(Arc::clone(graph));
                             }
@@ -1168,12 +1133,16 @@ impl ContainmentEngine {
                     }
                 }
             }
-            self.open(checked)
+            if checked == 0 {
+                Containment::not_supported()
+            } else {
+                Containment::budget_exhausted(checked, opts.max_depth)
+            }
         };
         // Whatever the unfolder just grew, bring the evictable total back
         // under budget before the query returns.
         self.maybe_evict();
-        outcome
+        answer
     }
 
     /// The pool of members of `h` unfolded from `root` up to `depth`,
@@ -1214,48 +1183,6 @@ impl ContainmentEngine {
             EngineCounters::tick(&self.counters.cancelled_branches);
         }
         pool
-    }
-
-    /// The per-candidate checkpoint of the search: one armed fault site and
-    /// one poll of the token. `Some` once the token has fired.
-    fn checkpoint(&self, checked: usize, cancel: Option<&CancelToken>) -> Option<SearchOutcome> {
-        faults::trigger(faults::site::SOLVER_BRANCH);
-        if cancel.is_some_and(|token| token.fired()) {
-            EngineCounters::tick(&self.counters.cancelled_branches);
-            return Some(self.expired(checked, cancel));
-        }
-        None
-    }
-
-    /// The search stopped at an expired token (which must be given).
-    fn expired(&self, checked: usize, cancel: Option<&CancelToken>) -> SearchOutcome {
-        let token = cancel.expect("only a token cancels a search");
-        SearchOutcome {
-            witness: None,
-            candidates: checked,
-            depth: self.options.search.max_depth,
-            cancelled: Some(token.elapsed()),
-        }
-    }
-
-    /// The search found `witness`, its `checked`-th candidate.
-    fn refuted(&self, witness: &Arc<Graph>, checked: usize) -> SearchOutcome {
-        SearchOutcome {
-            witness: Some(Arc::clone(witness)),
-            candidates: checked,
-            depth: self.options.search.max_depth,
-            cancelled: None,
-        }
-    }
-
-    /// The search ran out of candidates after validating `checked`.
-    fn open(&self, checked: usize) -> SearchOutcome {
-        SearchOutcome {
-            witness: None,
-            candidates: checked,
-            depth: self.options.search.max_depth,
-            cancelled: None,
-        }
     }
 
     /// Re-measure an entry's unfolder and charge/credit the ledger delta.
@@ -1410,7 +1337,7 @@ fn is_deadline(answer: &Containment) -> bool {
 fn entry_bytes(h: &SchemaEntry, answer: &Containment) -> u64 {
     let witness = match (answer, h.characterizing.get()) {
         (Containment::NotContained(witness), Some(pinned)) if Arc::ptr_eq(witness, pinned) => 0,
-        (Containment::NotContained(witness), _) => witness.weight_bytes(),
+        (Containment::NotContained(witness), _) => witness.approx_heap_bytes() as u64,
         _ => 0,
     };
     PAIR_ENTRY_BYTES + witness
@@ -1489,6 +1416,25 @@ mod tests {
         assert_eq!(engine.schema(ia).type_count(), 2);
         assert!(engine.is_registered(ia));
         assert_eq!(engine.schema_count(), 2);
+    }
+
+    #[test]
+    fn a_schema_with_a_non_basic_interval_pins_no_shape_graph() {
+        // RBE₀ in shape, but `[2;3]` is not a basic interval: the class is
+        // `ShEx`, so the entry holds no shape graph and pins only its shell
+        // and its schema, and the pair goes to the sufficient check.
+        let s = parse_schema("T -> p::L[2;3]\nL -> EMPTY\n").unwrap();
+        let engine = quick_engine();
+        let entry = engine.entry(engine.register(&s));
+        assert_eq!(entry.class, SchemaClass::ShEx);
+        assert!(entry.shape_graph.is_none());
+        let shell = std::mem::size_of::<SchemaEntry>();
+        assert_eq!(
+            engine.stats().pinned_bytes,
+            (shell + entry.schema.approx_heap_bytes()) as u64
+        );
+        assert!(engine.check(&s, &s).is_contained());
+        assert_eq!(engine.stats().embed_misses, 0);
     }
 
     #[test]
@@ -1710,19 +1656,15 @@ mod tests {
     }
 
     #[test]
-    fn det_ids_is_the_memoised_check_behind_its_class_gate() {
+    fn det_is_the_memoised_check_behind_its_class_gate() {
         let via_p = parse_schema("T -> p::L\nL -> EMPTY\n").unwrap();
         let via_q = parse_schema("T -> q::L\nL -> EMPTY\n").unwrap();
         let plus = parse_schema("T -> p::L+\nL -> EMPTY\n").unwrap();
         let engine = quick_engine();
-        let (p, q, plus) = (
-            engine.register(&via_p),
-            engine.register(&via_q),
-            engine.register(&plus),
-        );
         // `+` is outside DetShEx0-, so the gate refuses that pair.
-        assert!(engine.det_ids(p, plus).is_err());
-        let refuted = engine.det_ids(p, q).expect("both DetShEx0-");
+        assert!(engine.det(&via_p, &plus).is_err());
+        let refuted = engine.det(&via_p, &via_q).expect("both DetShEx0-");
+        let (p, q) = (engine.register(&via_p), engine.register(&via_q));
         let checked = engine.check_ids(p, q, None);
         assert!(refuted.is_not_contained(), "{refuted}");
         match (&refuted, &checked) {

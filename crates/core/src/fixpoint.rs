@@ -2,9 +2,10 @@
 //!
 //! Containment of shape graphs is decidable — EXP-hard and in coNEXP
 //! (Theorems 5.3 and 5.4 of the paper) — and [`decide`] is a decision
-//! procedure for it. It answers `L(H) ⊆ L(K)` for two RBE₀ schemas exactly,
-//! up to a constant work bound ([`EVALUATION_BUDGET`]), and every
-//! `NotContained` answer carries a small certified counter-example.
+//! procedure for it. It answers `L(H) ⊆ L(K)` for two RBE₀ schemas with a
+//! [`Containment`], exactly, up to a constant work bound
+//! ([`EVALUATION_BUDGET`]), and every `NotContained` answer carries a small
+//! certified counter-example.
 //!
 //! # States
 //!
@@ -97,20 +98,19 @@
 //! numerous still: an unbounded atom over `m` keys has `(cap + 1)^m`
 //! summaries, and a definition's atoms multiply theirs. The problem is
 //! EXP-hard, so no procedure avoids this in the worst case;
-//! [`EVALUATION_BUDGET`] bounds the work, and a pair over it answers
-//! [`FixpointOutcome::OverBudget`]. On the benchmark's corpus no pair comes
-//! close: its hardest input, the DNF-tautology gadget of Theorem 4.5, needs
-//! about a thousand evaluations.
+//! [`EVALUATION_BUDGET`] bounds the work, and [`decide`] answers `None` for
+//! a pair over it. On the benchmark's corpus no pair comes close: its
+//! hardest input, the DNF-tautology gadget of Theorem 4.5, needs about a
+//! thousand evaluations.
 
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::sync::Arc;
 
 use shapex_graph::{Graph, Label, NodeId};
 use shapex_rbe::{FlowScratch, Interval};
 use shapex_shex::typing::validates;
 use shapex_shex::Schema;
 
-use crate::{faults, CancelToken};
+use crate::{faults, CancelToken, Containment};
 
 /// Bag evaluations (one flow check per K-type each) one pair may spend
 /// before [`decide`] gives up. A constant, not an option: the benchmark's
@@ -125,30 +125,21 @@ const STEPS_PER_EVALUATION: usize = 32;
 /// Enumeration steps between two cancellation polls.
 const POLL_EVERY: usize = 64;
 
-/// What [`decide`] found out about one ordered pair.
-#[derive(Debug, Clone)]
-pub enum FixpointOutcome {
-    /// `L(H) ⊆ L(K)`: no state with an empty K-set is reachable.
-    Contained,
-    /// `L(H) ⊄ L(K)`, with a counter-example certified by [`validates`].
-    NotContained(Arc<Graph>),
-    /// The pair needs more than [`EVALUATION_BUDGET`] evaluations. In
-    /// release builds a witness that fails certification (a bug, caught by a
-    /// `debug_assert!` in debug builds) also ends here, so no uncertified
-    /// witness escapes.
-    OverBudget,
-    /// The cancellation token fired before the fixpoint was reached.
-    Cancelled,
-}
-
 /// Decide `L(H) ⊆ L(K)` for two RBE₀ schemas with the type-set fixpoint
-/// (see the [module docs](self)). `cancel` is polled every few dozen
-/// enumeration steps, where the `solver-branch` fault site also fires.
+/// (see the [module docs](self)): `Contained`, or `NotContained` with a
+/// counter-example certified by [`validates`]. `cancel` is polled every few
+/// dozen enumeration steps, where the `solver-branch` fault site also fires;
+/// once it fires the answer is [`Containment::deadline_exceeded`].
+///
+/// `None` means the pair needs more than [`EVALUATION_BUDGET`] evaluations.
+/// In release builds a witness that fails certification (a bug, caught by a
+/// `debug_assert!` in debug builds) also answers `None`, so no uncertified
+/// witness escapes.
 ///
 /// # Panics
 /// Panics if either schema has a definition that is not RBE₀ with basic
 /// intervals.
-pub fn decide(h: &Schema, k: &Schema, cancel: Option<&CancelToken>) -> FixpointOutcome {
+pub fn decide(h: &Schema, k: &Schema, cancel: Option<&CancelToken>) -> Option<Containment> {
     assert!(
         h.is_rbe0() && k.is_rbe0(),
         "the type-set fixpoint decides RBE0 schemas only"
@@ -156,18 +147,15 @@ pub fn decide(h: &Schema, k: &Schema, cancel: Option<&CancelToken>) -> FixpointO
     let tables = Tables::new(h, k);
     let mut search = Search::new(&tables, cancel);
     match search.run() {
-        Ok(()) => FixpointOutcome::Contained,
-        Err(Stop::OverBudget) => FixpointOutcome::OverBudget,
-        Err(Stop::Cancelled) => FixpointOutcome::Cancelled,
+        Ok(()) => Some(Containment::Contained),
+        Err(Stop::OverBudget) => None,
+        // Only a token cancels, so `cancel` is `Some` here.
+        Err(Stop::Cancelled) => cancel.map(|token| Containment::deadline_exceeded(token.elapsed())),
         Err(Stop::Found(root)) => {
             let witness = search.witness(root);
             let certified = validates(&witness, h) && !validates(&witness, k);
             debug_assert!(certified, "uncertified fixpoint witness:\n{witness}");
-            if certified {
-                FixpointOutcome::NotContained(Arc::new(witness))
-            } else {
-                FixpointOutcome::OverBudget
-            }
+            certified.then(|| Containment::not_contained(witness))
         }
     }
 }
@@ -684,7 +672,7 @@ mod tests {
     use super::*;
     use shapex_shex::parse_schema;
 
-    fn outcome(h: &str, k: &str) -> FixpointOutcome {
+    fn outcome(h: &str, k: &str) -> Option<Containment> {
         decide(&parse_schema(h).unwrap(), &parse_schema(k).unwrap(), None)
     }
 
@@ -701,11 +689,11 @@ mod tests {
              Employee -> name::Literal, email::Literal\n";
         assert!(matches!(
             outcome(original, split),
-            FixpointOutcome::Contained
+            Some(Containment::Contained)
         ));
         assert!(matches!(
             outcome(split, original),
-            FixpointOutcome::Contained
+            Some(Containment::Contained)
         ));
     }
 
@@ -713,15 +701,15 @@ mod tests {
     fn figure_4_star_unfolding_is_contained() {
         let g = "G -> a::Leaf*, b::Leaf*\nLeaf -> EMPTY\n";
         let h = "H0 -> a::Leaf*\nH1 -> a::Leaf*, b::Leaf\nH2 -> a::Leaf*, b::Leaf, b::Leaf*\nLeaf -> EMPTY\n";
-        assert!(matches!(outcome(g, h), FixpointOutcome::Contained));
-        assert!(matches!(outcome(h, g), FixpointOutcome::Contained));
+        assert!(matches!(outcome(g, h), Some(Containment::Contained)));
+        assert!(matches!(outcome(h, g), Some(Containment::Contained)));
     }
 
     #[test]
     fn refutations_are_small_certified_graphs() {
         let h = "Bug -> descr::Literal, related::Bug*\nLiteral -> EMPTY\n";
         let k = "Bug -> descr::Literal, related::Bug?\nLiteral -> EMPTY\n";
-        let FixpointOutcome::NotContained(witness) = outcome(h, k) else {
+        let Some(Containment::NotContained(witness)) = outcome(h, k) else {
             panic!("* does not narrow to ?");
         };
         // A bug with two related bugs and their literals.
@@ -735,13 +723,13 @@ mod tests {
         // Every node of `looped` lies on a mandatory cycle: the only
         // members are cyclic graphs, which no unfolding reaches.
         let looped = "T -> p::T, p::U\nU -> q::T\n";
-        let FixpointOutcome::NotContained(witness) = outcome(looped, "T -> z::T\n") else {
+        let Some(Containment::NotContained(witness)) = outcome(looped, "T -> z::T\n") else {
             panic!("a p-edge is never a z-edge");
         };
         assert!(witness.topological_order().is_none(), "{witness}");
         assert!(matches!(
             outcome("T -> next::T\n", "T -> next::T?\n"),
-            FixpointOutcome::Contained
+            Some(Containment::Contained)
         ));
     }
 
@@ -750,7 +738,7 @@ mod tests {
         // No K-type: any node is untyped, and the realiser of a type is the
         // witness.
         let h = parse_schema("T -> p::U\nU -> q::T\n").unwrap();
-        let FixpointOutcome::NotContained(witness) = decide(&h, &Schema::new(), None) else {
+        let Some(Containment::NotContained(witness)) = decide(&h, &Schema::new(), None) else {
             panic!("an empty schema accepts only the empty graph");
         };
         assert_eq!(witness.node_count(), 2, "{witness}");
@@ -762,9 +750,13 @@ mod tests {
         token.cancel();
         let h = parse_schema("T -> p::L*\nL -> EMPTY\n").unwrap();
         let k = parse_schema("T -> p::L?\nL -> EMPTY\n").unwrap();
-        assert!(matches!(
-            decide(&h, &k, Some(&token)),
-            FixpointOutcome::Cancelled
-        ));
+        let answer = decide(&h, &k, Some(&token)).expect("a fired token answers");
+        assert!(
+            matches!(
+                answer.unknown_reason(),
+                Some(crate::UnknownReason::DeadlineExceeded { .. })
+            ),
+            "{answer}"
+        );
     }
 }

@@ -19,17 +19,20 @@
 //!   counter-example search and may report [`Containment::Unknown`].
 //! * [`fixpoint`] — the type-set fixpoint behind [`shex0`]: states `(t, S)`
 //!   of an H-type and a set of K-types, antichains of ⊆-minimal sets, and
-//!   certified witnesses unfolded from the derivation.
+//!   certified witnesses unfolded from the derivation. It answers a
+//!   [`Containment`], or `None` for a pair over its work bound.
 //! * [`general`] (§6) — containment for full ShEx (arbitrary shape
 //!   expressions), via unfolding-based counter-example search with Presburger
 //!   validation; sound in both directions, bounded (the problem is
 //!   coNEXP-hard).
 //! * [`engine`] — the shared-state query session over all of the above:
-//!   `ContainmentEngine` registers schemas once, keeps each schema's shape
-//!   graph and unfolded candidates, and memoises one answer per ordered
-//!   pair behind `&self` concurrent caches, so one engine (typically in an
-//!   `Arc`) serves batch matrices and long-lived services, one query per
-//!   caller thread.
+//!   `ContainmentEngine` registers schemas once, keeps each RBE₀ schema's
+//!   shape graph and every schema's unfolded candidates, and memoises one
+//!   answer per ordered pair behind `&self` concurrent caches, so one engine
+//!   (typically in an `Arc`) serves batch matrices and long-lived services,
+//!   one query per caller thread. With a cache budget, a ledger private to
+//!   the engine charges each cached value its `approx_heap_bytes` and evicts
+//!   the least recently used; `EngineStats` reports every number it keeps.
 //! * [`simulation`] — the maximal simulation behind [`embedding`]: the
 //!   bitset-row typing worklist of `shapex-shex`, run with `H`'s nodes as
 //!   the types (Proposition 3.2).
@@ -52,7 +55,7 @@ use std::sync::Arc;
 use shapex_graph::Graph;
 
 pub mod baseline;
-pub mod budget;
+mod budget;
 pub mod det;
 pub mod embedding;
 pub mod engine;

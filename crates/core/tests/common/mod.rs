@@ -13,7 +13,7 @@ use rand::{Rng, SeedableRng};
 use shapex_core::baseline::search_counter_example_baseline;
 use shapex_core::det::characterizing_graph;
 use shapex_core::embedding::embeds;
-use shapex_core::fixpoint::{self, FixpointOutcome};
+use shapex_core::fixpoint;
 use shapex_core::unfold::SearchOptions;
 use shapex_core::Containment;
 use shapex_graph::generate::GraphGen;
@@ -141,14 +141,10 @@ pub fn shex0_oracle(h: &Schema, k: &Schema, options: &SearchOptions) -> Containm
         let witness = characterizing_graph(h).expect("checked DetShEx0-");
         return Containment::not_contained(witness);
     }
-    match fixpoint::decide(h, k, None) {
-        FixpointOutcome::Contained => Containment::Contained,
-        FixpointOutcome::NotContained(witness) => Containment::NotContained(witness),
-        FixpointOutcome::OverBudget | FixpointOutcome::Cancelled => {
-            match search_counter_example_baseline(h, k, options) {
-                Some(witness) => Containment::not_contained(witness),
-                None => Containment::budget_exhausted(0, 0),
-            }
+    fixpoint::decide(h, k, None).unwrap_or_else(|| {
+        match search_counter_example_baseline(h, k, options) {
+            Some(witness) => Containment::not_contained(witness),
+            None => Containment::budget_exhausted(0, 0),
         }
-    }
+    })
 }

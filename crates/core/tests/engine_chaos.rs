@@ -31,7 +31,7 @@ use proptest::prelude::*;
 use shapex_core::engine::{ContainmentEngine, EngineOptions};
 use shapex_core::faults::{self, site, FaultAction, FaultPlan};
 use shapex_core::{CancelToken, Containment, UnknownReason};
-use shapex_shex::Schema;
+use shapex_shex::{parse_schema, Schema};
 
 mod common;
 use common::{choice_groups, random_family, same_answer, tiny};
@@ -268,4 +268,53 @@ fn a_check_with_a_token_never_waits_on_a_running_first_check() {
         fresh.stats().pair_bytes,
         "the pair is charged once"
     );
+}
+
+#[test]
+fn a_token_that_fires_inside_the_fixpoint_answers_deadline_exceeded() {
+    let _gate = GATE.lock().unwrap_or_else(PoisonError::into_inner);
+    // The introduction's refactoring of Figure 1: equal languages, no
+    // embedding, split outside DetShEx0-, so only the type-set fixpoint
+    // decides `original ⊆ split`.
+    let original = parse_schema(
+        "Bug  -> descr::Literal, reportedBy::User, related::Bug*\n\
+         User -> name::Literal, email::Literal?\n",
+    )
+    .unwrap();
+    let split = parse_schema(
+        "Bug1 -> descr::Literal, reportedBy::User1, related::Bug1*, related::Bug2*\n\
+         Bug2 -> descr::Literal, reportedBy::User2, related::Bug1*, related::Bug2*\n\
+         User1 -> name::Literal\n\
+         User2 -> name::Literal, email::Literal\n",
+    )
+    .unwrap();
+    let engine = ContainmentEngine::with_search(tiny());
+    let (h, k) = (engine.register(&original), engine.register(&split));
+    // The fixpoint's first enumeration step is the query's first
+    // `solver-branch` hit: hold it there past the token's deadline.
+    let _armed = Armed::install(FaultPlan::new().inject(
+        site::SOLVER_BRANCH,
+        0,
+        FaultAction::Delay(Duration::from_millis(500)),
+    ));
+    let token = CancelToken::with_timeout(Duration::from_millis(50));
+    let answer = engine.check_ids(h, k, Some(&token));
+    assert!(
+        matches!(
+            answer.unknown_reason(),
+            Some(UnknownReason::DeadlineExceeded { .. })
+        ),
+        "{answer}"
+    );
+    assert_eq!(faults::hits(site::SOLVER_BRANCH), 1);
+    let stats = engine.stats();
+    assert_eq!(stats.deadline_exceeded, 1, "{stats}");
+    assert_eq!(stats.cancelled_branches, 1, "{stats}");
+    assert_eq!(stats.fixpoint_decided, 0, "{stats}");
+    assert_eq!(stats.pools_built, 0, "no search ran: {stats}");
+    assert_eq!(stats.pair_bytes, 0, "a deadline is never memoised: {stats}");
+    let again = engine.check_ids(h, k, None);
+    let fresh = ContainmentEngine::with_search(tiny()).check(&original, &split);
+    assert!(again.is_contained(), "{again}");
+    assert!(same_answer(&again, &fresh), "{again} vs {fresh}");
 }

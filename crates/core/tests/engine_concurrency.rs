@@ -6,7 +6,8 @@
 //! bounded search; many threads hammering one `Arc<ContainmentEngine>` must
 //! each see exactly the answers a serial session computes; and racing
 //! registrations must agree on one handle and share one allocation per
-//! predicate label.
+//! predicate label. The hammer runs twice: on an unbounded engine, and under
+//! a 4 KiB cache budget so eviction sweeps race live queries.
 //!
 //! Run in release in CI (`cargo test -p shapex-core --release --test
 //! engine_concurrency`) so the hammer test exercises real interleavings
@@ -25,15 +26,6 @@ use shapex_shex::{parse_schema, Schema};
 
 mod common;
 use common::{certified, mixed_family, same_answer, shex0_oracle, tiny};
-
-/// CI sets `SHAPEX_CACHE_BUDGET` (bytes) to rerun the hammer with a
-/// deliberately tiny cache budget, so eviction sweeps race live queries.
-/// Unset or unparsable means the default unbounded engine.
-fn cache_budget_from_env() -> Option<u64> {
-    std::env::var("SHAPEX_CACHE_BUDGET")
-        .ok()
-        .and_then(|raw| raw.trim().parse().ok())
-}
 
 /// Every cell of an engine's matrix agrees with its reference: the
 /// memo-free oracle on a ShEx₀ pair, a fresh engine otherwise, with every
@@ -88,6 +80,19 @@ fn matrix_matches_oracle() {
 /// rounds.
 #[test]
 fn hammer_shared_engine_from_many_threads() {
+    hammer(None);
+}
+
+/// The hammer under a deliberately tiny cache budget, so concurrent queries
+/// race the eviction sweeps as well.
+#[test]
+fn hammer_shared_engine_under_a_tiny_cache_budget() {
+    hammer(Some(4096));
+}
+
+/// Eight threads query one engine with the given cache budget (`None` =
+/// unbounded) against the serial reference matrix.
+fn hammer(cache_budget: Option<u64>) {
     // A mixed family: DetShEx0-, plain ShEx0 (+ / duplicate labels), and
     // full ShEx (disjunction) — every dispatch route under contention.
     let texts = [
@@ -102,11 +107,8 @@ fn hammer_shared_engine_from_many_threads() {
     let opts = tiny();
     let reference = ContainmentEngine::with_search(opts.clone()).check_matrix(&schemas);
 
-    // CI additionally reruns this hammer with SHAPEX_CACHE_BUDGET set to a
-    // deliberately tiny byte budget, so concurrent queries race the eviction
-    // sweeps as well.
     let mut builder = EngineOptions::builder().search(opts);
-    if let Some(budget) = cache_budget_from_env() {
+    if let Some(budget) = cache_budget {
         builder = builder.cache_budget(budget);
     }
     let engine = Arc::new(ContainmentEngine::with_options(builder.build()));
@@ -157,22 +159,23 @@ fn hammer_shared_engine_from_many_threads() {
     }
     let misses_before = engine.stats().validate_misses;
     let by_ids = engine.check_matrix_ids(&ids, None);
-    if cache_budget_from_env().is_none() {
+    match cache_budget {
         // With a tiny budget the sweeps evict memos by design, so the
         // zero-recomputation claim only holds for the unbounded default.
-        assert_eq!(
+        None => assert_eq!(
             engine.stats().validate_misses,
             misses_before,
             "a fully warmed engine must answer matrices from the memo"
-        );
-    } else {
-        // Budgeted rerun: the accounted evictable bytes must respect the
-        // budget at every query exit, including after the storm.
-        let stats = engine.stats();
-        assert!(
-            stats.evictable_bytes() <= cache_budget_from_env().unwrap(),
-            "evictable bytes exceed the configured budget: {stats}"
-        );
+        ),
+        // The accounted evictable bytes must respect the budget at every
+        // query exit, including after the storm.
+        Some(budget) => {
+            let stats = engine.stats();
+            assert!(
+                stats.evictable_bytes() <= budget,
+                "evictable bytes exceed the configured budget: {stats}"
+            );
+        }
     }
     for (row_p, row_r) in by_ids.iter().zip(&reference) {
         for (p, r) in row_p.iter().zip(row_r) {

@@ -34,7 +34,7 @@ use shapex_core::baseline::search_counter_example_baseline;
 use shapex_core::det::det_containment;
 use shapex_core::embedding::embeds;
 use shapex_core::engine::ContainmentEngine;
-use shapex_core::fixpoint::{decide, FixpointOutcome};
+use shapex_core::fixpoint::decide;
 use shapex_core::unfold::SearchOptions;
 use shapex_core::Containment;
 use shapex_graph::Graph;
@@ -320,8 +320,8 @@ fn permutations(n: usize) -> Vec<Vec<usize>> {
 fn fixpoint(h: &Plain, k: &Plain) -> Result<Option<Arc<Graph>>, TestCaseError> {
     let (hs, ks) = (h.schema(), k.schema());
     match decide(&hs, &ks, None) {
-        FixpointOutcome::Contained => Ok(None),
-        FixpointOutcome::NotContained(witness) => Ok(Some(witness)),
+        Some(Containment::Contained) => Ok(None),
+        Some(Containment::NotContained(witness)) => Ok(Some(witness)),
         other => Err(TestCaseError::fail(format!(
             "a tiny pair must be decided, got {other:?}:\nH:\n{hs}K:\n{ks}"
         ))),

@@ -162,11 +162,6 @@ impl LinearExpr {
         }
     }
 
-    /// Add a constant in place.
-    pub fn add_constant(&mut self, k: i64) {
-        self.constant += k;
-    }
-
     /// Multiply the whole expression by a scalar.
     pub fn scale(mut self, k: i64) -> LinearExpr {
         if k == 0 {

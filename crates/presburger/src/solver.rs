@@ -75,11 +75,6 @@ impl SolveResult {
         matches!(self, SolveResult::Sat(_))
     }
 
-    /// Whether the result is `Unsat`.
-    pub fn is_unsat(&self) -> bool {
-        matches!(self, SolveResult::Unsat)
-    }
-
     /// Extract the model, if any.
     pub fn model(&self) -> Option<&[u64]> {
         match self {

@@ -284,11 +284,6 @@ impl<S> Rbe0<S> {
         Rbe0 { atoms: Vec::new() }
     }
 
-    /// Build from explicit atoms.
-    pub fn from_atoms(atoms: Vec<(S, Interval)>) -> Rbe0<S> {
-        Rbe0 { atoms }
-    }
-
     /// The atoms in declaration order.
     pub fn atoms(&self) -> &[(S, Interval)] {
         &self.atoms

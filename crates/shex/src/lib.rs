@@ -26,6 +26,5 @@ pub mod typing;
 pub use parser::{parse_schema, write_schema};
 pub use schema::{Atom, Schema, SchemaClass, TypeId};
 pub use typing::{
-    maximal_typing, maximal_typing_with, validates, validates_with, IncrementalTyping, TypeRow,
-    Typing, ValidateScratch,
+    maximal_typing, validates, validates_with, IncrementalTyping, TypeRow, Typing, ValidateScratch,
 };

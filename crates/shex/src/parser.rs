@@ -20,7 +20,7 @@
 
 use shapex_rbe::{Interval, Rbe};
 
-use crate::schema::{render_expr, Atom, Schema, ShapeExpr};
+use crate::schema::{Atom, Schema, ShapeExpr};
 
 /// The deepest expression nesting [`parse_schema`] accepts: parentheses
 /// and stacked postfix repeats together, counted along any path from the
@@ -80,17 +80,10 @@ pub fn parse_schema(text: &str) -> Result<Schema, String> {
     Ok(schema)
 }
 
-/// Write a schema in the syntax accepted by [`parse_schema`].
+/// Write a schema in the syntax accepted by [`parse_schema`]: its
+/// [`Display`](std::fmt::Display) rendering, one rule per line.
 pub fn write_schema(schema: &Schema) -> String {
-    let mut out = String::new();
-    for t in schema.types() {
-        out.push_str(&format!(
-            "{} -> {}\n",
-            schema.type_name(t),
-            render_expr(schema, schema.def(t))
-        ));
-    }
-    out
+    schema.to_string()
 }
 
 #[derive(Debug, Clone, PartialEq, Eq)]

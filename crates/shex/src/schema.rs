@@ -458,13 +458,19 @@ impl Schema {
     /// Returns `None` if some definition is not expressible as an RBE₀ (a
     /// disjunction or a repetition of a composite expression).
     pub fn to_shape_graph(&self) -> Option<Graph> {
-        let mut graph = Graph::new();
+        let defs: Vec<Rbe0<Atom>> = self
+            .types()
+            .map(|t| self.def(t).to_rbe0())
+            .collect::<Option<_>>()?;
+        let atoms = defs.iter().map(|rbe0| rbe0.atoms().len()).sum();
+        // Sized up front: a registered schema keeps its shape graph for the
+        // engine's lifetime, so growth slack would stay pinned with it.
+        let mut graph = Graph::with_capacity(self.type_count(), atoms);
         let nodes: Vec<NodeId> = self
             .types()
             .map(|t| graph.add_named_node(self.type_name(t)))
             .collect();
-        for t in self.types() {
-            let rbe0: Rbe0<Atom> = self.def(t).to_rbe0()?;
+        for (t, rbe0) in self.types().zip(&defs) {
             for (atom, interval) in rbe0.atoms() {
                 // Atom labels are interned per-schema; the graph re-interns
                 // them on construction, keeping one allocation per predicate
@@ -534,7 +540,7 @@ impl fmt::Display for Schema {
 }
 
 /// Render a shape expression with type names instead of numeric identifiers.
-pub(crate) fn render_expr(schema: &Schema, expr: &ShapeExpr) -> String {
+fn render_expr(schema: &Schema, expr: &ShapeExpr) -> String {
     fn go(schema: &Schema, expr: &ShapeExpr, top: bool) -> String {
         match expr {
             Rbe::Epsilon => "EMPTY".to_owned(),
@@ -765,6 +771,52 @@ mod tests {
             ]),
         );
         assert!(s2.to_shape_graph().is_none());
+    }
+
+    #[test]
+    fn shape_graphs_are_built_without_growth_slack() {
+        // The same nodes and edges added to a graph grown from empty: its
+        // arenas double as they fill, so three nodes and five edges leave
+        // spare capacity.
+        let mut s = Schema::new();
+        let bug = s.add_type("Bug");
+        let user = s.add_type("User");
+        let literal = s.add_type("Literal");
+        s.define_rbe0(
+            bug,
+            &[
+                ("descr", literal, Interval::ONE),
+                ("reportedBy", user, Interval::ONE),
+                ("related", bug, Interval::STAR),
+            ],
+        );
+        s.define_rbe0(
+            user,
+            &[
+                ("name", literal, Interval::ONE),
+                ("email", literal, Interval::OPT),
+            ],
+        );
+        let sized = s.to_shape_graph().expect("RBE0 schema");
+        let mut grown = Graph::new();
+        for n in sized.nodes() {
+            grown.add_named_node(sized.node_name(n));
+        }
+        for e in sized.edges() {
+            grown.add_edge_with(
+                sized.source(e),
+                sized.label(e).clone(),
+                sized.occur(e),
+                sized.target(e),
+            );
+        }
+        assert_eq!(grown.to_string(), sized.to_string());
+        assert!(
+            sized.approx_heap_bytes() < grown.approx_heap_bytes(),
+            "{} B sized vs {} B grown",
+            sized.approx_heap_bytes(),
+            grown.approx_heap_bytes()
+        );
     }
 
     #[test]

@@ -77,7 +77,7 @@ struct CompiledAtom {
 }
 
 /// Reusable state of the typing worklist behind [`validates_with`],
-/// [`maximal_typing_with`], [`IncrementalTyping`] and [`simulation_rows`].
+/// [`maximal_typing`], [`IncrementalTyping`] and [`simulation_rows`].
 ///
 /// Each call compiles its types — a schema's, or the nodes of a shape
 /// graph — against the graph's interned label ids. Every RBE₀ definition
@@ -731,8 +731,9 @@ impl IncrementalTyping {
     }
 
     /// [`IncrementalTyping::new`] under external cancellation: the fixpoint
-    /// checks `cancel` as [`try_maximal_typing_with`] does and returns `None`
-    /// once it fires, leaving nothing behind.
+    /// checks `cancel` once per popped node (and threads it into every
+    /// Presburger fallback) and returns `None` once it fires, leaving nothing
+    /// behind.
     ///
     /// # Panics
     /// Panics if the graph uses occurrence intervals other than singletons
@@ -927,11 +928,7 @@ pub fn maximal_typing(graph: &Graph, schema: &Schema) -> Typing {
 /// # Panics
 /// Panics if the graph uses occurrence intervals other than singletons
 /// (validation is defined on simple and compressed graphs only).
-pub fn maximal_typing_with(
-    graph: &Graph,
-    schema: &Schema,
-    scratch: &mut ValidateScratch,
-) -> Typing {
+fn maximal_typing_with(graph: &Graph, schema: &Schema, scratch: &mut ValidateScratch) -> Typing {
     try_maximal_typing_with(graph, schema, scratch, None)
         .expect("an uncancelled typing cannot be cancelled")
 }
@@ -947,7 +944,7 @@ pub fn maximal_typing_with(
 /// # Panics
 /// Panics if the graph uses occurrence intervals other than singletons
 /// (validation is defined on simple and compressed graphs only).
-pub fn try_maximal_typing_with(
+fn try_maximal_typing_with(
     graph: &Graph,
     schema: &Schema,
     scratch: &mut ValidateScratch,

@@ -46,7 +46,6 @@ pub mod prelude {
     };
     pub use shapex_core::{
         baseline::enumerate_counter_example,
-        budget::{CacheBudget, CacheKind, Weigh},
         det::{characterizing_graph, det_containment},
         embedding::{embeds, max_simulation, Embedding},
         engine::{ContainmentEngine, ContainmentMatrix, EngineOptions, EngineStats, SchemaId},
